@@ -149,9 +149,7 @@ def cmd_optimize(args) -> int:
 
     report = optimize(ham, args.rank, config)
     best_kappa, best_xi, best_factor_set = report.best_params
-
-    init_factors = initial_double_factorization(ham.g, args.rank)
-    init_breakdown = lambda_df(init_factors, effective_one_body(ham))
+    init_breakdown = report.initial_breakdown
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,7 +187,7 @@ def cmd_optimize(args) -> int:
             {
                 "method": "XDF",
                 "n_orbitals": n,
-                "rank": init_factors.rank,
+                "rank": args.rank,
                 "lambda": init_breakdown.lambda_total,
                 "err": report.initial_err,
                 "lambda_one_body": init_breakdown.one_body_part,

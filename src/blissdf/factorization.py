@@ -160,6 +160,21 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
     return Rank1Decomposition(eigenvalues=values, vectors=vectors)
 
 
+def nuclear_norms(mats: np.ndarray, subgradient: bool = False):
+    """Nuclear norms of symmetric matrices (..., N, N) from one batched eigh.
+
+    With ``subgradient``, also returns each matrix's U sign(D) U^T (sign(0) = 0).
+    eigh rather than eigvalsh: every nuclear norm in the package comes from
+    this one LAPACK path, so recomputed norms match the optimizer's trace bitwise.
+    """
+    eigvals, eigvecs = np.linalg.eigh(mats)
+    norms = np.abs(eigvals).sum(axis=-1)
+    if not subgradient:
+        return norms
+    signed = eigvecs * np.sign(eigvals)[..., None, :]
+    return norms, signed @ eigvecs.swapaxes(-1, -2)
+
+
 def nuclear_norm(a: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a symmetric matrix.
 
@@ -167,11 +182,7 @@ def nuclear_norm(a: np.ndarray) -> float:
     minimum of sum_t |lambda_t| over all decompositions into rank-1 terms
     with unit vectors.
     """
-    a = symmetrize_one_body(np.asarray(a, dtype=np.float64))
-    # eigh rather than eigvalsh: the vector-producing LAPACK path is the one
-    # the optimizer uses, so norms recomputed here match its trace bitwise.
-    eigvals = np.linalg.eigh(a)[0]
-    return float(np.abs(eigvals).sum())
+    return float(nuclear_norms(symmetrize_one_body(a)))
 
 
 def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
@@ -242,7 +253,7 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
         raise ValueError(
             f"h_prime shape {h_prime.shape} does not match N={n} factors"
         )
-    per_factor = np.array([nuclear_norm(a) for a in factor_set.factors])
+    per_factor = nuclear_norms(factor_set.factors)
     two_body = float(0.5 * np.sum(per_factor**2))
     one_body = nuclear_norm(h_prime)
     return LambdaBreakdown(

@@ -155,17 +155,19 @@ def apply_symmetry_shift(ham: Hamiltonian, shift: ShiftParams) -> Hamiltonian:
         raise ValueError(
             f"shift is {shift.xi.shape[0]} orbitals but Hamiltonian is {n}"
         )
-    eye = np.eye(n)
-    h_new = ham.h - shift.n_e * shift.xi + shift.kappa * eye
-    g_new = ham.g + 0.5 * (
-        np.einsum("ij,kl->ijkl", shift.xi, eye)
-        + np.einsum("ij,kl->ijkl", eye, shift.xi)
-    )
     return Hamiltonian(
-        h=h_new,
-        g=g_new,
+        h=ham.h - shift.n_e * shift.xi + shift.kappa * np.eye(n),
+        g=shifted_two_body(ham.g, shift.xi),
         core_constant=ham.core_constant - shift.kappa * shift.n_e,
         n_electrons=ham.n_electrons,
+    )
+
+
+def shifted_two_body(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """g_ijkl + (xi_ij delta_kl + delta_ij xi_kl) / 2 as a fresh, writable array."""
+    eye = np.eye(g.shape[0])
+    return g + 0.5 * (
+        np.einsum("ij,kl->ijkl", xi, eye) + np.einsum("ij,kl->ijkl", eye, xi)
     )
 
 
@@ -176,6 +178,22 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     scaling constant after the two-body trace terms are folded in.
     """
     return ham.h + 2.0 * np.einsum("ijkk->ij", ham.g)
+
+
+def shifted_effective_one_body(
+    ham: Hamiltonian, kappa: float, xi: np.ndarray
+) -> np.ndarray:
+    """h'_ij + (N - n_e) xi_ij + (kappa + tr xi) delta_ij, the shifted h'.
+
+    Equals effective_one_body(apply_symmetry_shift(...)) up to round-off,
+    without building the shifted two-body tensor.
+    """
+    n = ham.n_orbitals
+    return (
+        effective_one_body(ham)
+        + (n - ham.n_electrons) * xi
+        + (kappa + float(np.trace(xi))) * np.eye(n)
+    )
 
 
 def reconstruct_two_body(factors: np.ndarray) -> np.ndarray:

@@ -13,8 +13,13 @@ much smaller lambda.
 Gradients are analytic. The nuclear norm is nondifferentiable at zero
 eigenvalues; there the subgradient sum_t sign(lambda_t) u_t u_t^T with
 sign(0) = 0 is used, which is valid for any orthonormal eigenbasis, so no
-smoothing or perturbation is needed. Descent is plain Adam, fully
-deterministic for a fixed configuration.
+smoothing or perturbation is needed. All R factor norms and their
+subgradients come from one batched eigh over the (R, N, N) stack.
+
+The parameters (kappa, xi, A) live in one flat vector, and descent is one
+plain Adam step on it, updating the moments in place; a frozen block has
+its slice of the gradient zeroed, so it keeps its initial value bit for
+bit. The run is fully deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -31,10 +36,13 @@ from blissdf.factorization import (
     LambdaBreakdown,
     initial_double_factorization,
     lambda_df,
+    nuclear_norms,
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
-    effective_one_body,
+    frobenius_error,
+    shifted_effective_one_body,
+    shifted_two_body,
     symmetrize_one_body,
 )
 
@@ -121,13 +129,7 @@ class OptimizationConfig:
             raise ConfigError(
                 f"unknown config keys {unknown}; valid keys are {sorted(known)}"
             )
-        coerced = dict(data)
-        for name in ("max_iters", "patience", "seed"):
-            if name in coerced:
-                value = coerced[name]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return cls(**coerced)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OptimizationConfig":
@@ -152,7 +154,8 @@ class OptimizationReport:
     initial Err) with the smallest lambda; the initial point itself is always
     feasible, so lambda never regresses past the initialization.
     ``total_trace`` has one row (total, err, lambda) per evaluated iterate,
-    row 0 being the initialization.
+    row 0 being the initialization. ``initial_breakdown`` is the lambda
+    breakdown of that initialization, the unshifted double factorization.
     """
 
     best_params: tuple[float, np.ndarray, FactorSet]
@@ -164,78 +167,72 @@ class OptimizationReport:
     best_iteration: int
     initial_lambda: float
     initial_err: float
+    initial_breakdown: LambdaBreakdown
     c_approx_used: float
 
 
-def _unpack_params(params) -> tuple[float, np.ndarray, np.ndarray]:
+def _pack(ham: Hamiltonian, params) -> np.ndarray:
+    """Check and symmetrize (kappa, xi, factors); return them as one flat vector."""
     kappa, xi, factors = params
+    n = ham.n_orbitals
     xi = symmetrize_one_body(np.asarray(xi, dtype=np.float64))
+    if xi.shape != (n, n):
+        raise ValueError(f"xi shape {xi.shape} does not match N={n}")
     factors = np.asarray(getattr(factors, "factors", factors), dtype=np.float64)
+    if factors.ndim != 3 or factors.shape[1:] != (n, n):
+        raise ValueError(f"factors shape {factors.shape} does not match (R, {n}, {n})")
     factors = 0.5 * (factors + factors.transpose(0, 2, 1))
-    return float(kappa), xi, factors
+    return np.concatenate(([float(kappa)], xi.ravel(), factors.ravel()))
 
 
-def _sign_subgradient(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Nuclear norm of a symmetric matrix and its subgradient U sign(D) U^T."""
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    norm = float(np.abs(eigvals).sum())
-    sub = (eigvecs * np.sign(eigvals)) @ eigvecs.T
-    return norm, sub
+def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Writable views (kappa, xi, factors) of theta: (1,), (N, N), (R, N, N)."""
+    xi_end = 1 + n * n
+    return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n, n)
 
 
 def _evaluate(
     ham: Hamiltonian,
-    kappa: float,
-    xi: np.ndarray,
-    factors: np.ndarray,
+    theta: np.ndarray,
     c_approx: float,
-    want_grad: bool,
-):
-    """Cost (total, err, lambda) and, optionally, its analytic gradient."""
+    grad: np.ndarray | None = None,
+) -> tuple[float, float, float]:
+    """Cost (total, err, lambda) at theta; fills ``grad`` with its gradient if given."""
     n = ham.n_orbitals
-    n_e = ham.n_electrons
+    kappa, xi, factors = _blocks(theta, n)
+    kappa = float(kappa[0])
     rank = factors.shape[0]
-    eye = np.eye(n)
 
-    g_shifted = ham.g + 0.5 * (
-        np.einsum("ij,kl->ijkl", xi, eye) + np.einsum("ij,kl->ijkl", eye, xi)
-    )
+    # Subtract in place: only two N^4 arrays are alive at once.
     flat = factors.reshape(rank, n * n)
-    recon = (flat.T @ flat).reshape(n, n, n, n)
-    diff = g_shifted - recon
+    diff = shifted_two_body(ham.g, xi)
+    diff -= (flat.T @ flat).reshape(n, n, n, n)
     err = float(np.vdot(diff, diff))
 
-    h_eff = (
-        effective_one_body(ham)
-        + (n - n_e) * xi
-        + (kappa + float(np.trace(xi))) * eye
-    )
-    one_body_norm, one_body_sub = _sign_subgradient(h_eff)
-
-    factor_norms = np.empty(rank)
-    factor_subs = np.empty_like(factors) if want_grad else None
-    for r in range(rank):
-        norm, sub = _sign_subgradient(factors[r])
-        factor_norms[r] = norm
-        if want_grad:
-            factor_subs[r] = sub
-
+    h_eff = shifted_effective_one_body(ham, kappa, xi)
+    if grad is None:
+        factor_norms, one_body_norm = nuclear_norms(factors), nuclear_norms(h_eff)
+    else:
+        factor_norms, factor_subs = nuclear_norms(factors, subgradient=True)
+        one_body_norm, one_body_sub = nuclear_norms(h_eff, subgradient=True)
     lam = float(0.5 * np.sum(factor_norms**2) + one_body_norm)
     total = c_approx * err + lam
-    if not want_grad:
-        return total, err, lam, None
+    if grad is None:
+        return total, err, lam
+
+    grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
+    one_body_trace = float(np.trace(one_body_sub))
+    grad_kappa[0] = one_body_trace
+
+    xi_part = 2.0 * c_approx * np.einsum("abkk->ab", diff)
+    xi_part += (n - ham.n_electrons) * one_body_sub + one_body_trace * np.eye(n)
+    grad_xi[...] = symmetrize_one_body(xi_part)
 
     diff_mat = diff.reshape(n * n, n * n)
-    grad_factors = -4.0 * c_approx * (diff_mat @ flat.T).T.reshape(rank, n, n)
-    grad_factors += factor_norms[:, None, None] * factor_subs
-    grad_factors = 0.5 * (grad_factors + grad_factors.transpose(0, 2, 1))
-
-    grad_xi = 2.0 * c_approx * np.einsum("abkk->ab", diff)
-    grad_xi += (n - n_e) * one_body_sub + float(np.trace(one_body_sub)) * eye
-    grad_xi = symmetrize_one_body(grad_xi)
-
-    grad_kappa = float(np.trace(one_body_sub))
-    return total, err, lam, (grad_kappa, grad_xi, grad_factors)
+    factor_part = -4.0 * c_approx * (diff_mat @ flat.T).T.reshape(rank, n, n)
+    factor_part += factor_norms[:, None, None] * factor_subs
+    grad_factors[...] = 0.5 * (factor_part + factor_part.transpose(0, 2, 1))
+    return total, err, lam
 
 
 def total_cost(
@@ -253,10 +250,7 @@ def total_cost(
     Returns:
         (total, err, lambda) with total = c_approx * err + lambda.
     """
-    kappa, xi, factors = _unpack_params(params)
-    _check_shapes(ham, xi, factors)
-    total, err, lam, _ = _evaluate(ham, kappa, xi, factors, c_approx, want_grad=False)
-    return total, err, lam
+    return _evaluate(ham, _pack(ham, params), c_approx)
 
 
 def gradient(ham: Hamiltonian, params, c_approx: float):
@@ -267,20 +261,19 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
         shape (R, N, N). At eigenvalue crossings of the nuclear norms the
         sign(0) = 0 subgradient is returned.
     """
-    kappa, xi, factors = _unpack_params(params)
-    _check_shapes(ham, xi, factors)
-    _, _, _, grads = _evaluate(ham, kappa, xi, factors, c_approx, want_grad=True)
-    return grads
+    theta = _pack(ham, params)
+    grad = np.empty_like(theta)
+    _evaluate(ham, theta, c_approx, grad)
+    grad_kappa, grad_xi, grad_factors = _blocks(grad, ham.n_orbitals)
+    return float(grad_kappa[0]), grad_xi, grad_factors
 
 
-def _check_shapes(ham: Hamiltonian, xi: np.ndarray, factors: np.ndarray):
-    n = ham.n_orbitals
-    if xi.shape != (n, n):
-        raise ValueError(f"xi shape {xi.shape} does not match N={n}")
-    if factors.ndim != 3 or factors.shape[1:] != (n, n):
-        raise ValueError(
-            f"factors shape {factors.shape} does not match (R, {n}, {n})"
-        )
+def _assess(
+    ham: Hamiltonian, kappa: float, xi: np.ndarray, factor_set: FactorSet
+) -> tuple[float, LambdaBreakdown]:
+    """Err and lambda breakdown at one point, bitwise equal to its trace row."""
+    err = frobenius_error(shifted_two_body(ham.g, xi), factor_set)
+    return err, lambda_df(factor_set, shifted_effective_one_body(ham, kappa, xi))
 
 
 def _resolve_c_approx(config, init_err: float, init_lambda: float) -> float:
@@ -335,23 +328,15 @@ def optimize(
 
     n = ham.n_orbitals
     init_factors = initial_double_factorization(ham.g, rank)
+    init_xi = np.zeros((n, n))
+    init_err, init_breakdown = _assess(ham, 0.0, init_xi, init_factors)
+    c_approx = _resolve_c_approx(config, init_err, init_breakdown.lambda_total)
 
-    kappa = 0.0
-    xi = np.zeros((n, n))
-    factors = np.array(init_factors.factors)
-
-    _, init_err, init_lambda = total_cost(ham, (kappa, xi, factors), 1.0)
-    c_approx = _resolve_c_approx(config, init_err, init_lambda)
-
-    mask_kappa = 1.0 if "kappa" in free else 0.0
-    mask_xi = 1.0 if "xi" in free else 0.0
-    mask_factors = 1.0 if "factors" in free else 0.0
-
-    m_kappa = v_kappa = 0.0
-    m_xi = np.zeros_like(xi)
-    v_xi = np.zeros_like(xi)
-    m_factors = np.zeros_like(factors)
-    v_factors = np.zeros_like(factors)
+    theta = _pack(ham, (0.0, init_xi, init_factors))
+    grad = np.empty_like(theta)
+    frozen = [b for name, b in zip(PARAM_BLOCKS, _blocks(grad, n)) if name not in free]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2 = config.adam_beta1, config.adam_beta2
     lr, eps = config.learning_rate, config.adam_epsilon
 
@@ -360,21 +345,19 @@ def optimize(
     anchor_total = math.inf
     anchor_iter = 0
     best_lambda = math.inf
-    best_state = None
+    best_theta = None
     best_iteration = 0
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
-        total, err, lam, grads = _evaluate(
-            ham, kappa, xi, factors, c_approx, want_grad=True
-        )
+        total, err, lam = _evaluate(ham, theta, c_approx, grad)
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
         trace.append((total, err, lam))
 
         if err <= init_err + config.err_budget and lam < best_lambda:
             best_lambda = lam
-            best_state = (kappa, xi.copy(), factors.copy())
+            best_theta = theta.copy()
             best_iteration = iteration
 
         if total < best_total:
@@ -392,40 +375,21 @@ def optimize(
         if iteration == config.max_iters:
             break
 
-        grad_kappa, grad_xi, grad_factors = grads
-        grad_kappa *= mask_kappa
-        grad_xi = grad_xi * mask_xi
-        grad_factors = grad_factors * mask_factors
-
+        for block in frozen:
+            block[...] = 0.0
         step = iteration + 1
         bias1 = 1.0 - beta1**step
         bias2 = 1.0 - beta2**step
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad**2
+        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
-        m_kappa = beta1 * m_kappa + (1.0 - beta1) * grad_kappa
-        v_kappa = beta2 * v_kappa + (1.0 - beta2) * grad_kappa**2
-        kappa -= lr * (m_kappa / bias1) / (math.sqrt(v_kappa / bias2) + eps)
-
-        m_xi = beta1 * m_xi + (1.0 - beta1) * grad_xi
-        v_xi = beta2 * v_xi + (1.0 - beta2) * grad_xi**2
-        xi = xi - lr * (m_xi / bias1) / (np.sqrt(v_xi / bias2) + eps)
-
-        m_factors = beta1 * m_factors + (1.0 - beta1) * grad_factors
-        v_factors = beta2 * v_factors + (1.0 - beta2) * grad_factors**2
-        factors = factors - lr * (m_factors / bias1) / (
-            np.sqrt(v_factors / bias2) + eps
-        )
-
-    best_kappa, best_xi, best_factor_arr = best_state
-    best_factor_set = FactorSet(factors=best_factor_arr)
-    _, err_final, _ = total_cost(
-        ham, (best_kappa, best_xi, best_factor_set), c_approx
-    )
-    h_eff_best = (
-        effective_one_body(ham)
-        + (n - ham.n_electrons) * best_xi
-        + (best_kappa + float(np.trace(best_xi))) * np.eye(n)
-    )
-    breakdown = lambda_df(best_factor_set, h_eff_best)
+    best_kappa, best_xi, best_factors = _blocks(best_theta, n)
+    best_kappa = float(best_kappa[0])
+    best_factor_set = FactorSet(factors=best_factors)
+    err_final, breakdown = _assess(ham, best_kappa, best_xi, best_factor_set)
 
     return OptimizationReport(
         best_params=(best_kappa, best_xi, best_factor_set),
@@ -435,7 +399,8 @@ def optimize(
         iterations_run=len(trace) - 1,
         stop_reason=stop_reason,
         best_iteration=best_iteration,
-        initial_lambda=init_lambda,
+        initial_lambda=init_breakdown.lambda_total,
         initial_err=init_err,
+        initial_breakdown=init_breakdown,
         c_approx_used=c_approx,
     )

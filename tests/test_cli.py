@@ -251,6 +251,55 @@ class TestOptimize:
         breakdown = lambda_df(fs, effective_one_body(shifted))
         assert abs(breakdown.lambda_total - opt_run["lambda"]) <= 1e-10
 
+    def test_initial_factorization_runs_once(self, tmp_path, capsys, monkeypatch):
+        from blissdf import optimizer
+
+        calls = []
+        original = optimizer.initial_double_factorization
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "initial_double_factorization", counted)
+        monkeypatch.setattr(cli, "initial_double_factorization", counted)
+        code, _, _ = run_cli(
+            [
+                "optimize",
+                "--input",
+                FIXTURE,
+                "--rank",
+                "3",
+                "--config",
+                write_config(tmp_path, max_iters=20),
+                "--out",
+                str(tmp_path / "opt"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+        code, _, _ = run_cli(
+            [
+                "factorize",
+                "--input",
+                FIXTURE,
+                "--rank",
+                "3",
+                "--out",
+                str(tmp_path / "df"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        xdf = json.loads((tmp_path / "opt" / "report.json").read_text())["runs"][0]
+        summary = json.loads((tmp_path / "df" / "summary.json").read_text())
+        assert xdf["rank"] == summary["rank"] == 3
+        assert xdf["lambda"] == summary["lambda_df"]
+        for key in ("err", "lambda_one_body", "lambda_two_body"):
+            assert xdf[key] == summary[key], key
+
     def test_trace_lines_validate(self, tmp_path, capsys):
         jsonschema = pytest.importorskip("jsonschema")
         out = tmp_path / "opt"

@@ -13,6 +13,7 @@ from blissdf import (
     reconstruct_two_body,
     save_factor_set,
 )
+from blissdf.factorization import nuclear_norms
 from blissdf.hamiltonian import symmetrize_one_body
 
 from conftest import random_psd_two_body
@@ -172,6 +173,21 @@ class TestNuclearNorm:
         q = random_orthogonal(5, rng)
         assert abs(nuclear_norm(q @ a @ q.T) - nuclear_norm(a)) < 1e-10
 
+    @pytest.mark.parametrize("n, rank", [(2, 4), (5, 7), (8, 16)])
+    def test_batched_matches_per_matrix_loop(self, n, rank):
+        # One batched eigh must give the same bits as one eigh per matrix,
+        # for the norms and for the subgradients U sign(D) U^T alike.
+        rng = np.random.default_rng(16)
+        mats = rng.standard_normal((rank, n, n))
+        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+        mats[0] = np.diag(np.arange(n) - 1.0)  # a zero eigenvalue: sign(0) = 0
+        norms, subs = nuclear_norms(mats, subgradient=True)
+        for a, norm, sub in zip(mats, norms, subs):
+            eigvals, eigvecs = np.linalg.eigh(a)
+            assert norm == float(np.abs(eigvals).sum())
+            assert np.array_equal(sub, (eigvecs * np.sign(eigvals)) @ eigvecs.T)
+        assert np.array_equal(nuclear_norms(mats), norms)
+
     def test_bounds_trace(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -221,6 +237,8 @@ class TestLambdaBreakdown:
         breakdown = lambda_df(fs, h_prime)
         total = breakdown.two_body_part + breakdown.one_body_part
         assert abs(breakdown.lambda_total - total) <= 1e-12 * abs(total)
+        # The batched norms must match the single-matrix ones bit for bit.
+        assert breakdown.per_factor.tolist() == [nuclear_norm(a) for a in fs]
 
     def test_dimension_mismatch(self):
         fs = FactorSet(factors=np.zeros((1, 2, 2)))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from blissdf import (
 )
 from blissdf.fermi_oracle import build_hamiltonian_dense, sector_eigenvalues
 from blissdf.hamiltonian import symmetrize_one_body
+from blissdf.optimizer import PARAM_BLOCKS
 
 from conftest import random_hamiltonian
 
@@ -265,20 +267,27 @@ class TestOptimize:
         assert np.array_equal(r1.total_trace, r2.total_trace)
         assert r1.lambda_breakdown.lambda_total == r2.lambda_breakdown.lambda_total
 
-    def test_frozen_blocks_stay_fixed(self):
+    @pytest.mark.parametrize(
+        "free",
+        [
+            subset
+            for size in (1, 2)
+            for subset in itertools.combinations(PARAM_BLOCKS, size)
+        ],
+        ids="+".join,
+    )
+    def test_frozen_blocks_stay_fixed(self, free):
         rng = np.random.default_rng(30)
         ham = random_hamiltonian(3, rng, n_electrons=2)
         init = initial_double_factorization(ham.g, 4)
 
-        report = optimize(ham, 4, small_config(), free=("kappa",))
+        report = optimize(ham, 4, small_config(), free=free)
         kappa, xi, fs = report.best_params
-        assert np.array_equal(xi, np.zeros((3, 3)))
-        assert np.array_equal(fs.factors, init.factors)
-
-        report = optimize(ham, 4, small_config(), free=("factors",))
-        kappa, xi, fs = report.best_params
-        assert kappa == 0.0
-        assert np.array_equal(xi, np.zeros((3, 3)))
+        initial = {"kappa": 0.0, "xi": np.zeros((3, 3)), "factors": init.factors}
+        final = {"kappa": kappa, "xi": xi, "factors": fs.factors}
+        for block in set(PARAM_BLOCKS) - set(free):
+            assert np.array_equal(final[block], initial[block]), block
+        assert report.best_iteration > 0
 
     def test_unknown_free_block(self):
         rng = np.random.default_rng(31)

@@ -3,6 +3,8 @@
 Subcommands:
     factorize  Eigendecomposition-based double factorization of an FCIDUMP
                file; writes factors.npz, summary.json, manifest.json.
+               R may go up to N^2; at most N(N+1)/2 factors are nonzero,
+               and stdout reports the count, e.g. "R=1024 (528 nonzero)".
     optimize   Joint symmetry-shift + factorization descent; writes
                report.json, trace.jsonl, factors.npz, manifest.json.
     verify     Self-check suites over the dense fermionic oracle.
@@ -131,6 +133,7 @@ def cmd_factorize(args) -> int:
 
     print(
         f"N={ham.n_orbitals} R={factor_set.rank} "
+        f"({factor_set.effective_rank} nonzero) "
         f"lambda_df={breakdown.lambda_total:.12g} err={err:.6e}"
     )
     print(f"wrote {out_dir / 'summary.json'} and {out_dir / 'factors.npz'}")
@@ -220,6 +223,7 @@ def cmd_optimize(args) -> int:
     _dump_json(out_dir / "report.json", report_doc)
 
     print(
+        f"R={best_factor_set.rank} ({best_factor_set.effective_rank} nonzero) "
         f"lambda={report.lambda_breakdown.lambda_total:.12g} "
         f"err={report.err_final:.6e} iterations={report.iterations_run} "
         f"({report.stop_reason})"

@@ -4,8 +4,13 @@ The two-body tensor g is first decomposed as a sum of Kronecker squares,
 
     g_ijkl ~ sum_r A_rij A_rkl,
 
-by eigendecomposing its N^2 x N^2 reshape (exact at full rank when the
-reshape is positive semidefinite). Each symmetric factor A_r then admits an
+by eigendecomposing its reshape over symmetric index pairs (exact at full
+rank when the reshape is positive semidefinite). Because g is symmetric in
+i <-> j and k <-> l, its N^2 x N^2 reshape vanishes on the antisymmetric
+pairs, so at most P = N(N+1)/2 factors are nonzero: the effective rank M is
+the number of pair-space eigenvalues above d_max * P * eps, and a request for
+R > M factors (up to N^2) gets the M nonzero ones followed by R - M exact
+zeros. Each symmetric factor A_r then admits an
 eigendecomposition A_r = sum_t lambda_rt u_rt u_rt^T, whose absolute
 eigenvalue sum is the nuclear norm ||A_r||_*. The block-encoding scaling
 constant assembled from these pieces is
@@ -27,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blissdf.hamiltonian import _frozen_array, symmetrize_one_body
+from blissdf.hamiltonian import _frozen_array, effective_rank, symmetrize_one_body
 
 ARCHIVE_FORMAT = "blissdf-factors-v1"
 
@@ -74,6 +79,11 @@ class FactorSet:
     @property
     def n_orbitals(self) -> int:
         return self.factors.shape[1]
+
+    @property
+    def effective_rank(self) -> int:
+        """Number of factors before the trailing exactly-zero ones."""
+        return effective_rank(self.factors)
 
     def __iter__(self):
         return iter(self.factors)
@@ -188,11 +198,18 @@ def nuclear_norm(a: np.ndarray) -> float:
 def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     """Factor the two-body tensor into Kronecker squares of symmetric matrices.
 
-    Eigendecomposes the N^2 x N^2 reshape G of g; the factors are
-    A_r = sqrt(d_r) * mat(v_r) for the ``rank`` largest eigenvalues d_r.
-    With the full rank N^2 and a positive semidefinite reshape the
-    reconstruction is exact; truncation keeps the dominant factors and the
-    residual error is non-increasing in ``rank``.
+    Eigendecomposes the P x P pair-space matrix G_(ij),(kl) =
+    g_ijkl * w_ij * w_kl over the pairs i <= j (P = N(N+1)/2, w = sqrt(2)
+    off the diagonal and 1 on it), the symmetric block of the N^2 x N^2
+    reshape; the antisymmetric block is exactly zero and is never formed.
+    Each eigenvector v unpacks to A_ij = A_ji = v_(ij) / w_ij, and the
+    factors are A_r = sqrt(d_r) * A for the ``rank`` largest eigenvalues d_r.
+    Every factor whose eigenvalue is at most d_max * P * eps (the
+    ``matrix_rank`` tolerance) is an exact 0.0, so the result is the M
+    nonzero factors (M = effective rank, at most P) followed by exact zeros.
+    With rank >= M and a positive semidefinite reshape the reconstruction is
+    exact; truncation keeps the dominant factors and the residual error is
+    non-increasing in ``rank``.
 
     Args:
         g: Two-body tensor with the full 8-fold symmetry, shape (N, N, N, N).
@@ -213,23 +230,30 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     if not 1 <= rank <= n * n:
         raise ValueError(f"rank must be in [1, {n * n}], got {rank}")
 
-    big = g.reshape(n * n, n * n)
+    rows, cols = np.triu_indices(n)
+    pairs = rows * n + cols
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    big = g.reshape(n * n, n * n)[np.ix_(pairs, pairs)] * np.outer(weights, weights)
     big = 0.5 * (big + big.T)
     eigvals, eigvecs = np.linalg.eigh(big)
-    d_max = float(eigvals[-1])
-    if eigvals[0] < -1e-8 * max(d_max, 0.0):
+    # The full reshape's spectrum is this one plus exact zeros.
+    d_max = max(float(eigvals[-1]), 0.0)
+    if eigvals[0] < -1e-8 * d_max:
         raise IndefiniteTensorError(
             f"reshaped two-body tensor has eigenvalue {eigvals[0]:.6e} below "
             f"-1e-8 * max eigenvalue ({d_max:.6e}); no real symmetric "
             "factorization exists"
         )
-    eigvals = np.clip(eigvals, 0.0, None)
+    tol = d_max * len(pairs) * np.finfo(np.float64).eps
 
-    order = np.argsort(eigvals)[::-1][:rank]
-    factors = np.empty((rank, n, n))
-    for row, idx in enumerate(order):
-        vec = _fix_sign(eigvecs[:, idx])
-        factors[row] = np.sqrt(eigvals[idx]) * vec.reshape(n, n)
+    factors = np.zeros((rank, n, n))
+    for row, idx in enumerate(np.argsort(eigvals)[::-1][:rank]):
+        if eigvals[idx] <= tol:
+            break  # descending order: every later eigenvalue is below tol too
+        mat = np.zeros((n, n))
+        mat[rows, cols] = eigvecs[:, idx] / weights
+        mat[cols, rows] = mat[rows, cols]
+        factors[row] = np.sqrt(eigvals[idx]) * _fix_sign(mat.ravel()).reshape(n, n)
     return FactorSet(factors=factors)
 
 
@@ -242,7 +266,9 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
 
     Returns:
         LambdaBreakdown with lambda_total = 1/2 * sum_r Lambda_r^2 +
-        ||h_prime||_*, where Lambda_r = ||A_r||_*.
+        ||h_prime||_*, where Lambda_r = ||A_r||_*. Trailing exactly-zero
+        factors get Lambda_r = 0 and stay out of the sum, so zero padding
+        does not change the bits.
 
     Raises:
         ValueError: If h_prime's dimension disagrees with the factors'.
@@ -253,8 +279,10 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
         raise ValueError(
             f"h_prime shape {h_prime.shape} does not match N={n} factors"
         )
-    per_factor = nuclear_norms(factor_set.factors)
-    two_body = float(0.5 * np.sum(per_factor**2))
+    rank = factor_set.effective_rank
+    per_factor = np.zeros(factor_set.rank)
+    per_factor[:rank] = nuclear_norms(factor_set.factors[:rank])
+    two_body = float(0.5 * np.sum(per_factor[:rank] ** 2))
     one_body = nuclear_norm(h_prime)
     return LambdaBreakdown(
         lambda_total=two_body + one_body,

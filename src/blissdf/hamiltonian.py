@@ -196,11 +196,23 @@ def shifted_effective_one_body(
     )
 
 
+def effective_rank(factors: np.ndarray) -> int:
+    """Number of factors left once the trailing exactly-zero ones are dropped.
+
+    Trailing zero factors add nothing to sum_r A_r (x) A_r or to lambda, so
+    every sum over factors stops here: a zero-padded stack then gives the
+    same bits as its unpadded prefix.
+    """
+    nonzero = np.flatnonzero(np.asarray(factors).any(axis=(1, 2)))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def reconstruct_two_body(factors: np.ndarray) -> np.ndarray:
     """Assemble sum_r A_r (x) A_r from a stack of symmetric factor matrices.
 
     Args:
         factors: Array of shape (R, N, N) or a FactorSet; R may be zero.
+            Trailing exactly-zero factors are skipped (see effective_rank).
 
     Returns:
         The N^4 tensor with entries sum_r A[r,i,j] * A[r,k,l]. The result is
@@ -210,9 +222,10 @@ def reconstruct_two_body(factors: np.ndarray) -> np.ndarray:
     if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
         raise ValueError(f"expected factors of shape (R, N, N), got {factors.shape}")
     n = factors.shape[1]
-    if factors.shape[0] == 0:
+    rank = effective_rank(factors)
+    if rank == 0:
         return np.zeros((n, n, n, n))
-    flat = factors.reshape(factors.shape[0], n * n)
+    flat = factors[:rank].reshape(rank, n * n)
     return (flat.T @ flat).reshape(n, n, n, n)
 
 

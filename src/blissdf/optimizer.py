@@ -13,8 +13,14 @@ much smaller lambda.
 Gradients are analytic. The nuclear norm is nondifferentiable at zero
 eigenvalues; there the subgradient sum_t sign(lambda_t) u_t u_t^T with
 sign(0) = 0 is used, which is valid for any orthonormal eigenbasis, so no
-smoothing or perturbation is needed. All R factor norms and their
-subgradients come from one batched eigh over the (R, N, N) stack.
+smoothing or perturbation is needed.
+
+R may go up to N^2, but the initial double factorization has at most
+N(N+1)/2 nonzero factors; the rest are exact zeros. An exactly-zero factor
+has an exactly zero gradient, so Adam would leave it at zero forever: the
+descent runs over the M nonzero factors only (the effective rank), and the
+reported factors are padded back to R with zeros. All M factor norms and
+their subgradients come from one batched eigh over the (M, N, N) stack.
 
 The parameters (kappa, xi, A) live in one flat vector, and descent is one
 plain Adam step on it, updating the moments in place; a frozen block has
@@ -47,6 +53,16 @@ from blissdf.hamiltonian import (
 )
 
 PARAM_BLOCKS = ("kappa", "xi", "factors")
+
+_REAL_FIELDS = (
+    "c_approx",
+    "learning_rate",
+    "adam_beta1",
+    "adam_beta2",
+    "adam_epsilon",
+    "rel_tol",
+    "err_budget",
+)
 
 
 class ConfigError(ValueError):
@@ -87,6 +103,12 @@ class OptimizationConfig:
     err_budget: float = 1e-6
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if name == "c_approx" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.c_approx is not None and not self.c_approx > 0:
             raise ConfigError(f"c_approx must be positive, got {self.c_approx}")
         if (
@@ -304,7 +326,8 @@ def optimize(
 
     Args:
         ham: Hamiltonian to shift and factorize.
-        rank: Number of factors R.
+        rank: Number of factors R, 1 <= R <= N^2; at most N(N+1)/2 of them
+            are nonzero, and the rest stay exact zeros.
         config: Hyperparameters; config.seed is recorded for provenance (the
             descent itself is deterministic and uses no randomness).
         free: Parameter blocks to update, a subset of ("kappa", "xi",
@@ -332,7 +355,9 @@ def optimize(
     init_err, init_breakdown = _assess(ham, 0.0, init_xi, init_factors)
     c_approx = _resolve_c_approx(config, init_err, init_breakdown.lambda_total)
 
-    theta = _pack(ham, (0.0, init_xi, init_factors))
+    # The trailing exact-zero factors never move; leave them out of theta.
+    nonzero = init_factors.factors[: init_factors.effective_rank]
+    theta = _pack(ham, (0.0, init_xi, nonzero))
     grad = np.empty_like(theta)
     frozen = [b for name, b in zip(PARAM_BLOCKS, _blocks(grad, n)) if name not in free]
     m = np.zeros_like(theta)
@@ -350,7 +375,9 @@ def optimize(
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
-        total, err, lam = _evaluate(ham, theta, c_approx, grad)
+        # The last iterate takes no step, so it needs no gradient.
+        step_grad = grad if iteration < config.max_iters else None
+        total, err, lam = _evaluate(ham, theta, c_approx, step_grad)
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
         trace.append((total, err, lam))
@@ -388,7 +415,9 @@ def optimize(
 
     best_kappa, best_xi, best_factors = _blocks(best_theta, n)
     best_kappa = float(best_kappa[0])
-    best_factor_set = FactorSet(factors=best_factors)
+    padded = np.zeros((rank, n, n))
+    padded[: len(best_factors)] = best_factors
+    best_factor_set = FactorSet(factors=padded)
     err_final, breakdown = _assess(ham, best_kappa, best_xi, best_factor_set)
 
     return OptimizationReport(

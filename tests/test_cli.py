@@ -131,7 +131,42 @@ class TestFactorize:
         assert "error:" in stderr
 
 
+    def test_prints_effective_rank(self, tmp_path, capsys):
+        # tiny2 has N=2: R may be N^2 = 4, and its pair space (P = 3) holds
+        # only 2 nonzero eigenvalues.
+        out = tmp_path / "run"
+        code, stdout, _ = run_cli(
+            ["factorize", "--input", FIXTURE, "--rank", "4", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert "R=4 (2 nonzero)" in stdout
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["per_factor"][2:] == [0.0, 0.0]
+
+
 class TestOptimize:
+    def test_prints_effective_rank(self, tmp_path, capsys):
+        out = tmp_path / "opt"
+        code, stdout, _ = run_cli(
+            [
+                "optimize",
+                "--input",
+                FIXTURE,
+                "--rank",
+                "4",
+                "--config",
+                write_config(tmp_path, max_iters=20),
+                "--out",
+                str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "R=4 (2 nonzero)" in stdout
+        report = json.loads((out / "report.json").read_text())
+        assert report["rank"] == report["runs"][1]["rank"] == 4
+
     def test_end_to_end_report(self, tmp_path, capsys):
         out = tmp_path / "opt"
         cfg = write_config(tmp_path)
@@ -347,6 +382,28 @@ class TestOptimize:
         )
         assert code == 1
         assert "unknown config keys" in stderr
+
+    def test_non_numeric_config_value_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"learning_rate": "0.1"}))
+        code, _, stderr = run_cli(
+            [
+                "optimize",
+                "--input",
+                FIXTURE,
+                "--rank",
+                "2",
+                "--config",
+                str(bad),
+                "--out",
+                str(tmp_path / "o"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert stderr.startswith("error: learning_rate must be a number")
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "o").exists()
 
     def test_divergent_descent_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, learning_rate=1e160, c_approx=1.0)

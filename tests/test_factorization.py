@@ -114,6 +114,56 @@ class TestInitialDoubleFactorization:
         assert weights == sorted(weights, reverse=True)
 
 
+class TestNullSpace:
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_factors_beyond_pair_count_are_exact_zeros(self, n):
+        rng = np.random.default_rng(17 + n)
+        g = random_psd_two_body(n, rng)
+        pairs = n * (n + 1) // 2
+        full = initial_double_factorization(g, n * n)
+        assert np.all(full.factors[pairs:] == 0.0)
+        assert full.effective_rank == pairs
+        assert np.array_equal(
+            full.factors[:pairs], initial_double_factorization(g, pairs).factors
+        )
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_low_rank_tensor_gives_exactly_its_rank(self, n):
+        rng = np.random.default_rng(19 + n)
+        terms = rng.standard_normal((2, n, n))
+        g = reconstruct_two_body(0.5 * (terms + terms.transpose(0, 2, 1)))
+        fs = initial_double_factorization(g, n * n)
+        nonzero = np.any(fs.factors != 0.0, axis=(1, 2))
+        assert nonzero.tolist() == [True, True] + [False] * (n * n - 2)
+        assert fs.effective_rank == 2
+        assert frobenius_error(g, fs) <= 1e-20 * float(np.sum(g * g))
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_zero_padding_keeps_the_bits(self, n):
+        # Sums over factors stop at the last nonzero one, so a padded set
+        # reports exactly what its unpadded prefix does.
+        rng = np.random.default_rng(21 + n)
+        g = random_psd_two_body(n, rng)
+        pairs = n * (n + 1) // 2
+        full = initial_double_factorization(g, n * n)
+        prefix = FactorSet(factors=full.factors[:pairs])
+        h_prime = symmetrize_one_body(rng.standard_normal((n, n)))
+        b_full, b_prefix = lambda_df(full, h_prime), lambda_df(prefix, h_prime)
+        assert b_full.lambda_total == b_prefix.lambda_total
+        assert b_full.two_body_part == b_prefix.two_body_part
+        assert b_full.per_factor.tolist() == b_prefix.per_factor.tolist() + [0.0] * (
+            n * n - pairs
+        )
+        assert frobenius_error(g, full) == frobenius_error(g, prefix)
+
+    def test_effective_rank_counts_up_to_last_nonzero(self):
+        factors = np.zeros((4, 2, 2))
+        assert FactorSet(factors=factors).effective_rank == 0
+        factors[1, 0, 1] = 1.0
+        assert FactorSet(factors=factors).effective_rank == 2
+        assert FactorSet(factors=np.zeros((0, 2, 2))).effective_rank == 0
+
+
 class TestEigenRank1:
     def test_identity(self):
         decomp = eigen_rank1(np.eye(3))

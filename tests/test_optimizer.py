@@ -79,6 +79,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_iters"):
             OptimizationConfig.from_dict({"max_iters": 10.0})
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "c_approx",
+            "learning_rate",
+            "adam_beta1",
+            "adam_beta2",
+            "adam_epsilon",
+            "rel_tol",
+            "err_budget",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0.1", True, [0.1]], ids=repr)
+    def test_real_fields_reject_non_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            OptimizationConfig.from_dict({name: value})
+
+    def test_real_fields_accept_ints(self):
+        cfg = OptimizationConfig.from_dict({"c_approx": 1000, "rel_tol": 0})
+        assert (cfg.c_approx, cfg.rel_tol) == (1000, 0)
+
     def test_dict_roundtrip(self):
         cfg = OptimizationConfig(c_approx=12.0, seed=7)
         assert OptimizationConfig.from_dict(cfg.to_dict()) == cfg
@@ -288,6 +309,63 @@ class TestOptimize:
         for block in set(PARAM_BLOCKS) - set(free):
             assert np.array_equal(final[block], initial[block]), block
         assert report.best_iteration > 0
+
+    def test_no_gradient_on_the_last_iterate(self, monkeypatch):
+        # A max_iters stop takes max_iters steps from max_iters + 1
+        # evaluations; only the steps need a gradient.
+        from blissdf import optimizer
+
+        original = optimizer.nuclear_norms
+        gradient_evals = []
+
+        def counted(mats, subgradient=False):
+            if subgradient and mats.ndim == 3:
+                gradient_evals.append(1)
+            return original(mats, subgradient)
+
+        monkeypatch.setattr(optimizer, "nuclear_norms", counted)
+        rng = np.random.default_rng(39)
+        ham = random_hamiltonian(3, rng, n_electrons=2)
+        report = optimize(ham, 6, small_config(max_iters=7, patience=50))
+        assert report.stop_reason == "max_iters"
+        assert len(gradient_evals) == report.iterations_run == 7
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_null_space_padding_changes_nothing(self, n):
+        # R = N^2 descends over the same nonzero factors as R = N(N+1)/2 and
+        # reports them padded with exact zeros, bit for bit.
+        rng = np.random.default_rng(40 + n)
+        ham = random_hamiltonian(n, rng)
+        pairs = n * (n + 1) // 2
+        cfg = small_config(max_iters=60)
+        full, packed = optimize(ham, n * n, cfg), optimize(ham, pairs, cfg)
+
+        assert np.array_equal(full.total_trace, packed.total_trace)
+        (k1, x1, f1), (k2, x2, f2) = full.best_params, packed.best_params
+        assert k1 == k2
+        assert np.array_equal(x1, x2)
+        assert f1.rank == n * n and f2.rank == pairs
+        assert np.array_equal(f1.factors[:pairs], f2.factors)
+        assert np.all(f1.factors[pairs:] == 0.0)
+        b1, b2 = full.lambda_breakdown, packed.lambda_breakdown
+        assert b1.lambda_total == b2.lambda_total
+        assert b1.two_body_part == b2.two_body_part
+        assert b1.one_body_part == b2.one_body_part
+        assert np.array_equal(b1.per_factor[:pairs], b2.per_factor)
+        assert np.all(b1.per_factor[pairs:] == 0.0)
+        assert full.err_final == packed.err_final
+        assert full.initial_lambda == packed.initial_lambda
+
+    def test_zero_factors_have_zero_gradient(self):
+        # Why the descent may drop them: an exactly-zero factor has an
+        # exactly zero gradient, so Adam never moves it.
+        rng = np.random.default_rng(41)
+        ham = random_hamiltonian(3, rng, n_electrons=3)
+        init = initial_double_factorization(ham.g, 9)
+        xi = symmetrize_one_body(rng.standard_normal((3, 3)))
+        _, _, grad_factors = gradient(ham, (0.3, xi, init), 1e3)
+        assert np.all(grad_factors[init.effective_rank :] == 0.0)
+        assert np.all(np.any(grad_factors[: init.effective_rank] != 0.0, axis=(1, 2)))
 
     def test_unknown_free_block(self):
         rng = np.random.default_rng(31)

@@ -22,11 +22,22 @@ such as ORBSYM are tolerated), followed by whitespace-separated records
 ``value i j k l`` with 1-based indices. ``i j 0 0`` is a one-body entry,
 ``0 0 0 0`` the core constant, anything else a two-body entry. The writer
 emits only the canonical representative of each 8-fold orbit.
+
+The loader is an array pipeline with no Python object per record: one pass
+of numpy's C text parser (``D`` exponents read as ``E``) fills a value and
+four index columns, one sort of integer orbit keys groups the records, and
+each orbit's values are added in file order and divided by their count. If
+the C parser rejects the data or a mask flags a record, every line is read
+by ``_check_record``, the one definition of an error, which accepts what
+Python's ``float``/``int`` accept and raises on the first bad line. Orbit
+conflicts come last: one-body first, each kind by first appearance.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +51,9 @@ INTEGRAL_CONVENTION = "fcidump-chemist-halved"
 ASYMMETRY_RTOL = 1e-10
 
 _FLOAT_FORMAT = "%.17g"
+_RECORD = np.dtype([("value", "f8"), ("i", "i8"), ("j", "i8"), ("k", "i8"), ("l", "i8")])
+_CONTROL_BREAKS = "\x0b\x0c\x1c\x1d\x1e"  # line breaks to splitlines(), spaces to numpy
+_LINE_BREAK = re.compile(r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 class FcidumpError(ValueError):
@@ -50,45 +64,6 @@ class FcidumpError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def _canonical_pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i >= j else (j, i)
-
-
-def _canonical_quad(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
-    ij = _canonical_pair(i, j)
-    kl = _canonical_pair(k, l)
-    return ij + kl if ij >= kl else kl + ij
-
-
-class _OrbitAccumulator:
-    """Collects records per symmetry orbit, averaging consistent duplicates."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.records: dict[tuple, list[tuple[float, int]]] = {}
-
-    def add(self, key: tuple, value: float, line: int):
-        self.records.setdefault(key, []).append((value, line))
-
-    def resolve(self) -> dict[tuple, float]:
-        out = {}
-        for key, entries in self.records.items():
-            values = [v for v, _ in entries]
-            lo, hi = min(values), max(values)
-            scale = max(abs(lo), abs(hi))
-            if scale > 0.0 and (hi - lo) > ASYMMETRY_RTOL * scale:
-                lines = sorted(ln for _, ln in entries)
-                raise FcidumpError(
-                    f"conflicting {self.kind} entries for orbit "
-                    f"{tuple(k + 1 for k in key)}: values {lo!r} and {hi!r} "
-                    f"disagree beyond relative tolerance {ASYMMETRY_RTOL:g} "
-                    f"(lines {lines})",
-                    line=lines[-1],
-                )
-            out[key] = sum(values) / len(values)
-        return out
 
 
 def _parse_header(lines: list[str]) -> tuple[int, int, int, int]:
@@ -139,6 +114,99 @@ def _parse_header(lines: list[str]) -> tuple[int, int, int, int]:
     return norb, nelec, ms2, end_line + 1
 
 
+def _check_record(raw: str, n: int, norb: int) -> tuple[float, int, int, int, int]:
+    """Read data line ``n`` by the reference rules; raise FcidumpError if it is bad."""
+    tokens = raw.split()
+    if len(tokens) != 5:
+        raise FcidumpError(f"expected 'value i j k l', got {len(tokens)} fields", line=n)
+    try:
+        value = float(tokens[0].upper().replace("D", "E"))
+    except ValueError:
+        raise FcidumpError(f"unparseable value {tokens[0]!r}", line=n)
+    if not np.isfinite(value):
+        raise FcidumpError(f"non-finite value {tokens[0]!r}", line=n)
+    try:
+        i, j, k, l = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise FcidumpError(f"unparseable orbital indices {tokens[1:]!r}", line=n)
+    shown = (i, j) if k == l == 0 else (i, j, k, l)  # 0 0 0 0 is the core constant
+    if any(shown) and not all(1 <= x <= norb for x in shown):
+        kind = "one-body" if len(shown) == 2 else "two-body"
+        raise FcidumpError(f"{kind} indices {shown} outside 1..{norb}", line=n)
+    return value, i, j, k, l
+
+
+def _parse_data(text: str, start: int, first: int, norb: int) -> np.ndarray:
+    """Records of the data section text[start:], whose first line is ``first``."""
+    if text.isascii() and not any(c in text for c in _CONTROL_BREAKS):
+        data = io.BytesIO(text.encode().replace(b"D", b"E").replace(b"d", b"e"))
+        data.seek(start)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy < 2 warns on an index "1.0"
+                rec = np.loadtxt(data, _RECORD, comments=None, ndmin=1, encoding="ascii")
+        except (ValueError, Warning):
+            pass
+        else:
+            inside = [(rec[x] >= 1) & (rec[x] <= norb) for x in "ijkl"]
+            zero = [rec[x] == 0 for x in "ijkl"]
+            core_or_one = zero[2] & zero[3] & (zero[0] & zero[1] | inside[0] & inside[1])
+            valid = core_or_one | np.all(inside, axis=0)
+            if valid.all() and np.isfinite(rec["value"]).all():
+                return rec
+    numbered = enumerate(text[start:].splitlines(), first)
+    return np.array([_check_record(s, n, norb) for n, s in numbered if s.split()], _RECORD)
+
+
+def _read(text: str) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(h, g, core constant, NELEC) of an FCIDUMP text."""
+    # _parse_header only reads up to the first line holding a terminator.
+    term = re.search(r"&END|/", text, re.IGNORECASE)
+    brk = _LINE_BREAK.search(text, term.end()) if term else None
+    head, start = (text[: brk.start()], brk.end()) if brk else (text, len(text))
+    norb, nelec, _ms2, first_data = _parse_header(head.splitlines())
+    rec = _parse_data(text, start, first_data + 1, norb)
+    # Orbit key: larger and smaller pair of {i, j}, {k, l}; the core key is 0.
+    ij, kl = (np.maximum(rec[p], rec[q]) * (norb + 1) + np.minimum(rec[p], rec[q])
+              for p, q in ("ij", "kl"))
+    keys = np.maximum(ij, kl) * (norb + 1) ** 2 + np.minimum(ij, kl)
+    orbits, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    i, j, k, l = (rec[x][first] - 1 for x in "ijkl")  # one record of each orbit
+    lo, hi = np.full(orbits.size, np.inf), np.full(orbits.size, -np.inf)
+    np.minimum.at(lo, inverse, rec["value"])
+    np.maximum.at(hi, inverse, rec["value"])
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    bad = (orbits > 0) & (scale > 0.0) & (hi - lo > ASYMMETRY_RTOL * scale)
+    if bad.any():
+        orbit = np.flatnonzero(bad)[np.lexsort((first[bad], k[bad] >= 0))[0]]
+        rows = np.flatnonzero(inverse == orbit)
+        numbered = enumerate(text[start:].splitlines(), first_data + 1)
+        lines = [n for n, s in numbered if s.split()]
+        lines, found = [lines[r] for r in rows], rec["value"][rows].tolist()
+        a, b, c, d = (int(x[orbit]) + 1 for x in (i, j, k, l))
+        low, high = sorted([(max(a, b), min(a, b)), (max(c, d), min(c, d))])
+        kind, name = ("two-body", high + low) if c else ("one-body", high)
+        raise FcidumpError(
+            f"conflicting {kind} entries for orbit {name}: values {min(found)!r} and "
+            f"{max(found)!r} disagree beyond relative tolerance {ASYMMETRY_RTOL:g} "
+            f"(lines {lines})", line=lines[-1])
+    # bincount adds in file order, so each mean is sum(values) / len(values).
+    means = np.bincount(inverse, weights=rec["value"]) / counts
+    core = means[0] if orbits.size and orbits[0] == 0 else 0.0
+    one, two = (k < 0) & (orbits > 0), k >= 0
+    t_mat, v_chem = np.zeros((norb, norb)), np.zeros((norb, norb, norb, norb))
+    t_mat[i[one], j[one]] = t_mat[j[one], i[one]] = means[one]
+    i, j, k, l, means = (x[two] for x in (i, j, k, l, means))
+    for w, x, y, z in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k)):
+        v_chem[w, x, y, z] = v_chem[y, z, w, x] = means
+    # Reorder a+a+aa -> a+a a+a: the contraction term moves into the one-body
+    # matrix, the remaining two-body coefficient is halved (in place).
+    h = t_mat - 0.5 * np.einsum("ikkj->ij", v_chem)
+    v_chem *= 0.5
+    return h, v_chem, core, nelec
+
+
 def load_integrals(path: str | Path) -> Hamiltonian:
     """Load an FCIDUMP file and convert to the excitation-ordered convention.
 
@@ -156,75 +224,7 @@ def load_integrals(path: str | Path) -> Hamiltonian:
             the offending line.
         FileNotFoundError: If the file does not exist.
     """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    norb, nelec, _ms2, first_data = _parse_header(lines)
-
-    one_body = _OrbitAccumulator("one-body")
-    two_body = _OrbitAccumulator("two-body")
-    core_entries: list[tuple[float, int]] = []
-
-    for idx in range(first_data, len(lines)):
-        lineno = idx + 1
-        tokens = lines[idx].split()
-        if not tokens:
-            continue
-        if len(tokens) != 5:
-            raise FcidumpError(
-                f"expected 'value i j k l', got {len(tokens)} fields", line=lineno
-            )
-        try:
-            value = float(tokens[0].upper().replace("D", "E"))
-        except ValueError:
-            raise FcidumpError(f"unparseable value {tokens[0]!r}", line=lineno)
-        if not np.isfinite(value):
-            raise FcidumpError(f"non-finite value {tokens[0]!r}", line=lineno)
-        try:
-            i, j, k, l = (int(t) for t in tokens[1:])
-        except ValueError:
-            raise FcidumpError(
-                f"unparseable orbital indices {tokens[1:]!r}", line=lineno
-            )
-
-        if i == j == k == l == 0:
-            core_entries.append((value, lineno))
-        elif k == 0 and l == 0:
-            if not (1 <= i <= norb and 1 <= j <= norb):
-                raise FcidumpError(
-                    f"one-body indices ({i}, {j}) outside 1..{norb}", line=lineno
-                )
-            one_body.add(_canonical_pair(i - 1, j - 1), value, lineno)
-        else:
-            if not all(1 <= x <= norb for x in (i, j, k, l)):
-                raise FcidumpError(
-                    f"two-body indices ({i}, {j}, {k}, {l}) outside 1..{norb}",
-                    line=lineno,
-                )
-            two_body.add(
-                _canonical_quad(i - 1, j - 1, k - 1, l - 1), value, lineno
-            )
-
-    core = 0.0
-    if core_entries:
-        core = sum(v for v, _ in core_entries) / len(core_entries)
-
-    t_mat = np.zeros((norb, norb))
-    for (i, j), value in one_body.resolve().items():
-        t_mat[i, j] = value
-        t_mat[j, i] = value
-
-    v_chem = np.zeros((norb, norb, norb, norb))
-    for (i, j, k, l), value in two_body.resolve().items():
-        for a, b in ((i, j), (j, i)):
-            for c, d in ((k, l), (l, k)):
-                v_chem[a, b, c, d] = value
-                v_chem[c, d, a, b] = value
-
-    # Reorder a+a+aa -> a+a a+a: the contraction term moves into the one-body
-    # matrix, the remaining two-body coefficient is halved.
-    g = 0.5 * v_chem
-    h = t_mat - 0.5 * np.einsum("ikkj->ij", v_chem)
-    return Hamiltonian(h=h, g=g, core_constant=core, n_electrons=nelec)
+    return Hamiltonian(*_read(Path(path).read_text()))
 
 
 def write_integrals(path: str | Path, ham: Hamiltonian, ms2: int = 0) -> None:

@@ -46,6 +46,7 @@ from blissdf.factorization import (
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
+    effective_rank,
     frobenius_error,
     shifted_effective_one_body,
     shifted_two_body,
@@ -89,6 +90,8 @@ class OptimizationConfig:
     [1e2, 1e9], so the penalty dominates without flattening the lambda
     signal. ``err_budget`` is not enforced during descent; it defines which
     iterates count as feasible when the best one is selected afterwards.
+    Real-valued fields must be finite numbers; NaN and infinities raise
+    ConfigError.
     """
 
     c_approx: float | None = None
@@ -109,6 +112,8 @@ class OptimizationConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.c_approx is not None and not self.c_approx > 0:
             raise ConfigError(f"c_approx must be positive, got {self.c_approx}")
         if (
@@ -193,8 +198,13 @@ class OptimizationReport:
     c_approx_used: float
 
 
-def _pack(ham: Hamiltonian, params) -> np.ndarray:
-    """Check and symmetrize (kappa, xi, factors); return them as one flat vector."""
+def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
+    """Check and symmetrize (kappa, xi, factors); return them as one flat vector.
+
+    The flat vector stops at the last nonzero factor (see effective_rank): a
+    trailing zero factor has an exactly zero gradient and adds nothing to the
+    cost. The number R of factors given is returned with it.
+    """
     kappa, xi, factors = params
     n = ham.n_orbitals
     xi = symmetrize_one_body(np.asarray(xi, dtype=np.float64))
@@ -203,8 +213,10 @@ def _pack(ham: Hamiltonian, params) -> np.ndarray:
     factors = np.asarray(getattr(factors, "factors", factors), dtype=np.float64)
     if factors.ndim != 3 or factors.shape[1:] != (n, n):
         raise ValueError(f"factors shape {factors.shape} does not match (R, {n}, {n})")
+    rank = len(factors)
+    factors = factors[: effective_rank(factors)]
     factors = 0.5 * (factors + factors.transpose(0, 2, 1))
-    return np.concatenate(([float(kappa)], xi.ravel(), factors.ravel()))
+    return np.concatenate(([float(kappa)], xi.ravel(), factors.ravel())), rank
 
 
 def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,9 +282,11 @@ def total_cost(
         c_approx: Penalty weight on the factorization residual.
 
     Returns:
-        (total, err, lambda) with total = c_approx * err + lambda.
+        (total, err, lambda) with total = c_approx * err + lambda. Trailing
+        zero factors are skipped, so a zero-padded factor stack gives the
+        same bits as its unpadded prefix.
     """
-    return _evaluate(ham, _pack(ham, params), c_approx)
+    return _evaluate(ham, _pack(ham, params)[0], c_approx)
 
 
 def gradient(ham: Hamiltonian, params, c_approx: float):
@@ -281,12 +295,15 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     Returns:
         (d_kappa, d_xi, d_factors) with d_xi symmetric and d_factors of
         shape (R, N, N). At eigenvalue crossings of the nuclear norms the
-        sign(0) = 0 subgradient is returned.
+        sign(0) = 0 subgradient is returned. Trailing zero factors are
+        skipped and get exact zeros in d_factors, as in total_cost.
     """
-    theta = _pack(ham, params)
-    grad = np.empty_like(theta)
-    _evaluate(ham, theta, c_approx, grad)
-    grad_kappa, grad_xi, grad_factors = _blocks(grad, ham.n_orbitals)
+    theta, rank = _pack(ham, params)
+    n = ham.n_orbitals
+    # theta's layout is a prefix of this R-factor one; the rest stays zero.
+    grad = np.zeros(1 + n * n * (1 + rank))
+    _evaluate(ham, theta, c_approx, grad[: theta.size])
+    grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
     return float(grad_kappa[0]), grad_xi, grad_factors
 
 
@@ -355,9 +372,8 @@ def optimize(
     init_err, init_breakdown = _assess(ham, 0.0, init_xi, init_factors)
     c_approx = _resolve_c_approx(config, init_err, init_breakdown.lambda_total)
 
-    # The trailing exact-zero factors never move; leave them out of theta.
-    nonzero = init_factors.factors[: init_factors.effective_rank]
-    theta = _pack(ham, (0.0, init_xi, nonzero))
+    # _pack leaves the trailing exact-zero factors, which never move, out of theta.
+    theta, _ = _pack(ham, (0.0, init_xi, init_factors))
     grad = np.empty_like(theta)
     frozen = [b for name, b in zip(PARAM_BLOCKS, _blocks(grad, n)) if name not in free]
     m = np.zeros_like(theta)

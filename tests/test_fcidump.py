@@ -1,7 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blissdf import FcidumpError, Hamiltonian, load_integrals, write_integrals
+from blissdf import FcidumpError, Hamiltonian, fcidump, load_integrals, write_integrals
 from blissdf.fcidump import INTEGRAL_CONVENTION
 from blissdf.fermi_oracle import build_hamiltonian_dense, ladder_operator
 from blissdf.hamiltonian import symmetrize_one_body, symmetrize_two_body
@@ -157,6 +160,162 @@ class TestRecordParsing:
         )
         ham = load_integrals(path)
         assert ham.h[0, 1] == pytest.approx(value, rel=1e-11)
+
+
+def orbit_members(i, j, k, l):
+    """The index tuples of the symmetry orbit of a record (1-based)."""
+    if k == l == 0:
+        return [(i, j, 0, 0), (j, i, 0, 0)]
+    pairs = [((i, j), (k, l)), ((k, l), (i, j))]
+    return [a + b for p, q in pairs for a in (p, p[::-1]) for b in (q, q[::-1])]
+
+
+def scrambled_copy(canonical, rng):
+    """The records of a canonical FCIDUMP rewritten as another valid file.
+
+    Each record becomes a random member of its orbit with a random exponent
+    letter (D, d, E or e), some are written twice, the records are shuffled
+    and blank lines are mixed in. Every value keeps its 17 significant digits
+    and a duplicate is an exact copy, so the file must load bit-equal.
+    """
+    header, records = canonical[:2], []
+    for line in canonical[2:]:
+        value, *index = line.split()
+        for _ in range(1 + (rng.random() < 0.3)):
+            member = orbit_members(*map(int, index))[rng.integers(8 if index[2] != "0" else 2)]
+            text = f"{float(value):.16e}".replace("e", str(rng.choice(list("DdEe"))))
+            records.append(" ".join([text, *map(str, member)]))
+    rng.shuffle(records)
+    for _ in range(len(records) // 5 + 1):
+        records.insert(int(rng.integers(len(records) + 1)), str(rng.choice(["", "  ", "\t"])))
+    return header + records
+
+
+class TestArrayLoader:
+    """The loader against its per-record definition, file order and memory."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_scrambled_file_loads_bit_equal(self, tmp_path, monkeypatch, n):
+        # Valid files, D exponents included, never take the line-by-line path.
+        monkeypatch.setattr(fcidump, "_check_record", None)
+        rng = np.random.default_rng(100 + n)
+        canonical = tmp_path / "canonical.fcidump"
+        write_integrals(canonical, random_hamiltonian(n, rng, n_electrons=n))
+        lines = canonical.read_text().splitlines()
+        for trial in range(3):
+            scrambled = write_lines(tmp_path, scrambled_copy(lines, rng), f"s{trial}.fcidump")
+            want, got = load_integrals(canonical), load_integrals(scrambled)
+            assert got.h.tobytes() == want.h.tobytes()
+            assert got.g.tobytes() == want.g.tobytes()
+            assert got.core_constant == want.core_constant
+            assert got.n_electrons == want.n_electrons
+
+    BAD_LINES = {
+        "fields": ("1.0 1 1 0", "expected 'value i j k l', got 4 fields"),
+        "value": ("1.0x 1 1 0 0", "unparseable value '1.0x'"),
+        "non-finite": ("nan 1 2 0 0", "non-finite value 'nan'"),
+        "indices": ("1.0 1 1.0 0 0", "unparseable orbital indices ['1', '1.0', '0', '0']"),
+        "one-body": ("1.0 3 1 0 0", "one-body indices (3, 1) outside 1..2"),
+        "two-body": ("1.0 1 1 0 2", "two-body indices (1, 1, 0, 2) outside 1..2"),
+    }
+
+    @pytest.mark.parametrize("first", BAD_LINES)
+    @pytest.mark.parametrize("second", BAD_LINES)
+    def test_first_bad_line_is_reported(self, tmp_path, first, second):
+        bad3, message = self.BAD_LINES[first]
+        bad5, _ = self.BAD_LINES[second]
+        path = write_lines(
+            tmp_path,
+            ["&FCI NORB=2,NELEC=2 /", "1.0 1 1 0 0", bad3, "0.5 2 2 1 1", bad5],
+        )
+        with pytest.raises(FcidumpError) as err:
+            load_integrals(path)
+        assert str(err.value) == f"line 3: {message}"
+        assert err.value.line == 3
+
+    def test_first_appearing_conflict_is_reported(self, tmp_path):
+        # (2, 1, 1, 1) sorts before (2, 2, 1, 1) but appears after it.
+        path = write_lines(
+            tmp_path,
+            [
+                "&FCI NORB=2,NELEC=2 /",
+                "1.0 1 1 2 2",
+                "3.0 1 2 1 1",
+                "4.0 2 1 1 1",
+                "2.0 2 2 1 1",
+            ],
+        )
+        with pytest.raises(FcidumpError) as err:
+            load_integrals(path)
+        assert str(err.value) == (
+            "line 5: conflicting two-body entries for orbit (2, 2, 1, 1): values "
+            "1.0 and 2.0 disagree beyond relative tolerance 1e-10 (lines [2, 5])"
+        )
+
+    def test_one_body_conflict_is_reported_before_two_body(self, tmp_path):
+        path = write_lines(
+            tmp_path,
+            ["&FCI NORB=2,NELEC=2 /", "1.0 1 1 2 2", "2.0 2 2 1 1", "1.0 1 2 0 0", "", "1.5 2 1 0 0"],
+        )
+        with pytest.raises(FcidumpError, match=r"^line 6: conflicting one-body .*\(2, 1\).*\[4, 6\]"):
+            load_integrals(path)
+
+    def test_duplicates_are_added_in_file_order(self, tmp_path):
+        # Within the asymmetry tolerance, but their sum depends on the order.
+        values = [0.10000000000001, 0.10000000000002002, 0.10000000000005001]
+        assert len({(a + b + c) / 3 for a, b, c in itertools.permutations(values)}) > 1
+        path = write_lines(
+            tmp_path,
+            ["&FCI NORB=2,NELEC=2 /"]
+            + [f"{v!r} {i} {j} 0 0" for v, (i, j) in zip(values, [(1, 2), (2, 1), (1, 2)])],
+        )
+        assert load_integrals(path).h[0, 1] == (values[0] + values[1] + values[2]) / 3
+
+    def test_python_number_spellings_still_load(self, tmp_path):
+        # The C parser rejects these; the per-record rules accept them.
+        plain = write_lines(
+            tmp_path, ["&FCI NORB=2,NELEC=2 /", "1000.5 1 1 0 0", "0.25 2 1 2 1"], "plain.fcidump"
+        )
+        spelled = write_lines(
+            tmp_path,
+            ["&FCI NORB=2,NELEC=2 /", "1_000.5 +1 01 0 0", "2.5d-1 ２ 1 2 1"],
+            "spelled.fcidump",
+        )
+        want, got = load_integrals(plain), load_integrals(spelled)
+        assert got.h.tobytes() == want.h.tobytes()
+        assert got.g.tobytes() == want.g.tobytes()
+
+    @pytest.mark.parametrize("brk", ["\f", "\x1c", "\x85", "\u2028"], ids=repr)
+    def test_every_line_break_ends_a_line(self, tmp_path, brk):
+        # str.splitlines() breaks here, so the record has only 3 fields, and
+        # the line after it is line 4.
+        lines = ["&FCI NORB=2,NELEC=2 /", f"1.0 1 1{brk}0 0"]
+        with pytest.raises(FcidumpError, match="^line 2: expected 'value i j k l', got 3"):
+            load_integrals(write_lines(tmp_path, lines))
+        lines = ["&FCI NORB=2,NELEC=2 /", f"1.0 1 1 0 0{brk}", "nan 1 1 0 0"]
+        with pytest.raises(FcidumpError, match="^line 4: non-finite"):
+            load_integrals(write_lines(tmp_path, lines))
+
+    def test_non_ascii_header(self, tmp_path):
+        # 12 two-byte characters: the data starts 12 bytes after its
+        # character offset, where "9.0 1 1 0 0" is header text.
+        lines = ["&FCI NORB=2,NELEC=2, TITLE=" + "é" * 12, "&END 9.0 1 1 0 0", "1.0 1 1 0 0"]
+        assert load_integrals(write_lines(tmp_path, lines)).h[0, 0] == 1.0
+
+    def test_header_ends_at_a_form_feed(self, tmp_path):
+        path = write_lines(tmp_path, ["&FCI NORB=1,NELEC=1 /\f1.5 1 1 0 0"])
+        assert load_integrals(path).h[0, 0] == 1.5
+
+    def test_peak_memory_is_a_few_tensors(self, tmp_path):
+        path = tmp_path / "n16.fcidump"
+        write_integrals(path, random_hamiltonian(16, np.random.default_rng(7), n_electrons=16))
+        tracemalloc.start()
+        try:
+            ham = load_integrals(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * ham.g.nbytes
 
 
 def normal_ordered_dense(t, v, core, n):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from blissdf import (
 )
 from blissdf.fermi_oracle import build_hamiltonian_dense, sector_eigenvalues
 from blissdf.hamiltonian import symmetrize_one_body
-from blissdf.optimizer import PARAM_BLOCKS
+from blissdf.optimizer import _REAL_FIELDS, PARAM_BLOCKS
 
 from conftest import random_hamiltonian
 
@@ -95,6 +96,15 @@ class TestConfig:
     def test_real_fields_reject_non_numbers(self, name, value):
         with pytest.raises(ConfigError, match=name):
             OptimizationConfig.from_dict({name: value})
+
+    @pytest.mark.parametrize("name", _REAL_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_real_fields_reject_non_finite(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            OptimizationConfig.from_dict({name: value})
+
+    def test_huge_integer_is_a_finite_number(self):
+        assert OptimizationConfig(err_budget=10**400).err_budget == 10**400
 
     def test_real_fields_accept_ints(self):
         cfg = OptimizationConfig.from_dict({"c_approx": 1000, "rel_tol": 0})
@@ -366,6 +376,27 @@ class TestOptimize:
         _, _, grad_factors = gradient(ham, (0.3, xi, init), 1e3)
         assert np.all(grad_factors[init.effective_rank :] == 0.0)
         assert np.all(np.any(grad_factors[: init.effective_rank] != 0.0, axis=(1, 2)))
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_zero_padding_gives_prefix_bits(self, n):
+        # total_cost and gradient stop at the last nonzero factor, as
+        # optimize does, so padding R = N(N+1)/2 factors to N^2 changes no bit.
+        rng = np.random.default_rng(43)
+        m = n * (n + 1) // 2
+        ham = random_hamiltonian(n, rng, n_electrons=n)
+        factors = rng.standard_normal((m, n, n))
+        factors += factors.transpose(0, 2, 1)
+        padded = np.concatenate([factors, np.zeros((n * n - m, n, n))])
+        params = (0.3, symmetrize_one_body(rng.standard_normal((n, n))), factors)
+        padded_params = params[:2] + (padded,)
+        assert total_cost(ham, padded_params, 1e2) == total_cost(ham, params, 1e2)
+        d_kappa, d_xi, d_factors = gradient(ham, params, 1e2)
+        pad_kappa, pad_xi, pad_factors = gradient(ham, padded_params, 1e2)
+        assert pad_kappa == d_kappa
+        assert pad_xi.tobytes() == d_xi.tobytes()
+        assert pad_factors.shape == (n * n, n, n)
+        assert pad_factors[:m].tobytes() == d_factors.tobytes()
+        assert np.all(pad_factors[m:] == 0.0)
 
     def test_unknown_free_block(self):
         rng = np.random.default_rng(31)

@@ -40,14 +40,9 @@ from blissdf.factorization import (
     lambda_df,
     save_factor_set,
 )
-from blissdf.fcidump import INTEGRAL_CONVENTION, FcidumpError, load_integrals
+from blissdf.fcidump import INTEGRAL_CONVENTION, load_integrals
 from blissdf.hamiltonian import effective_one_body, frobenius_error
-from blissdf.optimizer import (
-    ConfigError,
-    NonFiniteCostError,
-    OptimizationConfig,
-    optimize,
-)
+from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
 SCHEMA_VERSION = 1
@@ -143,10 +138,9 @@ def cmd_factorize(args) -> int:
 def cmd_optimize(args) -> int:
     ham = load_integrals(args.input)
     checksum = file_checksum(args.input)
+    config = OptimizationConfig()
     if args.config is not None:
         config = OptimizationConfig.from_json(args.config)
-    else:
-        config = OptimizationConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
@@ -167,14 +161,9 @@ def cmd_optimize(args) -> int:
 
     trace_schema = load_schema("trace.schema.json")
     with open(out_dir / "trace.jsonl", "w") as handle:
-        for iteration, (total, err, lam) in enumerate(report.total_trace):
-            line = {
-                "iter": iteration,
-                "total": float(total),
-                "err": float(err),
-                "lambda": float(lam),
-            }
-            if iteration == 0:
+        for i, (total, err, lam) in enumerate(report.total_trace):
+            line = {"iter": i, "total": float(total), "err": float(err), "lambda": float(lam)}
+            if i == 0:
                 jsonschema.validate(line, trace_schema)
             handle.write(json.dumps(line, sort_keys=True) + "\n")
 
@@ -304,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "factorize", help="double-factorize the two-body tensor of an FCIDUMP file"
     )
     p_fact.add_argument("--input", required=True, help="FCIDUMP file")
-    p_fact.add_argument(
-        "--rank", required=True, type=int, help="number of factors R"
-    )
+    p_fact.add_argument("--rank", required=True, type=int, help="number of factors R")
     p_fact.add_argument("--out", required=True, help="output directory")
     p_fact.set_defaults(func=cmd_factorize)
 
@@ -315,19 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument("--input", required=True, help="FCIDUMP file")
     p_opt.add_argument("--rank", required=True, type=int, help="number of factors R")
-    p_opt.add_argument(
-        "--config", help="optimization config JSON (defaults when omitted)"
-    )
+    p_opt.add_argument("--config", help="optimization config JSON (defaults when omitted)")
     p_opt.add_argument("--out", required=True, help="output directory")
-    p_opt.add_argument(
-        "--seed", type=int, help="override the config seed for provenance"
-    )
+    p_opt.add_argument("--seed", type=int, help="override the config seed for provenance")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_ver = sub.add_parser("verify", help="run the dense-oracle self checks")
-    p_ver.add_argument(
-        "--level", choices=LEVELS, default="fast", help="check depth"
-    )
+    p_ver.add_argument("--level", choices=LEVELS, default="fast", help="check depth")
     p_ver.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("report", help="render a report.json as a table")
@@ -340,24 +321,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteCostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except IndefiniteTensorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (FcidumpError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT
-    except (IsADirectoryError, PermissionError) as exc:
+    # FcidumpError, ConfigError and IndefiniteTensorError are ValueErrors.
+    except (NonFiniteCostError, ValueError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, NonFiniteCostError):
+            return EXIT_NUMERIC
+        return EXIT_DATA if isinstance(exc, IndefiniteTensorError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blissdf.hamiltonian import _frozen_array, effective_rank, symmetrize_one_body
+from blissdf.hamiltonian import _frozen_array, effective_rank, pair_space, symmetrize_one_body
 
 ARCHIVE_FORMAT = "blissdf-factors-v1"
 
@@ -61,9 +61,7 @@ class FactorSet:
     def __post_init__(self):
         factors = np.asarray(self.factors, dtype=np.float64)
         if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
-            raise ValueError(
-                f"factors must have shape (R, N, N), got {factors.shape}"
-            )
+            raise ValueError(f"factors must have shape (R, N, N), got {factors.shape}")
         rank, n = factors.shape[0], factors.shape[1]
         if rank > n * n:
             raise ValueError(f"R={rank} exceeds N^2={n * n}")
@@ -230,10 +228,9 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     if not 1 <= rank <= n * n:
         raise ValueError(f"rank must be in [1, {n * n}], got {rank}")
 
-    rows, cols = np.triu_indices(n)
-    pairs = rows * n + cols
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    big = g.reshape(n * n, n * n)[np.ix_(pairs, pairs)] * np.outer(weights, weights)
+    space = pair_space(n)
+    weights = np.sqrt(space.mult)
+    big = space.block(g) * np.outer(weights, weights)
     big = 0.5 * (big + big.T)
     eigvals, eigvecs = np.linalg.eigh(big)
     # The full reshape's spectrum is this one plus exact zeros.
@@ -244,15 +241,13 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
             f"-1e-8 * max eigenvalue ({d_max:.6e}); no real symmetric "
             "factorization exists"
         )
-    tol = d_max * len(pairs) * np.finfo(np.float64).eps
+    tol = d_max * len(weights) * np.finfo(np.float64).eps
 
     factors = np.zeros((rank, n, n))
     for row, idx in enumerate(np.argsort(eigvals)[::-1][:rank]):
         if eigvals[idx] <= tol:
             break  # descending order: every later eigenvalue is below tol too
-        mat = np.zeros((n, n))
-        mat[rows, cols] = eigvecs[:, idx] / weights
-        mat[cols, rows] = mat[rows, cols]
+        mat = space.unpack(eigvecs[:, idx] / weights)
         factors[row] = np.sqrt(eigvals[idx]) * _fix_sign(mat.ravel()).reshape(n, n)
     return FactorSet(factors=factors)
 
@@ -276,9 +271,7 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     h_prime = np.asarray(h_prime, dtype=np.float64)
     n = factor_set.n_orbitals
     if h_prime.shape != (n, n):
-        raise ValueError(
-            f"h_prime shape {h_prime.shape} does not match N={n} factors"
-        )
+        raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
     rank = factor_set.effective_rank
     per_factor = np.zeros(factor_set.rank)
     per_factor[:rank] = nuclear_norms(factor_set.factors[:rank])

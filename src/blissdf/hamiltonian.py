@@ -7,11 +7,17 @@ The Hamiltonian is stored in the "excitation-ordered" convention
 where E_ij = sum_sigma a+_{i sigma} a_{j sigma} are spin-summed orbital
 excitation operators, h is real symmetric and g carries the standard 8-fold
 index symmetry. All energies are in Hartree.
+
+As g_ijkl is symmetric in i <-> j and in k <-> l, the kernels work in pair
+space (PairSpace): the P = N(N+1)/2 pairs i <= j, with multiplicity c = 1 if
+i = j, else 2. A symmetric matrix packs to its P upper entries, g to its P x P
+block, and an 8-fold-symmetric D has squared norm sum_pq c_p c_q D_pq^2.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -85,8 +91,7 @@ class Hamiltonian:
         g = symmetrize_two_body(self.g)
         if h.shape[0] != g.shape[0]:
             raise ValueError(
-                f"one-body matrix is {h.shape[0]} orbitals but two-body tensor "
-                f"is {g.shape[0]}"
+                f"one-body matrix is {h.shape[0]} orbitals but two-body tensor is {g.shape[0]}"
             )
         if not (np.isfinite(h).all() and np.isfinite(g).all()):
             raise ValueError("Hamiltonian coefficients must be finite")
@@ -152,9 +157,7 @@ def apply_symmetry_shift(ham: Hamiltonian, shift: ShiftParams) -> Hamiltonian:
     """
     n = ham.n_orbitals
     if shift.xi.shape[0] != n:
-        raise ValueError(
-            f"shift is {shift.xi.shape[0]} orbitals but Hamiltonian is {n}"
-        )
+        raise ValueError(f"shift is {shift.xi.shape[0]} orbitals but Hamiltonian is {n}")
     return Hamiltonian(
         h=ham.h - shift.n_e * shift.xi + shift.kappa * np.eye(n),
         g=shifted_two_body(ham.g, shift.xi),
@@ -163,12 +166,23 @@ def apply_symmetry_shift(ham: Hamiltonian, shift: ShiftParams) -> Hamiltonian:
     )
 
 
+def _add_shift(block: np.ndarray, xi_entries: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Add (xi_ij delta_kl + delta_ij xi_kl) / 2 to a block over orbital pairs, in place.
+
+    ``xi_entries`` holds xi at each pair and ``diagonal`` the pairs (k, k).
+    """
+    half = 0.5 * xi_entries
+    block[:, diagonal] += half[:, None]
+    block[diagonal, :] += half
+    return block
+
+
 def shifted_two_body(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """g_ijkl + (xi_ij delta_kl + delta_ij xi_kl) / 2 as a fresh, writable array."""
-    eye = np.eye(g.shape[0])
-    return g + 0.5 * (
-        np.einsum("ij,kl->ijkl", xi, eye) + np.einsum("ij,kl->ijkl", eye, xi)
-    )
+    n = g.shape[0]
+    shifted = np.array(g, dtype=np.float64)
+    _add_shift(shifted.reshape(n * n, n * n), np.ravel(xi), np.arange(n) * (n + 1))
+    return shifted
 
 
 def effective_one_body(ham: Hamiltonian) -> np.ndarray:
@@ -180,9 +194,7 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     return ham.h + 2.0 * np.einsum("ijkk->ij", ham.g)
 
 
-def shifted_effective_one_body(
-    ham: Hamiltonian, kappa: float, xi: np.ndarray
-) -> np.ndarray:
+def shifted_effective_one_body(ham: Hamiltonian, kappa: float, xi: np.ndarray) -> np.ndarray:
     """h'_ij + (N - n_e) xi_ij + (kappa + tr xi) delta_ij, the shifted h'.
 
     Equals effective_one_body(apply_symmetry_shift(...)) up to round-off,
@@ -223,24 +235,71 @@ def reconstruct_two_body(factors: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected factors of shape (R, N, N), got {factors.shape}")
     n = factors.shape[1]
     rank = effective_rank(factors)
-    if rank == 0:
-        return np.zeros((n, n, n, n))
     flat = factors[:rank].reshape(rank, n * n)
     return (flat.T @ flat).reshape(n, n, n, n)
+
+
+class PairSpace:
+    """Index maps between symmetric N x N matrices and their pair space; see pair_space.
+
+    The P = N(N+1)/2 pairs i <= j are numbered in np.triu_indices order.
+    ``upper`` holds each pair's flat position i * N + j, ``unpack_index``
+    the pair at every flat position, ``diagonal`` the pairs (k, k), and
+    ``mult`` the multiplicities c.
+    """
+
+    def __init__(self, n: int):
+        rows, cols = np.triu_indices(n)
+        index = np.empty((n, n), dtype=np.intp)
+        index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+        self.n, self.upper, self.unpack_index = n, rows * n + cols, index.ravel()
+        self.diagonal, self.mult = np.diagonal(index), np.where(rows == cols, 1.0, 2.0)
+        for shared in (self.upper, self.unpack_index, self.mult):  # one instance per N
+            shared.setflags(write=False)
+
+    def pack(self, mats: np.ndarray) -> np.ndarray:
+        """Upper triangles (..., P) of symmetric matrices (..., N, N)."""
+        return mats.reshape(mats.shape[:-2] + (self.n**2,)).take(self.upper, axis=-1)
+
+    def unpack(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Symmetric matrices (..., N, N) from upper triangles (..., P), by one take."""
+        out = np.empty(packed.shape[:-1] + (self.n, self.n)) if out is None else out
+        flat_out = out.reshape(packed.shape[:-1] + (self.n**2,))  # "clip": no buffer copy
+        return packed.take(self.unpack_index, axis=-1, out=flat_out, mode="clip").reshape(out.shape)
+
+    def block(self, g: np.ndarray) -> np.ndarray:
+        """The P x P pair block g_(ij),(kl), i <= j and k <= l, as a fresh array."""
+        return g.reshape(self.n**2, self.n**2)[np.ix_(self.upper, self.upper)]
+
+    def shifted(self, g_pairs: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """A copy of the pair block ``g_pairs`` with the shift term of xi added."""
+        return _add_shift(g_pairs.copy(), self.pack(xi), self.diagonal)
+
+    def residual(self, target: np.ndarray, packed_factors: np.ndarray) -> tuple[float, np.ndarray]:
+        """Err = sum_pq c_p c_q D_pq^2 and D = target - F^T F, written over ``target``.
+
+        F is the (M, P) stack of packed factors.
+        """
+        target -= packed_factors.T @ packed_factors
+        return float(self.mult @ (target * target) @ self.mult), target
+
+
+pair_space = functools.lru_cache(maxsize=8)(PairSpace)
 
 
 def frobenius_error(g_target: np.ndarray, factors: np.ndarray) -> float:
     """Squared Frobenius residual between a tensor and its factorization.
 
-    Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2. Note this is the
-    squared norm, not its square root.
+    Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2, the squared norm, not
+    its square root. It is computed in pair space (PairSpace.residual), which
+    assumes an 8-fold-symmetric target, as every Hamiltonian.g is, and
+    symmetric factors, as every FactorSet holds.
     """
     g_target = np.asarray(g_target, dtype=np.float64)
-    recon = reconstruct_two_body(factors)
-    if recon.shape != g_target.shape:
-        raise ValueError(
-            f"factor dimension {recon.shape[0]} does not match tensor "
-            f"dimension {g_target.shape[0]}"
-        )
-    diff = g_target - recon
-    return float(np.vdot(diff, diff))
+    factors = np.asarray(getattr(factors, "factors", factors), dtype=np.float64)
+    n = g_target.shape[0]
+    if factors.ndim != 3 or factors.shape[1:] != (n, n):
+        raise ValueError(f"factor dimension {factors.shape} does not match tensor dimension {n}")
+    space = pair_space(n)
+    prefix = factors[: effective_rank(factors)]
+    return space.residual(space.block(g_target), space.pack(prefix))[0]

@@ -15,17 +15,19 @@ eigenvalues; there the subgradient sum_t sign(lambda_t) u_t u_t^T with
 sign(0) = 0 is used, which is valid for any orthonormal eigenbasis, so no
 smoothing or perturbation is needed.
 
-R may go up to N^2, but the initial double factorization has at most
-N(N+1)/2 nonzero factors; the rest are exact zeros. An exactly-zero factor
-has an exactly zero gradient, so Adam would leave it at zero forever: the
-descent runs over the M nonzero factors only (the effective rank), and the
-reported factors are padded back to R with zeros. All M factor norms and
-their subgradients come from one batched eigh over the (M, N, N) stack.
-
-The parameters (kappa, xi, A) live in one flat vector, and descent is one
-plain Adam step on it, updating the moments in place; a frozen block has
-its slice of the gradient zeroed, so it keeps its initial value bit for
-bit. The run is fully deterministic for a fixed configuration.
+The descent runs in pair space (hamiltonian.PairSpace) over the M nonzero
+initial factors (a zero factor has a zero gradient; the reported factors
+are padded back to R with zeros), so nothing in it is N^4 sized. The one
+flat parameter vector holds kappa, xi (N x N) and each factor's P =
+N(N+1)/2 upper-triangle entries in plain A coordinates: the factor gradient
+is that of one matrix entry, so Adam steps as on the full symmetric
+matrices. With F the (M, P) packed factors, the residual is the P x P
+matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
+with multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
+-4 c_approx (F * c) D + Lambda_r S_r. The M factors, unpacked by one take,
+and the shifted h_eff share one batched eigh per evaluation. Descent is one
+in-place Adam step; a frozen block has its gradient zeroed, so it keeps its
+initial value bit for bit. The run is deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ from blissdf.factorization import (
 from blissdf.hamiltonian import (
     Hamiltonian,
     effective_rank,
-    frobenius_error,
+    pair_space,
     shifted_effective_one_body,
-    shifted_two_body,
     symmetrize_one_body,
 )
 
@@ -63,6 +64,25 @@ _REAL_FIELDS = (
     "adam_epsilon",
     "rel_tol",
     "err_budget",
+)
+
+
+def _integer(low, high):
+    return lambda x: not isinstance(x, bool) and isinstance(x, int) and low <= x < high
+
+
+# Checked in this order, after every _REAL_FIELDS entry is a finite number.
+_RULES = (
+    ("c_approx", lambda x: x is None or x > 0, "be positive"),
+    ("max_iters", _integer(1, math.inf), "be a positive integer"),
+    ("learning_rate", lambda x: x > 0, "be positive"),
+    ("adam_beta1", lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
+    ("adam_beta2", lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
+    ("adam_epsilon", lambda x: x > 0, "be positive"),
+    ("rel_tol", lambda x: x >= 0, "be nonnegative"),
+    ("patience", _integer(1, math.inf), "be a positive integer"),
+    ("seed", _integer(-(2**63), 2**63), "be a 64-bit integer"),
+    ("err_budget", lambda x: x >= 0, "be nonnegative"),
 )
 
 
@@ -114,38 +134,10 @@ class OptimizationConfig:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.c_approx is not None and not self.c_approx > 0:
-            raise ConfigError(f"c_approx must be positive, got {self.c_approx}")
-        if (
-            isinstance(self.max_iters, bool)
-            or not isinstance(self.max_iters, int)
-            or self.max_iters < 1
-        ):
-            raise ConfigError(f"max_iters must be a positive integer, got {self.max_iters}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 < beta < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {beta}")
-        if not self.adam_epsilon > 0:
-            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
-        if self.rel_tol < 0:
-            raise ConfigError(f"rel_tol must be nonnegative, got {self.rel_tol}")
-        if (
-            isinstance(self.patience, bool)
-            or not isinstance(self.patience, int)
-            or self.patience < 1
-        ):
-            raise ConfigError(f"patience must be a positive integer, got {self.patience}")
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, int)
-            or not -(2**63) <= self.seed < 2**63
-        ):
-            raise ConfigError(f"seed must be a 64-bit integer, got {self.seed}")
-        if self.err_budget < 0:
-            raise ConfigError(f"err_budget must be nonnegative, got {self.err_budget}")
+        for name, valid, rule in _RULES:
+            value = getattr(self, name)
+            if not valid(value):
+                raise ConfigError(f"{name} must {rule}, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizationConfig":
@@ -153,9 +145,7 @@ class OptimizationConfig:
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ConfigError(
-                f"unknown config keys {unknown}; valid keys are {sorted(known)}"
-            )
+            raise ConfigError(f"unknown config keys {unknown}; valid keys are {sorted(known)}")
         return cls(**data)
 
     @classmethod
@@ -201,9 +191,9 @@ class OptimizationReport:
 def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
     """Check and symmetrize (kappa, xi, factors); return them as one flat vector.
 
-    The flat vector stops at the last nonzero factor (see effective_rank): a
-    trailing zero factor has an exactly zero gradient and adds nothing to the
-    cost. The number R of factors given is returned with it.
+    The vector holds kappa, xi and each factor's upper triangle, up to the last
+    nonzero factor (see effective_rank): a trailing zero factor has an exactly
+    zero gradient and adds nothing to the cost. R is returned with it.
     """
     kappa, xi, factors = params
     n = ham.n_orbitals
@@ -215,63 +205,53 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
         raise ValueError(f"factors shape {factors.shape} does not match (R, {n}, {n})")
     rank = len(factors)
     factors = factors[: effective_rank(factors)]
-    factors = 0.5 * (factors + factors.transpose(0, 2, 1))
+    factors = pair_space(n).pack(0.5 * (factors + factors.transpose(0, 2, 1)))
     return np.concatenate(([float(kappa)], xi.ravel(), factors.ravel())), rank
 
 
 def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Writable views (kappa, xi, factors) of theta: (1,), (N, N), (R, N, N)."""
+    """Writable views (kappa, xi, factors) of theta: (1,), (N, N), (M, P)."""
     xi_end = 1 + n * n
-    return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n, n)
+    return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
 
 
-def _evaluate(
-    ham: Hamiltonian,
-    theta: np.ndarray,
-    c_approx: float,
-    grad: np.ndarray | None = None,
-) -> tuple[float, float, float]:
-    """Cost (total, err, lambda) at theta; fills ``grad`` with its gradient if given."""
+def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, theta: np.ndarray, c_approx: float, grad=None):
+    """Cost (total, err, lambda) at theta, given ham.g's P x P pair block.
+
+    Fills ``grad`` with the gradient if given. Nothing here is N^4 sized.
+    """
     n = ham.n_orbitals
+    space = pair_space(n)
     kappa, xi, factors = _blocks(theta, n)
-    kappa = float(kappa[0])
-    rank = factors.shape[0]
+    rank = len(factors)
+    err, diff = space.residual(space.shifted(g_pairs, xi), factors)
 
-    # Subtract in place: only two N^4 arrays are alive at once.
-    flat = factors.reshape(rank, n * n)
-    diff = shifted_two_body(ham.g, xi)
-    diff -= (flat.T @ flat).reshape(n, n, n, n)
-    err = float(np.vdot(diff, diff))
-
-    h_eff = shifted_effective_one_body(ham, kappa, xi)
-    if grad is None:
-        factor_norms, one_body_norm = nuclear_norms(factors), nuclear_norms(h_eff)
-    else:
-        factor_norms, factor_subs = nuclear_norms(factors, subgradient=True)
-        one_body_norm, one_body_sub = nuclear_norms(h_eff, subgradient=True)
-    lam = float(0.5 * np.sum(factor_norms**2) + one_body_norm)
+    # One eigh batch: the M unpacked factors, then the shifted h_eff.
+    stack = np.empty((rank + 1, n, n))
+    space.unpack(factors, out=stack[:rank])
+    stack[rank] = shifted_effective_one_body(ham, float(kappa[0]), xi)
+    norms = nuclear_norms(stack, subgradient=grad is not None)
+    if grad is not None:
+        norms, subs = norms
+    lam = float(0.5 * np.sum(norms[:rank] ** 2) + norms[rank])
     total = c_approx * err + lam
     if grad is None:
         return total, err, lam
 
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
-    one_body_trace = float(np.trace(one_body_sub))
+    one_body_trace = float(np.trace(subs[rank]))
     grad_kappa[0] = one_body_trace
-
-    xi_part = 2.0 * c_approx * np.einsum("abkk->ab", diff)
-    xi_part += (n - ham.n_electrons) * one_body_sub + one_body_trace * np.eye(n)
+    # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
+    xi_part = 2.0 * c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
+    xi_part += (n - ham.n_electrons) * subs[rank] + one_body_trace * np.eye(n)
     grad_xi[...] = symmetrize_one_body(xi_part)
-
-    diff_mat = diff.reshape(n * n, n * n)
-    factor_part = -4.0 * c_approx * (diff_mat @ flat.T).T.reshape(rank, n, n)
-    factor_part += factor_norms[:, None, None] * factor_subs
-    grad_factors[...] = 0.5 * (factor_part + factor_part.transpose(0, 2, 1))
+    # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
+    np.matmul(factors * (-4.0 * c_approx * space.mult), diff, out=grad_factors)
+    grad_factors += norms[:rank, None] * space.pack(subs[:rank])
     return total, err, lam
 
 
-def total_cost(
-    ham: Hamiltonian, params, c_approx: float
-) -> tuple[float, float, float]:
+def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float, float]:
     """Evaluate the penalized objective at (kappa, xi, factors).
 
     Args:
@@ -286,7 +266,8 @@ def total_cost(
         zero factors are skipped, so a zero-padded factor stack gives the
         same bits as its unpadded prefix.
     """
-    return _evaluate(ham, _pack(ham, params)[0], c_approx)
+    space = pair_space(ham.n_orbitals)
+    return _evaluate(ham, space.block(ham.g), _pack(ham, params)[0], c_approx)
 
 
 def gradient(ham: Hamiltonian, params, c_approx: float):
@@ -300,26 +281,21 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     """
     theta, rank = _pack(ham, params)
     n = ham.n_orbitals
-    # theta's layout is a prefix of this R-factor one; the rest stays zero.
-    grad = np.zeros(1 + n * n * (1 + rank))
-    _evaluate(ham, theta, c_approx, grad[: theta.size])
+    space = pair_space(n)
+    grad = np.empty_like(theta)
+    _evaluate(ham, space.block(ham.g), theta, c_approx, grad)
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
-    return float(grad_kappa[0]), grad_xi, grad_factors
+    d_factors = np.zeros((rank, n, n))
+    d_factors[: len(grad_factors)] = space.unpack(grad_factors)
+    return float(grad_kappa[0]), grad_xi, d_factors
 
 
-def _assess(
-    ham: Hamiltonian, kappa: float, xi: np.ndarray, factor_set: FactorSet
-) -> tuple[float, LambdaBreakdown]:
+def _assess(ham: Hamiltonian, g_pairs: np.ndarray, kappa: float, xi: np.ndarray, factor_set):
     """Err and lambda breakdown at one point, bitwise equal to its trace row."""
-    err = frobenius_error(shifted_two_body(ham.g, xi), factor_set)
+    space = pair_space(ham.n_orbitals)
+    factors = space.pack(factor_set.factors[: factor_set.effective_rank])
+    err, _ = space.residual(space.shifted(g_pairs, xi), factors)
     return err, lambda_df(factor_set, shifted_effective_one_body(ham, kappa, xi))
-
-
-def _resolve_c_approx(config, init_err: float, init_lambda: float) -> float:
-    if config.c_approx is not None:
-        return float(config.c_approx)
-    auto = 1e3 * init_lambda / max(init_err, 1e-12)
-    return float(min(max(auto, 1e2), 1e9))
 
 
 def optimize(
@@ -369,31 +345,33 @@ def optimize(
     n = ham.n_orbitals
     init_factors = initial_double_factorization(ham.g, rank)
     init_xi = np.zeros((n, n))
-    init_err, init_breakdown = _assess(ham, 0.0, init_xi, init_factors)
-    c_approx = _resolve_c_approx(config, init_err, init_breakdown.lambda_total)
+    g_pairs = pair_space(n).block(ham.g)
+    init_err, init_breakdown = _assess(ham, g_pairs, 0.0, init_xi, init_factors)
+    c_approx = config.c_approx
+    if c_approx is None:  # see OptimizationConfig
+        c_approx = min(max(1e3 * init_breakdown.lambda_total / max(init_err, 1e-12), 1e2), 1e9)
+    c_approx = float(c_approx)
 
     # _pack leaves the trailing exact-zero factors, which never move, out of theta.
     theta, _ = _pack(ham, (0.0, init_xi, init_factors))
     grad = np.empty_like(theta)
     frozen = [b for name, b in zip(PARAM_BLOCKS, _blocks(grad, n)) if name not in free]
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2 = config.adam_beta1, config.adam_beta2
     lr, eps = config.learning_rate, config.adam_epsilon
 
     trace = []
-    best_total = math.inf
-    anchor_total = math.inf
-    anchor_iter = 0
-    best_lambda = math.inf
+    best_total = anchor_total = best_lambda = math.inf
+    anchor_iter = best_iteration = 0
     best_theta = None
-    best_iteration = 0
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
-        # The last iterate takes no step, so it needs no gradient.
-        step_grad = grad if iteration < config.max_iters else None
-        total, err, lam = _evaluate(ham, theta, c_approx, step_grad)
+        # Only an iterate that a step follows needs a gradient: not the last
+        # one, nor one where the patience window may run out.
+        sure_step = iteration < config.max_iters and iteration - anchor_iter < config.patience
+        step_grad = grad if sure_step else None
+        total, err, lam = _evaluate(ham, g_pairs, theta, c_approx, step_grad)
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
         trace.append((total, err, lam))
@@ -403,8 +381,7 @@ def optimize(
             best_theta = theta.copy()
             best_iteration = iteration
 
-        if total < best_total:
-            best_total = total
+        best_total = min(best_total, total)
         if not math.isfinite(anchor_total) or (
             anchor_total - best_total
             >= config.rel_tol * max(abs(anchor_total), 1.0)
@@ -417,24 +394,32 @@ def optimize(
 
         if iteration == config.max_iters:
             break
+        if not sure_step:  # the window re-anchored on this very iterate
+            _evaluate(ham, g_pairs, theta, c_approx, grad)
 
         for block in frozen:
             block[...] = 0.0
         step = iteration + 1
-        bias1 = 1.0 - beta1**step
-        bias2 = 1.0 - beta2**step
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
-        v += (1.0 - beta2) * grad**2
-        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        grad *= grad  # grad is scratch from here on
+        grad *= 1.0 - beta2
+        v += grad
+        # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps), in place.
+        np.sqrt(np.divide(v, 1.0 - beta2**step, out=grad), out=grad)
+        grad += eps
+        update = m / (1.0 - beta1**step)
+        update *= lr
+        update /= grad
+        theta -= update
 
     best_kappa, best_xi, best_factors = _blocks(best_theta, n)
     best_kappa = float(best_kappa[0])
     padded = np.zeros((rank, n, n))
-    padded[: len(best_factors)] = best_factors
+    padded[: len(best_factors)] = pair_space(n).unpack(best_factors)
     best_factor_set = FactorSet(factors=padded)
-    err_final, breakdown = _assess(ham, best_kappa, best_xi, best_factor_set)
+    err_final, breakdown = _assess(ham, g_pairs, best_kappa, best_xi, best_factor_set)
 
     return OptimizationReport(
         best_params=(best_kappa, best_xi, best_factor_set),

@@ -195,29 +195,20 @@ def _check_gradient() -> CheckResult:
         factors = 0.5 * rng.standard_normal((rank, n, n))
         factors = 0.5 * (factors + factors.transpose(0, 2, 1))
         c_approx = 50.0
-        grad_kappa, grad_xi, grad_factors = gradient(
-            ham, (kappa, xi, factors), c_approx
-        )
-        analytic = np.concatenate(
-            [[grad_kappa], grad_xi.ravel(), grad_factors.ravel()]
-        )
-
+        grad_kappa, grad_xi, grad_factors = gradient(ham, (kappa, xi, factors), c_approx)
+        analytic = np.concatenate([[grad_kappa], grad_xi.ravel(), grad_factors.ravel()])
+        point = np.concatenate([[kappa], xi.ravel(), factors.ravel()])
         step = 1e-5
 
         def cost_at(vec):
-            k = vec[0]
-            x = vec[1 : 1 + n * n].reshape(n, n)
-            f = vec[1 + n * n :].reshape(rank, n, n)
-            return total_cost(ham, (k, x, f), c_approx)[0]
+            x, f = vec[1 : 1 + n * n].reshape(n, n), vec[1 + n * n :].reshape(rank, n, n)
+            return total_cost(ham, (vec[0], x, f), c_approx)[0]
 
-        point = np.concatenate([[kappa], xi.ravel(), factors.ravel()])
         numeric = np.empty_like(point)
         for idx in range(point.size):
-            plus = point.copy()
-            minus = point.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            numeric[idx] = (cost_at(plus) - cost_at(minus)) / (2.0 * step)
+            bump = np.zeros_like(point)
+            bump[idx] = step
+            numeric[idx] = (cost_at(point + bump) - cost_at(point - bump)) / (2.0 * step)
 
         mask = np.abs(analytic) > 1e-6
         if np.any(mask):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,53 @@ def small_config(**overrides):
     base = dict(max_iters=300, learning_rate=1e-2, patience=100)
     base.update(overrides)
     return OptimizationConfig(**base)
+
+
+def count_gradient_evaluations(monkeypatch) -> list:
+    """Record one entry per optimizer eigh batch that asks for subgradients."""
+    from blissdf import optimizer
+
+    original = optimizer.nuclear_norms
+    calls = []
+
+    def counted(mats, subgradient=False):
+        if subgradient and mats.ndim == 3:
+            calls.append(1)
+        return original(mats, subgradient)
+
+    monkeypatch.setattr(optimizer, "nuclear_norms", counted)
+    return calls
+
+
+def symmetrize_one_body_stack(mats):
+    return 0.5 * (mats + mats.transpose(0, 2, 1))
+
+
+def dense_cost_and_gradient(ham, kappa, xi, factors, c_approx):
+    """Total and its gradient from the N^4 tensors, written out with einsum."""
+    n, n_e = ham.n_orbitals, ham.n_electrons
+    eye = np.eye(n)
+    shifted = ham.g + 0.5 * (
+        np.einsum("ij,kl->ijkl", xi, eye) + np.einsum("ij,kl->ijkl", eye, xi)
+    )
+    diff = shifted - np.einsum("rij,rkl->ijkl", factors, factors)
+    err = float(np.sum(diff**2))
+    h_eff = ham.h - n_e * xi + kappa * eye + 2.0 * np.einsum("ijkk->ij", shifted)
+
+    def norm_and_sub(a):
+        eigvals, eigvecs = np.linalg.eigh(a)
+        return np.abs(eigvals).sum(), (eigvecs * np.sign(eigvals)) @ eigvecs.T
+
+    one_body_norm, one_body_sub = norm_and_sub(h_eff)
+    pieces = [norm_and_sub(a) for a in factors]
+    lam = 0.5 * sum(norm**2 for norm, _ in pieces) + one_body_norm
+    d_kappa = np.trace(one_body_sub)
+    d_xi = 2.0 * c_approx * np.einsum("abkk->ab", diff)
+    d_xi += (n - n_e) * one_body_sub + np.trace(one_body_sub) * eye
+    d_factors = -4.0 * c_approx * np.einsum("ijkl,rkl->rij", diff, factors)
+    d_factors += np.array([norm * sub for norm, sub in pieces]).reshape(factors.shape)
+    d_factors = 0.5 * (d_factors + d_factors.transpose(0, 2, 1))
+    return (c_approx * err + lam, err, lam), (d_kappa, 0.5 * (d_xi + d_xi.T), d_factors)
 
 
 class TestConfig:
@@ -323,22 +371,37 @@ class TestOptimize:
     def test_no_gradient_on_the_last_iterate(self, monkeypatch):
         # A max_iters stop takes max_iters steps from max_iters + 1
         # evaluations; only the steps need a gradient.
-        from blissdf import optimizer
-
-        original = optimizer.nuclear_norms
-        gradient_evals = []
-
-        def counted(mats, subgradient=False):
-            if subgradient and mats.ndim == 3:
-                gradient_evals.append(1)
-            return original(mats, subgradient)
-
-        monkeypatch.setattr(optimizer, "nuclear_norms", counted)
+        gradient_evals = count_gradient_evaluations(monkeypatch)
         rng = np.random.default_rng(39)
         ham = random_hamiltonian(3, rng, n_electrons=2)
         report = optimize(ham, 6, small_config(max_iters=7, patience=50))
         assert report.stop_reason == "max_iters"
         assert len(gradient_evals) == report.iterations_run == 7
+
+    def test_no_gradient_on_a_converged_stop(self, monkeypatch):
+        # A patience stop takes one step fewer than it has evaluations, like
+        # a max_iters stop: the iterate it stops on gets no gradient.
+        counted = count_gradient_evaluations(monkeypatch)
+        rng = np.random.default_rng(36)
+        ham = random_hamiltonian(2, rng, n_electrons=2)
+        report = optimize(ham, 4, small_config(max_iters=5000, patience=20, rel_tol=1e-3))
+        assert report.stop_reason == "converged"
+        assert len(counted) == report.iterations_run
+
+    def test_patience_boundary_steps_are_unchanged(self, monkeypatch):
+        # With patience=1 and rel_tol=0 the window re-anchors on every
+        # iterate, so each step's gradient is computed after the cost; the
+        # descent must be bit-identical to one that never reaches the window.
+        counted = count_gradient_evaluations(monkeypatch)
+        rng = np.random.default_rng(44)
+        ham = random_hamiltonian(3, rng, n_electrons=3)
+        edge = optimize(ham, 6, small_config(max_iters=40, patience=1, rel_tol=0.0))
+        assert len(counted) == edge.iterations_run == 40
+        counted.clear()
+        wide = optimize(ham, 6, small_config(max_iters=40, patience=1000, rel_tol=0.0))
+        assert len(counted) == 40
+        assert np.array_equal(edge.total_trace, wide.total_trace)
+        assert np.array_equal(edge.best_params[2].factors, wide.best_params[2].factors)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_null_space_padding_changes_nothing(self, n):
@@ -489,3 +552,85 @@ class TestOptimize:
         got = sector_eigenvalues(build_hamiltonian_dense(approx), 2)
         assert np.max(np.abs(ref - got)) < 1e-3
         assert report.lambda_breakdown.lambda_total < report.initial_lambda
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("padded", [False, True], ids=["R<M", "R>M"])
+    def test_matches_dense_reference(self, n, padded):
+        # The pair-space kernel against the N^4 formulas, with a nonzero
+        # shift; R > M pads M = N(N+1)/2 nonzero factors with exact zeros.
+        rng = np.random.default_rng(50 + n)
+        ham = random_hamiltonian(n, rng, n_electrons=n - 1)
+        kappa = 0.7
+        xi = symmetrize_one_body(0.3 * rng.standard_normal((n, n)))
+        if padded:
+            factors = initial_double_factorization(ham.g, n * n).factors.copy()
+            m = n * (n + 1) // 2
+            factors[:m] += 0.01 * symmetrize_one_body_stack(rng.standard_normal((m, n, n)))
+        else:
+            factors = symmetrize_one_body_stack(rng.standard_normal((n, n, n)))
+        c = 13.0
+
+        cost = total_cost(ham, (kappa, xi, factors), c)
+        grads = gradient(ham, (kappa, xi, factors), c)
+        ref_cost, ref_grads = dense_cost_and_gradient(ham, kappa, xi, factors, c)
+        for got, want in zip(cost, ref_cost):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        for got, want in zip(grads, ref_grads):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_evaluation_holds_no_n4_array(self):
+        # One objective + gradient evaluation allocates less than one N^4
+        # tensor at its peak. The eigh stack is (M + 1, N, N), so the target
+        # has a molecule-like rank M = N: only an N^2 x N^2 array, not the
+        # eigh batch, could then push the peak past g.nbytes.
+        from blissdf import optimizer
+        from blissdf.hamiltonian import pair_space
+
+        n = 16
+        rng = np.random.default_rng(52)
+        terms = symmetrize_one_body_stack(rng.standard_normal((n, n, n)))
+        ham = Hamiltonian(
+            h=symmetrize_one_body(rng.standard_normal((n, n))),
+            g=np.einsum("rij,rkl->ijkl", terms, terms),
+            n_electrons=n,
+        )
+        init = initial_double_factorization(ham.g, n * n)
+        assert init.effective_rank == n
+        xi = symmetrize_one_body(rng.standard_normal((n, n)))
+        theta, _ = optimizer._pack(ham, (0.3, xi, init))
+        assert theta.size == 1 + n * n + n * n * (n + 1) // 2
+        g_pairs = pair_space(n).block(ham.g)
+        grad = np.empty_like(theta)
+        optimizer._evaluate(ham, g_pairs, theta, 7.0, grad)  # warm caches
+
+        tracemalloc.start()
+        try:
+            optimizer._evaluate(ham, g_pairs, theta, 7.0, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ham.g.nbytes
+
+    def test_one_eigh_batch_per_evaluation(self, monkeypatch):
+        from blissdf import optimizer
+
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(mats):
+            calls.append(mats.shape)
+            return original(mats)
+
+        rng = np.random.default_rng(53)
+        ham = random_hamiltonian(4, rng, n_electrons=4)
+        xi = symmetrize_one_body(rng.standard_normal((4, 4)))
+        params = (0.2, xi, rng.standard_normal((3, 4, 4)))
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        total_cost(ham, params, 2.0)
+        gradient(ham, params, 2.0)
+        assert calls == [(4, 4, 4), (4, 4, 4)]
+

@@ -1,26 +1,29 @@
-"""Dense many-body operators for verifying fermionic algebra at tiny sizes.
+"""Exact many-body operators for verifying fermionic algebra at tiny sizes.
 
-Spin-orbitals map to qubits via the Jordan-Wigner transformation,
+Spin-orbital (j, sigma) is mode q = j + N * sigma, so the sigma = 0 orbitals
+take modes 0 .. N-1 and the sigma = 1 orbitals modes N .. 2N-1. A Fock basis
+state is labeled little-endian by the integer b whose bit q is the occupation
+of mode q, so the particle number of |b> is the popcount of b. Every operator
+here follows from one bit-string rule (the Jordan-Wigner ordering):
+annihilating an occupied mode q from |b> gives |b ^ (1 << q)> with sign
+(-1)^popcount(b & ((1 << q) - 1)), and creating an empty one flips the same
+bit with the same sign.
 
-    a_js = Z_0 ... Z_(q-1) * (X_q + i Y_q) / 2,    q = j + N * sigma,
+The Hamiltonian conserves particle number, so it is built one sector at a
+time: ``sector_hamiltonian`` is its block on the C(2N, n_e) basis states of
+``sector_states``, where each E_ij acts as a signed index map. No function
+builds a full-Fock Hamiltonian; the full spectrum is the union of the 2N + 1
+sector spectra. Only ``ladder_operator`` and ``b_operator`` span the whole
+4^N-dimensional Fock space, for the operator-algebra checks at N <= 3.
+Everything is real float64.
 
-so orbital j with spin sigma lives on qubit q, spin-down (sigma = 0) block
-first. Basis-state labeling is little-endian: qubit q is bit q of the basis
-index, with qubit 0 the least significant bit. The occupation number of
-spin-orbital q in basis state |b> is therefore bit q of b, and the particle
-number of |b> is the Hamming weight of b.
-
-Everything here is a dense complex matrix of dimension 4^N, so the orbital
-count is hard-capped at N <= 6 (4096-dimensional operators). The point is
-brute-force verification of operator identities that the factorization and
-shift machinery relies on, not scalable simulation. Matrices stay complex
-throughout; realness of physical Hamiltonians is something tests check, not
-an assumption baked in.
+The orbital count is capped at N <= 6: the half-filled N=6 sector has 924
+states, and its Hamiltonian builds and diagonalizes in well under a second.
+The point is brute-force verification of the identities that the
+factorization and shift machinery relies on, not scalable simulation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,66 +32,115 @@ from blissdf.hamiltonian import Hamiltonian
 
 MAX_ORBITALS = 6
 
-_ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_IDENTITY2 = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A dense operator on the full 2N-spin-orbital Fock space.
-
-    Attributes:
-        n_qubits: 2N, one qubit per spin-orbital.
-        matrix: Complex array of shape (2**n_qubits, 2**n_qubits).
-    """
-
-    n_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = 2**self.n_qubits
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{self.n_qubits} qubits"
-            )
-
 
 def _check_orbital_count(n: int):
     if not 1 <= n <= MAX_ORBITALS:
         raise ValueError(f"orbital count N={n} outside [1, {MAX_ORBITALS}]")
 
 
-def _qubit_operator(single: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Single qubit operator with a Z string on all lower qubits.
+def _popcount(labels: np.ndarray) -> np.ndarray:
+    """Set bits of each label below bit 2 * MAX_ORBITALS."""
+    return sum((labels >> bit) & 1 for bit in range(2 * MAX_ORBITALS))
 
-    Builds Z_0 ... Z_(qubit-1) single_qubit I ... I in little-endian order
-    (qubit 0 is the least significant bit of the basis index).
+
+def _ladder(labels: np.ndarray, mode, dagger: bool) -> tuple[np.ndarray, np.ndarray]:
+    """a_mode (a+_mode if dagger) on basis states: new labels and signs, 0 where it vanishes."""
+    can_act = ((labels >> mode) & 1) != dagger
+    parity = _popcount(labels & ((1 << mode) - 1)) & 1
+    return labels ^ (1 << mode), np.where(can_act, 1 - 2 * parity, 0)
+
+
+def sector_states(n: int, n_e: int) -> np.ndarray:
+    """Ascending labels of the basis states with n_e electrons in n orbitals.
+
+    This is the basis order of every sector matrix here, so a full-Fock matrix
+    M restricts to the sector as M[np.ix_(states, states)].
+
+    Raises:
+        ValueError: If n or n_e is out of range.
     """
-    out = np.eye(1, dtype=complex)
-    for q in range(n_qubits):
-        if q < qubit:
-            factor = _PAULI_Z
-        elif q == qubit:
-            factor = single
-        else:
-            factor = _IDENTITY2
-        out = np.kron(factor, out)
-    return out
+    _check_orbital_count(n)
+    if not 0 <= n_e <= 2 * n:
+        raise ValueError(f"n_e={n_e} outside [0, {2 * n}]")
+    labels = np.arange(4**n)
+    return labels[_popcount(labels) == n_e]
 
 
-def ladder_operator(j: int, sigma: int, dagger: bool, n: int) -> DenseOperator:
-    """Dense annihilation (or creation) operator for spin-orbital (j, sigma).
+def _excitation_maps(n: int, n_e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed index maps (rows, signs), each (N, N, 2, d), of the spin parts of E_ij.
+
+    Column c of a+_(i, sigma) a_(j, sigma) on the n_e sector has the single
+    entry signs[i, j, sigma, c] at row rows[i, j, sigma, c]; the sign is 0
+    where the column vanishes. E_kl conserves particle number, so no entry
+    leaves the sector.
+    """
+    states = sector_states(n, n_e)
+    position = np.zeros(4**n, dtype=np.intp)
+    position[states] = np.arange(states.size)
+    orbital, spin = np.arange(n)[:, None, None], n * np.arange(2)[:, None]
+    moved, annihilated = _ladder(states, orbital + spin, dagger=False)
+    targets, created = _ladder(moved, orbital[:, None] + spin, dagger=True)
+    return position[targets], (annihilated * created).astype(np.float64)
+
+
+def _one_body(a: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Sum_ij a_ij E_ij as a dense sector matrix, from the maps of _excitation_maps."""
+    dim = rows.shape[-1]
+    flat = (rows * dim + np.arange(dim)).ravel()
+    weights = (a[:, :, None, None] * signs).ravel()
+    return np.bincount(flat, weights, minlength=dim * dim).reshape(dim, dim)
+
+
+def sector_one_body(a: np.ndarray, n_e: int) -> np.ndarray:
+    """One(A) = sum_ij A_ij E_ij on the n_e sector, for any real N x N A.
+
+    A is not symmetrized, so the unit matrix at (i, j) gives E_ij itself.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
+    return _one_body(a, *_excitation_maps(a.shape[0], n_e))
+
+
+def sector_hamiltonian(ham: Hamiltonian, n_e: int) -> np.ndarray:
+    """Real symmetric block of c + sum_ij h_ij E_ij + sum_ijkl g_ijkl E_ij E_kl.
+
+    The block acts on the C(2N, n_e) states of sector_states(N, n_e), in
+    that order.
+    """
+    rows, signs = _excitation_maps(ham.n_orbitals, n_e)
+    mat = ham.core_constant * np.eye(rows.shape[-1]) + _one_body(ham.h, rows, signs)
+    for i in range(ham.n_orbitals):
+        for j in range(ham.n_orbitals):
+            inner = _one_body(ham.g[i, j], rows, signs)
+            # E_ij is the transpose of E_ji, so row r of E_ij @ inner is
+            # row rows[j, i, sigma, r] of inner times its sign, per spin.
+            for sign, row in zip(signs[j, i], rows[j, i]):
+                hit = np.flatnonzero(sign)
+                mat[hit] += sign[hit, None] * inner[row[hit]]
+    return mat
+
+
+def sector_eigenvalues(ham: Hamiltonian, n_e: int) -> np.ndarray:
+    """Ascending eigenvalues of the Hamiltonian on the n_e-electron sector.
+
+    Raises:
+        ValueError: If n_e is outside [0, 2N].
+    """
+    return np.linalg.eigvalsh(sector_hamiltonian(ham, n_e))
+
+
+def ladder_operator(j: int, sigma: int, dagger: bool, n: int) -> np.ndarray:
+    """Annihilation (or creation) operator for (j, sigma) on the full Fock space.
 
     Args:
         j: Orbital index, 0 <= j < n.
-        sigma: Spin, 0 or 1; the spin-sigma block starts at qubit n * sigma.
+        sigma: Spin, 0 or 1; spin-orbital (j, sigma) is mode j + n * sigma.
         dagger: If True, return the creation operator.
         n: Total orbital count, n <= 6.
 
     Returns:
-        DenseOperator of dimension 4^n.
+        Real 4^n x 4^n matrix with entries 0 and +-1.
 
     Raises:
         ValueError: Index or orbital count out of range.
@@ -98,71 +150,14 @@ def ladder_operator(j: int, sigma: int, dagger: bool, n: int) -> DenseOperator:
         raise ValueError(f"orbital index {j} outside [0, {n})")
     if sigma not in (0, 1):
         raise ValueError(f"spin must be 0 or 1, got {sigma}")
-    qubit = j + n * sigma
-    mat = _qubit_operator(_ANNIHILATE, qubit, 2 * n)
-    if dagger:
-        mat = mat.conj().T
-    return DenseOperator(n_qubits=2 * n, matrix=mat)
+    labels = np.arange(4**n)
+    targets, signs = _ladder(labels, j + n * sigma, dagger)
+    mat = np.zeros((4**n, 4**n))
+    mat[targets, labels] = signs
+    return mat
 
 
-def orbital_excitation(i: int, j: int, n: int) -> DenseOperator:
-    """Spin-summed excitation E_ij = sum_sigma a+_is a_js."""
-    _check_orbital_count(n)
-    mat = np.zeros((4**n, 4**n), dtype=complex)
-    for sigma in (0, 1):
-        create = ladder_operator(i, sigma, True, n).matrix
-        annihilate = ladder_operator(j, sigma, False, n).matrix
-        mat += create @ annihilate
-    return DenseOperator(n_qubits=2 * n, matrix=mat)
-
-
-def number_operator(n: int) -> DenseOperator:
-    """Total electron number N_e = sum_i E_ii."""
-    _check_orbital_count(n)
-    dim = 4**n
-    diag = np.array([bin(b).count("1") for b in range(dim)], dtype=float)
-    return DenseOperator(n_qubits=2 * n, matrix=np.diag(diag).astype(complex))
-
-
-def one_body_operator(a: np.ndarray) -> DenseOperator:
-    """Dense One(A) = sum_ij A_ij E_ij for an N x N coefficient matrix."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    _check_orbital_count(n)
-    mat = np.zeros((4**n, 4**n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if a[i, j] != 0.0:
-                mat += a[i, j] * orbital_excitation(i, j, n).matrix
-    return DenseOperator(n_qubits=2 * n, matrix=mat)
-
-
-def build_hamiltonian_dense(ham: Hamiltonian) -> DenseOperator:
-    """Dense matrix of c + sum_ij h_ij E_ij + sum_ijkl g_ijkl E_ij E_kl.
-
-    Builds all N^2 excitation matrices once, then contracts the two-body
-    tensor as sum_ij E_ij (sum_kl g_ijkl E_kl) with N^2 dense products.
-    """
-    n = ham.n_orbitals
-    _check_orbital_count(n)
-    dim = 4**n
-    excitations = np.empty((n, n, dim, dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            excitations[i, j] = orbital_excitation(i, j, n).matrix
-
-    mat = ham.core_constant * np.eye(dim, dtype=complex)
-    mat += np.tensordot(ham.h.astype(complex), excitations, axes=2)
-    for i in range(n):
-        for j in range(n):
-            inner = np.tensordot(ham.g[i, j].astype(complex), excitations, axes=2)
-            mat += excitations[i, j] @ inner
-    return DenseOperator(n_qubits=2 * n, matrix=mat)
-
-
-def b_operator(u: np.ndarray, sigma: int, n: int) -> DenseOperator:
+def b_operator(u: np.ndarray, sigma: int, n: int) -> np.ndarray:
     """Rotated annihilation operator B = sum_j u_j a_js for a unit vector u.
 
     B satisfies B^2 = 0 and {B, B+} = I, so 2 B+ B - I is unitary; these are
@@ -178,57 +173,29 @@ def b_operator(u: np.ndarray, sigma: int, n: int) -> DenseOperator:
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"u must be unit norm, got |u| = {norm!r}")
-    mat = np.zeros((4**n, 4**n), dtype=complex)
-    for j in range(n):
-        if u[j] != 0.0:
-            mat += u[j] * ladder_operator(j, sigma, False, n).matrix
-    return DenseOperator(n_qubits=2 * n, matrix=mat)
+    return sum(u[j] * ladder_operator(j, sigma, False, n) for j in range(n))
 
 
 def verify_one_body_identity(a: np.ndarray) -> float:
-    """Max deviation of One(A) from its rotated-basis form.
+    """Max deviation of One(A) from its rotated-basis form, over all sectors.
 
-    Eigendecomposes A = sum_t lambda_t u_t u_t^T and compares the dense
-    one-body operator against sum_t,sigma lambda_t B+_(u_t,sigma) B_(u_t,sigma).
-    The two agree identically in exact arithmetic; the returned value is the
-    max-norm of the numerical difference (expected <= 1e-9).
+    Eigendecomposes A = sum_t lambda_t u_t u_t^T and compares sector_one_body
+    against sum_t,sigma lambda_t B+_(u_t,sigma) B_(u_t,sigma), built from
+    ladder operators and restricted to each sector. The two agree identically
+    in exact arithmetic; the returned value is the max-norm of the numerical
+    difference (expected <= 1e-9).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    _check_orbital_count(n)
-    lhs = one_body_operator(a).matrix
-
     decomp = eigen_rank1(a)
-    rhs = np.zeros_like(lhs)
+    rhs = np.zeros((4**n, 4**n))
     for lam, vec in zip(decomp.eigenvalues, decomp.vectors):
         for sigma in (0, 1):
-            b_mat = b_operator(vec, sigma, n).matrix
-            rhs += lam * (b_mat.conj().T @ b_mat)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def sector_eigenvalues(op: DenseOperator, n_e: int) -> np.ndarray:
-    """Eigenvalues of op restricted to the fixed-particle-number sector.
-
-    Args:
-        op: Hermitian dense operator on 2N qubits.
-        n_e: Particle number, 0 <= n_e <= 2N; selects the basis states whose
-            index has Hamming weight n_e.
-
-    Returns:
-        Ascending real eigenvalues of the restricted block.
-
-    Raises:
-        ValueError: If n_e is out of range or op is not Hermitian.
-    """
-    n_qubits = op.n_qubits
-    if not 0 <= n_e <= n_qubits:
-        raise ValueError(f"n_e={n_e} outside [0, {n_qubits}]")
-    deviation = np.max(np.abs(op.matrix - op.matrix.conj().T))
-    if deviation > 1e-10:
-        raise ValueError(
-            f"operator is not Hermitian (max |M - M+| = {deviation:.3e})"
-        )
-    states = [b for b in range(2**n_qubits) if bin(b).count("1") == n_e]
-    block = op.matrix[np.ix_(states, states)]
-    return np.linalg.eigvalsh(block)
+            b_mat = b_operator(vec, sigma, n)
+            rhs += lam * (b_mat.T @ b_mat)
+    worst = 0.0
+    for n_e in range(2 * n + 1):
+        states = sector_states(n, n_e)
+        lhs = sector_one_body(a, n_e)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs[np.ix_(states, states)]))))
+    return worst

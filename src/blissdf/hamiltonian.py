@@ -194,18 +194,16 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     return ham.h + 2.0 * np.einsum("ijkk->ij", ham.g)
 
 
-def shifted_effective_one_body(ham: Hamiltonian, kappa: float, xi: np.ndarray) -> np.ndarray:
+def shifted_effective_one_body(h_eff: np.ndarray, n_e: int, kappa: float, xi: np.ndarray) -> np.ndarray:
     """h'_ij + (N - n_e) xi_ij + (kappa + tr xi) delta_ij, the shifted h'.
 
+    ``h_eff`` is the unshifted h' = effective_one_body(ham), which does not
+    depend on the shift, so a caller evaluating many shifts computes it once.
     Equals effective_one_body(apply_symmetry_shift(...)) up to round-off,
     without building the shifted two-body tensor.
     """
-    n = ham.n_orbitals
-    return (
-        effective_one_body(ham)
-        + (n - ham.n_electrons) * xi
-        + (kappa + float(np.trace(xi))) * np.eye(n)
-    )
+    n = h_eff.shape[0]
+    return h_eff + (n - n_e) * xi + (kappa + float(np.trace(xi))) * np.eye(n)
 
 
 def effective_rank(factors: np.ndarray) -> int:

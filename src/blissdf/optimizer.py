@@ -48,6 +48,7 @@ from blissdf.factorization import (
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
+    effective_one_body,
     effective_rank,
     pair_space,
     shifted_effective_one_body,
@@ -215,8 +216,8 @@ def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
 
 
-def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, theta: np.ndarray, c_approx: float, grad=None):
-    """Cost (total, err, lambda) at theta, given ham.g's P x P pair block.
+def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: np.ndarray, c_approx: float, grad=None):
+    """Cost (total, err, lambda) at theta, given ham.g's P x P pair block and ham's unshifted h'.
 
     Fills ``grad`` with the gradient if given. Nothing here is N^4 sized.
     """
@@ -229,7 +230,7 @@ def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, theta: np.ndarray, c_approx
     # One eigh batch: the M unpacked factors, then the shifted h_eff.
     stack = np.empty((rank + 1, n, n))
     space.unpack(factors, out=stack[:rank])
-    stack[rank] = shifted_effective_one_body(ham, float(kappa[0]), xi)
+    stack[rank] = shifted_effective_one_body(h_eff, ham.n_electrons, float(kappa[0]), xi)
     norms = nuclear_norms(stack, subgradient=grad is not None)
     if grad is not None:
         norms, subs = norms
@@ -266,8 +267,8 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
         zero factors are skipped, so a zero-padded factor stack gives the
         same bits as its unpadded prefix.
     """
-    space = pair_space(ham.n_orbitals)
-    return _evaluate(ham, space.block(ham.g), _pack(ham, params)[0], c_approx)
+    g_pairs = pair_space(ham.n_orbitals).block(ham.g)
+    return _evaluate(ham, g_pairs, effective_one_body(ham), _pack(ham, params)[0], c_approx)
 
 
 def gradient(ham: Hamiltonian, params, c_approx: float):
@@ -283,19 +284,19 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     n = ham.n_orbitals
     space = pair_space(n)
     grad = np.empty_like(theta)
-    _evaluate(ham, space.block(ham.g), theta, c_approx, grad)
+    _evaluate(ham, space.block(ham.g), effective_one_body(ham), theta, c_approx, grad)
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
     d_factors = np.zeros((rank, n, n))
     d_factors[: len(grad_factors)] = space.unpack(grad_factors)
     return float(grad_kappa[0]), grad_xi, d_factors
 
 
-def _assess(ham: Hamiltonian, g_pairs: np.ndarray, kappa: float, xi: np.ndarray, factor_set):
+def _assess(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, kappa: float, xi: np.ndarray, factor_set):
     """Err and lambda breakdown at one point, bitwise equal to its trace row."""
     space = pair_space(ham.n_orbitals)
     factors = space.pack(factor_set.factors[: factor_set.effective_rank])
     err, _ = space.residual(space.shifted(g_pairs, xi), factors)
-    return err, lambda_df(factor_set, shifted_effective_one_body(ham, kappa, xi))
+    return err, lambda_df(factor_set, shifted_effective_one_body(h_eff, ham.n_electrons, kappa, xi))
 
 
 def optimize(
@@ -345,8 +346,9 @@ def optimize(
     n = ham.n_orbitals
     init_factors = initial_double_factorization(ham.g, rank)
     init_xi = np.zeros((n, n))
-    g_pairs = pair_space(n).block(ham.g)
-    init_err, init_breakdown = _assess(ham, g_pairs, 0.0, init_xi, init_factors)
+    # Neither depends on the shift, so each is computed once for the whole descent.
+    g_pairs, h_eff = pair_space(n).block(ham.g), effective_one_body(ham)
+    init_err, init_breakdown = _assess(ham, g_pairs, h_eff, 0.0, init_xi, init_factors)
     c_approx = config.c_approx
     if c_approx is None:  # see OptimizationConfig
         c_approx = min(max(1e3 * init_breakdown.lambda_total / max(init_err, 1e-12), 1e2), 1e9)
@@ -371,7 +373,7 @@ def optimize(
         # one, nor one where the patience window may run out.
         sure_step = iteration < config.max_iters and iteration - anchor_iter < config.patience
         step_grad = grad if sure_step else None
-        total, err, lam = _evaluate(ham, g_pairs, theta, c_approx, step_grad)
+        total, err, lam = _evaluate(ham, g_pairs, h_eff, theta, c_approx, step_grad)
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
         trace.append((total, err, lam))
@@ -395,7 +397,7 @@ def optimize(
         if iteration == config.max_iters:
             break
         if not sure_step:  # the window re-anchored on this very iterate
-            _evaluate(ham, g_pairs, theta, c_approx, grad)
+            _evaluate(ham, g_pairs, h_eff, theta, c_approx, grad)
 
         for block in frozen:
             block[...] = 0.0
@@ -419,7 +421,7 @@ def optimize(
     padded = np.zeros((rank, n, n))
     padded[: len(best_factors)] = pair_space(n).unpack(best_factors)
     best_factor_set = FactorSet(factors=padded)
-    err_final, breakdown = _assess(ham, g_pairs, best_kappa, best_xi, best_factor_set)
+    err_final, breakdown = _assess(ham, g_pairs, h_eff, best_kappa, best_xi, best_factor_set)
 
     return OptimizationReport(
         best_params=(best_kappa, best_xi, best_factor_set),

@@ -6,6 +6,12 @@ its tolerance. The fast level keeps orbital counts at N <= 2 and finishes in
 seconds; the full level extends to N = 3 and adds finite-difference gradient
 checks.
 
+The operator-algebra checks multiply real ladder matrices on the full
+4^N-dimensional Fock space. The Hamiltonian checks (BLISS invariance and
+factorization exactness) compare the real sector blocks of fermi_oracle,
+which together make up the whole Hamiltonian because it conserves particle
+number.
+
 The checks call the library through module-level names on purpose: the test
 suite substitutes a corrupted implementation here (for example a sign flip
 in the symmetry shift) and asserts that the affected check catches it.
@@ -20,11 +26,10 @@ import numpy as np
 from blissdf.factorization import eigen_rank1, initial_double_factorization
 from blissdf.fermi_oracle import (
     b_operator,
-    build_hamiltonian_dense,
     ladder_operator,
-    number_operator,
-    orbital_excitation,
     sector_eigenvalues,
+    sector_hamiltonian,
+    sector_states,
     verify_one_body_identity,
 )
 from blissdf.hamiltonian import (
@@ -73,11 +78,11 @@ def _check_anticommutators(sizes) -> CheckResult:
     for n in sizes:
         dim = 4**n
         modes = [(j, sigma) for sigma in (0, 1) for j in range(n)]
-        ops = {m: ladder_operator(m[0], m[1], False, n).matrix for m in modes}
+        ops = {m: ladder_operator(m[0], m[1], False, n) for m in modes}
         for p in modes:
             for q in modes:
                 a_p, a_q = ops[p], ops[q]
-                acar = a_p @ a_q.conj().T + a_q.conj().T @ a_p
+                acar = a_p @ a_q.T + a_q.T @ a_p
                 expected = np.eye(dim) if p == q else 0.0
                 worst = max(worst, float(np.max(np.abs(acar - expected))))
                 aa = a_p @ a_q + a_q @ a_p
@@ -86,12 +91,18 @@ def _check_anticommutators(sizes) -> CheckResult:
 
 
 def _check_number_operator(sizes) -> CheckResult:
-    """sum_i E_ii from ladder products equals the Hamming-weight diagonal."""
+    """sum_i E_ii from ladder products equals the electron count of each sector's states."""
     worst = 0.0
     for n in sizes:
-        from_ladders = sum(orbital_excitation(i, i, n).matrix for i in range(n))
-        direct = number_operator(n).matrix
-        worst = max(worst, float(np.max(np.abs(from_ladders - direct))))
+        counts = np.zeros(4**n)
+        for n_e in range(2 * n + 1):
+            counts[sector_states(n, n_e)] = n_e
+        from_ladders = sum(
+            ladder_operator(i, sigma, True, n) @ ladder_operator(i, sigma, False, n)
+            for i in range(n)
+            for sigma in (0, 1)
+        )
+        worst = max(worst, float(np.max(np.abs(from_ladders - np.diag(counts)))))
     return CheckResult("number operator diagonal", worst, 1e-12)
 
 
@@ -105,12 +116,12 @@ def _check_b_identities(sizes) -> CheckResult:
             u = rng.standard_normal(n)
             u /= np.linalg.norm(u)
             for sigma in (0, 1):
-                b = b_operator(u, sigma, n).matrix
+                b = b_operator(u, sigma, n)
                 worst = max(worst, float(np.max(np.abs(b @ b))))
-                acar = b @ b.conj().T + b.conj().T @ b
+                acar = b @ b.T + b.T @ b
                 worst = max(worst, float(np.max(np.abs(acar - np.eye(dim)))))
-                v = 2.0 * b.conj().T @ b - np.eye(dim)
-                worst = max(worst, float(np.max(np.abs(v @ v.conj().T - np.eye(dim)))))
+                v = 2.0 * b.T @ b - np.eye(dim)
+                worst = max(worst, float(np.max(np.abs(v @ v.T - np.eye(dim)))))
     return CheckResult("rotated-basis operator identities", worst, 1e-10)
 
 
@@ -152,16 +163,14 @@ def _check_bliss_invariance(sizes) -> CheckResult:
                 n_e=ham.n_electrons,
             )
             shifted = apply_symmetry_shift(ham, shift)
-            dense = build_hamiltonian_dense(ham)
-            dense_shifted = build_hamiltonian_dense(shifted)
-            spec_a = sector_eigenvalues(dense, ham.n_electrons)
-            spec_b = sector_eigenvalues(dense_shifted, ham.n_electrons)
+            spec_a = sector_eigenvalues(ham, ham.n_electrons)
+            spec_b = sector_eigenvalues(shifted, ham.n_electrons)
             worst = max(worst, float(np.max(np.abs(spec_a - spec_b))))
     return CheckResult("BLISS invariance", worst, 1e-9)
 
 
 def _check_factorization_exactness(sizes) -> CheckResult:
-    """Full-rank factorization reproduces the two-body tensor and its dense form."""
+    """Full-rank factorization reproduces the two-body tensor and every sector block."""
     rng = np.random.default_rng(15)
     worst = 0.0
     for n in sizes:
@@ -174,13 +183,9 @@ def _check_factorization_exactness(sizes) -> CheckResult:
             core_constant=ham.core_constant,
             n_electrons=ham.n_electrons,
         )
-        dev = np.max(
-            np.abs(
-                build_hamiltonian_dense(ham).matrix
-                - build_hamiltonian_dense(rebuilt).matrix
-            )
-        )
-        worst = max(worst, float(dev))
+        for n_e in range(2 * n + 1):
+            dev = np.max(np.abs(sector_hamiltonian(ham, n_e) - sector_hamiltonian(rebuilt, n_e)))
+            worst = max(worst, float(dev))
     return CheckResult("factorization exactness", worst, 1e-9)
 
 

@@ -27,9 +27,10 @@ from blissdf import (
     load_integrals,
     nuclear_norm,
     optimize,
+    reconstruct_two_body,
     total_cost,
 )
-from blissdf.fermi_oracle import build_hamiltonian_dense, sector_eigenvalues
+from blissdf.fermi_oracle import MAX_ORBITALS, sector_eigenvalues, sector_hamiltonian
 from blissdf.hamiltonian import symmetrize_one_body
 from blissdf.verify import run_verification
 
@@ -67,7 +68,8 @@ def test_oracle_identity_suite():
 def test_symmetry_shift_sector_invariance():
     # 50 random (H, kappa, xi, n_e) draws at N in {2, 3}: the shifted
     # Hamiltonian must match the original on the n_e sector to 1e-9 while
-    # the full Fock-space spectrum moves in at least 45 of the 50 cases.
+    # the full Fock-space spectrum, the union of all 2N + 1 sector spectra,
+    # moves in at least 45 of the 50 cases.
     start = time.monotonic()
     rng = np.random.default_rng(100)
     worst_sector = 0.0
@@ -83,16 +85,14 @@ def test_symmetry_shift_sector_invariance():
         )
         shifted = apply_symmetry_shift(ham, shift)
 
-        dense = build_hamiltonian_dense(ham)
-        dense_shifted = build_hamiltonian_dense(shifted)
-        sector = sector_eigenvalues(dense, n_e)
-        sector_shifted = sector_eigenvalues(dense_shifted, n_e)
+        spectra = [sector_eigenvalues(ham, k) for k in range(2 * n + 1)]
+        spectra_shifted = [sector_eigenvalues(shifted, k) for k in range(2 * n + 1)]
         worst_sector = max(
-            worst_sector, float(np.max(np.abs(sector - sector_shifted)))
+            worst_sector, float(np.max(np.abs(spectra[n_e] - spectra_shifted[n_e])))
         )
 
-        full = np.linalg.eigvalsh(dense.matrix)
-        full_shifted = np.linalg.eigvalsh(dense_shifted.matrix)
+        full = np.sort(np.concatenate(spectra))
+        full_shifted = np.sort(np.concatenate(spectra_shifted))
         if float(np.max(np.abs(full - full_shifted))) > 1e-6:
             full_space_moved += 1
 
@@ -103,6 +103,44 @@ def test_symmetry_shift_sector_invariance():
     print(
         f"PASS sector invariance: 50/50 sectors within {worst_sector:.3e}, "
         f"full spectrum moved in {full_space_moved}/50, {elapsed:.1f}s"
+    )
+
+
+def test_sector_oracle_at_orbital_cap():
+    # At N = MAX_ORBITALS = 6, half filling (924 states): the symmetry shift
+    # leaves the sector spectrum unchanged, and the full-rank factorization
+    # reproduces the sector block, both to 1e-9, within 10 s.
+    start = time.monotonic()
+    rng = np.random.default_rng(106)
+    n = MAX_ORBITALS
+    ham = random_hamiltonian(n, rng, n_electrons=n)
+    shift = ShiftParams(
+        kappa=float(rng.standard_normal()),
+        xi=symmetrize_one_body(rng.standard_normal((n, n))),
+        n_e=n,
+    )
+    block = sector_hamiltonian(ham, n)
+    spectrum = np.linalg.eigvalsh(block)
+    shifted = sector_eigenvalues(apply_symmetry_shift(ham, shift), n)
+    invariance = float(np.max(np.abs(spectrum - shifted)))
+
+    factor_set = initial_double_factorization(ham.g, n * n)
+    rebuilt = Hamiltonian(
+        h=ham.h,
+        g=reconstruct_two_body(factor_set),
+        core_constant=ham.core_constant,
+        n_electrons=n,
+    )
+    exactness = float(np.max(np.abs(block - sector_hamiltonian(rebuilt, n))))
+
+    elapsed = time.monotonic() - start
+    assert block.shape == (924, 924)
+    assert invariance <= 1e-9
+    assert exactness <= 1e-9
+    assert elapsed < 10.0
+    print(
+        f"PASS N={n} sector oracle: shift invariance {invariance:.3e}, "
+        f"factorization exactness {exactness:.3e} <= 1e-9 in {elapsed:.1f}s"
     )
 
 

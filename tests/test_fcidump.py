@@ -6,7 +6,7 @@ import pytest
 
 from blissdf import FcidumpError, Hamiltonian, fcidump, load_integrals, write_integrals
 from blissdf.fcidump import INTEGRAL_CONVENTION
-from blissdf.fermi_oracle import build_hamiltonian_dense, ladder_operator
+from blissdf.fermi_oracle import ladder_operator, sector_hamiltonian, sector_states
 from blissdf.hamiltonian import symmetrize_one_body, symmetrize_two_body
 
 from conftest import random_hamiltonian
@@ -329,12 +329,12 @@ def normal_ordered_dense(t, v, core, n):
     """
     dim = 4**n
     ladder = {
-        (j, s, d): ladder_operator(j, s, d, n).matrix
+        (j, s, d): ladder_operator(j, s, d, n)
         for j in range(n)
         for s in (0, 1)
         for d in (False, True)
     }
-    out = core * np.eye(dim, dtype=complex)
+    out = core * np.eye(dim)
     for i in range(n):
         for j in range(n):
             for s in (0, 1):
@@ -361,9 +361,9 @@ def normal_ordered_dense(t, v, core, n):
 class TestConventionConversion:
     def test_loader_preserves_the_operator(self, tmp_path):
         # Write random normal-ordered integrals, load them, and compare the
-        # excitation-ordered dense Hamiltonian against an independent dense
-        # construction in a+a+aa order. Equality as operators is the whole
-        # point of the conversion.
+        # excitation-ordered sector blocks against an independent full-Fock
+        # construction in a+a+aa order, sector by sector. Equality as
+        # operators is the whole point of the conversion.
         rng = np.random.default_rng(42)
         n = 2
         t = symmetrize_one_body(rng.standard_normal((n, n)))
@@ -385,9 +385,11 @@ class TestConventionConversion:
         path = write_lines(tmp_path, lines)
 
         ham = load_integrals(path)
-        converted = build_hamiltonian_dense(ham).matrix
         source = normal_ordered_dense(t, v, core, n)
-        assert np.max(np.abs(converted - source)) < 1e-12
+        for n_e in range(2 * n + 1):
+            states = sector_states(n, n_e)
+            converted = sector_hamiltonian(ham, n_e)
+            assert np.max(np.abs(converted - source[np.ix_(states, states)])) < 1e-12
 
     def test_convention_tag(self):
         assert "chemist" in INTEGRAL_CONVENTION
@@ -430,16 +432,12 @@ class TestWriter:
             assert i >= j and k >= l and (i, j) >= (k, l)
 
     def test_written_file_loads_via_dense_oracle(self, tmp_path):
-        # write -> load -> dense must agree with the original dense matrix
+        # write -> load -> sector blocks must agree with the original ones
         rng = np.random.default_rng(45)
         ham = random_hamiltonian(2, rng, n_electrons=2)
         path = tmp_path / "oracle.fcidump"
         write_integrals(path, ham)
         back = load_integrals(path)
-        dev = np.max(
-            np.abs(
-                build_hamiltonian_dense(ham).matrix
-                - build_hamiltonian_dense(back).matrix
-            )
-        )
-        assert dev < 1e-11
+        for n_e in range(5):
+            dev = np.max(np.abs(sector_hamiltonian(ham, n_e) - sector_hamiltonian(back, n_e)))
+            assert dev < 1e-11

@@ -10,7 +10,7 @@ from blissdf import (
     reconstruct_two_body,
     symmetrize_two_body,
 )
-from blissdf.fermi_oracle import build_hamiltonian_dense, sector_eigenvalues
+from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import check_two_body_symmetry, symmetrize_one_body
 
 from conftest import random_hamiltonian, random_psd_two_body
@@ -133,12 +133,8 @@ class TestSymmetryShift:
                 n_e=ham.n_electrons,
             )
             shifted = apply_symmetry_shift(ham, shift)
-            spec_orig = sector_eigenvalues(
-                build_hamiltonian_dense(ham), ham.n_electrons
-            )
-            spec_shift = sector_eigenvalues(
-                build_hamiltonian_dense(shifted), ham.n_electrons
-            )
+            spec_orig = sector_eigenvalues(ham, ham.n_electrons)
+            spec_shift = sector_eigenvalues(shifted, ham.n_electrons)
             assert np.max(np.abs(spec_orig - spec_shift)) < 1e-10
 
 

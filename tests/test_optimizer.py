@@ -24,7 +24,7 @@ from blissdf import (
     optimize,
     total_cost,
 )
-from blissdf.fermi_oracle import build_hamiltonian_dense, sector_eigenvalues
+from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import symmetrize_one_body
 from blissdf.optimizer import _REAL_FIELDS, PARAM_BLOCKS
 
@@ -388,6 +388,25 @@ class TestOptimize:
         assert report.stop_reason == "converged"
         assert len(counted) == report.iterations_run
 
+    def test_effective_one_body_computed_once(self, monkeypatch):
+        # h' does not depend on the shift, so the descent takes it once,
+        # not once per evaluation.
+        from blissdf import optimizer
+
+        calls = []
+        original = optimizer.effective_one_body
+
+        def counted(ham):
+            calls.append(1)
+            return original(ham)
+
+        monkeypatch.setattr(optimizer, "effective_one_body", counted)
+        rng = np.random.default_rng(37)
+        ham = random_hamiltonian(3, rng, n_electrons=3)
+        report = optimize(ham, 6, small_config(max_iters=20))
+        assert report.iterations_run == 20
+        assert len(calls) == 1
+
     def test_patience_boundary_steps_are_unchanged(self, monkeypatch):
         # With patience=1 and rel_tol=0 the window re-anchors on every
         # iterate, so each step's gradient is computed after the cost; the
@@ -548,8 +567,8 @@ class TestOptimize:
             n_electrons=2,
         )
 
-        ref = sector_eigenvalues(build_hamiltonian_dense(ham), 2)
-        got = sector_eigenvalues(build_hamiltonian_dense(approx), 2)
+        ref = sector_eigenvalues(ham, 2)
+        got = sector_eigenvalues(approx, 2)
         assert np.max(np.abs(ref - got)) < 1e-3
         assert report.lambda_breakdown.lambda_total < report.initial_lambda
 
@@ -603,13 +622,13 @@ class TestPackedKernel:
         xi = symmetrize_one_body(rng.standard_normal((n, n)))
         theta, _ = optimizer._pack(ham, (0.3, xi, init))
         assert theta.size == 1 + n * n + n * n * (n + 1) // 2
-        g_pairs = pair_space(n).block(ham.g)
+        g_pairs, h_eff = pair_space(n).block(ham.g), effective_one_body(ham)
         grad = np.empty_like(theta)
-        optimizer._evaluate(ham, g_pairs, theta, 7.0, grad)  # warm caches
+        optimizer._evaluate(ham, g_pairs, h_eff, theta, 7.0, grad)  # warm caches
 
         tracemalloc.start()
         try:
-            optimizer._evaluate(ham, g_pairs, theta, 7.0, grad)
+            optimizer._evaluate(ham, g_pairs, h_eff, theta, 7.0, grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,7 +24,6 @@ eigendecomposition is the only rank-2 -> rank-1 step offered.
 
 from __future__ import annotations
 
-import io
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -32,9 +31,18 @@ from pathlib import Path
 
 import numpy as np
 
-from blissdf.hamiltonian import _frozen_array, effective_rank, pair_space, symmetrize_one_body
+from blissdf.hamiltonian import (
+    _frozen_array,
+    _symmetric_part,
+    effective_rank,
+    pair_space,
+    symmetrize_one_body,
+)
 
 ARCHIVE_FORMAT = "blissdf-factors-v1"
+
+# Matrices per subgradient product in nuclear_norms.
+_SUBGRADIENT_CHUNK = 64
 
 
 class IndefiniteTensorError(ValueError):
@@ -67,7 +75,7 @@ class FactorSet:
             raise ValueError(f"R={rank} exceeds N^2={n * n}")
         if factors.size and not np.all(np.isfinite(factors)):
             raise ValueError("factors contain non-finite entries")
-        factors = 0.5 * (factors + factors.transpose(0, 2, 1))
+        factors = _symmetric_part(factors, ((0, 2, 1),))
         object.__setattr__(self, "factors", _frozen_array(factors))
 
     @property
@@ -136,6 +144,18 @@ class LambdaBreakdown:
             self, "per_factor", _frozen_array(np.asarray(self.per_factor))
         )
 
+    @classmethod
+    def from_norms(cls, factor_norms: np.ndarray, one_body: float, rank: int) -> "LambdaBreakdown":
+        """The breakdown of R factors whose nonzero prefix has nuclear norms ``factor_norms``.
+
+        ``one_body`` is ||h'||_*; per_factor is padded with zeros to ``rank``.
+        """
+        per_factor = np.zeros(rank)
+        per_factor[: len(factor_norms)] = factor_norms
+        two_body = float(0.5 * np.sum(factor_norms**2))
+        one_body = float(one_body)
+        return cls(two_body + one_body, two_body, one_body, per_factor)
+
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     """Flip the vector so its first nonzero entry is positive."""
@@ -179,8 +199,14 @@ def nuclear_norms(mats: np.ndarray, subgradient: bool = False):
     norms = np.abs(eigvals).sum(axis=-1)
     if not subgradient:
         return norms
-    signed = eigvecs * np.sign(eigvals)[..., None, :]
-    return norms, signed @ eigvecs.swapaxes(-1, -2)
+    # U sign(D) U^T overwrites U a few matrices at a time, so no temporary
+    # is as large as the whole stack.
+    n = eigvecs.shape[-1]
+    vecs, signs = eigvecs.reshape(-1, n, n), np.sign(eigvals).reshape(-1, 1, n)
+    for lo in range(0, len(vecs), _SUBGRADIENT_CHUNK):
+        part = vecs[lo : lo + _SUBGRADIENT_CHUNK]
+        part[...] = (part * signs[lo : lo + _SUBGRADIENT_CHUNK]) @ part.swapaxes(-1, -2)
+    return norms, eigvecs
 
 
 def nuclear_norm(a: np.ndarray) -> float:
@@ -243,12 +269,15 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
         )
     tol = d_max * len(weights) * np.finfo(np.float64).eps
 
+    order = np.argsort(eigvals)[::-1][:rank]
+    order = order[eigvals[order] > tol]  # a prefix, as the order is descending
+    packed = eigvecs[:, order].T / weights
+    # Sign-fix each factor as _fix_sign would: the first nonzero entry of a
+    # symmetric matrix in row-major order is its first nonzero in pair order.
+    lead = packed[np.arange(len(order)), np.argmax(packed != 0.0, axis=1)]
+    packed *= (np.sqrt(eigvals[order]) * np.where(lead < 0.0, -1.0, 1.0))[:, None]
     factors = np.zeros((rank, n, n))
-    for row, idx in enumerate(np.argsort(eigvals)[::-1][:rank]):
-        if eigvals[idx] <= tol:
-            break  # descending order: every later eigenvalue is below tol too
-        mat = space.unpack(eigvecs[:, idx] / weights)
-        factors[row] = np.sqrt(eigvals[idx]) * _fix_sign(mat.ravel()).reshape(n, n)
+    space.unpack(packed, out=factors[: len(order)])
     return FactorSet(factors=factors)
 
 
@@ -272,17 +301,8 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     n = factor_set.n_orbitals
     if h_prime.shape != (n, n):
         raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
-    rank = factor_set.effective_rank
-    per_factor = np.zeros(factor_set.rank)
-    per_factor[:rank] = nuclear_norms(factor_set.factors[:rank])
-    two_body = float(0.5 * np.sum(per_factor[:rank] ** 2))
-    one_body = nuclear_norm(h_prime)
-    return LambdaBreakdown(
-        lambda_total=two_body + one_body,
-        two_body_part=two_body,
-        one_body_part=one_body,
-        per_factor=per_factor,
-    )
+    factors = factor_set.factors[: factor_set.effective_rank]
+    return LambdaBreakdown.from_norms(nuclear_norms(factors), nuclear_norm(h_prime), factor_set.rank)
 
 
 def save_factor_set(
@@ -312,10 +332,12 @@ def save_factor_set(
         payload["xi"] = np.asarray(xi, dtype=np.float64)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, arr in payload.items():
-            buffer = io.BytesIO()
-            np.lib.format.write_array(buffer, np.asarray(arr), allow_pickle=False)
+            arr = np.asarray(arr)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            archive.writestr(info, buffer.getvalue())
+            # Streamed into the member, with no in-memory copy of the .npy
+            # bytes; the zip64 rule is the one writestr applies to its data.
+            with archive.open(info, "w", force_zip64=arr.nbytes * 1.05 > zipfile.ZIP64_LIMIT) as member:
+                np.lib.format.write_array(member, arr, allow_pickle=False)
 
 
 def load_factor_set(

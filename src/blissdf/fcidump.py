@@ -195,6 +195,8 @@ def _read(text: str) -> tuple[np.ndarray, np.ndarray, float, int]:
     means = np.bincount(inverse, weights=rec["value"]) / counts
     core = means[0] if orbits.size and orbits[0] == 0 else 0.0
     one, two = (k < 0) & (orbits > 0), k >= 0
+    # The per-record arrays are dead from here; free them before the N^4 tensor.
+    del rec, ij, kl, keys, first, inverse, counts, lo, hi, scale, bad
     t_mat, v_chem = np.zeros((norb, norb)), np.zeros((norb, norb, norb, norb))
     t_mat[i[one], j[one]] = t_mat[j[one], i[one]] = means[one]
     i, j, k, l, means = (x[two] for x in (i, j, k, l, means))

@@ -34,16 +34,30 @@ def symmetrize_two_body(g: np.ndarray) -> np.ndarray:
     """Project a rank-4 tensor onto its 8-fold symmetric part.
 
     The result satisfies g[i,j,k,l] == g[j,i,k,l] == g[i,j,l,k] == g[k,l,i,j]
-    bit-exactly: each pairwise average below produces bitwise-identical
-    entries across the orbit, and later averages preserve earlier ones.
+    bit-exactly: each pairwise average (i <-> j, then k <-> l, then the
+    pairs) produces bitwise-identical entries across the orbit, and later
+    averages preserve earlier ones. The result is always a fresh array.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 4 or len(set(g.shape)) != 1:
         raise ValueError(f"expected an N^4 tensor, got shape {g.shape}")
-    g = 0.5 * (g + g.transpose(1, 0, 2, 3))
-    g = 0.5 * (g + g.transpose(0, 1, 3, 2))
-    g = 0.5 * (g + g.transpose(2, 3, 0, 1))
-    return g
+    return _symmetric_part(g, ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)))
+
+
+def _symmetric_part(arr: np.ndarray, axes: tuple) -> np.ndarray:
+    """Average a float64 array with its transpose under each of ``axes`` in turn.
+
+    Always returns a fresh array. An input already symmetric bit for bit
+    (signed zeros included) comes back as a plain copy: every average would
+    give the same bits, 0.5 * (x + x) == x, at the cost of two temporaries
+    per pass.
+    """
+    bits = arr.view(np.uint64)
+    if all(np.array_equal(bits, bits.transpose(perm)) for perm in axes):
+        return arr.copy()
+    for perm in axes:
+        arr = 0.5 * (arr + arr.transpose(perm))
+    return arr
 
 
 def check_two_body_symmetry(g: np.ndarray, tol: float = 0.0) -> float:
@@ -255,9 +269,10 @@ class PairSpace:
         for shared in (self.upper, self.unpack_index, self.mult):  # one instance per N
             shared.setflags(write=False)
 
-    def pack(self, mats: np.ndarray) -> np.ndarray:
-        """Upper triangles (..., P) of symmetric matrices (..., N, N)."""
-        return mats.reshape(mats.shape[:-2] + (self.n**2,)).take(self.upper, axis=-1)
+    def pack(self, mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Upper triangles (..., P) of symmetric matrices (..., N, N), into ``out`` if given."""
+        flat = mats.reshape(mats.shape[:-2] + (self.n**2,))
+        return flat.take(self.upper, axis=-1, out=out, mode="clip")  # "clip": no buffer copy
 
     def unpack(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Symmetric matrices (..., N, N) from upper triangles (..., P), by one take."""

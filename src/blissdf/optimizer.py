@@ -25,7 +25,9 @@ matrices. With F the (M, P) packed factors, the residual is the P x P
 matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
 with multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
 -4 c_approx (F * c) D + Lambda_r S_r. The M factors, unpacked by one take,
-and the shifted h_eff share one batched eigh per evaluation. Descent is one
+and the shifted h_eff share one batched eigh per evaluation, and a run
+evaluates each trace row once: the initial and the best point's Err and
+lambda breakdown are kept from their own rows. Descent is one
 in-place Adam step; a frozen block has its gradient zeroed, so it keeps its
 initial value bit for bit. The run is deterministic for a fixed config.
 """
@@ -43,7 +45,6 @@ from blissdf.factorization import (
     FactorSet,
     LambdaBreakdown,
     initial_double_factorization,
-    lambda_df,
     nuclear_norms,
 )
 from blissdf.hamiltonian import (
@@ -216,9 +217,17 @@ def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
 
 
-def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: np.ndarray, c_approx: float, grad=None):
+def _auto_c_approx(lam: float, err: float) -> float:
+    """The automatic penalty weight of OptimizationConfig, from the initial lambda and Err."""
+    return float(min(max(1e3 * lam / max(err, 1e-12), 1e2), 1e9))
+
+
+def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: np.ndarray, c_approx, grad=None):
     """Cost (total, err, lambda) at theta, given ham.g's P x P pair block and ham's unshifted h'.
 
+    A fourth entry holds the eigh batch's nuclear norms: the M factors', then
+    the shifted h''s. ``c_approx`` None stands for the automatic weight at
+    this very point (_auto_c_approx); the eigh batch does not depend on it.
     Fills ``grad`` with the gradient if given. Nothing here is N^4 sized.
     """
     n = ham.n_orbitals
@@ -235,9 +244,11 @@ def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: n
     if grad is not None:
         norms, subs = norms
     lam = float(0.5 * np.sum(norms[:rank] ** 2) + norms[rank])
+    if c_approx is None:
+        c_approx = _auto_c_approx(lam, err)
     total = c_approx * err + lam
     if grad is None:
-        return total, err, lam
+        return total, err, lam, norms
 
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
     one_body_trace = float(np.trace(subs[rank]))
@@ -247,9 +258,13 @@ def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: n
     xi_part += (n - ham.n_electrons) * subs[rank] + one_body_trace * np.eye(n)
     grad_xi[...] = symmetrize_one_body(xi_part)
     # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
-    np.matmul(factors * (-4.0 * c_approx * space.mult), diff, out=grad_factors)
-    grad_factors += norms[:rank, None] * space.pack(subs[:rank])
-    return total, err, lam
+    # Each (M, P) term is formed in the spent eigh stack.
+    scratch = stack.reshape(-1)[: factors.size].reshape(factors.shape)
+    np.matmul(np.multiply(factors, -4.0 * c_approx * space.mult, out=scratch), diff, out=grad_factors)
+    space.pack(subs[:rank], out=scratch)
+    scratch *= norms[:rank, None]
+    grad_factors += scratch
+    return total, err, lam, norms
 
 
 def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float, float]:
@@ -268,7 +283,7 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
         same bits as its unpadded prefix.
     """
     g_pairs = pair_space(ham.n_orbitals).block(ham.g)
-    return _evaluate(ham, g_pairs, effective_one_body(ham), _pack(ham, params)[0], c_approx)
+    return _evaluate(ham, g_pairs, effective_one_body(ham), _pack(ham, params)[0], float(c_approx))[:3]
 
 
 def gradient(ham: Hamiltonian, params, c_approx: float):
@@ -284,19 +299,29 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     n = ham.n_orbitals
     space = pair_space(n)
     grad = np.empty_like(theta)
-    _evaluate(ham, space.block(ham.g), effective_one_body(ham), theta, c_approx, grad)
+    _evaluate(ham, space.block(ham.g), effective_one_body(ham), theta, float(c_approx), grad)
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
     d_factors = np.zeros((rank, n, n))
     d_factors[: len(grad_factors)] = space.unpack(grad_factors)
     return float(grad_kappa[0]), grad_xi, d_factors
 
 
-def _assess(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, kappa: float, xi: np.ndarray, factor_set):
-    """Err and lambda breakdown at one point, bitwise equal to its trace row."""
-    space = pair_space(ham.n_orbitals)
-    factors = space.pack(factor_set.factors[: factor_set.effective_rank])
-    err, _ = space.residual(space.shifted(g_pairs, xi), factors)
-    return err, lambda_df(factor_set, shifted_effective_one_body(h_eff, ham.n_electrons, kappa, xi))
+def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
+    """Adam step ``step`` (from 1) of theta with moments m and v, all in place; grad is scratch."""
+    beta1, beta2 = config.adam_beta1, config.adam_beta2
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    grad *= grad
+    grad *= 1.0 - beta2
+    v += grad
+    # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps), in place.
+    np.sqrt(np.divide(v, 1.0 - beta2**step, out=grad), out=grad)
+    grad += config.adam_epsilon
+    update = m / (1.0 - beta1**step)
+    update *= config.learning_rate
+    update /= grad
+    theta -= update
 
 
 def optimize(
@@ -329,9 +354,9 @@ def optimize(
             the default frees everything.
 
     Returns:
-        OptimizationReport; its lambda_breakdown and err_final are
-        recomputed from best_params and match the trace row at
-        best_iteration.
+        OptimizationReport; its lambda_breakdown and err_final come from
+        the evaluation that wrote the trace row at best_iteration, and its
+        initial ones from row 0, so each matches its row bit for bit.
 
     Raises:
         NonFiniteCostError: If the cost evaluates to NaN or infinity.
@@ -344,42 +369,39 @@ def optimize(
         raise ValueError(f"unknown free blocks {sorted(unknown)}; valid: {PARAM_BLOCKS}")
 
     n = ham.n_orbitals
-    init_factors = initial_double_factorization(ham.g, rank)
-    init_xi = np.zeros((n, n))
+    space = pair_space(n)
     # Neither depends on the shift, so each is computed once for the whole descent.
-    g_pairs, h_eff = pair_space(n).block(ham.g), effective_one_body(ham)
-    init_err, init_breakdown = _assess(ham, g_pairs, h_eff, 0.0, init_xi, init_factors)
-    c_approx = config.c_approx
-    if c_approx is None:  # see OptimizationConfig
-        c_approx = min(max(1e3 * init_breakdown.lambda_total / max(init_err, 1e-12), 1e2), 1e9)
-    c_approx = float(c_approx)
-
-    # _pack leaves the trailing exact-zero factors, which never move, out of theta.
-    theta, _ = _pack(ham, (0.0, init_xi, init_factors))
+    g_pairs, h_eff = space.block(ham.g), effective_one_body(ham)
+    # theta starts at kappa = 0, xi = 0 and the M nonzero initial factors; the
+    # trailing exact-zero ones never move and stay out of it.
+    init = initial_double_factorization(ham.g, rank)
+    theta = np.concatenate((np.zeros(1 + n * n), space.pack(init.factors[: init.effective_rank]).ravel()))
+    del init
     grad = np.empty_like(theta)
     frozen = [b for name, b in zip(PARAM_BLOCKS, _blocks(grad, n)) if name not in free]
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    beta1, beta2 = config.adam_beta1, config.adam_beta2
-    lr, eps = config.learning_rate, config.adam_epsilon
+    # None until iteration 0 resolves the automatic weight from its own cost.
+    c_approx = None if config.c_approx is None else float(config.c_approx)
 
     trace = []
     best_total = anchor_total = best_lambda = math.inf
     anchor_iter = best_iteration = 0
-    best_theta = None
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
         # Only an iterate that a step follows needs a gradient: not the last
         # one, nor one where the patience window may run out.
         sure_step = iteration < config.max_iters and iteration - anchor_iter < config.patience
-        step_grad = grad if sure_step else None
-        total, err, lam = _evaluate(ham, g_pairs, h_eff, theta, c_approx, step_grad)
+        total, err, lam, norms = _evaluate(ham, g_pairs, h_eff, theta, c_approx, grad if sure_step else None)
+        if iteration == 0:
+            init_err, init_norms = err, norms
+            c_approx = _auto_c_approx(lam, err) if c_approx is None else c_approx
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
         trace.append((total, err, lam))
 
         if err <= init_err + config.err_budget and lam < best_lambda:
-            best_lambda = lam
+            best_lambda, best_err, best_norms = lam, err, norms
             best_theta = theta.copy()
             best_iteration = iteration
 
@@ -398,35 +420,22 @@ def optimize(
             break
         if not sure_step:  # the window re-anchored on this very iterate
             _evaluate(ham, g_pairs, h_eff, theta, c_approx, grad)
-
         for block in frozen:
             block[...] = 0.0
-        step = iteration + 1
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        grad *= grad  # grad is scratch from here on
-        grad *= 1.0 - beta2
-        v += grad
-        # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps), in place.
-        np.sqrt(np.divide(v, 1.0 - beta2**step, out=grad), out=grad)
-        grad += eps
-        update = m / (1.0 - beta1**step)
-        update *= lr
-        update /= grad
-        theta -= update
+        _adam_step(theta, grad, m, v, iteration + 1, config)
 
+    # Free the descent state, then unpack the best factors straight into the
+    # zero-padded (R, N, N) output.
+    del theta, grad, frozen, m, v, g_pairs
     best_kappa, best_xi, best_factors = _blocks(best_theta, n)
-    best_kappa = float(best_kappa[0])
     padded = np.zeros((rank, n, n))
-    padded[: len(best_factors)] = pair_space(n).unpack(best_factors)
-    best_factor_set = FactorSet(factors=padded)
-    err_final, breakdown = _assess(ham, g_pairs, h_eff, best_kappa, best_xi, best_factor_set)
+    space.unpack(best_factors, out=padded[: len(best_factors)])
+    init_breakdown = LambdaBreakdown.from_norms(init_norms[:-1], init_norms[-1], rank)
 
     return OptimizationReport(
-        best_params=(best_kappa, best_xi, best_factor_set),
-        lambda_breakdown=breakdown,
-        err_final=err_final,
+        best_params=(float(best_kappa[0]), best_xi, FactorSet(factors=padded)),
+        lambda_breakdown=LambdaBreakdown.from_norms(best_norms[:-1], best_norms[-1], rank),
+        err_final=best_err,
         total_trace=np.array(trace),
         iterations_run=len(trace) - 1,
         stop_reason=stop_reason,

@@ -47,6 +47,15 @@ class TestFactorSet:
         fs = FactorSet(factors=np.zeros((0, 3, 3)))
         assert fs.rank == 0
 
+    def test_symmetric_input_is_copied_not_aliased(self):
+        rng = np.random.default_rng(2)
+        factors = rng.standard_normal((3, 4, 4))
+        factors = factors + factors.transpose(0, 2, 1)
+        fs = FactorSet(factors=factors)
+        assert fs.factors.tobytes() == factors.tobytes()
+        assert not np.shares_memory(fs.factors, factors)
+        assert factors.flags.writeable
+
 
 class TestInitialDoubleFactorization:
     def test_rank_one_input_recovered_up_to_sign(self):
@@ -112,6 +121,63 @@ class TestInitialDoubleFactorization:
         fs = initial_double_factorization(g, 9)
         weights = [float(np.sum(a * a)) for a in fs.factors]
         assert weights == sorted(weights, reverse=True)
+
+
+def loop_double_factorization(g, rank):
+    """The per-factor loop that initial_double_factorization replaced.
+
+    Returns the factors and how many of them had their sign flipped.
+    """
+    n = g.shape[0]
+    rows, cols = np.triu_indices(n)
+    weights = np.sqrt(np.where(rows == cols, 1.0, 2.0))
+    big = g.reshape(n * n, n * n)[np.ix_(rows * n + cols, rows * n + cols)]
+    big = big * np.outer(weights, weights)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (big + big.T))
+    tol = max(float(eigvals[-1]), 0.0) * len(weights) * np.finfo(np.float64).eps
+    factors, flipped = np.zeros((rank, n, n)), 0
+    for row, idx in enumerate(np.argsort(eigvals)[::-1][:rank]):
+        if eigvals[idx] <= tol:
+            break
+        mat = np.zeros((n, n))
+        mat[rows, cols] = mat[cols, rows] = eigvecs[:, idx] / weights
+        flat = mat.ravel()
+        if flat[np.flatnonzero(flat)[0]] < 0.0:
+            flat, flipped = -flat, flipped + 1
+        factors[row] = np.sqrt(eigvals[idx]) * flat.reshape(n, n)
+    return factors, flipped
+
+
+class TestVectorizedInitialFactorization:
+    """initial_double_factorization against its former per-factor loop, bit for bit."""
+
+    def check(self, g, ranks):
+        flipped = 0
+        for rank in ranks:
+            want, flips = loop_double_factorization(g, rank)
+            assert initial_double_factorization(g, rank).factors.tobytes() == want.tobytes()
+            flipped += flips
+        return flipped
+
+    def test_random_inputs(self):
+        flipped = 0
+        for n, seed in [(2, 0), (3, 1), (5, 2), (7, 3)]:
+            g = random_psd_two_body(n, np.random.default_rng(seed))
+            flipped += self.check(g, (1, n, n * n))
+        assert flipped > 0  # negative leading entries occurred and were flipped
+
+    def test_ties_and_leading_zeros(self):
+        # Two orthogonal terms of equal norm and weight give a degenerate
+        # eigenvalue, and both start with zeros in row-major order, so their
+        # sign comes from a later entry.
+        rng = np.random.default_rng(4)
+        n = 4
+        terms = np.zeros((3, n, n))
+        terms[0][np.diag_indices(n)] = np.concatenate(([0.0], rng.standard_normal(n - 1)))
+        terms[1, 0, 1] = terms[1, 1, 0] = -1.0
+        terms[2, 2, 3] = terms[2, 3, 2] = 1.0
+        g = reconstruct_two_body(terms) + reconstruct_two_body(terms[1:])
+        self.check(g, (1, 2, 3, n * n))
 
 
 class TestNullSpace:
@@ -223,7 +289,7 @@ class TestNuclearNorm:
         q = random_orthogonal(5, rng)
         assert abs(nuclear_norm(q @ a @ q.T) - nuclear_norm(a)) < 1e-10
 
-    @pytest.mark.parametrize("n, rank", [(2, 4), (5, 7), (8, 16)])
+    @pytest.mark.parametrize("n, rank", [(2, 4), (5, 7), (8, 16), (3, 150)])
     def test_batched_matches_per_matrix_loop(self, n, rank):
         # One batched eigh must give the same bits as one eigh per matrix,
         # for the norms and for the subgradients U sign(D) U^T alike.

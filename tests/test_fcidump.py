@@ -317,6 +317,21 @@ class TestArrayLoader:
             tracemalloc.stop()
         assert peak <= 8 * ham.g.nbytes
 
+    def test_parse_arrays_freed_before_the_tensor(self, tmp_path):
+        # The per-record arrays of the parse (about 40 bytes a record, one
+        # record per orbit of 8) must be gone when the N^4 tensor and its
+        # one-body contraction are built.
+        path = tmp_path / "n16.fcidump"
+        write_integrals(path, random_hamiltonian(16, np.random.default_rng(7), n_electrons=16))
+        text = path.read_text()
+        tracemalloc.start()
+        try:
+            _, g, _, _ = fcidump._read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * g.nbytes
+
 
 def normal_ordered_dense(t, v, core, n):
     """Dense matrix of the chemists'-notation normal-ordered Hamiltonian.

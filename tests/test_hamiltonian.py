@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,47 @@ class TestHamiltonian:
     def test_rejects_bad_electron_count(self):
         with pytest.raises(ValueError, match="n_electrons"):
             Hamiltonian(h=np.zeros((2, 2)), g=np.zeros((2, 2, 2, 2)), n_electrons=5)
+
+    def test_symmetric_input_is_copied_not_aliased(self):
+        rng = np.random.default_rng(3)
+        g = random_psd_two_body(3, rng)
+        check_two_body_symmetry(g)
+        ham = Hamiltonian(h=np.eye(3), g=g)
+        assert ham.g.tobytes() == g.tobytes()
+        assert not np.shares_memory(ham.g, g)
+        assert g.flags.writeable
+        g[0, 0, 0, 0] = 7.0
+        assert ham.g[0, 0, 0, 0] != 7.0
+
+    def test_symmetric_input_skips_the_averaging_passes(self):
+        # A g that is already exactly symmetric costs one copy, not the
+        # two N^4 temporaries of each averaging pass.
+        rng = np.random.default_rng(4)
+        g = random_psd_two_body(8, rng)
+        h = np.eye(8)
+        Hamiltonian(h=h, g=g)
+        tracemalloc.start()
+        try:
+            Hamiltonian(h=h, g=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.nbytes
+
+    def test_mirrored_signed_zeros_are_averaged(self):
+        # 0.0 == -0.0, but the bits differ: such a g takes the averaging
+        # path, which stores +0.0 at both entries.
+        g = np.zeros((2, 2, 2, 2))
+        g[0, 1, 0, 0] = -0.0
+        ham = Hamiltonian(h=np.zeros((2, 2)), g=g)
+        assert not np.signbit(ham.g).any()
+
+    def test_huge_symmetric_entry_is_kept(self):
+        # Averaging x with itself overflowed to inf above DBL_MAX / 2; an
+        # exactly symmetric input is stored as given instead.
+        g = np.zeros((1, 1, 1, 1))
+        g[0, 0, 0, 0] = 1.5e308
+        assert Hamiltonian(h=np.zeros((1, 1)), g=g).g[0, 0, 0, 0] == 1.5e308
 
 
 class TestSymmetryShift:

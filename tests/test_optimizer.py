@@ -634,6 +634,59 @@ class TestPackedKernel:
             tracemalloc.stop()
         assert peak < ham.g.nbytes
 
+    def test_one_eigh_batch_per_trace_row(self, monkeypatch):
+        # The P x P eigh of the initial factorization, then one batch per
+        # evaluated iterate: the initial and the best point's Err and lambda
+        # breakdown come from their own trace rows, not from a re-run batch.
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(mats):
+            calls.append(mats.shape)
+            return original(mats)
+
+        rng = np.random.default_rng(54)
+        ham = random_hamiltonian(3, rng, n_electrons=3)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = optimize(ham, 9, small_config(max_iters=7, patience=1000))
+        assert report.iterations_run == 7
+        assert len(calls) == 9
+        assert calls[0] == (6, 6)
+
+    def test_peak_memory_of_a_run(self, monkeypatch):
+        # R = N^2 at N = 16, so each (R, N, N) array is g.nbytes. The
+        # initial FactorSet is dropped once packed into theta, so the peak
+        # is one evaluation's (about 3.7 g.nbytes: five theta-sized vectors,
+        # the pair block, the residual and the eigh stack with its
+        # eigenvectors). Keeping the initial factors through the descent, or
+        # the Adam state and a symmetrized copy beside the padded output,
+        # takes it past 6 g.nbytes.
+        from blissdf import optimizer
+
+        in_use = []
+
+        def traced_factor_set(factors):
+            in_use.append(tracemalloc.get_traced_memory()[0])
+            return FactorSet(factors=factors)
+
+        n = 16
+        ham = random_hamiltonian(n, np.random.default_rng(55), n_electrons=n)
+        cfg = OptimizationConfig(max_iters=3, rel_tol=0.0)
+        optimize(ham, n * n, cfg)  # warm caches
+        monkeypatch.setattr(optimizer, "FactorSet", traced_factor_set)
+        tracemalloc.start()
+        try:
+            report = optimize(ham, n * n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.best_params[2].factors.nbytes == ham.g.nbytes
+        assert peak < 4 * ham.g.nbytes
+        # The descent state is freed before the padded output is built:
+        # then only that output and the best theta (0.3 g.nbytes) are held.
+        assert len(in_use) == 1
+        assert in_use[0] < 1.5 * ham.g.nbytes
+
     def test_one_eigh_batch_per_evaluation(self, monkeypatch):
         from blissdf import optimizer
 

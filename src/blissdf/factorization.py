@@ -41,7 +41,7 @@ from blissdf.hamiltonian import (
 
 ARCHIVE_FORMAT = "blissdf-factors-v1"
 
-# Matrices per subgradient product in nuclear_norms.
+# Matrices per product in sign_subgradients.
 _SUBGRADIENT_CHUNK = 64
 
 
@@ -152,17 +152,21 @@ class LambdaBreakdown:
         """
         per_factor = np.zeros(rank)
         per_factor[: len(factor_norms)] = factor_norms
-        two_body = float(0.5 * np.sum(factor_norms**2))
-        one_body = float(one_body)
-        return cls(two_body + one_body, two_body, one_body, per_factor)
+        return cls(*lambda_parts(factor_norms, one_body), per_factor)
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip the vector so its first nonzero entry is positive."""
-    for entry in vec:
-        if entry != 0.0:
-            return -vec if entry < 0.0 else vec
-    return vec
+def lambda_parts(factor_norms: np.ndarray, one_body: float) -> tuple[float, float, float]:
+    """(lambda, 1/2 * sum_r Lambda_r^2, ||h'||_*) from the factors' nuclear norms and ||h'||_*."""
+    two_body, one_body = float(0.5 * np.sum(factor_norms**2)), float(one_body)
+    return two_body + one_body, two_body, one_body
+
+
+def _leading_signs(rows: np.ndarray) -> np.ndarray:
+    """Per row of a (K, L) array, the +-1 that makes its first nonzero entry positive."""
+    if not rows.size:  # argmax has no answer over empty rows
+        return np.ones(len(rows))
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0.0, axis=1)]
+    return np.where(lead < 0.0, -1.0, 1.0)
 
 
 def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
@@ -181,32 +185,35 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
     """
     a = symmetrize_one_body(np.asarray(a, dtype=np.float64))
     eigvals, eigvecs = np.linalg.eigh(a)
-    pairs = [(eigvals[t], _fix_sign(eigvecs[:, t])) for t in range(len(eigvals))]
-    pairs.sort(key=lambda p: (-abs(p[0]), -p[0], tuple(p[1])))
-    values = np.array([p[0] for p in pairs])
-    vectors = np.array([p[1] for p in pairs])
-    return Rank1Decomposition(eigenvalues=values, vectors=vectors)
+    vectors = eigvecs.T * _leading_signs(eigvecs.T)[:, None]
+    # lexsort's last key is its primary one; the vectors compare entry by entry.
+    order = np.lexsort((*vectors.T[::-1], -eigvals, -np.abs(eigvals)))
+    return Rank1Decomposition(eigenvalues=eigvals[order], vectors=vectors[order])
 
 
-def nuclear_norms(mats: np.ndarray, subgradient: bool = False):
+def nuclear_norms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nuclear norms of symmetric matrices (..., N, N) from one batched eigh.
 
-    With ``subgradient``, also returns each matrix's U sign(D) U^T (sign(0) = 0).
+    Returns (norms, eigvals, eigvecs), the last two for sign_subgradients.
     eigh rather than eigvalsh: every nuclear norm in the package comes from
     this one LAPACK path, so recomputed norms match the optimizer's trace bitwise.
     """
     eigvals, eigvecs = np.linalg.eigh(mats)
-    norms = np.abs(eigvals).sum(axis=-1)
-    if not subgradient:
-        return norms
-    # U sign(D) U^T overwrites U a few matrices at a time, so no temporary
-    # is as large as the whole stack.
+    return np.abs(eigvals).sum(axis=-1), eigvals, eigvecs
+
+
+def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Each matrix's U sign(D) U^T (sign(0) = 0), written over its eigenvectors U.
+
+    The product overwrites U a few matrices at a time, so no temporary is as
+    large as the whole stack. Returns ``eigvecs``.
+    """
     n = eigvecs.shape[-1]
     vecs, signs = eigvecs.reshape(-1, n, n), np.sign(eigvals).reshape(-1, 1, n)
     for lo in range(0, len(vecs), _SUBGRADIENT_CHUNK):
         part = vecs[lo : lo + _SUBGRADIENT_CHUNK]
         part[...] = (part * signs[lo : lo + _SUBGRADIENT_CHUNK]) @ part.swapaxes(-1, -2)
-    return norms, eigvecs
+    return eigvecs
 
 
 def nuclear_norm(a: np.ndarray) -> float:
@@ -216,7 +223,7 @@ def nuclear_norm(a: np.ndarray) -> float:
     minimum of sum_t |lambda_t| over all decompositions into rank-1 terms
     with unit vectors.
     """
-    return float(nuclear_norms(symmetrize_one_body(a)))
+    return float(nuclear_norms(symmetrize_one_body(a))[0])
 
 
 def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
@@ -272,10 +279,9 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     order = np.argsort(eigvals)[::-1][:rank]
     order = order[eigvals[order] > tol]  # a prefix, as the order is descending
     packed = eigvecs[:, order].T / weights
-    # Sign-fix each factor as _fix_sign would: the first nonzero entry of a
-    # symmetric matrix in row-major order is its first nonzero in pair order.
-    lead = packed[np.arange(len(order)), np.argmax(packed != 0.0, axis=1)]
-    packed *= (np.sqrt(eigvals[order]) * np.where(lead < 0.0, -1.0, 1.0))[:, None]
+    # Sign-fix each factor on its first nonzero entry, which is the same in
+    # row-major order of the symmetric matrix as in pair order.
+    packed *= (np.sqrt(eigvals[order]) * _leading_signs(packed))[:, None]
     factors = np.zeros((rank, n, n))
     space.unpack(packed, out=factors[: len(order)])
     return FactorSet(factors=factors)
@@ -302,7 +308,7 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     if h_prime.shape != (n, n):
         raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
     factors = factor_set.factors[: factor_set.effective_rank]
-    return LambdaBreakdown.from_norms(nuclear_norms(factors), nuclear_norm(h_prime), factor_set.rank)
+    return LambdaBreakdown.from_norms(nuclear_norms(factors)[0], nuclear_norm(h_prime), factor_set.rank)
 
 
 def save_factor_set(
@@ -352,7 +358,8 @@ def load_factor_set(
     Raises:
         ValueError: If the archive format tag is missing or unrecognized.
     """
-    with np.load(path, allow_pickle=False) as archive:
+    # np.load leaves a file it opened itself open when the zip is corrupt.
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
         if "format" not in archive or str(archive["format"]) != ARCHIVE_FORMAT:
             raise ValueError(f"{path}: not a {ARCHIVE_FORMAT} archive")
         factors = archive["factors"]

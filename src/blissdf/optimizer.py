@@ -27,9 +27,11 @@ with multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
 -4 c_approx (F * c) D + Lambda_r S_r. The M factors, unpacked by one take,
 and the shifted h_eff share one batched eigh per evaluation, and a run
 evaluates each trace row once: the initial and the best point's Err and
-lambda breakdown are kept from their own rows. Descent is one
-in-place Adam step; a frozen block has its gradient zeroed, so it keeps its
-initial value bit for bit. The run is deterministic for a fixed config.
+lambda breakdown are kept from their own rows, and the gradient is built
+from the same eigh batch after the stop check, only when a step follows.
+Descent is one in-place Adam step; a frozen block has its gradient zeroed,
+so it keeps its initial value bit for bit. The run is deterministic for a
+fixed config.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from blissdf.factorization import (
     FactorSet,
     LambdaBreakdown,
     initial_double_factorization,
+    lambda_parts,
     nuclear_norms,
+    sign_subgradients,
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
@@ -217,18 +221,14 @@ def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
 
 
-def _auto_c_approx(lam: float, err: float) -> float:
-    """The automatic penalty weight of OptimizationConfig, from the initial lambda and Err."""
-    return float(min(max(1e3 * lam / max(err, 1e-12), 1e2), 1e9))
+def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: np.ndarray):
+    """(err, lambda, norms, fill_gradient) at theta, given ham.g's P x P pair block and ham's unshifted h'.
 
-
-def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: np.ndarray, c_approx, grad=None):
-    """Cost (total, err, lambda) at theta, given ham.g's P x P pair block and ham's unshifted h'.
-
-    A fourth entry holds the eigh batch's nuclear norms: the M factors', then
-    the shifted h''s. ``c_approx`` None stands for the automatic weight at
-    this very point (_auto_c_approx); the eigh batch does not depend on it.
-    Fills ``grad`` with the gradient if given. Nothing here is N^4 sized.
+    ``norms`` are the eigh batch's nuclear norms: the M factors', then the
+    shifted h''s. ``fill_gradient(c_approx, grad)`` writes the gradient of
+    c_approx * err + lambda into ``grad`` from the same batch, whose
+    eigenvectors it overwrites, so it runs at most once; the arrays it needs
+    live as long as it does. Nothing here is N^4 sized.
     """
     n = ham.n_orbitals
     space = pair_space(n)
@@ -240,31 +240,26 @@ def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: n
     stack = np.empty((rank + 1, n, n))
     space.unpack(factors, out=stack[:rank])
     stack[rank] = shifted_effective_one_body(h_eff, ham.n_electrons, float(kappa[0]), xi)
-    norms = nuclear_norms(stack, subgradient=grad is not None)
-    if grad is not None:
-        norms, subs = norms
-    lam = float(0.5 * np.sum(norms[:rank] ** 2) + norms[rank])
-    if c_approx is None:
-        c_approx = _auto_c_approx(lam, err)
-    total = c_approx * err + lam
-    if grad is None:
-        return total, err, lam, norms
+    norms, eigvals, eigvecs = nuclear_norms(stack)
 
-    grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
-    one_body_trace = float(np.trace(subs[rank]))
-    grad_kappa[0] = one_body_trace
-    # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
-    xi_part = 2.0 * c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
-    xi_part += (n - ham.n_electrons) * subs[rank] + one_body_trace * np.eye(n)
-    grad_xi[...] = symmetrize_one_body(xi_part)
-    # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
-    # Each (M, P) term is formed in the spent eigh stack.
-    scratch = stack.reshape(-1)[: factors.size].reshape(factors.shape)
-    np.matmul(np.multiply(factors, -4.0 * c_approx * space.mult, out=scratch), diff, out=grad_factors)
-    space.pack(subs[:rank], out=scratch)
-    scratch *= norms[:rank, None]
-    grad_factors += scratch
-    return total, err, lam, norms
+    def fill_gradient(c_approx: float, grad: np.ndarray) -> None:
+        subs = sign_subgradients(eigvals, eigvecs)
+        grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
+        one_body_trace = float(np.trace(subs[rank]))
+        grad_kappa[0] = one_body_trace
+        # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
+        xi_part = 2.0 * c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
+        xi_part += (n - ham.n_electrons) * subs[rank] + one_body_trace * np.eye(n)
+        grad_xi[...] = symmetrize_one_body(xi_part)
+        # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
+        # Each (M, P) term is formed in the spent eigh stack.
+        scratch = stack.reshape(-1)[: factors.size].reshape(factors.shape)
+        np.matmul(np.multiply(factors, -4.0 * c_approx * space.mult, out=scratch), diff, out=grad_factors)
+        space.pack(subs[:rank], out=scratch)
+        scratch *= norms[:rank, None]
+        grad_factors += scratch
+
+    return err, lambda_parts(norms[:rank], norms[rank])[0], norms, fill_gradient
 
 
 def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float, float]:
@@ -283,7 +278,8 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
         same bits as its unpadded prefix.
     """
     g_pairs = pair_space(ham.n_orbitals).block(ham.g)
-    return _evaluate(ham, g_pairs, effective_one_body(ham), _pack(ham, params)[0], float(c_approx))[:3]
+    err, lam = _evaluate(ham, g_pairs, effective_one_body(ham), _pack(ham, params)[0])[:2]
+    return float(c_approx) * err + lam, err, lam
 
 
 def gradient(ham: Hamiltonian, params, c_approx: float):
@@ -299,7 +295,7 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     n = ham.n_orbitals
     space = pair_space(n)
     grad = np.empty_like(theta)
-    _evaluate(ham, space.block(ham.g), effective_one_body(ham), theta, float(c_approx), grad)
+    _evaluate(ham, space.block(ham.g), effective_one_body(ham), theta)[3](float(c_approx), grad)
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
     d_factors = np.zeros((rank, n, n))
     d_factors[: len(grad_factors)] = space.unpack(grad_factors)
@@ -377,11 +373,11 @@ def optimize(
     init = initial_double_factorization(ham.g, rank)
     theta = np.concatenate((np.zeros(1 + n * n), space.pack(init.factors[: init.effective_rank]).ravel()))
     del init
-    grad = np.empty_like(theta)
+    # best_theta is written in place: a fresh copy per improvement, taken
+    # while the evaluation's arrays are alive, raises the process peak RSS.
+    grad, best_theta = np.empty_like(theta), np.empty_like(theta)
     frozen = [b for name, b in zip(PARAM_BLOCKS, _blocks(grad, n)) if name not in free]
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    # None until iteration 0 resolves the automatic weight from its own cost.
-    c_approx = None if config.c_approx is None else float(config.c_approx)
 
     trace = []
     best_total = anchor_total = best_lambda = math.inf
@@ -389,20 +385,19 @@ def optimize(
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
-        # Only an iterate that a step follows needs a gradient: not the last
-        # one, nor one where the patience window may run out.
-        sure_step = iteration < config.max_iters and iteration - anchor_iter < config.patience
-        total, err, lam, norms = _evaluate(ham, g_pairs, h_eff, theta, c_approx, grad if sure_step else None)
+        err, lam, norms, fill_gradient = _evaluate(ham, g_pairs, h_eff, theta)
         if iteration == 0:
             init_err, init_norms = err, norms
-            c_approx = _auto_c_approx(lam, err) if c_approx is None else c_approx
+            # The automatic weight of OptimizationConfig, from the initial point.
+            c_approx = float(config.c_approx or min(max(1e3 * lam / max(err, 1e-12), 1e2), 1e9))
+        total = c_approx * err + lam
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
         trace.append((total, err, lam))
 
         if err <= init_err + config.err_budget and lam < best_lambda:
             best_lambda, best_err, best_norms = lam, err, norms
-            best_theta = theta.copy()
+            best_theta[...] = theta
             best_iteration = iteration
 
         best_total = min(best_total, total)
@@ -418,15 +413,15 @@ def optimize(
 
         if iteration == config.max_iters:
             break
-        if not sure_step:  # the window re-anchored on this very iterate
-            _evaluate(ham, g_pairs, h_eff, theta, c_approx, grad)
+        fill_gradient(c_approx, grad)
+        del fill_gradient  # and with it the evaluation's arrays
         for block in frozen:
             block[...] = 0.0
         _adam_step(theta, grad, m, v, iteration + 1, config)
 
     # Free the descent state, then unpack the best factors straight into the
     # zero-padded (R, N, N) output.
-    del theta, grad, frozen, m, v, g_pairs
+    del theta, grad, frozen, m, v, g_pairs, fill_gradient
     best_kappa, best_xi, best_factors = _blocks(best_theta, n)
     padded = np.zeros((rank, n, n))
     space.unpack(best_factors, out=padded[: len(best_factors)])

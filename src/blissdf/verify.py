@@ -14,7 +14,8 @@ number.
 
 The checks call the library through module-level names on purpose: the test
 suite substitutes a corrupted implementation here (for example a sign flip
-in the symmetry shift) and asserts that the affected check catches it.
+in the symmetry shift) and asserts that the affected check catches it. The
+random instances come from random_hamiltonian, which the tests share.
 """
 
 from __future__ import annotations
@@ -58,17 +59,24 @@ class CheckResult:
         return self.max_deviation <= self.tolerance
 
 
-def random_hamiltonian(n: int, rng: np.random.Generator, n_electrons: int | None = None) -> Hamiltonian:
-    """Random Hamiltonian whose two-body reshape is positive semidefinite."""
-    h = symmetrize_one_body(rng.standard_normal((n, n)))
+def random_psd_two_body(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random two-body tensor whose N^2 x N^2 reshape is positive semidefinite."""
     g = np.zeros((n, n, n, n))
     for _ in range(n * n):
         s = symmetrize_one_body(rng.standard_normal((n, n)))
         g += rng.uniform(0.1, 1.0) * np.einsum("ij,kl->ijkl", s, s)
+    return g
+
+
+def random_hamiltonian(n: int, rng: np.random.Generator, n_electrons: int | None = None) -> Hamiltonian:
+    """Random Hamiltonian with a PSD two-body reshape; a missing n_electrons is drawn first."""
     if n_electrons is None:
         n_electrons = int(rng.integers(1, 2 * n + 1))
     return Hamiltonian(
-        h=h, g=g, core_constant=float(rng.standard_normal()), n_electrons=n_electrons
+        h=symmetrize_one_body(rng.standard_normal((n, n))),
+        g=random_psd_two_body(n, rng),
+        core_constant=float(rng.standard_normal()),
+        n_electrons=n_electrons,
     )
 
 

@@ -1,10 +1,8 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from blissdf import Hamiltonian
-from blissdf.hamiltonian import symmetrize_one_body
+from blissdf.verify import random_hamiltonian, random_psd_two_body  # noqa: F401 (shared by the tests)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -12,25 +10,3 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def fixture_fcidump() -> Path:
     return DATA_DIR / "tiny2.fcidump"
-
-
-def random_psd_two_body(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random two-body tensor whose N^2 x N^2 reshape is positive semidefinite."""
-    g = np.zeros((n, n, n, n))
-    for _ in range(n * n):
-        s = symmetrize_one_body(rng.standard_normal((n, n)))
-        g += rng.uniform(0.1, 1.0) * np.einsum("ij,kl->ijkl", s, s)
-    return g
-
-
-def random_hamiltonian(
-    n: int, rng: np.random.Generator, n_electrons: int | None = None
-) -> Hamiltonian:
-    if n_electrons is None:
-        n_electrons = int(rng.integers(1, 2 * n + 1))
-    return Hamiltonian(
-        h=symmetrize_one_body(rng.standard_normal((n, n))),
-        g=random_psd_two_body(n, rng),
-        core_constant=float(rng.standard_normal()),
-        n_electrons=n_electrons,
-    )

@@ -50,7 +50,7 @@ class TestFactorize:
         assert summary["rank"] == 4
         assert summary["err"] <= 1e-10
         assert summary["input"]["sha256"] == hashlib.sha256(
-            open(FIXTURE, "rb").read()
+            (DATA_DIR / "tiny2.fcidump").read_bytes()
         ).hexdigest()
         assert summary["lambda_df"] == pytest.approx(
             summary["lambda_one_body"] + summary["lambda_two_body"], rel=1e-12

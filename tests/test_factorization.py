@@ -1,3 +1,7 @@
+import gc
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,7 @@ from blissdf import (
     reconstruct_two_body,
     save_factor_set,
 )
-from blissdf.factorization import nuclear_norms
+from blissdf.factorization import nuclear_norms, sign_subgradients
 from blissdf.hamiltonian import symmetrize_one_body
 
 from conftest import random_psd_two_body
@@ -267,6 +271,37 @@ class TestEigenRank1:
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.vectors, d2.vectors)
 
+    def test_matches_the_sorted_pair_loop(self):
+        # The vectorized sign flip and lexsort give the bits of the former
+        # per-vector sign fix and tuple sort, also on ties and degenerate,
+        # zero and sparse spectra.
+        def loop_eigen_rank1(a):
+            def fix_sign(vec):
+                for entry in vec:
+                    if entry != 0.0:
+                        return -vec if entry < 0.0 else vec
+                return vec
+
+            eigvals, eigvecs = np.linalg.eigh(symmetrize_one_body(a))
+            pairs = [(eigvals[t], fix_sign(eigvecs[:, t])) for t in range(len(eigvals))]
+            pairs.sort(key=lambda p: (-abs(p[0]), -p[0], tuple(p[1])))
+            return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+        rng = np.random.default_rng(10)
+        mats = [np.zeros((0, 0)), np.zeros((3, 3)), np.eye(4), -np.eye(2)]
+        mats.append(np.diag([-2.0, 2.0, 0.0, 2.0]))
+        for n in list(range(1, 8)) * 10:
+            mats.append(symmetrize_one_body(rng.standard_normal((n, n))))
+            mats.append(symmetrize_one_body(rng.integers(-2, 3, (n, n)).astype(float)))
+            mats.append(np.diag(rng.integers(-2, 3, n).astype(float)))
+            q = random_orthogonal(n, rng)
+            mats.append((q * rng.choice([-1.0, 0.0, 1.0], n)) @ q.T)
+        for a in mats:
+            values, vectors = loop_eigen_rank1(a)
+            decomp = eigen_rank1(a)
+            assert decomp.eigenvalues.tobytes() == values.tobytes()
+            assert decomp.vectors.tobytes() == vectors.tobytes()
+
 
 class TestNuclearNorm:
     def test_identity(self):
@@ -297,12 +332,13 @@ class TestNuclearNorm:
         mats = rng.standard_normal((rank, n, n))
         mats = 0.5 * (mats + mats.transpose(0, 2, 1))
         mats[0] = np.diag(np.arange(n) - 1.0)  # a zero eigenvalue: sign(0) = 0
-        norms, subs = nuclear_norms(mats, subgradient=True)
+        norms, eigvals, eigvecs = nuclear_norms(mats)
+        subs = sign_subgradients(eigvals, eigvecs)
         for a, norm, sub in zip(mats, norms, subs):
             eigvals, eigvecs = np.linalg.eigh(a)
             assert norm == float(np.abs(eigvals).sum())
             assert np.array_equal(sub, (eigvecs * np.sign(eigvals)) @ eigvecs.T)
-        assert np.array_equal(nuclear_norms(mats), norms)
+        assert np.array_equal(nuclear_norms(mats)[0], norms)
 
     def test_bounds_trace(self):
         rng = np.random.default_rng(12)
@@ -394,6 +430,21 @@ class TestSerialization:
         save_factor_set(p1, fs, manifest={"k": 1})
         save_factor_set(p2, fs, manifest={"k": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_corrupt_archive_closes_its_file(self, tmp_path):
+        path = tmp_path / "cut.npz"
+        save_factor_set(path, FactorSet(factors=np.ones((2, 3, 3))))
+        path.write_bytes(path.read_bytes()[:200])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                load_factor_set(path)
+            except zipfile.BadZipFile:
+                pass
+            else:
+                pytest.fail("a truncated archive loaded")
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_rejects_foreign_archive(self, tmp_path):
         path = tmp_path / "other.npz"

@@ -38,18 +38,17 @@ def small_config(**overrides):
 
 
 def count_gradient_evaluations(monkeypatch) -> list:
-    """Record one entry per optimizer eigh batch that asks for subgradients."""
+    """Record one entry per optimizer eigh batch turned into subgradients."""
     from blissdf import optimizer
 
-    original = optimizer.nuclear_norms
+    original = optimizer.sign_subgradients
     calls = []
 
-    def counted(mats, subgradient=False):
-        if subgradient and mats.ndim == 3:
-            calls.append(1)
-        return original(mats, subgradient)
+    def counted(eigvals, eigvecs):
+        calls.append(1)
+        return original(eigvals, eigvecs)
 
-    monkeypatch.setattr(optimizer, "nuclear_norms", counted)
+    monkeypatch.setattr(optimizer, "sign_subgradients", counted)
     return calls
 
 
@@ -624,11 +623,11 @@ class TestPackedKernel:
         assert theta.size == 1 + n * n + n * n * (n + 1) // 2
         g_pairs, h_eff = pair_space(n).block(ham.g), effective_one_body(ham)
         grad = np.empty_like(theta)
-        optimizer._evaluate(ham, g_pairs, h_eff, theta, 7.0, grad)  # warm caches
+        optimizer._evaluate(ham, g_pairs, h_eff, theta)[3](7.0, grad)  # warm caches
 
         tracemalloc.start()
         try:
-            optimizer._evaluate(ham, g_pairs, h_eff, theta, 7.0, grad)
+            optimizer._evaluate(ham, g_pairs, h_eff, theta)[3](7.0, grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -652,6 +651,24 @@ class TestPackedKernel:
         assert report.iterations_run == 7
         assert len(calls) == 9
         assert calls[0] == (6, 6)
+
+    def test_one_eigh_batch_per_trace_row_at_every_anchor(self, monkeypatch):
+        # With patience=1 and rel_tol=0 the patience window re-anchors on
+        # every iterate; its gradient still comes from that iterate's own
+        # eigh batch, so a 301-row trace takes 301 batches plus the initial DF.
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(mats):
+            calls.append(mats.shape)
+            return original(mats)
+
+        ham = random_hamiltonian(6, np.random.default_rng(5), n_electrons=6)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = optimize(ham, 36, small_config(max_iters=300, patience=1, rel_tol=0.0))
+        assert report.iterations_run == 300
+        assert len(calls) == 302
+        assert calls[0] == (21, 21)
 
     def test_peak_memory_of_a_run(self, monkeypatch):
         # R = N^2 at N = 16, so each (R, N, N) array is g.nbytes. The

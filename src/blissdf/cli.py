@@ -10,9 +10,14 @@ Subcommands:
     verify     Self-check suites over the dense fermionic oracle.
     report     Render a report.json as a table (method, N, R, lambda, error).
 
+factorize and optimize parse the config, load the input, create --out and
+write manifest.json before any compute, so a run that fails later (exit 2
+or 3) leaves only manifest.json.
+
 Exit codes: 0 success, 1 input problem (parse or config errors, missing
-files, schema mismatch), 2 data problem (two-body tensor not factorizable),
-3 numeric failure (non-finite cost), 4 verification failure.
+files, schema mismatch, an unusable --out, an input too large to allocate),
+2 data problem (two-body tensor not factorizable), 3 numeric failure
+(non-finite cost), 4 verification failure.
 
 All JSON outputs are deterministic for a fixed input and seed; wall-clock
 timestamps appear only in manifest.json. Linear algebra thread counts follow
@@ -41,7 +46,7 @@ from blissdf.factorization import (
     save_factor_set,
 )
 from blissdf.fcidump import INTEGRAL_CONVENTION, load_integrals
-from blissdf.hamiltonian import effective_one_body, frobenius_error
+from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
@@ -65,56 +70,56 @@ def file_checksum(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _start_run(args, config: OptimizationConfig | None = None) -> tuple[Hamiltonian, dict]:
+    """Load --input, create --out and write manifest.json there.
 
-
-def _input_block(path: str, checksum: str, ham) -> dict:
-    return {
-        "path": str(path),
-        "sha256": checksum,
-        "n_orbitals": ham.n_orbitals,
-        "n_electrons": ham.n_electrons,
-        "integral_convention": INTEGRAL_CONVENTION,
-    }
-
-
-def _write_manifest(
-    out_dir: Path, kind: str, checksum: str, config: OptimizationConfig | None
-) -> str:
+    Runs before any compute, so an unreadable input or an unusable --out
+    fails in seconds. Returns the Hamiltonian and the fields summary.json and
+    report.json share.
+    """
+    ham = load_integrals(args.input)
+    checksum = file_checksum(args.input)
+    args.out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": args.command,
         "input_checksum": checksum,
         "config": config.to_dict() if config is not None else None,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "platform": f"{platform.platform()} python-{platform.python_version()}",
     }
-    jsonschema.validate(manifest, load_schema("manifest.schema.json"))
-    _dump_json(out_dir / "manifest.json", manifest)
-    return "manifest.json"
+    _write_outputs(args, "manifest.json", manifest)
+    block = {
+        "path": str(args.input),
+        "sha256": checksum,
+        "n_orbitals": ham.n_orbitals,
+        "n_electrons": ham.n_electrons,
+        "integral_convention": INTEGRAL_CONVENTION,
+    }
+    return ham, {"manifest": "manifest.json", "input": block}
+
+
+def _write_outputs(args, name: str, doc: dict, factor_set=None, **shift) -> None:
+    """Write ``doc`` to --out/``name``, checked against that file's schema.
+
+    With ``factor_set``, factors.npz (with ``shift``'s kappa and xi) is
+    written first, tagged with the input checksum from ``doc["input"]``.
+    """
+    if factor_set is not None:
+        provenance = {"input_sha256": doc["input"]["sha256"], "tool_version": __version__}
+        save_factor_set(args.out / "factors.npz", factor_set, manifest=provenance, **shift)
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    jsonschema.validate(doc, load_schema(name.replace(".json", ".schema.json")))
+    (args.out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_factorize(args) -> int:
-    ham = load_integrals(args.input)
-    checksum = file_checksum(args.input)
+    ham, header = _start_run(args)
     factor_set = initial_double_factorization(ham.g, args.rank)
     err = frobenius_error(ham.g, factor_set)
     breakdown = lambda_df(factor_set, effective_one_body(ham))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_name = _write_manifest(out_dir, "factorize", checksum, None)
-    save_factor_set(
-        out_dir / "factors.npz",
-        factor_set,
-        manifest={"input_sha256": checksum, "tool_version": __version__},
-    )
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest_name,
-        "input": _input_block(args.input, checksum, ham),
+        **header,
         "n_orbitals": ham.n_orbitals,
         "rank": factor_set.rank,
         "lambda_df": breakdown.lambda_total,
@@ -123,44 +128,31 @@ def cmd_factorize(args) -> int:
         "lambda_two_body": breakdown.two_body_part,
         "per_factor": [float(x) for x in breakdown.per_factor],
     }
-    jsonschema.validate(summary, load_schema("summary.schema.json"))
-    _dump_json(out_dir / "summary.json", summary)
+    _write_outputs(args, "summary.json", summary, factor_set)
 
     print(
         f"N={ham.n_orbitals} R={factor_set.rank} "
         f"({factor_set.effective_rank} nonzero) "
         f"lambda_df={breakdown.lambda_total:.12g} err={err:.6e}"
     )
-    print(f"wrote {out_dir / 'summary.json'} and {out_dir / 'factors.npz'}")
+    print(f"wrote {args.out / 'summary.json'} and {args.out / 'factors.npz'}")
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    ham = load_integrals(args.input)
-    checksum = file_checksum(args.input)
     config = OptimizationConfig()
     if args.config is not None:
         config = OptimizationConfig.from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    ham, header = _start_run(args, config)
 
     report = optimize(ham, args.rank, config)
     best_kappa, best_xi, best_factor_set = report.best_params
     init_breakdown = report.initial_breakdown
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_name = _write_manifest(out_dir, "optimize", checksum, config)
-    save_factor_set(
-        out_dir / "factors.npz",
-        best_factor_set,
-        manifest={"input_sha256": checksum, "tool_version": __version__},
-        kappa=best_kappa,
-        xi=best_xi,
-    )
-
     trace_schema = load_schema("trace.schema.json")
-    with open(out_dir / "trace.jsonl", "w") as handle:
+    with open(args.out / "trace.jsonl", "w") as handle:
         for i, (total, err, lam) in enumerate(report.total_trace):
             line = {"iter": i, "total": float(total), "err": float(err), "lambda": float(lam)}
             if i == 0:
@@ -169,9 +161,7 @@ def cmd_optimize(args) -> int:
 
     n = ham.n_orbitals
     report_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest_name,
-        "input": _input_block(args.input, checksum, ham),
+        **header,
         "rank": args.rank,
         "config": config.to_dict(),
         "c_approx_used": report.c_approx_used,
@@ -208,8 +198,7 @@ def cmd_optimize(args) -> int:
             "best_iteration": report.best_iteration,
         },
     }
-    jsonschema.validate(report_doc, load_schema("report.schema.json"))
-    _dump_json(out_dir / "report.json", report_doc)
+    _write_outputs(args, "report.json", report_doc, best_factor_set, kappa=best_kappa, xi=best_xi)
 
     print(
         f"R={best_factor_set.rank} ({best_factor_set.effective_rank} nonzero) "
@@ -217,7 +206,7 @@ def cmd_optimize(args) -> int:
         f"err={report.err_final:.6e} iterations={report.iterations_run} "
         f"({report.stop_reason})"
     )
-    print(f"wrote {out_dir / 'report.json'}, trace.jsonl, factors.npz")
+    print(f"wrote {args.out / 'report.json'}, trace.jsonl, factors.npz")
     return EXIT_OK
 
 
@@ -243,6 +232,9 @@ def cmd_report(args) -> int:
         data = json.loads(Path(args.input).read_text())
     except json.JSONDecodeError as exc:
         print(f"{args.input}: not valid JSON ({exc})", file=sys.stderr)
+        return EXIT_INPUT
+    if not isinstance(data, dict):
+        print(f"{args.input}: expected a JSON object, got {type(data).__name__}", file=sys.stderr)
         return EXIT_INPUT
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -294,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fact.add_argument("--input", required=True, help="FCIDUMP file")
     p_fact.add_argument("--rank", required=True, type=int, help="number of factors R")
-    p_fact.add_argument("--out", required=True, help="output directory")
+    p_fact.add_argument("--out", required=True, type=Path, help="output directory")
     p_fact.set_defaults(func=cmd_factorize)
 
     p_opt = sub.add_parser(
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--input", required=True, help="FCIDUMP file")
     p_opt.add_argument("--rank", required=True, type=int, help="number of factors R")
     p_opt.add_argument("--config", help="optimization config JSON (defaults when omitted)")
-    p_opt.add_argument("--out", required=True, help="output directory")
+    p_opt.add_argument("--out", required=True, type=Path, help="output directory")
     p_opt.add_argument("--seed", type=int, help="override the config seed for provenance")
     p_opt.set_defaults(func=cmd_optimize)
 
@@ -324,8 +316,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT
-    # FcidumpError, ConfigError and IndefiniteTensorError are ValueErrors.
-    except (NonFiniteCostError, ValueError, IsADirectoryError, PermissionError) as exc:
+    # FcidumpError, ConfigError and IndefiniteTensorError are ValueErrors; an
+    # unusable --out is an OSError, and an input too large to hold in memory
+    # a MemoryError.
+    except (NonFiniteCostError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonFiniteCostError):
             return EXIT_NUMERIC

@@ -264,7 +264,7 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     space = pair_space(n)
     weights = np.sqrt(space.mult)
     big = space.block(g) * np.outer(weights, weights)
-    big = 0.5 * (big + big.T)
+    big = _symmetric_part(big, ((1, 0),))
     eigvals, eigvecs = np.linalg.eigh(big)
     # The full reshape's spectrum is this one plus exact zeros.
     d_max = max(float(eigvals[-1]), 0.0)
@@ -356,12 +356,16 @@ def load_factor_set(
         the archive holds a plain factorization without a symmetry shift.
 
     Raises:
-        ValueError: If the archive format tag is missing or unrecognized.
+        ValueError: If the archive format tag is missing or unrecognized, or
+            a member other than kappa and xi is missing.
     """
     # np.load leaves a file it opened itself open when the zip is corrupt.
     with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
         if "format" not in archive or str(archive["format"]) != ARCHIVE_FORMAT:
             raise ValueError(f"{path}: not a {ARCHIVE_FORMAT} archive")
+        missing = [name for name in ("n_orbitals", "rank", "factors", "manifest") if name not in archive]
+        if missing:
+            raise ValueError(f"{path}: archive has no {', '.join(missing)} member")
         factors = archive["factors"]
         expected = (int(archive["rank"]), int(archive["n_orbitals"]))
         if factors.shape[:2] != expected or factors.ndim != 3:

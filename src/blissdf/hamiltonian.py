@@ -23,11 +23,15 @@ import numpy as np
 
 
 def symmetrize_one_body(mat: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (mat + mat.T) / 2 as a float64 array."""
+    """Return the symmetric part (mat + mat.T) / 2 as a fresh float64 array.
+
+    An exactly symmetric input comes back as a copy (see _symmetric_part), so
+    an entry above half the float64 range does not overflow.
+    """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return 0.5 * (mat + mat.T)
+    return _symmetric_part(mat, ((1, 0),))
 
 
 def symmetrize_two_body(g: np.ndarray) -> np.ndarray:

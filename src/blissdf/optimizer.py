@@ -53,6 +53,7 @@ from blissdf.factorization import (
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
+    _symmetric_part,
     effective_one_body,
     effective_rank,
     pair_space,
@@ -211,7 +212,7 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
         raise ValueError(f"factors shape {factors.shape} does not match (R, {n}, {n})")
     rank = len(factors)
     factors = factors[: effective_rank(factors)]
-    factors = pair_space(n).pack(0.5 * (factors + factors.transpose(0, 2, 1)))
+    factors = pair_space(n).pack(_symmetric_part(factors, ((0, 2, 1),)))
     return np.concatenate(([float(kappa)], xi.ravel(), factors.ravel())), rank
 
 
@@ -250,7 +251,9 @@ def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: n
         # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
         xi_part = 2.0 * c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
         xi_part += (n - ham.n_electrons) * subs[rank] + one_body_trace * np.eye(n)
-        grad_xi[...] = symmetrize_one_body(xi_part)
+        # symmetrize_one_body's average, in place and without its bitwise check.
+        np.add(xi_part, xi_part.T, out=grad_xi)
+        grad_xi *= 0.5
         # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
         # Each (M, P) term is formed in the spent eigh stack.
         scratch = stack.reshape(-1)[: factors.size].reshape(factors.shape)

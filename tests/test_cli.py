@@ -129,7 +129,8 @@ class TestFactorize:
         )
         assert code == 2
         assert "error:" in stderr
-
+        # The manifest is written before the factorization runs.
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["manifest.json"]
 
     def test_prints_effective_rank(self, tmp_path, capsys):
         # tiny2 has N=2: R may be N^2 = 4, and its pair space (P = 3) holds
@@ -447,6 +448,52 @@ class TestOptimize:
             )
         assert code == 3
         assert "iteration" in stderr
+        # The manifest is written before the descent runs.
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["manifest.json"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("compute started before --out was checked")
+
+
+class TestRunSequence:
+    """Config, input and --out are checked before any compute."""
+
+    @pytest.fixture()
+    def no_compute(self, monkeypatch):
+        monkeypatch.setattr(cli, "optimize", _refuse)
+        monkeypatch.setattr(cli, "initial_double_factorization", _refuse)
+
+    @pytest.mark.parametrize("command", ["factorize", "optimize"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_blocked_by_a_file_exits_1(self, tmp_path, capsys, no_compute, command, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "run" if under else blocker
+        code, _, stderr = run_cli(
+            [command, "--input", FIXTURE, "--rank", "2", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert stderr.startswith("error: ")
+        assert len(stderr.splitlines()) == 1
+        assert "Traceback" not in stderr
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["factorize", "optimize"])
+    def test_input_too_large_to_allocate_exits_1(self, tmp_path, capsys, command):
+        huge = tmp_path / "huge.fcidump"
+        huge.write_text(
+            " &FCI NORB=3000,NELEC=2,MS2=0,\n &END\n"
+            "1.0 1 1 1 1\n0.5 1 1 0 0\n0.0 0 0 0 0\n"
+        )
+        code, _, stderr = run_cli(
+            [command, "--input", str(huge), "--rank", "2", "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 1
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerify:
@@ -548,6 +595,15 @@ class TestReport:
         code, _, stderr = run_cli(["report", "--input", str(bad)], capsys)
         assert code == 1
         assert "schema" in stderr
+
+    @pytest.mark.parametrize("payload", ["[]", '"x"'])
+    def test_non_object_json_rejected(self, tmp_path, capsys, payload):
+        odd = tmp_path / "odd.json"
+        odd.write_text(payload)
+        code, _, stderr = run_cli(["report", "--input", str(odd)], capsys)
+        assert code == 1
+        assert stderr.startswith(f"{odd}: ")
+        assert "Traceback" not in stderr
 
 
 class TestUsageErrors:

@@ -446,6 +446,16 @@ class TestSerialization:
             gc.collect()
         assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    @pytest.mark.parametrize("member", ["rank", "n_orbitals", "factors", "manifest"])
+    def test_missing_member_is_a_value_error(self, tmp_path, member):
+        path = tmp_path / "full.npz"
+        save_factor_set(path, FactorSet(factors=np.ones((2, 3, 3))))
+        with np.load(path) as archive:
+            kept = {name: archive[name] for name in archive.files if name != member}
+        np.savez(tmp_path / "cut.npz", **kept)
+        with pytest.raises(ValueError, match=f"no {member} member"):
+            load_factor_set(tmp_path / "cut.npz")
+
     def test_rejects_foreign_archive(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, data=np.zeros(3))

@@ -111,6 +111,14 @@ class TestHamiltonian:
         g[0, 0, 0, 0] = 1.5e308
         assert Hamiltonian(h=np.zeros((1, 1)), g=g).g[0, 0, 0, 0] == 1.5e308
 
+    def test_huge_symmetric_one_body_entry_is_kept(self):
+        # The same rule holds for h: averaging 1e308 with itself overflowed
+        # to inf, and the Hamiltonian then rejected h as non-finite.
+        h = np.array([[1e308, 0.0], [0.0, 1.0]])
+        ham = Hamiltonian(h=h, g=np.zeros((2, 2, 2, 2)))
+        assert ham.h.tobytes() == h.tobytes()
+        assert not np.shares_memory(ham.h, h)
+
 
 class TestSymmetryShift:
     def test_identity_shift_is_exact(self):

@@ -10,24 +10,23 @@ Subcommands:
     verify     Self-check suites over the dense fermionic oracle.
     report     Render a report.json as a table (method, N, R, lambda, error).
 
-factorize and optimize parse the config, load the input, create --out and
-write manifest.json before any compute, so a run that fails later (exit 2
-or 3) leaves only manifest.json.
+factorize and optimize parse the config, load the input and check --rank
+before they create --out, so a bad input, config or rank (exit 1) leaves no
+--out. A run that fails later (exit 2 or 3) leaves only manifest.json.
 
 Exit codes: 0 success, 1 input problem (parse or config errors, missing
 files, schema mismatch, an unusable --out, an input too large to allocate),
 2 data problem (two-body tensor not factorizable), 3 numeric failure
 (non-finite cost), 4 verification failure.
 
-All JSON outputs are deterministic for a fixed input and seed; wall-clock
-timestamps appear only in manifest.json. Linear algebra thread counts follow
-the BLAS environment variables (for example OMP_NUM_THREADS).
+All JSON outputs are deterministic for a fixed input, config and BLAS thread
+count (set by the BLAS environment variables, for example OMP_NUM_THREADS);
+wall-clock timestamps appear only in manifest.json.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import platform
@@ -41,6 +40,7 @@ import jsonschema
 from blissdf import __version__
 from blissdf.factorization import (
     IndefiniteTensorError,
+    check_rank,
     initial_double_factorization,
     lambda_df,
     save_factor_set,
@@ -50,7 +50,7 @@ from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,13 +71,14 @@ def file_checksum(path: str | Path) -> str:
 
 
 def _start_run(args, config: OptimizationConfig | None = None) -> tuple[Hamiltonian, dict]:
-    """Load --input, create --out and write manifest.json there.
+    """Load --input, check --rank, create --out and write manifest.json there.
 
-    Runs before any compute, so an unreadable input or an unusable --out
-    fails in seconds. Returns the Hamiltonian and the fields summary.json and
-    report.json share.
+    Runs before any compute, so an unreadable input, a bad rank or an
+    unusable --out fails in seconds. Returns the Hamiltonian and the fields
+    summary.json and report.json share.
     """
     ham = load_integrals(args.input)
+    check_rank(args.rank, ham.n_orbitals)
     checksum = file_checksum(args.input)
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -115,8 +116,8 @@ def _write_outputs(args, name: str, doc: dict, factor_set=None, **shift) -> None
 
 def cmd_factorize(args) -> int:
     ham, header = _start_run(args)
-    factor_set = initial_double_factorization(ham.g, args.rank)
-    err = frobenius_error(ham.g, factor_set)
+    factor_set = initial_double_factorization(ham.g_pairs, args.rank)
+    err = frobenius_error(ham.g_pairs, factor_set)
     breakdown = lambda_df(factor_set, effective_one_body(ham))
     summary = {
         **header,
@@ -143,8 +144,6 @@ def cmd_optimize(args) -> int:
     config = OptimizationConfig()
     if args.config is not None:
         config = OptimizationConfig.from_json(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     ham, header = _start_run(args, config)
 
     report = optimize(ham, args.rank, config)
@@ -296,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--rank", required=True, type=int, help="number of factors R")
     p_opt.add_argument("--config", help="optimization config JSON (defaults when omitted)")
     p_opt.add_argument("--out", required=True, type=Path, help="output directory")
-    p_opt.add_argument("--seed", type=int, help="override the config seed for provenance")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_ver = sub.add_parser("verify", help="run the dense-oracle self checks")

@@ -33,10 +33,12 @@ import numpy as np
 
 from blissdf.hamiltonian import (
     _frozen_array,
+    _pair_orbitals,
     _symmetric_part,
     effective_rank,
     pair_space,
     symmetrize_one_body,
+    two_body_block,
 )
 
 ARCHIVE_FORMAT = "blissdf-factors-v1"
@@ -226,6 +228,12 @@ def nuclear_norm(a: np.ndarray) -> float:
     return float(nuclear_norms(symmetrize_one_body(a))[0])
 
 
+def check_rank(rank: int, n: int) -> None:
+    """Raise ValueError unless 1 <= rank <= N^2, the factor counts of an N-orbital factorization."""
+    if not 1 <= rank <= n * n:
+        raise ValueError(f"rank must be in [1, {n * n}], got {rank}")
+
+
 def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     """Factor the two-body tensor into Kronecker squares of symmetric matrices.
 
@@ -243,8 +251,8 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     non-increasing in ``rank``.
 
     Args:
-        g: Two-body tensor with the full 8-fold symmetry, shape (N, N, N, N).
-        rank: Number of factors R to keep, 1 <= R <= N^2.
+        g: Two-body tensor (N, N, N, N) or its pair block (see two_body_block).
+        rank: Number of factors R to keep, 1 <= R <= N^2 (see check_rank).
 
     Returns:
         FactorSet of R symmetric matrices ordered by descending eigenvalue.
@@ -254,17 +262,13 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
             -1e-8 * max(d); such a g has no real factorization of this form.
         ValueError: If rank is out of range or g has the wrong shape.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 4 or len(set(g.shape)) != 1:
-        raise ValueError(f"g must have shape (N, N, N, N), got {g.shape}")
-    n = g.shape[0]
-    if not 1 <= rank <= n * n:
-        raise ValueError(f"rank must be in [1, {n * n}], got {rank}")
+    big = two_body_block(g)
+    n = _pair_orbitals(big.shape[0])
+    check_rank(rank, n)
 
     space = pair_space(n)
     weights = np.sqrt(space.mult)
-    big = space.block(g) * np.outer(weights, weights)
-    big = _symmetric_part(big, ((1, 0),))
+    big *= np.outer(weights, weights)  # stays exactly symmetric
     eigvals, eigvecs = np.linalg.eigh(big)
     # The full reshape's spectrum is this one plus exact zeros.
     d_max = max(float(eigvals[-1]), 0.0)
@@ -338,12 +342,13 @@ def save_factor_set(
         payload["xi"] = np.asarray(xi, dtype=np.float64)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, arr in payload.items():
-            arr = np.asarray(arr)
+            arr = np.asarray(arr, order="C")
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            # Streamed into the member, with no in-memory copy of the .npy
-            # bytes; the zip64 rule is the one writestr applies to its data.
+            # write_array's header, then the array's own buffer: write_array copies the
+            # data through tobytes() into a zip member. The zip64 rule is writestr's.
             with archive.open(info, "w", force_zip64=arr.nbytes * 1.05 > zipfile.ZIP64_LIMIT) as member:
-                np.lib.format.write_array(member, arr, allow_pickle=False)
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(arr))
+                member.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_factor_set(

@@ -26,11 +26,12 @@ emits only the canonical representative of each 8-fold orbit.
 The loader is an array pipeline with no Python object per record: one pass
 of numpy's C text parser (``D`` exponents read as ``E``) fills a value and
 four index columns, one sort of integer orbit keys groups the records, and
-each orbit's values are added in file order and divided by their count. If
-the C parser rejects the data or a mask flags a record, every line is read
-by ``_check_record``, the one definition of an error, which accepts what
-Python's ``float``/``int`` accept and raises on the first bad line. Orbit
-conflicts come last: one-body first, each kind by first appearance.
+each orbit's values are added in file order and divided by their count, then
+written at the orbit's two entries of g's P x P pair block (no N^4 tensor).
+If the C parser rejects the data or a mask flags a record, every line is
+read by ``_check_record``, the one definition of an error, which accepts
+what Python's ``float``/``int`` accept and raises on the first bad line.
+Orbit conflicts come last: one-body first, each kind by first appearance.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blissdf.hamiltonian import Hamiltonian
+from blissdf.hamiltonian import Hamiltonian, pair_space
 
 INTEGRAL_CONVENTION = "fcidump-chemist-halved"
 
@@ -158,8 +159,14 @@ def _parse_data(text: str, start: int, first: int, norb: int) -> np.ndarray:
     return np.array([_check_record(s, n, norb) for n, s in numbered if s.split()], _RECORD)
 
 
+def _exchange(v_pairs: np.ndarray, n: int) -> np.ndarray:
+    """sum_k v_ikkj, in einsum("ikkj->ij")'s order, from the P x P pair block of an N-orbital v."""
+    index = pair_space(n).unpack_index.reshape(n, n)
+    return np.einsum("ikj->ij", v_pairs[index[:, :, None], index[None, :, :]])
+
+
 def _read(text: str) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(h, g, core constant, NELEC) of an FCIDUMP text."""
+    """(h, P x P pair block of g, core constant, NELEC) of an FCIDUMP text."""
     # _parse_header only reads up to the first line holding a terminator.
     term = re.search(r"&END|/", text, re.IGNORECASE)
     brk = _LINE_BREAK.search(text, term.end()) if term else None
@@ -172,6 +179,7 @@ def _read(text: str) -> tuple[np.ndarray, np.ndarray, float, int]:
     keys = np.maximum(ij, kl) * (norb + 1) ** 2 + np.minimum(ij, kl)
     orbits, first, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True)
+    del ij, kl, keys  # dead, and as large as the temporaries of the conflict check
     i, j, k, l = (rec[x][first] - 1 for x in "ijkl")  # one record of each orbit
     lo, hi = np.full(orbits.size, np.inf), np.full(orbits.size, -np.inf)
     np.minimum.at(lo, inverse, rec["value"])
@@ -195,18 +203,17 @@ def _read(text: str) -> tuple[np.ndarray, np.ndarray, float, int]:
     means = np.bincount(inverse, weights=rec["value"]) / counts
     core = means[0] if orbits.size and orbits[0] == 0 else 0.0
     one, two = (k < 0) & (orbits > 0), k >= 0
-    # The per-record arrays are dead from here; free them before the N^4 tensor.
-    del rec, ij, kl, keys, first, inverse, counts, lo, hi, scale, bad
-    t_mat, v_chem = np.zeros((norb, norb)), np.zeros((norb, norb, norb, norb))
+    # The per-record arrays are dead from here; free them before the pair block.
+    del rec, first, inverse, counts, lo, hi, scale, bad
+    t_mat, v_pairs = np.zeros((norb, norb)), np.zeros((norb * (norb + 1) // 2,) * 2)
     t_mat[i[one], j[one]] = t_mat[j[one], i[one]] = means[one]
-    i, j, k, l, means = (x[two] for x in (i, j, k, l, means))
-    for w, x, y, z in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k)):
-        v_chem[w, x, y, z] = v_chem[y, z, w, x] = means
+    pq, rs = (pair_space(norb).unpack_index[a[two] * norb + b[two]] for a, b in ((i, j), (k, l)))
+    v_pairs[pq, rs] = v_pairs[rs, pq] = means[two]
     # Reorder a+a+aa -> a+a a+a: the contraction term moves into the one-body
     # matrix, the remaining two-body coefficient is halved (in place).
-    h = t_mat - 0.5 * np.einsum("ikkj->ij", v_chem)
-    v_chem *= 0.5
-    return h, v_chem, core, nelec
+    h = t_mat - 0.5 * _exchange(v_pairs, norb)
+    v_pairs *= 0.5
+    return h, v_pairs, core, nelec
 
 
 def load_integrals(path: str | Path) -> Hamiltonian:
@@ -238,23 +245,19 @@ def write_integrals(path: str | Path, ham: Hamiltonian, ms2: int = 0) -> None:
     """
     path = Path(path)
     n = ham.n_orbitals
-    v_chem = 2.0 * ham.g
-    t_mat = ham.h + 0.5 * np.einsum("ikkj->ij", v_chem)
+    v_pairs = 2.0 * ham.g_pairs
+    t_mat = ham.h + 0.5 * _exchange(v_pairs, n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1)]  # i >= j, in emission order
+    order = pair_space(n).unpack_index[[i * n + j for i, j in pairs]]
+    v_ordered = v_pairs[np.ix_(order, order)]  # rows and columns in emission order
 
     lines = [f" &FCI NORB={n},NELEC={ham.n_electrons},MS2={ms2},", " &END"]
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(i + 1):
-                lmax = j if k == i else k
-                for l in range(lmax + 1):
-                    value = v_chem[i, j, k, l]
-                    if value != 0.0:
-                        lines.append(
-                            f"{_FLOAT_FORMAT % value} {i + 1} {j + 1} {k + 1} {l + 1}"
-                        )
-    for i in range(n):
-        for j in range(i + 1):
-            if t_mat[i, j] != 0.0:
-                lines.append(f"{_FLOAT_FORMAT % t_mat[i, j]} {i + 1} {j + 1} 0 0")
+    for a, (i, j) in enumerate(pairs):
+        for (k, l), value in zip(pairs[: a + 1], v_ordered[a].tolist()):  # (k, l) <= (i, j)
+            if value != 0.0:
+                lines.append(f"{_FLOAT_FORMAT % value} {i + 1} {j + 1} {k + 1} {l + 1}")
+    for i, j in pairs:
+        if t_mat[i, j] != 0.0:
+            lines.append(f"{_FLOAT_FORMAT % t_mat[i, j]} {i + 1} {j + 1} 0 0")
     lines.append(f"{_FLOAT_FORMAT % ham.core_constant} 0 0 0 0")
     path.write_text("\n".join(lines) + "\n")

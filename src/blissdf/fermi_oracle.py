@@ -110,9 +110,10 @@ def sector_hamiltonian(ham: Hamiltonian, n_e: int) -> np.ndarray:
     """
     rows, signs = _excitation_maps(ham.n_orbitals, n_e)
     mat = ham.core_constant * np.eye(rows.shape[-1]) + _one_body(ham.h, rows, signs)
+    g = ham.g  # unpacked once: each access builds a fresh N^4 array
     for i in range(ham.n_orbitals):
         for j in range(ham.n_orbitals):
-            inner = _one_body(ham.g[i, j], rows, signs)
+            inner = _one_body(g[i, j], rows, signs)
             # E_ij is the transpose of E_ji, so row r of E_ij @ inner is
             # row rows[j, i, sigma, r] of inner times its sign, per spin.
             for sign, row in zip(signs[j, i], rows[j, i]):

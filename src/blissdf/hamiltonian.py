@@ -11,15 +11,19 @@ index symmetry. All energies are in Hartree.
 As g_ijkl is symmetric in i <-> j and in k <-> l, the kernels work in pair
 space (PairSpace): the P = N(N+1)/2 pairs i <= j, with multiplicity c = 1 if
 i = j, else 2. A symmetric matrix packs to its P upper entries, g to its P x P
-block, and an 8-fold-symmetric D has squared norm sum_pq c_p c_q D_pq^2.
+block, the one two-body array a Hamiltonian stores, and an 8-fold-symmetric
+D has squared norm sum_pq c_p c_q D_pq^2.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
+
+_TWO_BODY_AXES = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
 
 
 def symmetrize_one_body(mat: np.ndarray) -> np.ndarray:
@@ -45,37 +49,46 @@ def symmetrize_two_body(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 4 or len(set(g.shape)) != 1:
         raise ValueError(f"expected an N^4 tensor, got shape {g.shape}")
-    return _symmetric_part(g, ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)))
+    return _symmetric_part(g, _TWO_BODY_AXES)
 
 
-def _symmetric_part(arr: np.ndarray, axes: tuple) -> np.ndarray:
+def _symmetric_part(arr: np.ndarray, axes: tuple, copy: bool = True) -> np.ndarray:
     """Average a float64 array with its transpose under each of ``axes`` in turn.
 
-    Always returns a fresh array. An input already symmetric bit for bit
-    (signed zeros included) comes back as a plain copy: every average would
-    give the same bits, 0.5 * (x + x) == x, at the cost of two temporaries
-    per pass.
+    Returns a fresh array, except that an input already symmetric bit for bit
+    (signed zeros included) comes back as a plain copy, or as itself if not
+    ``copy``: every average would give the same bits, 0.5 * (x + x) == x, at
+    the cost of two temporaries per pass.
     """
     bits = arr.view(np.uint64)
     if all(np.array_equal(bits, bits.transpose(perm)) for perm in axes):
-        return arr.copy()
+        return arr.copy() if copy else arr
     for perm in axes:
         arr = 0.5 * (arr + arr.transpose(perm))
     return arr
 
 
-def check_two_body_symmetry(g: np.ndarray, tol: float = 0.0) -> float:
-    """Return the largest deviation of g from 8-fold index symmetry.
+def _pair_orbitals(pairs: int) -> int:
+    """N such that N(N+1)/2 == pairs, or -1 if there is none."""
+    n = (math.isqrt(8 * pairs + 1) - 1) // 2
+    return n if n * (n + 1) // 2 == pairs else -1
 
-    Raises ValueError if the deviation exceeds ``tol``.
+
+def two_body_block(g: np.ndarray) -> np.ndarray:
+    """The P x P pair block g_(ij),(kl), i <= j and k <= l, as a fresh, exactly symmetric array.
+
+    The one reader of both two-body forms: ``g`` is an (N, N, N, N) tensor,
+    blocked after symmetrize_two_body, or a (P, P) block with P = N(N+1)/2,
+    symmetrized. Any other shape raises ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
-    dev = 0.0
-    for axes in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-        dev = max(dev, float(np.abs(g - g.transpose(axes)).max()))
-    if dev > tol:
-        raise ValueError(f"two-body tensor violates 8-fold symmetry by {dev:.3e}")
-    return dev
+    if g.ndim == 4 and len(set(g.shape)) == 1:
+        n, upper = g.shape[0], pair_space(g.shape[0]).upper
+        # The fancy index copies, so a symmetric g needs no copy of its own.
+        return _symmetric_part(g, _TWO_BODY_AXES, copy=False).reshape(n * n, n * n)[np.ix_(upper, upper)]
+    if g.ndim == 2 and g.shape[0] == g.shape[1] and _pair_orbitals(g.shape[0]) >= 0:
+        return _symmetric_part(g, ((1, 0),))
+    raise ValueError(f"expected an N^4 tensor or a P x P pair block, got shape {g.shape}")
 
 
 def _frozen_array(arr: np.ndarray) -> np.ndarray:
@@ -84,49 +97,53 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, init=False)
 class Hamiltonian:
     """Electronic Hamiltonian in the excitation-ordered convention.
 
     Attributes:
         h: Real symmetric N x N one-body coefficient matrix (Hartree).
-        g: Real N x N x N x N two-body coefficient tensor with 8-fold index
-            symmetry (Hartree), stored dense.
+        g_pairs: The P x P pair block of the 8-fold symmetric two-body
+            tensor (Hartree); ``g`` unpacks the N^4 tensor on each access.
         core_constant: Scalar term (Hartree).
         n_electrons: Electron count of the physical sector, 0 <= n_e <= 2N.
 
-    Construction symmetrizes ``h`` and ``g`` exactly and freezes the arrays;
-    instances are immutable and safe to share across threads.
+    The constructor takes ``g`` as an N^4 tensor or as its pair block (see
+    two_body_block). It symmetrizes ``h`` and ``g`` exactly and freezes the
+    arrays; instances are immutable and safe to share across threads.
     """
 
     h: np.ndarray
-    g: np.ndarray
+    g_pairs: np.ndarray
     core_constant: float = 0.0
     n_electrons: int = 0
 
-    def __post_init__(self):
-        h = symmetrize_one_body(self.h)
-        g = symmetrize_two_body(self.g)
-        if h.shape[0] != g.shape[0]:
-            raise ValueError(
-                f"one-body matrix is {h.shape[0]} orbitals but two-body tensor is {g.shape[0]}"
-            )
-        if not (np.isfinite(h).all() and np.isfinite(g).all()):
+    def __init__(self, h: np.ndarray, g: np.ndarray, core_constant: float = 0.0, n_electrons: int = 0):
+        h, g_pairs = symmetrize_one_body(h), two_body_block(g)
+        n, n_g = h.shape[0], _pair_orbitals(len(g_pairs))
+        if n != n_g:
+            raise ValueError(f"one-body matrix is {n} orbitals but two-body tensor is {n_g}")
+        if not (np.isfinite(h).all() and np.isfinite(g_pairs).all()):
             raise ValueError("Hamiltonian coefficients must be finite")
-        if not np.isfinite(self.core_constant):
+        if not np.isfinite(core_constant):
             raise ValueError("core constant must be finite")
-        n = h.shape[0]
-        n_e = int(self.n_electrons)
+        n_e = int(n_electrons)
         if not 0 <= n_e <= 2 * n:
             raise ValueError(f"n_electrons={n_e} outside [0, {2 * n}]")
         object.__setattr__(self, "h", _frozen_array(h))
-        object.__setattr__(self, "g", _frozen_array(g))
-        object.__setattr__(self, "core_constant", float(self.core_constant))
+        object.__setattr__(self, "g_pairs", _frozen_array(g_pairs))
+        object.__setattr__(self, "core_constant", float(core_constant))
         object.__setattr__(self, "n_electrons", n_e)
 
     @property
     def n_orbitals(self) -> int:
         return self.h.shape[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        """The dense (N, N, N, N) two-body tensor, unpacked from g_pairs into a fresh frozen array."""
+        index = pair_space(self.n_orbitals).unpack_index
+        return _frozen_array(self.g_pairs[np.ix_(index, index)].reshape((self.n_orbitals,) * 4))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -178,29 +195,10 @@ def apply_symmetry_shift(ham: Hamiltonian, shift: ShiftParams) -> Hamiltonian:
         raise ValueError(f"shift is {shift.xi.shape[0]} orbitals but Hamiltonian is {n}")
     return Hamiltonian(
         h=ham.h - shift.n_e * shift.xi + shift.kappa * np.eye(n),
-        g=shifted_two_body(ham.g, shift.xi),
+        g=pair_space(n).shifted(ham.g_pairs, shift.xi),
         core_constant=ham.core_constant - shift.kappa * shift.n_e,
         n_electrons=ham.n_electrons,
     )
-
-
-def _add_shift(block: np.ndarray, xi_entries: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """Add (xi_ij delta_kl + delta_ij xi_kl) / 2 to a block over orbital pairs, in place.
-
-    ``xi_entries`` holds xi at each pair and ``diagonal`` the pairs (k, k).
-    """
-    half = 0.5 * xi_entries
-    block[:, diagonal] += half[:, None]
-    block[diagonal, :] += half
-    return block
-
-
-def shifted_two_body(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """g_ijkl + (xi_ij delta_kl + delta_ij xi_kl) / 2 as a fresh, writable array."""
-    n = g.shape[0]
-    shifted = np.array(g, dtype=np.float64)
-    _add_shift(shifted.reshape(n * n, n * n), np.ravel(xi), np.arange(n) * (n + 1))
-    return shifted
 
 
 def effective_one_body(ham: Hamiltonian) -> np.ndarray:
@@ -209,7 +207,8 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     This is the one-body matrix whose nuclear norm enters the block-encoding
     scaling constant after the two-body trace terms are folded in.
     """
-    return ham.h + 2.0 * np.einsum("ijkk->ij", ham.g)
+    space = pair_space(ham.n_orbitals)
+    return ham.h + 2.0 * space.unpack(np.einsum("pk->p", ham.g_pairs[:, space.diagonal]))
 
 
 def shifted_effective_one_body(h_eff: np.ndarray, n_e: int, kappa: float, xi: np.ndarray) -> np.ndarray:
@@ -284,13 +283,12 @@ class PairSpace:
         flat_out = out.reshape(packed.shape[:-1] + (self.n**2,))  # "clip": no buffer copy
         return packed.take(self.unpack_index, axis=-1, out=flat_out, mode="clip").reshape(out.shape)
 
-    def block(self, g: np.ndarray) -> np.ndarray:
-        """The P x P pair block g_(ij),(kl), i <= j and k <= l, as a fresh array."""
-        return g.reshape(self.n**2, self.n**2)[np.ix_(self.upper, self.upper)]
-
     def shifted(self, g_pairs: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """A copy of the pair block ``g_pairs`` with the shift term of xi added."""
-        return _add_shift(g_pairs.copy(), self.pack(xi), self.diagonal)
+        """A copy of the pair block ``g_pairs`` plus (xi_ij delta_kl + delta_ij xi_kl) / 2."""
+        shifted, half = g_pairs.copy(), 0.5 * self.pack(xi)
+        shifted[:, self.diagonal] += half[:, None]
+        shifted[self.diagonal, :] += half
+        return shifted
 
     def residual(self, target: np.ndarray, packed_factors: np.ndarray) -> tuple[float, np.ndarray]:
         """Err = sum_pq c_p c_q D_pq^2 and D = target - F^T F, written over ``target``.
@@ -308,15 +306,14 @@ def frobenius_error(g_target: np.ndarray, factors: np.ndarray) -> float:
     """Squared Frobenius residual between a tensor and its factorization.
 
     Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2, the squared norm, not
-    its square root. It is computed in pair space (PairSpace.residual), which
-    assumes an 8-fold-symmetric target, as every Hamiltonian.g is, and
-    symmetric factors, as every FactorSet holds.
+    its square root, for an N^4 ``g_target`` or its pair block (two_body_block).
+    It is computed in pair space (PairSpace.residual), which assumes symmetric
+    factors, as every FactorSet holds.
     """
-    g_target = np.asarray(g_target, dtype=np.float64)
+    g_pairs = two_body_block(g_target)
     factors = np.asarray(getattr(factors, "factors", factors), dtype=np.float64)
-    n = g_target.shape[0]
+    n = _pair_orbitals(g_pairs.shape[0])
     if factors.ndim != 3 or factors.shape[1:] != (n, n):
         raise ValueError(f"factor dimension {factors.shape} does not match tensor dimension {n}")
     space = pair_space(n)
-    prefix = factors[: effective_rank(factors)]
-    return space.residual(space.block(g_target), space.pack(prefix))[0]
+    return space.residual(g_pairs, space.pack(factors[: effective_rank(factors)]))[0]

@@ -88,7 +88,6 @@ _RULES = (
     ("adam_epsilon", lambda x: x > 0, "be positive"),
     ("rel_tol", lambda x: x >= 0, "be nonnegative"),
     ("patience", _integer(1, math.inf), "be a positive integer"),
-    ("seed", _integer(-(2**63), 2**63), "be a 64-bit integer"),
     ("err_budget", lambda x: x >= 0, "be nonnegative"),
 )
 
@@ -129,7 +128,6 @@ class OptimizationConfig:
     adam_epsilon: float = 1e-8
     rel_tol: float = 1e-7
     patience: int = 200
-    seed: int = 0
     err_budget: float = 1e-6
 
     def __post_init__(self):
@@ -222,8 +220,8 @@ def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
 
 
-def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: np.ndarray):
-    """(err, lambda, norms, fill_gradient) at theta, given ham.g's P x P pair block and ham's unshifted h'.
+def _evaluate(ham: Hamiltonian, h_eff: np.ndarray, theta: np.ndarray):
+    """(err, lambda, norms, fill_gradient) at theta, given ham's unshifted h'.
 
     ``norms`` are the eigh batch's nuclear norms: the M factors', then the
     shifted h''s. ``fill_gradient(c_approx, grad)`` writes the gradient of
@@ -235,7 +233,7 @@ def _evaluate(ham: Hamiltonian, g_pairs: np.ndarray, h_eff: np.ndarray, theta: n
     space = pair_space(n)
     kappa, xi, factors = _blocks(theta, n)
     rank = len(factors)
-    err, diff = space.residual(space.shifted(g_pairs, xi), factors)
+    err, diff = space.residual(space.shifted(ham.g_pairs, xi), factors)
 
     # One eigh batch: the M unpacked factors, then the shifted h_eff.
     stack = np.empty((rank + 1, n, n))
@@ -280,8 +278,7 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
         zero factors are skipped, so a zero-padded factor stack gives the
         same bits as its unpadded prefix.
     """
-    g_pairs = pair_space(ham.n_orbitals).block(ham.g)
-    err, lam = _evaluate(ham, g_pairs, effective_one_body(ham), _pack(ham, params)[0])[:2]
+    err, lam = _evaluate(ham, effective_one_body(ham), _pack(ham, params)[0])[:2]
     return float(c_approx) * err + lam, err, lam
 
 
@@ -298,7 +295,7 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     n = ham.n_orbitals
     space = pair_space(n)
     grad = np.empty_like(theta)
-    _evaluate(ham, space.block(ham.g), effective_one_body(ham), theta)[3](float(c_approx), grad)
+    _evaluate(ham, effective_one_body(ham), theta)[3](float(c_approx), grad)
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
     d_factors = np.zeros((rank, n, n))
     d_factors[: len(grad_factors)] = space.unpack(grad_factors)
@@ -346,8 +343,8 @@ def optimize(
         ham: Hamiltonian to shift and factorize.
         rank: Number of factors R, 1 <= R <= N^2; at most N(N+1)/2 of them
             are nonzero, and the rest stay exact zeros.
-        config: Hyperparameters; config.seed is recorded for provenance (the
-            descent itself is deterministic and uses no randomness).
+        config: Hyperparameters. The descent is deterministic and uses no
+            randomness.
         free: Parameter blocks to update, a subset of ("kappa", "xi",
             "factors"). Frozen blocks keep their initial values exactly;
             the default frees everything.
@@ -369,11 +366,10 @@ def optimize(
 
     n = ham.n_orbitals
     space = pair_space(n)
-    # Neither depends on the shift, so each is computed once for the whole descent.
-    g_pairs, h_eff = space.block(ham.g), effective_one_body(ham)
+    h_eff = effective_one_body(ham)  # independent of the shift, so computed once
     # theta starts at kappa = 0, xi = 0 and the M nonzero initial factors; the
     # trailing exact-zero ones never move and stay out of it.
-    init = initial_double_factorization(ham.g, rank)
+    init = initial_double_factorization(ham.g_pairs, rank)
     theta = np.concatenate((np.zeros(1 + n * n), space.pack(init.factors[: init.effective_rank]).ravel()))
     del init
     # best_theta is written in place: a fresh copy per improvement, taken
@@ -388,7 +384,7 @@ def optimize(
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
-        err, lam, norms, fill_gradient = _evaluate(ham, g_pairs, h_eff, theta)
+        err, lam, norms, fill_gradient = _evaluate(ham, h_eff, theta)
         if iteration == 0:
             init_err, init_norms = err, norms
             # The automatic weight of OptimizationConfig, from the initial point.
@@ -424,7 +420,7 @@ def optimize(
 
     # Free the descent state, then unpack the best factors straight into the
     # zero-padded (R, N, N) output.
-    del theta, grad, frozen, m, v, g_pairs, fill_gradient
+    del theta, grad, frozen, m, v, fill_gradient
     best_kappa, best_xi, best_factors = _blocks(best_theta, n)
     padded = np.zeros((rank, n, n))
     space.unpack(best_factors, out=padded[: len(best_factors)])

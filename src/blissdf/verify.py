@@ -183,8 +183,8 @@ def _check_factorization_exactness(sizes) -> CheckResult:
     worst = 0.0
     for n in sizes:
         ham = random_hamiltonian(n, rng)
-        factor_set = initial_double_factorization(ham.g, n * n)
-        worst = max(worst, frobenius_error(ham.g, factor_set))
+        factor_set = initial_double_factorization(ham.g_pairs, n * n)
+        worst = max(worst, frobenius_error(ham.g_pairs, factor_set))
         rebuilt = Hamiltonian(
             h=ham.h,
             g=reconstruct_two_body(factor_set),

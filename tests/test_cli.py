@@ -45,7 +45,7 @@ class TestFactorize:
         assert "lambda_df=" in stdout
 
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == cli.SCHEMA_VERSION
         assert summary["n_orbitals"] == 2
         assert summary["rank"] == 4
         assert summary["err"] <= 1e-10
@@ -189,7 +189,7 @@ class TestOptimize:
         assert "lambda=" in stdout and "iterations=" in stdout
 
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == cli.SCHEMA_VERSION
         methods = [run["method"] for run in report["runs"]]
         assert methods == ["XDF", "optimized"]
         xdf, opt = report["runs"]
@@ -226,29 +226,6 @@ class TestOptimize:
             a = (outputs[0] / name).read_bytes()
             b = (outputs[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
-
-    def test_seed_flag_overrides_config(self, tmp_path, capsys):
-        out = tmp_path / "seeded"
-        cfg = write_config(tmp_path, seed=1)
-        code, _, _ = run_cli(
-            [
-                "optimize",
-                "--input",
-                FIXTURE,
-                "--rank",
-                "2",
-                "--config",
-                cfg,
-                "--seed",
-                "123",
-                "--out",
-                str(out),
-            ],
-            capsys,
-        )
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["seed"] == 123
 
     def test_artifacts_recompute_to_reported_values(self, tmp_path, capsys):
         out = tmp_path / "opt"
@@ -495,6 +472,16 @@ class TestRunSequence:
         assert "Traceback" not in stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, rank", [("factorize", "0"), ("optimize", "5")])
+    def test_rank_out_of_range_exits_1_without_out(self, tmp_path, capsys, no_compute, command, rank):
+        # tiny2 has N = 2, so R must lie in [1, 4]; the rule needs N from the
+        # loaded input but is checked before --out is created.
+        out = tmp_path / "run"
+        code, _, stderr = run_cli([command, "--input", FIXTURE, "--rank", rank, "--out", str(out)], capsys)
+        assert code == 1
+        assert stderr == f"error: rank must be in [1, 4], got {rank}\n"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_fast_level_passes(self, capsys):
@@ -575,7 +562,7 @@ class TestReport:
 
     def test_newer_schema_rejected(self, report_path, tmp_path, capsys):
         doc = json.loads(report_path.read_text())
-        doc["schema_version"] = 2
+        doc["schema_version"] = cli.SCHEMA_VERSION + 1
         newer = tmp_path / "newer.json"
         newer.write_text(json.dumps(doc))
         code, _, stderr = run_cli(["report", "--input", str(newer)], capsys)
@@ -591,7 +578,7 @@ class TestReport:
 
     def test_schema_mismatch_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema_version": 1, "runs": "nope"}))
+        bad.write_text(json.dumps({"schema_version": cli.SCHEMA_VERSION, "runs": "nope"}))
         code, _, stderr = run_cli(["report", "--input", str(bad)], capsys)
         assert code == 1
         assert "schema" in stderr

@@ -1,4 +1,6 @@
 import gc
+import io
+import tracemalloc
 import warnings
 import zipfile
 
@@ -412,6 +414,28 @@ class TestSerialization:
         assert kappa == 0.25
         assert np.array_equal(xi_back, xi)
         assert manifest == {"input_sha256": "ab" * 32}
+
+    def test_members_are_written_from_the_arrays_own_buffers(self, tmp_path):
+        # Each member holds the bytes np.lib.format.write_array gives, but the
+        # data goes out without a copy: write_array itself copies it through
+        # tobytes() when writing into a zip member.
+        rng = np.random.default_rng(17)
+        fs = FactorSet(factors=rng.standard_normal((256, 16, 16)))
+        xi = np.asfortranarray(symmetrize_one_body(rng.standard_normal((16, 16))))
+        path = tmp_path / "big.npz"
+        save_factor_set(path, fs, manifest={"k": 1}, kappa=0.5, xi=xi)  # warm caches
+        tracemalloc.start()
+        try:
+            save_factor_set(path, fs, manifest={"k": 1}, kappa=0.5, xi=xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * fs.factors.nbytes
+        with zipfile.ZipFile(path) as archive:
+            for name in archive.namelist():
+                data, expected = archive.read(name), io.BytesIO()
+                np.lib.format.write_array(expected, np.load(io.BytesIO(data)), allow_pickle=False)
+                assert data == expected.getvalue(), name
 
     def test_roundtrip_without_shift(self, tmp_path):
         fs = FactorSet(factors=np.zeros((1, 2, 2)))

@@ -4,7 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blissdf import FcidumpError, Hamiltonian, fcidump, load_integrals, write_integrals
+from blissdf import (
+    FcidumpError,
+    Hamiltonian,
+    OptimizationConfig,
+    effective_one_body,
+    fcidump,
+    load_integrals,
+    optimize,
+    write_integrals,
+)
 from blissdf.fcidump import INTEGRAL_CONVENTION
 from blissdf.fermi_oracle import ladder_operator, sector_hamiltonian, sector_states
 from blissdf.hamiltonian import symmetrize_one_body, symmetrize_two_body
@@ -191,6 +200,53 @@ def scrambled_copy(canonical, rng):
     return header + records
 
 
+def dense_load(path) -> Hamiltonian:
+    """The N^4 reading of a file without duplicate records.
+
+    Every record is scattered to its whole orbit of an N^4 tensor v, and the
+    Hamiltonian is built from h = t - 1/2 sum_k v_ikkj and g = v / 2.
+    """
+    lines = path.read_text().splitlines()
+    header = dict(item.split("=") for item in lines[0].replace("&FCI", "").replace(",", " ").split())
+    n = int(header["NORB"])
+    t, v, core = np.zeros((n, n)), np.zeros((n, n, n, n)), 0.0
+    for line in lines[2:]:
+        value, *index = line.split()
+        i, j, k, l = map(int, index)
+        if i == 0:
+            core = float(value)
+        elif k == 0:
+            t[i - 1, j - 1] = t[j - 1, i - 1] = float(value)
+        else:
+            for member in orbit_members(i, j, k, l):
+                v[tuple(x - 1 for x in member)] = float(value)
+    return Hamiltonian(t - 0.5 * np.einsum("ikkj->ij", v), 0.5 * v, core, int(header["NELEC"]))
+
+
+class TestPairBlockLoad:
+    """The loader builds the pair block directly, with the bits of the N^4 reading."""
+
+    @pytest.mark.parametrize("n", [None, 3, 9])
+    def test_block_load_matches_the_dense_reading(self, tmp_path, fixture_fcidump, n):
+        path = fixture_fcidump
+        if n is not None:  # N = 9 sums more than 8 terms in each contraction
+            path = tmp_path / f"n{n}.fcidump"
+            write_integrals(path, random_hamiltonian(n, np.random.default_rng(60 + n), n_electrons=n))
+        loaded, dense = load_integrals(path), dense_load(path)
+        for name in ("g_pairs", "h", "g"):
+            assert getattr(loaded, name).tobytes() == getattr(dense, name).tobytes()
+        assert loaded.core_constant == dense.core_constant
+        assert effective_one_body(loaded).tobytes() == effective_one_body(dense).tobytes()
+        rank = loaded.n_orbitals**2
+        config = OptimizationConfig(max_iters=25, rel_tol=0.0, learning_rate=1e-2)
+        got, want = optimize(loaded, rank, config), optimize(dense, rank, config)
+        assert got.total_trace.tobytes() == want.total_trace.tobytes()
+        assert got.best_iteration == want.best_iteration
+        assert got.best_params[0] == want.best_params[0]
+        for a, b in zip(got.best_params[1:], want.best_params[1:]):
+            assert np.asarray(getattr(a, "factors", a)).tobytes() == np.asarray(getattr(b, "factors", b)).tobytes()
+
+
 class TestArrayLoader:
     """The loader against its per-record definition, file order and memory."""
 
@@ -319,18 +375,19 @@ class TestArrayLoader:
 
     def test_parse_arrays_freed_before_the_tensor(self, tmp_path):
         # The per-record arrays of the parse (about 40 bytes a record, one
-        # record per orbit of 8) must be gone when the N^4 tensor and its
-        # one-body contraction are built.
+        # record per orbit of 8) must be gone when the pair block and its
+        # one-body contraction are built. The bound is four N^4 tensors.
         path = tmp_path / "n16.fcidump"
         write_integrals(path, random_hamiltonian(16, np.random.default_rng(7), n_electrons=16))
         text = path.read_text()
         tracemalloc.start()
         try:
-            _, g, _, _ = fcidump._read(text)
+            _, g_pairs, _, _ = fcidump._read(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * g.nbytes
+        assert g_pairs.shape == (136, 136)
+        assert peak <= 4 * 16**4 * 8
 
 
 def normal_ordered_dense(t, v, core, n):

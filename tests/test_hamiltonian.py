@@ -12,10 +12,25 @@ from blissdf import (
     reconstruct_two_body,
     symmetrize_two_body,
 )
+from blissdf.factorization import initial_double_factorization
 from blissdf.fermi_oracle import sector_eigenvalues
-from blissdf.hamiltonian import check_two_body_symmetry, symmetrize_one_body
+from blissdf.hamiltonian import symmetrize_one_body, two_body_block
 
 from conftest import random_hamiltonian, random_psd_two_body
+
+
+def check_two_body_symmetry(g: np.ndarray, tol: float = 0.0) -> float:
+    """Return the largest deviation of g from 8-fold index symmetry.
+
+    Raises ValueError if the deviation exceeds ``tol``.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    dev = 0.0
+    for axes in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+        dev = max(dev, float(np.abs(g - g.transpose(axes)).max()))
+    if dev > tol:
+        raise ValueError(f"two-body tensor violates 8-fold symmetry by {dev:.3e}")
+    return dev
 
 
 class TestSymmetrization:
@@ -118,6 +133,61 @@ class TestHamiltonian:
         ham = Hamiltonian(h=h, g=np.zeros((2, 2, 2, 2)))
         assert ham.h.tobytes() == h.tobytes()
         assert not np.shares_memory(ham.h, h)
+
+
+class TestPairBlockStorage:
+    """The P x P pair block is the one two-body array a Hamiltonian holds."""
+
+    def test_holds_only_h_and_the_pair_block(self):
+        ham = random_hamiltonian(4, np.random.default_rng(20))
+        arrays = {name: value.shape for name, value in vars(ham).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"h": (4, 4), "g_pairs": (10, 10)}
+        assert not ham.g_pairs.flags.writeable
+
+    def test_g_is_unpacked_fresh_and_frozen(self):
+        g = random_psd_two_body(3, np.random.default_rng(21))
+        ham = Hamiltonian(h=np.eye(3), g=g)
+        first, second = ham.g, ham.g
+        assert first.tobytes() == g.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not first.flags.writeable
+
+    def test_block_and_tensor_give_the_same_bits(self):
+        rng = np.random.default_rng(22)
+        g = random_psd_two_body(4, rng)
+        h = symmetrize_one_body(rng.standard_normal((4, 4)))
+        dense, packed = Hamiltonian(h, g, 0.5, 3), Hamiltonian(h, two_body_block(g), 0.5, 3)
+        assert packed.g_pairs.tobytes() == dense.g_pairs.tobytes()
+        assert packed.g.tobytes() == dense.g.tobytes() == g.tobytes()
+        assert effective_one_body(packed).tobytes() == effective_one_body(dense).tobytes()
+        factors = initial_double_factorization(g, 16)
+        assert initial_double_factorization(packed.g_pairs, 16).factors.tobytes() == factors.factors.tobytes()
+        assert frobenius_error(packed.g_pairs, factors.factors[:5]) == frobenius_error(g, factors.factors[:5])
+
+    def test_asymmetric_block_is_symmetrized(self):
+        block = np.random.default_rng(23).standard_normal((6, 6))
+        ham = Hamiltonian(h=np.zeros((3, 3)), g=block)
+        assert ham.g_pairs.tobytes() == (0.5 * (block + block.T)).tobytes()
+        check_two_body_symmetry(ham.g)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 4), (6, 3), (2, 2, 2, 3), (2, 2, 2), (36,)])
+    def test_format_helper_rejects_other_shapes(self, shape):
+        # (5, 5) and (4, 4) are square but 5 and 4 are not N(N+1)/2.
+        with pytest.raises(ValueError, match="pair block"):
+            two_body_block(np.zeros(shape))
+        with pytest.raises(ValueError, match="pair block"):
+            Hamiltonian(h=np.zeros((2, 2)), g=np.zeros(shape))
+
+    def test_shift_matches_the_dense_formula(self):
+        # g~_ijkl = g_ijkl + (xi_ij delta_kl + delta_ij xi_kl) / 2, built as an
+        # N^4 tensor and symmetrized, gives the pair-space shift's bits.
+        rng = np.random.default_rng(24)
+        ham = random_hamiltonian(4, rng)
+        xi, eye = symmetrize_one_body(rng.standard_normal((4, 4))), np.eye(4)
+        dense = ham.g + np.einsum("ij,kl->ijkl", 0.5 * xi, eye)
+        dense += np.einsum("ij,kl->ijkl", eye, 0.5 * xi)
+        shifted = apply_symmetry_shift(ham, ShiftParams(0.0, xi, ham.n_electrons))
+        assert shifted.g.tobytes() == symmetrize_two_body(dense).tobytes()
 
 
 class TestSymmetryShift:

@@ -94,7 +94,6 @@ class TestConfig:
         assert cfg.adam_epsilon == 1e-8
         assert cfg.rel_tol == 1e-7
         assert cfg.patience == 200
-        assert cfg.seed == 0
         assert cfg.err_budget == 1e-6
 
     @pytest.mark.parametrize(
@@ -111,7 +110,7 @@ class TestConfig:
             {"adam_epsilon": 0.0},
             {"rel_tol": -1e-9},
             {"patience": 0},
-            {"seed": 2**63},
+            {"patience": 2.5},
             {"err_budget": -1.0},
         ],
     )
@@ -158,7 +157,7 @@ class TestConfig:
         assert (cfg.c_approx, cfg.rel_tol) == (1000, 0)
 
     def test_dict_roundtrip(self):
-        cfg = OptimizationConfig(c_approx=12.0, seed=7)
+        cfg = OptimizationConfig(c_approx=12.0, patience=7)
         assert OptimizationConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_json(self, tmp_path):
@@ -606,7 +605,6 @@ class TestPackedKernel:
         # has a molecule-like rank M = N: only an N^2 x N^2 array, not the
         # eigh batch, could then push the peak past g.nbytes.
         from blissdf import optimizer
-        from blissdf.hamiltonian import pair_space
 
         n = 16
         rng = np.random.default_rng(52)
@@ -621,13 +619,13 @@ class TestPackedKernel:
         xi = symmetrize_one_body(rng.standard_normal((n, n)))
         theta, _ = optimizer._pack(ham, (0.3, xi, init))
         assert theta.size == 1 + n * n + n * n * (n + 1) // 2
-        g_pairs, h_eff = pair_space(n).block(ham.g), effective_one_body(ham)
+        h_eff = effective_one_body(ham)
         grad = np.empty_like(theta)
-        optimizer._evaluate(ham, g_pairs, h_eff, theta)[3](7.0, grad)  # warm caches
+        optimizer._evaluate(ham, h_eff, theta)[3](7.0, grad)  # warm caches
 
         tracemalloc.start()
         try:
-            optimizer._evaluate(ham, g_pairs, h_eff, theta)[3](7.0, grad)
+            optimizer._evaluate(ham, h_eff, theta)[3](7.0, grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

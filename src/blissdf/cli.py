@@ -19,9 +19,12 @@ files, schema mismatch, an unusable --out, an input too large to allocate),
 2 data problem (two-body tensor not factorizable), 3 numeric failure
 (non-finite cost), 4 verification failure.
 
-All JSON outputs are deterministic for a fixed input, config and BLAS thread
-count (set by the BLAS environment variables, for example OMP_NUM_THREADS);
-wall-clock timestamps appear only in manifest.json.
+All JSON outputs and factors.npz are deterministic for a fixed input and
+config, whatever the core count or BLAS environment: commands run with
+numpy's OpenBLAS pinned to one thread and split their eigh stacks into fixed
+blocks over the available CPUs (see blissdf._parallel). Where no known
+OpenBLAS symbol is found they run on one thread and their bits follow the BLAS
+thread count. Wall-clock timestamps appear only in manifest.json.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from pathlib import Path
 import jsonschema
 
 from blissdf import __version__
+from blissdf._parallel import one_blas_thread
 from blissdf.factorization import (
     IndefiniteTensorError,
     check_rank,
@@ -310,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from blissdf._parallel import run_blocks
 from blissdf.hamiltonian import (
     _frozen_array,
     _pair_orbitals,
@@ -43,8 +44,8 @@ from blissdf.hamiltonian import (
 
 ARCHIVE_FORMAT = "blissdf-factors-v1"
 
-# Matrices per product in sign_subgradients.
-_SUBGRADIENT_CHUNK = 64
+# Matrices per block of the eigh and subgradient loops (see nuclear_norms).
+_BLOCK = 64
 
 
 class IndefiniteTensorError(ValueError):
@@ -64,12 +65,18 @@ class FactorSet:
         factors: Array of shape (R, N, N); each slice is stored exactly
             symmetrized. R = 0 is allowed (an empty factorization); R is
             capped at N^2 since further factors cannot add anything.
+
+    The input is copied, except a read-only, exactly symmetric float64 array
+    that owns its memory: such a stack, as initial_double_factorization and
+    optimize build and hand over, is kept as it is.
     """
 
     factors: np.ndarray
 
     def __post_init__(self):
-        factors = np.asarray(self.factors, dtype=np.float64)
+        factors = self.factors
+        owned = isinstance(factors, np.ndarray) and factors.base is None and not factors.flags.writeable
+        factors = np.asarray(factors, dtype=np.float64)
         if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
             raise ValueError(f"factors must have shape (R, N, N), got {factors.shape}")
         rank, n = factors.shape[0], factors.shape[1]
@@ -77,7 +84,7 @@ class FactorSet:
             raise ValueError(f"R={rank} exceeds N^2={n * n}")
         if factors.size and not np.all(np.isfinite(factors)):
             raise ValueError("factors contain non-finite entries")
-        factors = _symmetric_part(factors, ((0, 2, 1),))
+        factors = _symmetric_part(factors, ((0, 2, 1),), copy=not owned)
         object.__setattr__(self, "factors", _frozen_array(factors))
 
     @property
@@ -193,28 +200,46 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
     return Rank1Decomposition(eigenvalues=eigvals[order], vectors=vectors[order])
 
 
-def nuclear_norms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nuclear norms of symmetric matrices (..., N, N) from one batched eigh.
+def nuclear_norms(mats: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nuclear norms of symmetric matrices (..., N, N) from eigh over fixed blocks.
+
+    The stack is cut into blocks of _BLOCK matrices, one batched eigh each, and
+    run_blocks spreads the blocks over the CPUs while BLAS is at one thread.
+    A matrix's eigenpairs do not depend on its block or thread, so the bits
+    are those of one batched eigh over the whole stack. ``first``, if given,
+    runs on the calling thread alongside the blocks.
 
     Returns (norms, eigvals, eigvecs), the last two for sign_subgradients.
     eigh rather than eigvalsh: every nuclear norm in the package comes from
     this one LAPACK path, so recomputed norms match the optimizer's trace bitwise.
     """
-    eigvals, eigvecs = np.linalg.eigh(mats)
+    n = mats.shape[-1]
+    eigvals, eigvecs = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+    flat, vals, vecs = mats.reshape(-1, n, n), eigvals.reshape(-1, n), eigvecs.reshape(-1, n, n)
+
+    def block(index):
+        part = slice(index * _BLOCK, (index + 1) * _BLOCK)
+        vals[part], vecs[part] = np.linalg.eigh(flat[part])
+
+    run_blocks(block, -(-len(flat) // _BLOCK), first)
     return np.abs(eigvals).sum(axis=-1), eigvals, eigvecs
 
 
-def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray, first=None) -> np.ndarray:
     """Each matrix's U sign(D) U^T (sign(0) = 0), written over its eigenvectors U.
 
-    The product overwrites U a few matrices at a time, so no temporary is as
-    large as the whole stack. Returns ``eigvecs``.
+    The product runs over the blocks of nuclear_norms, so no temporary is as
+    large as the whole stack, and ``first`` runs alongside as there. Returns
+    ``eigvecs``.
     """
     n = eigvecs.shape[-1]
     vecs, signs = eigvecs.reshape(-1, n, n), np.sign(eigvals).reshape(-1, 1, n)
-    for lo in range(0, len(vecs), _SUBGRADIENT_CHUNK):
-        part = vecs[lo : lo + _SUBGRADIENT_CHUNK]
-        part[...] = (part * signs[lo : lo + _SUBGRADIENT_CHUNK]) @ part.swapaxes(-1, -2)
+
+    def block(index):
+        part = slice(index * _BLOCK, (index + 1) * _BLOCK)
+        vecs[part] = (vecs[part] * signs[part]) @ vecs[part].swapaxes(-1, -2)
+
+    run_blocks(block, -(-len(vecs) // _BLOCK), first)
     return eigvecs
 
 
@@ -288,6 +313,7 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     packed *= (np.sqrt(eigvals[order]) * _leading_signs(packed))[:, None]
     factors = np.zeros((rank, n, n))
     space.unpack(packed, out=factors[: len(order)])
+    factors.setflags(write=False)  # handed over to FactorSet without a copy
     return FactorSet(factors=factors)
 
 

@@ -295,8 +295,9 @@ class PairSpace:
 
         F is the (M, P) stack of packed factors.
         """
-        target -= packed_factors.T @ packed_factors
-        return float(self.mult @ (target * target) @ self.mult), target
+        gram = packed_factors.T @ packed_factors
+        target -= gram
+        return float(self.mult @ np.multiply(target, target, out=gram) @ self.mult), target
 
 
 pair_space = functools.lru_cache(maxsize=8)(PairSpace)

@@ -25,13 +25,20 @@ matrices. With F the (M, P) packed factors, the residual is the P x P
 matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
 with multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
 -4 c_approx (F * c) D + Lambda_r S_r. The M factors, unpacked by one take,
-and the shifted h_eff share one batched eigh per evaluation, and a run
+and the shifted h_eff share one eigh stack per evaluation, and a run
 evaluates each trace row once: the initial and the best point's Err and
 lambda breakdown are kept from their own rows, and the gradient is built
-from the same eigh batch after the stop check, only when a step follows.
+from the same eigh stack after the stop check, only when a step follows.
 Descent is one in-place Adam step; a frozen block has its gradient zeroed,
-so it keeps its initial value bit for bit. The run is deterministic for a
-fixed config.
+so it keeps its initial value bit for bit.
+
+optimize, total_cost and gradient run with BLAS at one thread. The eigh
+stack and its subgradient products run in fixed blocks of 64 matrices on
+all available CPUs (factorization.nuclear_norms), while the calling thread
+does the one P-sized gemm of each phase, F^T F beside the eigh blocks and
+(F * c) D beside the subgradient blocks. The blocks do not depend on the
+core count, so neither does any bit: the run is deterministic for a fixed
+config.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+from blissdf._parallel import one_blas_thread
 from blissdf.factorization import (
     FactorSet,
     LambdaBreakdown,
@@ -233,17 +241,31 @@ def _evaluate(ham: Hamiltonian, h_eff: np.ndarray, theta: np.ndarray):
     space = pair_space(n)
     kappa, xi, factors = _blocks(theta, n)
     rank = len(factors)
-    err, diff = space.residual(space.shifted(ham.g_pairs, xi), factors)
 
-    # One eigh batch: the M unpacked factors, then the shifted h_eff.
+    # One eigh stack: the M unpacked factors, then the shifted h_eff. The
+    # P-sized residual runs on this thread alongside its blocks.
     stack = np.empty((rank + 1, n, n))
     space.unpack(factors, out=stack[:rank])
     stack[rank] = shifted_effective_one_body(h_eff, ham.n_electrons, float(kappa[0]), xi)
-    norms, eigvals, eigvecs = nuclear_norms(stack)
+    err = diff = None
+
+    def residual() -> None:
+        nonlocal err, diff
+        err, diff = space.residual(space.shifted(ham.g_pairs, xi), factors)
+
+    norms, eigvals, eigvecs = nuclear_norms(stack, first=residual)
 
     def fill_gradient(c_approx: float, grad: np.ndarray) -> None:
-        subs = sign_subgradients(eigvals, eigvecs)
         grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
+        # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
+        # Each (M, P) term is formed in the spent eigh stack, the Err term on
+        # this thread alongside the subgradient blocks.
+        scratch = stack.reshape(-1)[: factors.size].reshape(factors.shape)
+
+        def err_term() -> None:
+            np.matmul(np.multiply(factors, -4.0 * c_approx * space.mult, out=scratch), diff, out=grad_factors)
+
+        subs = sign_subgradients(eigvals, eigvecs, first=err_term)
         one_body_trace = float(np.trace(subs[rank]))
         grad_kappa[0] = one_body_trace
         # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
@@ -252,10 +274,6 @@ def _evaluate(ham: Hamiltonian, h_eff: np.ndarray, theta: np.ndarray):
         # symmetrize_one_body's average, in place and without its bitwise check.
         np.add(xi_part, xi_part.T, out=grad_xi)
         grad_xi *= 0.5
-        # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
-        # Each (M, P) term is formed in the spent eigh stack.
-        scratch = stack.reshape(-1)[: factors.size].reshape(factors.shape)
-        np.matmul(np.multiply(factors, -4.0 * c_approx * space.mult, out=scratch), diff, out=grad_factors)
         space.pack(subs[:rank], out=scratch)
         scratch *= norms[:rank, None]
         grad_factors += scratch
@@ -263,6 +281,7 @@ def _evaluate(ham: Hamiltonian, h_eff: np.ndarray, theta: np.ndarray):
     return err, lambda_parts(norms[:rank], norms[rank])[0], norms, fill_gradient
 
 
+@one_blas_thread()
 def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float, float]:
     """Evaluate the penalized objective at (kappa, xi, factors).
 
@@ -282,6 +301,7 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
     return float(c_approx) * err + lam, err, lam
 
 
+@one_blas_thread()
 def gradient(ham: Hamiltonian, params, c_approx: float):
     """Analytic gradient of total_cost in all three parameter blocks.
 
@@ -320,6 +340,7 @@ def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None
     theta -= update
 
 
+@one_blas_thread()
 def optimize(
     ham: Hamiltonian,
     rank: int,
@@ -424,6 +445,7 @@ def optimize(
     best_kappa, best_xi, best_factors = _blocks(best_theta, n)
     padded = np.zeros((rank, n, n))
     space.unpack(best_factors, out=padded[: len(best_factors)])
+    padded.setflags(write=False)  # handed over to FactorSet without a copy
     init_breakdown = LambdaBreakdown.from_norms(init_norms[:-1], init_norms[-1], rank)
 
     return OptimizationReport(

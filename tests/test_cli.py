@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +15,14 @@ from blissdf import (
     load_factor_set,
     load_integrals,
     total_cost,
+    write_integrals,
 )
 from blissdf import cli
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, random_hamiltonian
+
+# The package's parent directory, for the CLI run as a subprocess.
+SRC_DIR = os.path.dirname(os.path.dirname(cli.__file__))
 
 FIXTURE = str(DATA_DIR / "tiny2.fcidump")
 
@@ -226,6 +233,40 @@ class TestOptimize:
             a = (outputs[0] / name).read_bytes()
             b = (outputs[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and at least 2 CPUs",
+    )
+    def test_outputs_do_not_depend_on_the_core_count(self, tmp_path):
+        # N=20 at R=N^2: the eigh stack holds 211 matrices, four blocks, so
+        # the run with all CPUs splits it over threads and the one-CPU run
+        # does not. Both must write the same bytes. Left to the CPU count,
+        # OpenBLAS would run its products on one thread in the first run
+        # and on more in the second, and at this size that changes bits.
+        n = 20
+        inp = tmp_path / "n20.fcidump"
+        write_integrals(inp, random_hamiltonian(n, np.random.default_rng(70), n_electrons=n))
+        cfg = write_config(tmp_path, max_iters=10, rel_tol=0.0)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        one_cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for name, cpus in (("one", {one_cpu}), ("all", os.sched_getaffinity(0))):
+            out = tmp_path / name
+            argv = ["optimize", "--input", str(inp), "--rank", str(n * n), "--config", cfg, "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "blissdf.cli", *argv],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=300,
+                preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus),
+            )
+            outputs.append(out)
+        for name in ("report.json", "trace.jsonl", "factors.npz"):
+            a = (outputs[0] / name).read_bytes()
+            b = (outputs[1] / name).read_bytes()
+            assert a == b, f"{name} differs between one CPU and all CPUs"
 
     def test_artifacts_recompute_to_reported_values(self, tmp_path, capsys):
         out = tmp_path / "opt"

@@ -20,7 +20,7 @@ from blissdf import (
     save_factor_set,
 )
 from blissdf.factorization import nuclear_norms, sign_subgradients
-from blissdf.hamiltonian import symmetrize_one_body
+from blissdf.hamiltonian import symmetrize_one_body, two_body_block
 
 from conftest import random_psd_two_body
 
@@ -64,6 +64,22 @@ class TestFactorSet:
 
 
 class TestInitialDoubleFactorization:
+    def test_factor_stack_is_built_once(self):
+        # The (R, N, N) stack goes to the FactorSet without a copy: at
+        # R = N^2 the peak is that stack plus the P x P eigendecomposition
+        # (about 2.1x the stack), where a second copy takes it past 2.8x.
+        n = 16
+        g_pairs = two_body_block(random_psd_two_body(n, np.random.default_rng(64)))
+        initial_double_factorization(g_pairs, n * n)  # warm caches
+        tracemalloc.start()
+        try:
+            fs = initial_double_factorization(g_pairs, n * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not fs.factors.flags.writeable
+        assert peak < 2.5 * fs.factors.nbytes
+
     def test_rank_one_input_recovered_up_to_sign(self):
         rng = np.random.default_rng(1)
         a = symmetrize_one_body(rng.standard_normal((3, 3)))

@@ -44,9 +44,9 @@ def count_gradient_evaluations(monkeypatch) -> list:
     original = optimizer.sign_subgradients
     calls = []
 
-    def counted(eigvals, eigvecs):
+    def counted(eigvals, eigvecs, **kwargs):
         calls.append(1)
-        return original(eigvals, eigvecs)
+        return original(eigvals, eigvecs, **kwargs)
 
     monkeypatch.setattr(optimizer, "sign_subgradients", counted)
     return calls

@@ -6,6 +6,8 @@ The threads only pay off with BLAS at one thread: otherwise each block's
 BLAS threads compete for the same cores. So run_blocks uses more than the
 calling thread only while numpy's bundled OpenBLAS reports one thread, as
 inside one_blas_thread(). Without a known OpenBLAS symbol it never does.
+The extra threads form one pool, started on the first split call and kept
+for the life of the process, so a call starts no thread once it exists.
 """
 
 from __future__ import annotations
@@ -78,13 +80,45 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+# The worker threads run_blocks shares across calls, started as first needed
+# and kept for the life of the process; they take jobs from _jobs.
+_pool_lock = threading.Lock()
+_jobs = None
+_threads: list[threading.Thread] = []
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get()()
+
+
+def _pool(size: int):
+    """The SimpleQueue of at least ``size`` worker threads, starting those still missing."""
+    global _jobs
+    with _pool_lock:
+        if _jobs is None:
+            import queue  # imported here: a run that never splits a stack does not load it
+
+            _jobs = queue.SimpleQueue()
+        while len(_threads) < size:
+            thread = threading.Thread(
+                target=_serve, args=(_jobs,), name=f"blissdf-block-{len(_threads)}", daemon=True
+            )
+            thread.start()
+            _threads.append(thread)
+    return _jobs
+
+
 def run_blocks(fn, count: int, first=None):
     """Call fn(0), ..., fn(count - 1) and first(); return first()'s result.
 
     first runs on the calling thread, which then takes blocks from the same
-    queue as the workers - 1 extra threads. With one block or one worker
-    everything runs inline and no thread starts. Blocks must be independent;
-    each writes its own part of outputs its caller allocated.
+    queue as up to workers - 1 threads of a pool that persists across calls.
+    With one block or one worker everything runs on the calling thread.
+    Blocks must be independent; each writes its own part of outputs its
+    caller allocated. If first or a block raises, no further block starts,
+    and the first error is raised once every started block has finished,
+    so no block writes after this returns or raises.
     """
     workers = 1 if count <= 1 else min(_workers(), count)
     if workers == 1:
@@ -93,23 +127,54 @@ def run_blocks(fn, count: int, first=None):
             fn(index)
         return result
 
-    # Imported here: a run that never splits a stack does not load it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    lock, blocks = threading.Lock(), iter(range(count))
+    done = threading.Condition()
+    blocks, errors, helping, is_open = iter(range(count)), [], 0, True
 
     def drain():
         while True:
-            with lock:
-                index = next(blocks, None)
+            with done:
+                index = None if errors else next(blocks, None)
             if index is None:
                 return
-            fn(index)
+            try:
+                fn(index)
+            except BaseException as exc:
+                with done:
+                    errors.append(exc)
+                return
 
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(drain) for _ in range(workers - 1)]
-        result = None if first is None else first()
-        drain()
-    for future in futures:
-        future.result()
+    def assist():
+        # A job that a worker takes up after the caller has closed the call
+        # returns at once, so the caller never waits on a busy pool.
+        nonlocal helping
+        with done:
+            if not is_open:
+                return
+            helping += 1
+        try:
+            drain()
+        finally:
+            with done:
+                helping -= 1
+                done.notify_all()
+
+    jobs = _pool(workers - 1)
+    for _ in range(workers - 1):
+        jobs.put(assist)
+    result = None
+    try:
+        if first is not None:
+            result = first()
+    except BaseException as exc:
+        with done:
+            errors.append(exc)
+    drain()
+    with done:
+        is_open = False
+        done.wait_for(lambda: helping == 0)
+    # A job still queued for a busy pool thread holds drain: it must not
+    # keep fn, and with it the blocks' arrays, alive after this returns.
+    fn = None
+    if errors:
+        raise errors[0]
     return result

@@ -200,14 +200,17 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
     return Rank1Decomposition(eigenvalues=eigvals[order], vectors=vectors[order])
 
 
-def nuclear_norms(mats: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nuclear_norms(mats: np.ndarray, first=None, fill=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nuclear norms of symmetric matrices (..., N, N) from eigh over fixed blocks.
 
     The stack is cut into blocks of _BLOCK matrices, one batched eigh each, and
-    run_blocks spreads the blocks over the CPUs while BLAS is at one thread.
+    run_blocks spreads the blocks over the CPUs while BLAS is at one thread,
+    on the calling thread and a worker pool that persists across calls.
     A matrix's eigenpairs do not depend on its block or thread, so the bits
     are those of one batched eigh over the whole stack. ``first``, if given,
-    runs on the calling thread alongside the blocks.
+    runs on the calling thread alongside the blocks. ``fill(part)``, if given,
+    writes the matrices of the flattened stack's slice ``part`` just before
+    their block's eigh, on the same thread.
 
     Returns (norms, eigvals, eigvecs), the last two for sign_subgradients.
     eigh rather than eigvalsh: every nuclear norm in the package comes from
@@ -218,28 +221,39 @@ def nuclear_norms(mats: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray,
     flat, vals, vecs = mats.reshape(-1, n, n), eigvals.reshape(-1, n), eigvecs.reshape(-1, n, n)
 
     def block(index):
-        part = slice(index * _BLOCK, (index + 1) * _BLOCK)
+        part = slice(index * _BLOCK, min((index + 1) * _BLOCK, len(flat)))
+        if fill is not None:
+            fill(part)
         vals[part], vecs[part] = np.linalg.eigh(flat[part])
 
     run_blocks(block, -(-len(flat) // _BLOCK), first)
     return np.abs(eigvals).sum(axis=-1), eigvals, eigvecs
 
 
-def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray, first=None) -> np.ndarray:
+def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray, then=None, work=None) -> np.ndarray:
     """Each matrix's U sign(D) U^T (sign(0) = 0), written over its eigenvectors U.
 
     The product runs over the blocks of nuclear_norms, so no temporary is as
-    large as the whole stack, and ``first`` runs alongside as there. Returns
-    ``eigvecs``.
+    large as the whole stack. ``work``, a spent array of eigvecs' shape such
+    as the eigh input, if given, holds each U sign(D) instead of a temporary.
+    ``then(part)``, if given, runs right after the products of the flattened
+    stack's slice ``part``, on the same thread, so a caller can use each
+    block's subgradients while other blocks still run: the optimizer forms
+    the gradient of the block's factor rows there and takes their Adam step.
+    Returns ``eigvecs``.
     """
     n = eigvecs.shape[-1]
     vecs, signs = eigvecs.reshape(-1, n, n), np.sign(eigvals).reshape(-1, 1, n)
+    work = None if work is None else work.reshape(-1, n, n)
 
     def block(index):
-        part = slice(index * _BLOCK, (index + 1) * _BLOCK)
-        vecs[part] = (vecs[part] * signs[part]) @ vecs[part].swapaxes(-1, -2)
+        part = slice(index * _BLOCK, min((index + 1) * _BLOCK, len(vecs)))
+        scaled = np.multiply(vecs[part], signs[part], out=None if work is None else work[part])
+        vecs[part] = scaled @ vecs[part].swapaxes(-1, -2)
+        if then is not None:
+            then(part)
 
-    run_blocks(block, -(-len(vecs) // _BLOCK), first)
+    run_blocks(block, -(-len(vecs) // _BLOCK))
     return eigvecs
 
 

@@ -23,15 +23,17 @@ such as ORBSYM are tolerated), followed by whitespace-separated records
 ``0 0 0 0`` the core constant, anything else a two-body entry. The writer
 emits only the canonical representative of each 8-fold orbit.
 
-The loader is an array pipeline with no Python object per record: one pass
-of numpy's C text parser (``D`` exponents read as ``E``) fills a value and
-four index columns, one sort of integer orbit keys groups the records, and
-each orbit's values are added in file order and divided by their count, then
-written at the orbit's two entries of g's P x P pair block (no N^4 tensor).
-If the C parser rejects the data or a mask flags a record, every line is
-read by ``_check_record``, the one definition of an error, which accepts
-what Python's ``float``/``int`` accept and raises on the first bad line.
-Orbit conflicts come last: one-body first, each kind by first appearance.
+The loader is an array pipeline with no Python object per record. It reads
+the file once as bytes and decodes only the header. One pass of numpy's C
+text parser over the bytes, with ``D`` exponents translated to ``E``, fills
+a value and four index columns, one sort of integer orbit keys groups the
+records, and each orbit's values are added in file order and divided by
+their count, then written at the orbit's two entries of g's P x P pair
+block (no N^4 tensor). If the C parser rejects the data or a mask flags a
+record, the whole file is decoded and every line is read by
+``_check_record``, the one definition of an error, which accepts what
+Python's ``float``/``int`` accept and raises on the first bad line. Orbit
+conflicts come last: one-body first, each kind by first appearance.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ ASYMMETRY_RTOL = 1e-10
 
 _FLOAT_FORMAT = "%.17g"
 _RECORD = np.dtype([("value", "f8"), ("i", "i8"), ("j", "i8"), ("k", "i8"), ("l", "i8")])
-_CONTROL_BREAKS = "\x0b\x0c\x1c\x1d\x1e"  # line breaks to splitlines(), spaces to numpy
-_LINE_BREAK = re.compile(r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_CONTROL_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"  # line breaks to splitlines(), spaces to numpy
+# str.splitlines()'s line breaks, as UTF-8 bytes.
+_LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
+_EXPONENTS = bytes.maketrans(b"Dd", b"Ee")
 
 
 class FcidumpError(ValueError):
@@ -137,15 +141,24 @@ def _check_record(raw: str, n: int, norb: int) -> tuple[float, int, int, int, in
     return value, i, j, k, l
 
 
-def _parse_data(text: str, start: int, first: int, norb: int) -> np.ndarray:
-    """Records of the data section text[start:], whose first line is ``first``."""
-    if text.isascii() and not any(c in text for c in _CONTROL_BREAKS):
-        data = io.BytesIO(text.encode().replace(b"D", b"E").replace(b"d", b"e"))
-        data.seek(start)
+def _data_lines(data: bytes, start: int, first: int):
+    """(number, line) of the data section data[start:], whose first line is ``first``.
+
+    The whole file is decoded, so invalid UTF-8 anywhere raises here.
+    """
+    text = data.decode()
+    return enumerate(text[len(data[:start].decode()) :].splitlines(), first)
+
+
+def _parse_data(data: bytes, start: int, first: int, norb: int) -> np.ndarray:
+    """Records of the data section data[start:], whose first line is ``first``."""
+    if data.isascii() and not any(c in data for c in _CONTROL_BREAKS):
+        stream = io.BytesIO(data.translate(_EXPONENTS))
+        stream.seek(start)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy < 2 warns on an index "1.0"
-                rec = np.loadtxt(data, _RECORD, comments=None, ndmin=1, encoding="ascii")
+                rec = np.loadtxt(stream, _RECORD, comments=None, ndmin=1, encoding="ascii")
         except (ValueError, Warning):
             pass
         else:
@@ -155,7 +168,9 @@ def _parse_data(text: str, start: int, first: int, norb: int) -> np.ndarray:
             valid = core_or_one | np.all(inside, axis=0)
             if valid.all() and np.isfinite(rec["value"]).all():
                 return rec
-    numbered = enumerate(text[start:].splitlines(), first)
+        finally:
+            del stream  # the translated copy of the file
+    numbered = _data_lines(data, start, first)
     return np.array([_check_record(s, n, norb) for n, s in numbered if s.split()], _RECORD)
 
 
@@ -165,14 +180,16 @@ def _exchange(v_pairs: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("ikj->ij", v_pairs[index[:, :, None], index[None, :, :]])
 
 
-def _read(text: str) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(h, P x P pair block of g, core constant, NELEC) of an FCIDUMP text."""
+def _read(data: bytes | str) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(h, P x P pair block of g, core constant, NELEC) of an FCIDUMP's UTF-8 bytes or text."""
+    if isinstance(data, str):
+        data = data.encode()
     # _parse_header only reads up to the first line holding a terminator.
-    term = re.search(r"&END|/", text, re.IGNORECASE)
-    brk = _LINE_BREAK.search(text, term.end()) if term else None
-    head, start = (text[: brk.start()], brk.end()) if brk else (text, len(text))
-    norb, nelec, _ms2, first_data = _parse_header(head.splitlines())
-    rec = _parse_data(text, start, first_data + 1, norb)
+    term = re.search(rb"&END|/", data, re.IGNORECASE)
+    brk = _LINE_BREAK.search(data, term.end()) if term else None
+    head, start = (data[: brk.start()], brk.end()) if brk else (data, len(data))
+    norb, nelec, _ms2, first_data = _parse_header(head.decode().splitlines())
+    rec = _parse_data(data, start, first_data + 1, norb)
     # Orbit key: larger and smaller pair of {i, j}, {k, l}; the core key is 0.
     ij, kl = (np.maximum(rec[p], rec[q]) * (norb + 1) + np.minimum(rec[p], rec[q])
               for p, q in ("ij", "kl"))
@@ -189,8 +206,7 @@ def _read(text: str) -> tuple[np.ndarray, np.ndarray, float, int]:
     if bad.any():
         orbit = np.flatnonzero(bad)[np.lexsort((first[bad], k[bad] >= 0))[0]]
         rows = np.flatnonzero(inverse == orbit)
-        numbered = enumerate(text[start:].splitlines(), first_data + 1)
-        lines = [n for n, s in numbered if s.split()]
+        lines = [n for n, s in _data_lines(data, start, first_data + 1) if s.split()]
         lines, found = [lines[r] for r in rows], rec["value"][rows].tolist()
         a, b, c, d = (int(x[orbit]) + 1 for x in (i, j, k, l))
         low, high = sorted([(max(a, b), min(a, b)), (max(c, d), min(c, d))])
@@ -233,7 +249,7 @@ def load_integrals(path: str | Path) -> Hamiltonian:
             the offending line.
         FileNotFoundError: If the file does not exist.
     """
-    return Hamiltonian(*_read(Path(path).read_text()))
+    return Hamiltonian(*_read(Path(path).read_bytes()))
 
 
 def write_integrals(path: str | Path, ham: Hamiltonian, ms2: int = 0) -> None:

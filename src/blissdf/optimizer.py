@@ -24,21 +24,29 @@ is that of one matrix entry, so Adam steps as on the full symmetric
 matrices. With F the (M, P) packed factors, the residual is the P x P
 matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
 with multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
--4 c_approx (F * c) D + Lambda_r S_r. The M factors, unpacked by one take,
-and the shifted h_eff share one eigh stack per evaluation, and a run
+-4 c_approx (F * c) D + Lambda_r S_r. The M unpacked factors and the
+shifted h_eff share one eigh stack per evaluation, and a run
 evaluates each trace row once: the initial and the best point's Err and
 lambda breakdown are kept from their own rows, and the gradient is built
 from the same eigh stack after the stop check, only when a step follows.
-Descent is one in-place Adam step; a frozen block has its gradient zeroed,
-so it keeps its initial value bit for bit.
+Descent is Adam, in place; a frozen block has its gradient zeroed, so it
+keeps its initial value bit for bit.
 
-optimize, total_cost and gradient run with BLAS at one thread. The eigh
-stack and its subgradient products run in fixed blocks of 64 matrices on
-all available CPUs (factorization.nuclear_norms), while the calling thread
-does the one P-sized gemm of each phase, F^T F beside the eigh blocks and
-(F * c) D beside the subgradient blocks. The blocks do not depend on the
-core count, so neither does any bit: the run is deterministic for a fixed
-config.
+optimize, total_cost and gradient run with BLAS at one thread. Each
+evaluation is two phases over fixed blocks of 64 stack matrices, spread
+over all available CPUs by one thread pool that persists across calls
+(blissdf._parallel). In the first, each block unpacks its factors and runs
+their eigh (factorization.nuclear_norms), while the calling thread forms
+the residual F^T F. In the second, after the stop check, each block forms
+its subgradients (factorization.sign_subgradients) and then, for its own
+factor rows, the Err term (F_b * c) D, the packed and scaled subgradients
+and, in optimize, the Adam step on its own contiguous slice of theta, m and
+v. The last block, which holds h', also does kappa and xi. Adam is
+elementwise, so its bits do not depend on the split, and the blocks do not
+depend on the core count, so neither does any bit: the run is
+deterministic for a fixed config. A row block of (F * c) D need not be bit
+equal to the same rows of one whole gemm, so the block size is part of
+what fixes the bits.
 """
 
 from __future__ import annotations
@@ -228,24 +236,33 @@ def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
 
 
+def _gradient_weights(n: int, c_approx: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Per-run constants of a gradient at weight c_approx: c_approx, -4 c_approx c_p and I_N."""
+    return c_approx, -4.0 * c_approx * pair_space(n).mult, np.eye(n)
+
+
 def _evaluate(ham: Hamiltonian, h_eff: np.ndarray, theta: np.ndarray):
     """(err, lambda, norms, fill_gradient) at theta, given ham's unshifted h'.
 
     ``norms`` are the eigh batch's nuclear norms: the M factors', then the
-    shifted h''s. ``fill_gradient(c_approx, grad)`` writes the gradient of
-    c_approx * err + lambda into ``grad`` from the same batch, whose
-    eigenvectors it overwrites, so it runs at most once; the arrays it needs
-    live as long as it does. Nothing here is N^4 sized.
+    shifted h''s. ``fill_gradient(weights, grad, then)`` writes the gradient
+    of c_approx * err + lambda into ``grad`` from the same batch, whose
+    eigenvectors it overwrites, so it runs at most once; ``weights`` come
+    from _gradient_weights. It runs in the blocks of the batch's
+    subgradients: each block writes the gradient of its factors' entries,
+    the block holding h' also the kappa and xi entries, and then calls
+    ``then(part)`` on the thread that wrote them, for each contiguous slice
+    ``part`` of theta it finished. The arrays it needs live as long as it
+    does. Nothing here is N^4 sized.
     """
     n = ham.n_orbitals
     space = pair_space(n)
     kappa, xi, factors = _blocks(theta, n)
     rank = len(factors)
 
-    # One eigh stack: the M unpacked factors, then the shifted h_eff. The
-    # P-sized residual runs on this thread alongside its blocks.
+    # One eigh stack: the M factors, each unpacked by its own block, then the
+    # shifted h_eff. The P-sized residual runs on this thread alongside.
     stack = np.empty((rank + 1, n, n))
-    space.unpack(factors, out=stack[:rank])
     stack[rank] = shifted_effective_one_body(h_eff, ham.n_electrons, float(kappa[0]), xi)
     err = diff = None
 
@@ -253,30 +270,43 @@ def _evaluate(ham: Hamiltonian, h_eff: np.ndarray, theta: np.ndarray):
         nonlocal err, diff
         err, diff = space.residual(space.shifted(ham.g_pairs, xi), factors)
 
-    norms, eigvals, eigvecs = nuclear_norms(stack, first=residual)
+    def unpack(part: slice) -> None:
+        rows = slice(part.start, min(part.stop, rank))
+        space.unpack(factors[rows], out=stack[rows])
 
-    def fill_gradient(c_approx: float, grad: np.ndarray) -> None:
+    norms, eigvals, eigvecs = nuclear_norms(stack, first=residual, fill=unpack)
+
+    def fill_gradient(weights, grad: np.ndarray, then=lambda part: None) -> None:
+        c_approx, err_scale, eye = weights
         grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
-        # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
-        # Each (M, P) term is formed in the spent eigh stack, the Err term on
-        # this thread alongside the subgradient blocks.
-        scratch = stack.reshape(-1)[: factors.size].reshape(factors.shape)
+        head, width = 1 + n * n, factors.shape[1]
 
-        def err_term() -> None:
-            np.matmul(np.multiply(factors, -4.0 * c_approx * space.mult, out=scratch), diff, out=grad_factors)
+        def block(part: slice) -> None:
+            # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
+            rows = slice(part.start, min(part.stop, rank))
+            # The (rows, P) terms are formed in the block's part of the spent eigh stack.
+            out = grad_factors[rows]
+            work = stack[rows].reshape(-1)[: out.size].reshape(out.shape)
+            np.matmul(np.multiply(factors[rows], err_scale, out=work), diff, out=out)
+            space.pack(eigvecs[rows], out=work)
+            work *= norms[rows, None]
+            out += work
+            start = head + rows.start * width
+            if part.stop > rank:  # the last block holds h''s subgradient
+                one_body_trace = float(np.trace(eigvecs[rank]))
+                grad_kappa[0] = one_body_trace
+                # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
+                xi_part = 2.0 * c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
+                xi_part += (n - ham.n_electrons) * eigvecs[rank] + one_body_trace * eye
+                # symmetrize_one_body's average, in place and without its bitwise check.
+                np.multiply(np.add(xi_part, xi_part.T, out=grad_xi), 0.5, out=grad_xi)
+                if rows.start:
+                    then(slice(0, head))
+                else:  # one block: the head and the factors are one slice
+                    start = 0
+            then(slice(start, head + rows.stop * width))
 
-        subs = sign_subgradients(eigvals, eigvecs, first=err_term)
-        one_body_trace = float(np.trace(subs[rank]))
-        grad_kappa[0] = one_body_trace
-        # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
-        xi_part = 2.0 * c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
-        xi_part += (n - ham.n_electrons) * subs[rank] + one_body_trace * np.eye(n)
-        # symmetrize_one_body's average, in place and without its bitwise check.
-        np.add(xi_part, xi_part.T, out=grad_xi)
-        grad_xi *= 0.5
-        space.pack(subs[:rank], out=scratch)
-        scratch *= norms[:rank, None]
-        grad_factors += scratch
+        sign_subgradients(eigvals, eigvecs, then=block, work=stack)
 
     return err, lambda_parts(norms[:rank], norms[rank])[0], norms, fill_gradient
 
@@ -315,7 +345,7 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     n = ham.n_orbitals
     space = pair_space(n)
     grad = np.empty_like(theta)
-    _evaluate(ham, effective_one_body(ham), theta)[3](float(c_approx), grad)
+    _evaluate(ham, effective_one_body(ham), theta)[3](_gradient_weights(n, float(c_approx)), grad)
     grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
     d_factors = np.zeros((rank, n, n))
     d_factors[: len(grad_factors)] = space.unpack(grad_factors)
@@ -326,7 +356,8 @@ def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None
     """Adam step ``step`` (from 1) of theta with moments m and v, all in place; grad is scratch."""
     beta1, beta2 = config.adam_beta1, config.adam_beta2
     m *= beta1
-    m += (1.0 - beta1) * grad
+    update = np.multiply(grad, 1.0 - beta1)  # the one temporary
+    m += update
     v *= beta2
     grad *= grad
     grad *= 1.0 - beta2
@@ -334,7 +365,7 @@ def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None
     # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps), in place.
     np.sqrt(np.divide(v, 1.0 - beta2**step, out=grad), out=grad)
     grad += config.adam_epsilon
-    update = m / (1.0 - beta1**step)
+    np.divide(m, 1.0 - beta1**step, out=update)
     update *= config.learning_rate
     update /= grad
     theta -= update
@@ -396,8 +427,17 @@ def optimize(
     # best_theta is written in place: a fresh copy per improvement, taken
     # while the evaluation's arrays are alive, raises the process peak RSS.
     grad, best_theta = np.empty_like(theta), np.empty_like(theta)
-    frozen = [b for name, b in zip(PARAM_BLOCKS, _blocks(grad, n)) if name not in free]
     m, v = np.zeros_like(theta), np.zeros_like(theta)
+    # Each frozen block's span of theta, where its gradient is zeroed.
+    head = 1 + n * n
+    spans = zip(PARAM_BLOCKS, ((0, 1), (1, head), (head, theta.size)))
+    frozen = [span for name, span in spans if name not in free]
+
+    def descend(part: slice) -> None:
+        """Adam step on theta[part] at this iteration, once its gradient is final."""
+        for start, stop in frozen:
+            grad[max(start, part.start) : min(stop, part.stop)] = 0.0
+        _adam_step(theta[part], grad[part], m[part], v[part], iteration + 1, config)
 
     trace = []
     best_total = anchor_total = best_lambda = math.inf
@@ -410,6 +450,7 @@ def optimize(
             init_err, init_norms = err, norms
             # The automatic weight of OptimizationConfig, from the initial point.
             c_approx = float(config.c_approx or min(max(1e3 * lam / max(err, 1e-12), 1e2), 1e9))
+            weights = _gradient_weights(n, c_approx)
         total = c_approx * err + lam
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
@@ -433,15 +474,14 @@ def optimize(
 
         if iteration == config.max_iters:
             break
-        fill_gradient(c_approx, grad)
+        # Gradient and Adam step in one pass over the eigh stack's blocks:
+        # each block steps its own slice of theta, as Adam is elementwise.
+        fill_gradient(weights, grad, then=descend)
         del fill_gradient  # and with it the evaluation's arrays
-        for block in frozen:
-            block[...] = 0.0
-        _adam_step(theta, grad, m, v, iteration + 1, config)
 
     # Free the descent state, then unpack the best factors straight into the
     # zero-padded (R, N, N) output.
-    del theta, grad, frozen, m, v, fill_gradient
+    del theta, grad, m, v, fill_gradient
     best_kappa, best_xi, best_factors = _blocks(best_theta, n)
     padded = np.zeros((rank, n, n))
     space.unpack(best_factors, out=padded[: len(best_factors)])

@@ -620,12 +620,12 @@ class TestPackedKernel:
         theta, _ = optimizer._pack(ham, (0.3, xi, init))
         assert theta.size == 1 + n * n + n * n * (n + 1) // 2
         h_eff = effective_one_body(ham)
-        grad = np.empty_like(theta)
-        optimizer._evaluate(ham, h_eff, theta)[3](7.0, grad)  # warm caches
+        grad, weights = np.empty_like(theta), optimizer._gradient_weights(n, 7.0)
+        optimizer._evaluate(ham, h_eff, theta)[3](weights, grad)  # warm caches
 
         tracemalloc.start()
         try:
-            optimizer._evaluate(ham, h_eff, theta)[3](7.0, grad)
+            optimizer._evaluate(ham, h_eff, theta)[3](weights, grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,13 +1,17 @@
-import concurrent.futures
+import itertools
 import os
 import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from blissdf import _parallel, optimizer
+from blissdf import _parallel, factorization, optimizer
 from blissdf.factorization import nuclear_norms, sign_subgradients
-from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
+from blissdf.factorization import initial_double_factorization
+from blissdf.optimizer import PARAM_BLOCKS, NonFiniteCostError, OptimizationConfig, optimize
 
 from conftest import random_hamiltonian
 
@@ -22,24 +26,43 @@ def set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def record_pools(monkeypatch) -> list:
-    """Record the max_workers of every ThreadPoolExecutor that run_blocks starts."""
-    sizes = []
+def record_block_threads(monkeypatch) -> list:
+    """Record, per run_blocks call of the factorization kernels, the threads that ran its blocks."""
+    calls = []
+    original = _parallel.run_blocks
 
-    class Recorded(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recorded(fn, count, first=None):
+        threads = set()
+        calls.append(threads)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-    return sizes
+        def block(index):
+            threads.add(threading.get_ident())
+            fn(index)
+
+        return original(block, count, first)
+
+    monkeypatch.setattr(factorization, "run_blocks", recorded)
+    return calls
 
 
-def forbid_pools(monkeypatch) -> None:
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_blocks started a thread pool")
+def forbid_threads(monkeypatch) -> None:
+    """Fail any factorization kernel block that runs off its caller's thread."""
+    original = _parallel.run_blocks
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    def inline_only(fn, count, first=None):
+        caller = threading.get_ident()
+
+        def block(index):
+            assert threading.get_ident() == caller, "run_blocks ran a block on another thread"
+            fn(index)
+
+        return original(block, count, first)
+
+    monkeypatch.setattr(factorization, "run_blocks", inline_only)
+
+
+def pool_threads() -> set:
+    return {thread.ident for thread in _parallel._threads}
 
 
 def loop_subgradients(eigvals, eigvecs):
@@ -81,6 +104,110 @@ class TestRunBlocks:
         with _parallel.one_blas_thread(), pytest.raises(ZeroDivisionError):
             _parallel.run_blocks(block, 3)
 
+    def test_one_cpu_runs_every_block_on_the_calling_thread(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        threads = []
+        with _parallel.one_blas_thread():
+            _parallel.run_blocks(lambda index: threads.append(threading.get_ident()), 5)
+        assert threads == [threading.get_ident()] * 5
+
+    @needs_openblas
+    def test_split_calls_share_one_pool(self, monkeypatch):
+        # Each call's two blocks wait for each other, so two threads run
+        # them: the caller and a pool thread that outlives the call.
+        set_cpus(monkeypatch, 2)
+
+        def split_call():
+            barrier, threads = threading.Barrier(2, timeout=10), set()
+
+            def block(index):
+                threads.add(threading.get_ident())
+                barrier.wait()
+
+            with _parallel.one_blas_thread():
+                _parallel.run_blocks(block, 2)
+            return threads
+
+        split_call()
+        alive = {thread.ident for thread in threading.enumerate()}
+        for _ in range(2):
+            threads = split_call()
+            assert {thread.ident for thread in threading.enumerate()} == alive
+            assert threads - {threading.get_ident()} <= pool_threads()
+            assert len(threads) == 2
+
+    @needs_openblas
+    def test_a_queued_job_keeps_no_block_data(self, monkeypatch):
+        # Every pool thread is busy, so the caller runs both blocks and
+        # returns while its job is still queued. That job must not keep
+        # the blocks, and with them their arrays, alive.
+        set_cpus(monkeypatch, 2)
+        with _parallel.one_blas_thread():
+            _parallel.run_blocks(lambda index: None, 2)  # start the pool
+        release, busy = threading.Event(), []
+        for _ in _parallel._threads:
+            started = threading.Event()
+            busy.append(started)
+            _parallel._jobs.put(lambda started=started: (started.set(), release.wait(10)))
+        try:
+            assert all(event.wait(10) for event in busy)
+
+            class Data:
+                pass
+
+            data = Data()
+            alive = weakref.ref(data)
+
+            def block(index, data=data):
+                pass
+
+            with _parallel.one_blas_thread():
+                _parallel.run_blocks(block, 2)
+            del block, data
+            assert alive() is None
+        finally:
+            release.set()
+
+    @needs_openblas
+    def test_first_error_waits_for_the_running_block(self, monkeypatch):
+        # first raises while a pool thread is inside a block: the error
+        # reaches the caller only after that block has finished, and no
+        # block starts after it.
+        set_cpus(monkeypatch, 2)
+        started, finished, running = [], [], threading.Event()
+
+        def block(index):
+            started.append(index)
+            running.set()
+            time.sleep(0.2)
+            finished.append(index)
+
+        def first():
+            assert running.wait(10)
+            raise KeyError("first")
+
+        with _parallel.one_blas_thread(), pytest.raises(KeyError):
+            _parallel.run_blocks(block, 20, first=first)
+        assert sorted(finished) == sorted(started)
+        assert 0 < len(started) < 20
+
+    @needs_openblas
+    def test_block_error_waits_for_the_other_block(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        finished, running = [], threading.Event()
+
+        def block(index):
+            if index == 0:
+                assert running.wait(10)
+                raise ZeroDivisionError(index)
+            running.set()
+            time.sleep(0.2)
+            finished.append(index)
+
+        with _parallel.one_blas_thread(), pytest.raises(ZeroDivisionError):
+            _parallel.run_blocks(block, 2)
+        assert finished == [1]
+
 
 class TestPartitionedEigh:
     @needs_openblas
@@ -96,7 +223,7 @@ class TestPartitionedEigh:
         want_subs = loop_subgradients(want_vals, want_vecs)
 
         set_cpus(monkeypatch, cpus)
-        pools = record_pools(monkeypatch)
+        calls = record_block_threads(monkeypatch)
         with _parallel.one_blas_thread():
             norms, eigvals, eigvecs = nuclear_norms(mats)
             assert eigvals.tobytes() == want_vals.tobytes()
@@ -104,16 +231,57 @@ class TestPartitionedEigh:
             assert norms.tobytes() == np.abs(want_vals).sum(axis=-1).tobytes()
             subs = sign_subgradients(eigvals, eigvecs)
         assert subs.tobytes() == want_subs.tobytes()
-        assert pools == ([] if cpus == 1 else [1, 1])
+        # Two calls, each on the caller and at most cpus - 1 pool threads.
+        assert len(calls) == 2
+        for threads in calls:
+            assert threading.get_ident() in threads
+            assert len(threads) <= cpus
+            assert threads - {threading.get_ident()} <= pool_threads()
 
     def test_one_block_stack_runs_inline(self, monkeypatch):
         # N=8 at R=2N: a 17-matrix stack is one block, so even with two
-        # CPUs and BLAS at one thread no pool is started.
+        # CPUs and BLAS at one thread every block runs on the caller.
         set_cpus(monkeypatch, 2)
-        forbid_pools(monkeypatch)
+        forbid_threads(monkeypatch)
         ham = random_hamiltonian(8, np.random.default_rng(61), n_electrons=8)
         report = optimize(ham, 16, OptimizationConfig(max_iters=5, rel_tol=0.0))
         assert report.iterations_run == 5
+
+
+class TestPartitionedStep:
+    """N=12 at R=N^2: M = 78 factors, so the fused gradient and Adam step runs in two blocks."""
+
+    @pytest.fixture(scope="class")
+    def ham(self):
+        return random_hamiltonian(12, np.random.default_rng(64), n_electrons=12)
+
+    def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, ham):
+        config = OptimizationConfig(max_iters=6, rel_tol=0.0, learning_rate=1e-2, err_budget=1e9)
+        runs = []
+        for cpus in (1, 2, 5):
+            set_cpus(monkeypatch, cpus)
+            report = optimize(ham, 144, config)
+            kappa, xi, factor_set = report.best_params
+            runs.append((report.total_trace.tobytes(), kappa, xi.tobytes(), factor_set.factors.tobytes()))
+        assert report.best_iteration > 0
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize(
+        "free",
+        [subset for size in (1, 2) for subset in itertools.combinations(PARAM_BLOCKS, size)],
+        ids="+".join,
+    )
+    def test_frozen_blocks_keep_their_initial_bits(self, monkeypatch, ham, free):
+        set_cpus(monkeypatch, 2)
+        init = initial_double_factorization(ham.g_pairs, 144)
+        config = OptimizationConfig(max_iters=6, rel_tol=0.0, learning_rate=1e-2, err_budget=1e9)
+        report = optimize(ham, 144, config, free=free)
+        kappa, xi, factor_set = report.best_params
+        initial = {"kappa": 0.0, "xi": np.zeros((12, 12)), "factors": init.factors}
+        final = {"kappa": kappa, "xi": xi, "factors": factor_set.factors}
+        for block in set(PARAM_BLOCKS) - set(free):
+            assert np.asarray(final[block]).tobytes() == np.asarray(initial[block]).tobytes(), block
+        assert report.best_iteration > 0
 
 
 @needs_openblas
@@ -159,7 +327,7 @@ def test_without_openblas_symbol_runs_inline(monkeypatch):
     monkeypatch.setattr(_parallel, "_OPENBLAS_SYMBOLS", (("no_such_set", "no_such_get"),))
     assert _parallel._blas_thread_controls() is None
     set_cpus(monkeypatch, 2)
-    forbid_pools(monkeypatch)
+    forbid_threads(monkeypatch)
     ham = random_hamiltonian(12, np.random.default_rng(63), n_electrons=12)
     report = optimize(ham, 144, OptimizationConfig(max_iters=5, rel_tol=0.0))  # 79 matrices, 2 blocks
     assert report.iterations_run == 5

@@ -30,6 +30,7 @@ thread count. Wall-clock timestamps appear only in manifest.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -67,6 +68,13 @@ def load_schema(name: str) -> dict:
     """Load one of the shipped draft-07 schema documents by file name."""
     text = resources.files("blissdf").joinpath("schemas", name).read_text()
     return json.loads(text)
+
+
+@functools.cache
+def _validator(name: str):
+    """The validator of shipped schema ``name``; the tests check each schema itself."""
+    schema = load_schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def file_checksum(path: str | Path) -> str:
@@ -114,8 +122,17 @@ def _write_outputs(args, name: str, doc: dict, factor_set=None, **shift) -> None
         provenance = {"input_sha256": doc["input"]["sha256"], "tool_version": __version__}
         save_factor_set(args.out / "factors.npz", factor_set, manifest=provenance, **shift)
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    jsonschema.validate(doc, load_schema(name.replace(".json", ".schema.json")))
+    _validator(name.replace(".json", ".schema.json")).validate(doc)
     (args.out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_trace(path: Path, total_trace) -> None:
+    """Write json.dumps(row, sort_keys=True) per (total, err, lambda) row: json prints floats by repr."""
+    rows = total_trace.tolist()
+    _validator("trace.schema.json").validate(dict(zip(("iter", "total", "err", "lambda"), (0, *rows[0]))))
+    line = '{"err": %r, "iter": %d, "lambda": %r, "total": %r}\n'
+    with open(path, "w") as handle:
+        handle.writelines(line % (err, i, lam, total) for i, (total, err, lam) in enumerate(rows))
 
 
 def cmd_factorize(args) -> int:
@@ -154,13 +171,7 @@ def cmd_optimize(args) -> int:
     best_kappa, best_xi, best_factor_set = report.best_params
     init_breakdown = report.initial_breakdown
 
-    trace_schema = load_schema("trace.schema.json")
-    with open(args.out / "trace.jsonl", "w") as handle:
-        for i, (total, err, lam) in enumerate(report.total_trace):
-            line = {"iter": i, "total": float(total), "err": float(err), "lambda": float(lam)}
-            if i == 0:
-                jsonschema.validate(line, trace_schema)
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
+    _write_trace(args.out / "trace.jsonl", report.total_trace)
 
     n = ham.n_orbitals
     report_doc = {
@@ -247,10 +258,10 @@ def cmd_report(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    try:
-        jsonschema.validate(data, load_schema("report.schema.json"))
-    except jsonschema.ValidationError as exc:
-        print(f"{args.input}: schema mismatch: {exc.message}", file=sys.stderr)
+    # The error jsonschema.validate would raise, of the several a document can have.
+    error = jsonschema.exceptions.best_match(_validator("report.schema.json").iter_errors(data))
+    if error is not None:
+        print(f"{args.input}: schema mismatch: {error.message}", file=sys.stderr)
         return EXIT_INPUT
 
     header = f"{'method':<12} {'N':>4} {'R':>5} {'lambda':>18} {'error':>12}"

@@ -166,7 +166,7 @@ class LambdaBreakdown:
 
 def lambda_parts(factor_norms: np.ndarray, one_body: float) -> tuple[float, float, float]:
     """(lambda, 1/2 * sum_r Lambda_r^2, ||h'||_*) from the factors' nuclear norms and ||h'||_*."""
-    two_body, one_body = float(0.5 * np.sum(factor_norms**2)), float(one_body)
+    two_body, one_body = 0.5 * float(np.add.reduce(np.square(factor_norms))), float(one_body)
     return two_body + one_body, two_body, one_body
 
 
@@ -227,7 +227,7 @@ def nuclear_norms(mats: np.ndarray, first=None, fill=None) -> tuple[np.ndarray, 
         vals[part], vecs[part] = np.linalg.eigh(flat[part])
 
     run_blocks(block, -(-len(flat) // _BLOCK), first)
-    return np.abs(eigvals).sum(axis=-1), eigvals, eigvecs
+    return np.add.reduce(np.abs(eigvals), axis=-1), eigvals, eigvecs
 
 
 def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray, then=None, work=None) -> np.ndarray:

@@ -211,18 +211,6 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     return ham.h + 2.0 * space.unpack(np.einsum("pk->p", ham.g_pairs[:, space.diagonal]))
 
 
-def shifted_effective_one_body(h_eff: np.ndarray, n_e: int, kappa: float, xi: np.ndarray) -> np.ndarray:
-    """h'_ij + (N - n_e) xi_ij + (kappa + tr xi) delta_ij, the shifted h'.
-
-    ``h_eff`` is the unshifted h' = effective_one_body(ham), which does not
-    depend on the shift, so a caller evaluating many shifts computes it once.
-    Equals effective_one_body(apply_symmetry_shift(...)) up to round-off,
-    without building the shifted two-body tensor.
-    """
-    n = h_eff.shape[0]
-    return h_eff + (n - n_e) * xi + (kappa + float(np.trace(xi))) * np.eye(n)
-
-
 def effective_rank(factors: np.ndarray) -> int:
     """Number of factors left once the trailing exactly-zero ones are dropped.
 

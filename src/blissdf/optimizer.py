@@ -24,28 +24,33 @@ is that of one matrix entry, so Adam steps as on the full symmetric
 matrices. With F the (M, P) packed factors, the residual is the P x P
 matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
 with multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
--4 c_approx (F * c) D + Lambda_r S_r. The M unpacked factors and the
-shifted h_eff share one eigh stack per evaluation, and a run
-evaluates each trace row once: the initial and the best point's Err and
-lambda breakdown are kept from their own rows, and the gradient is built
-from the same eigh stack after the stop check, only when a step follows.
-Descent is Adam, in place; a frozen block has its gradient zeroed, so it
-keeps its initial value bit for bit.
+-4 c_approx (F * c) D + Lambda_r S_r. A run evaluates each trace row
+once: the initial and the best point's Err and lambda breakdown are kept
+from their own rows, and the gradient is built from the row's eigh batch
+after the stop check, only when a step follows. Descent is Adam, in place;
+a frozen block has its gradient zeroed, so it keeps its initial value bit
+for bit.
 
-optimize, total_cost and gradient run with BLAS at one thread. Each
-evaluation is two phases over fixed blocks of 64 stack matrices, spread
-over all available CPUs by one thread pool that persists across calls
-(blissdf._parallel). In the first, each block unpacks its factors and runs
-their eigh (factorization.nuclear_norms), while the calling thread forms
-the residual F^T F. In the second, after the stop check, each block forms
-its subgradients (factorization.sign_subgradients) and then, for its own
-factor rows, the Err term (F_b * c) D, the packed and scaled subgradients
-and, in optimize, the Adam step on its own contiguous slice of theta, m and
-v. The last block, which holds h', also does kappa and xi. Adam is
-elementwise, so its bits do not depend on the split, and the blocks do not
-depend on the core count, so neither does any bit: the run is
-deterministic for a fixed config. A row block of (F * c) D need not be bit
-equal to the same rows of one whole gemm, so the block size is part of
+optimize, total_cost and gradient each build one workspace (_Objective)
+and drop it when they return. It holds what every evaluation reuses: the
+views of theta and of its gradient, the (M + 1, N, N) eigh stack of the M
+unpacked factors and the shifted h', I_N, the pair index maps, h' and,
+once row 0 fixes it, the penalty weight, so an iteration runs only its
+arithmetic. What a row keeps, its Err and its batch's nuclear norms, is
+fresh per evaluation, so later iterations cannot overwrite it.
+
+The three run with BLAS at one thread, in two phases over the fixed
+64-matrix blocks of the eigh stack, spread over all available CPUs by one
+persistent thread pool (blissdf._parallel). In the first, each block
+unpacks its factors and runs their eigh (factorization.nuclear_norms)
+while the calling thread forms the residual F^T F. In the second, after
+the stop check, each block forms its subgradients
+(factorization.sign_subgradients), then for its own factor rows the Err
+term (F_b * c) D and the scaled subgradients, and in optimize the Adam
+step on its own slice of theta, m and v; the last block, which holds h',
+also does kappa and xi. Adam is elementwise and the blocks do not depend
+on the core count, so no bit does. A row block of (F * c) D need not be
+bit equal to the same rows of one whole gemm, so the block size is part of
 what fixes the bits.
 """
 
@@ -73,7 +78,6 @@ from blissdf.hamiltonian import (
     effective_one_body,
     effective_rank,
     pair_space,
-    shifted_effective_one_body,
     symmetrize_one_body,
 )
 
@@ -230,85 +234,87 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
     return np.concatenate(([float(kappa)], xi.ravel(), factors.ravel())), rank
 
 
-def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Writable views (kappa, xi, factors) of theta: (1,), (N, N), (M, P)."""
+def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Writable views (xi, factors) of theta, (N, N) and (M, P); kappa is theta[0]."""
     xi_end = 1 + n * n
-    return theta[:1], theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
+    return theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
 
 
-def _gradient_weights(n: int, c_approx: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Per-run constants of a gradient at weight c_approx: c_approx, -4 c_approx c_p and I_N."""
-    return c_approx, -4.0 * c_approx * pair_space(n).mult, np.eye(n)
+class _Objective:
+    """One call's workspace for Total = c_approx * Err + lambda at theta (see the module docstring)."""
 
+    def __init__(self, ham: Hamiltonian, theta: np.ndarray):
+        n = ham.n_orbitals
+        self.space, self.n_shift, self.g_pairs = pair_space(n), n - ham.n_electrons, ham.g_pairs
+        self.h_eff, self.theta, self.grad = effective_one_body(ham), theta, np.empty_like(theta)
+        self.xi, self.factors = _blocks(theta, n)
+        self.grad_xi, self.grad_factors = _blocks(self.grad, n)
+        self.head, self.rank = 1 + n * n, len(self.factors)
+        self.xi_diagonal = theta[1 : self.head : n + 1]  # np.trace(xi) is add.reduce over this view
+        self.stack, self.eye, self.batch = np.empty((self.rank + 1, n, n)), np.eye(n), None
+        self.flat_stack = self.stack.reshape(self.rank + 1, n * n)
 
-def _evaluate(ham: Hamiltonian, h_eff: np.ndarray, theta: np.ndarray):
-    """(err, lambda, norms, fill_gradient) at theta, given ham's unshifted h'.
+    def weigh(self, c_approx: float) -> None:
+        """Fix the penalty weight of gradient(): c_approx and the residual's -4 c_approx c_p."""
+        self.c_approx, self.err_scale = c_approx, -4.0 * c_approx * self.space.mult
 
-    ``norms`` are the eigh batch's nuclear norms: the M factors', then the
-    shifted h''s. ``fill_gradient(weights, grad, then)`` writes the gradient
-    of c_approx * err + lambda into ``grad`` from the same batch, whose
-    eigenvectors it overwrites, so it runs at most once; ``weights`` come
-    from _gradient_weights. It runs in the blocks of the batch's
-    subgradients: each block writes the gradient of its factors' entries,
-    the block holding h' also the kappa and xi entries, and then calls
-    ``then(part)`` on the thread that wrote them, for each contiguous slice
-    ``part`` of theta it finished. The arrays it needs live as long as it
-    does. Nothing here is N^4 sized.
-    """
-    n = ham.n_orbitals
-    space = pair_space(n)
-    kappa, xi, factors = _blocks(theta, n)
-    rank = len(factors)
+    def evaluate(self) -> tuple[float, float, np.ndarray]:
+        """(err, lambda, norms) at theta, norms the M factors' then h''s; keeps the batch for gradient()."""
+        space, rank, xi, factors = self.space, self.rank, self.xi, self.factors
+        # The shifted h' = h' + (N - n_e) xi + (kappa + tr xi) I.
+        one_body = np.add(self.h_eff, self.n_shift * xi, out=self.stack[rank])
+        one_body += (self.theta.item(0) + float(np.add.reduce(self.xi_diagonal))) * self.eye
+        err = diff = None
 
-    # One eigh stack: the M factors, each unpacked by its own block, then the
-    # shifted h_eff. The P-sized residual runs on this thread alongside.
-    stack = np.empty((rank + 1, n, n))
-    stack[rank] = shifted_effective_one_body(h_eff, ham.n_electrons, float(kappa[0]), xi)
-    err = diff = None
+        def residual() -> None:  # the P-sized residual, on this thread beside the eigh blocks
+            nonlocal err, diff
+            err, diff = space.residual(space.shifted(self.g_pairs, xi), factors)
 
-    def residual() -> None:
-        nonlocal err, diff
-        err, diff = space.residual(space.shifted(ham.g_pairs, xi), factors)
+        def unpack(part: slice) -> None:
+            rows = slice(part.start, min(part.stop, rank))
+            factors[rows].take(space.unpack_index, axis=1, out=self.flat_stack[rows], mode="clip")
 
-    def unpack(part: slice) -> None:
-        rows = slice(part.start, min(part.stop, rank))
-        space.unpack(factors[rows], out=stack[rows])
+        norms, eigvals, eigvecs = nuclear_norms(self.stack, first=residual, fill=unpack)
+        self.batch = diff, norms, eigvals, eigvecs
+        return err, lambda_parts(norms[:rank], norms[rank])[0], norms
 
-    norms, eigvals, eigvecs = nuclear_norms(stack, first=residual, fill=unpack)
+    def gradient(self, then=lambda part: None) -> None:
+        """Write the gradient at the last evaluate()'s theta into grad, once, in its batch's blocks.
 
-    def fill_gradient(weights, grad: np.ndarray, then=lambda part: None) -> None:
-        c_approx, err_scale, eye = weights
-        grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
-        head, width = 1 + n * n, factors.shape[1]
+        Each block then calls ``then(part)`` on its thread for each slice of theta it wrote.
+        """
+        diff, norms, eigvals, eigvecs = self.batch
+        self.batch = None  # the evaluation's arrays go with this call
+        space, rank, head, factors, grad_xi = self.space, self.rank, self.head, self.factors, self.grad_xi
+        flat_stack, flat_vecs = self.flat_stack, eigvecs.reshape(rank + 1, -1)
+        width = factors.shape[1]
 
         def block(part: slice) -> None:
             # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
             rows = slice(part.start, min(part.stop, rank))
             # The (rows, P) terms are formed in the block's part of the spent eigh stack.
-            out = grad_factors[rows]
-            work = stack[rows].reshape(-1)[: out.size].reshape(out.shape)
-            np.matmul(np.multiply(factors[rows], err_scale, out=work), diff, out=out)
-            space.pack(eigvecs[rows], out=work)
+            out = self.grad_factors[rows]
+            work = flat_stack[rows].reshape(-1)[: out.size].reshape(out.shape)
+            np.matmul(np.multiply(factors[rows], self.err_scale, work), diff, out)
+            flat_vecs[rows].take(space.upper, axis=1, out=work, mode="clip")
             work *= norms[rows, None]
             out += work
             start = head + rows.start * width
             if part.stop > rank:  # the last block holds h''s subgradient
-                one_body_trace = float(np.trace(eigvecs[rank]))
-                grad_kappa[0] = one_body_trace
-                # d Err / d xi_ab = 2 sum_k D_(ab),(kk): D's columns at the diagonal pairs.
-                xi_part = 2.0 * c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
-                xi_part += (n - ham.n_electrons) * eigvecs[rank] + one_body_trace * eye
+                one_body_trace = float(eigvecs[rank].trace())
+                self.grad[0] = one_body_trace
+                # d Err / d xi_ab = 2 sum_k D_(ab),(kk), in the order of the fancy index's copy.
+                xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
+                xi_part += self.n_shift * eigvecs[rank] + one_body_trace * self.eye
                 # symmetrize_one_body's average, in place and without its bitwise check.
-                np.multiply(np.add(xi_part, xi_part.T, out=grad_xi), 0.5, out=grad_xi)
+                np.multiply(np.add(xi_part, xi_part.T, grad_xi), 0.5, grad_xi)
                 if rows.start:
                     then(slice(0, head))
                 else:  # one block: the head and the factors are one slice
                     start = 0
             then(slice(start, head + rows.stop * width))
 
-        sign_subgradients(eigvals, eigvecs, then=block, work=stack)
-
-    return err, lambda_parts(norms[:rank], norms[rank])[0], norms, fill_gradient
+        sign_subgradients(eigvals, eigvecs, then=block, work=self.stack)
 
 
 @one_blas_thread()
@@ -327,7 +333,7 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
         zero factors are skipped, so a zero-padded factor stack gives the
         same bits as its unpadded prefix.
     """
-    err, lam = _evaluate(ham, effective_one_body(ham), _pack(ham, params)[0])[:2]
+    err, lam = _Objective(ham, _pack(ham, params)[0]).evaluate()[:2]
     return float(c_approx) * err + lam, err, lam
 
 
@@ -342,14 +348,13 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
         skipped and get exact zeros in d_factors, as in total_cost.
     """
     theta, rank = _pack(ham, params)
-    n = ham.n_orbitals
-    space = pair_space(n)
-    grad = np.empty_like(theta)
-    _evaluate(ham, effective_one_body(ham), theta)[3](_gradient_weights(n, float(c_approx)), grad)
-    grad_kappa, grad_xi, grad_factors = _blocks(grad, n)
-    d_factors = np.zeros((rank, n, n))
-    d_factors[: len(grad_factors)] = space.unpack(grad_factors)
-    return float(grad_kappa[0]), grad_xi, d_factors
+    objective = _Objective(ham, theta)
+    objective.weigh(float(c_approx))
+    objective.evaluate()
+    objective.gradient()
+    d_factors = np.zeros((rank, ham.n_orbitals, ham.n_orbitals))
+    d_factors[: objective.rank] = objective.space.unpack(objective.grad_factors)
+    return objective.grad.item(0), objective.grad_xi, d_factors
 
 
 def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
@@ -418,19 +423,18 @@ def optimize(
 
     n = ham.n_orbitals
     space = pair_space(n)
-    h_eff = effective_one_body(ham)  # independent of the shift, so computed once
     # theta starts at kappa = 0, xi = 0 and the M nonzero initial factors; the
     # trailing exact-zero ones never move and stay out of it.
     init = initial_double_factorization(ham.g_pairs, rank)
     theta = np.concatenate((np.zeros(1 + n * n), space.pack(init.factors[: init.effective_rank]).ravel()))
     del init
+    objective = _Objective(ham, theta)
     # best_theta is written in place: a fresh copy per improvement, taken
     # while the evaluation's arrays are alive, raises the process peak RSS.
-    grad, best_theta = np.empty_like(theta), np.empty_like(theta)
+    grad, best_theta = objective.grad, np.empty_like(theta)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     # Each frozen block's span of theta, where its gradient is zeroed.
-    head = 1 + n * n
-    spans = zip(PARAM_BLOCKS, ((0, 1), (1, head), (head, theta.size)))
+    spans = zip(PARAM_BLOCKS, ((0, 1), (1, objective.head), (objective.head, theta.size)))
     frozen = [span for name, span in spans if name not in free]
 
     def descend(part: slice) -> None:
@@ -445,12 +449,12 @@ def optimize(
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
-        err, lam, norms, fill_gradient = _evaluate(ham, h_eff, theta)
+        err, lam, norms = objective.evaluate()
         if iteration == 0:
             init_err, init_norms = err, norms
             # The automatic weight of OptimizationConfig, from the initial point.
             c_approx = float(config.c_approx or min(max(1e3 * lam / max(err, 1e-12), 1e2), 1e9))
-            weights = _gradient_weights(n, c_approx)
+            objective.weigh(c_approx)
         total = c_approx * err + lam
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
@@ -474,22 +478,19 @@ def optimize(
 
         if iteration == config.max_iters:
             break
-        # Gradient and Adam step in one pass over the eigh stack's blocks:
-        # each block steps its own slice of theta, as Adam is elementwise.
-        fill_gradient(weights, grad, then=descend)
-        del fill_gradient  # and with it the evaluation's arrays
+        objective.gradient(then=descend)
 
     # Free the descent state, then unpack the best factors straight into the
     # zero-padded (R, N, N) output.
-    del theta, grad, m, v, fill_gradient
-    best_kappa, best_xi, best_factors = _blocks(best_theta, n)
+    del objective, theta, grad, m, v
+    best_xi, best_factors = _blocks(best_theta, n)
     padded = np.zeros((rank, n, n))
     space.unpack(best_factors, out=padded[: len(best_factors)])
     padded.setflags(write=False)  # handed over to FactorSet without a copy
     init_breakdown = LambdaBreakdown.from_norms(init_norms[:-1], init_norms[-1], rank)
 
     return OptimizationReport(
-        best_params=(float(best_kappa[0]), best_xi, FactorSet(factors=padded)),
+        best_params=(best_theta.item(0), best_xi, FactorSet(factors=padded)),
         lambda_breakdown=LambdaBreakdown.from_norms(best_norms[:-1], best_norms[-1], rank),
         err_final=best_err,
         total_trace=np.array(trace),

@@ -3,7 +3,9 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -618,11 +620,16 @@ class TestReport:
         assert "JSON" in stderr
 
     def test_schema_mismatch_rejected(self, tmp_path, capsys):
+        doc = {"schema_version": cli.SCHEMA_VERSION, "runs": "nope"}
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema_version": cli.SCHEMA_VERSION, "runs": "nope"}))
+        bad.write_text(json.dumps(doc))
         code, _, stderr = run_cli(["report", "--input", str(bad)], capsys)
         assert code == 1
-        assert "schema" in stderr
+        # The message is the error jsonschema.validate picks (best_match)
+        # among the document's several schema errors.
+        with pytest.raises(jsonschema.ValidationError) as picked:
+            jsonschema.validate(doc, cli.load_schema("report.schema.json"))
+        assert stderr == f"{bad}: schema mismatch: {picked.value.message}\n"
 
     @pytest.mark.parametrize("payload", ["[]", '"x"'])
     def test_non_object_json_rejected(self, tmp_path, capsys, payload):
@@ -632,6 +639,28 @@ class TestReport:
         assert code == 1
         assert stderr.startswith(f"{odd}: ")
         assert "Traceback" not in stderr
+
+
+SCHEMA_NAMES = sorted(path.name for path in (Path(cli.__file__).parent / "schemas").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SCHEMA_NAMES)
+def test_shipped_schema_is_valid(name):
+    # The CLI builds each schema's validator without checking the schema
+    # itself against its meta-schema, so every shipped schema is checked here.
+    schema = cli.load_schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_trace_lines_equal_json_dumps(tmp_path):
+    values = [5e-324, 1e-300, 1e16, 2.0, -0.0, 0.1 + 0.2, 1.7976931348623157e308]
+    rows = np.array([(-value, value, value / 7) for value in values])  # err, lambda >= 0
+    cli._write_trace(tmp_path / "trace.jsonl", rows)
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+    assert lines == [
+        json.dumps({"iter": i, "total": total, "err": err, "lambda": lam}, sort_keys=True) + "\n"
+        for i, (total, err, lam) in enumerate(rows.tolist())
+    ]
 
 
 class TestUsageErrors:

@@ -493,6 +493,45 @@ class TestOptimize:
                 optimize(ham, 4, cfg)
         assert exc_info.value.iteration >= 1
 
+    def test_calls_share_no_workspace(self):
+        # Each optimize, total_cost and gradient call builds its own
+        # workspace, so calls in between leave a rerun's bits unchanged.
+        rng = np.random.default_rng(63)
+        ham = random_hamiltonian(4, rng, n_electrons=4)
+        config = small_config(max_iters=30)
+        first = optimize(ham, 16, config)
+        params = (0.2, symmetrize_one_body(rng.standard_normal((4, 4))), rng.standard_normal((3, 4, 4)))
+        total_cost(ham, params, 5.0)
+        gradient(ham, params, 5.0)
+        second = optimize(ham, 16, config)
+        assert first.total_trace.tobytes() == second.total_trace.tobytes()
+        assert first.best_params[0] == second.best_params[0]
+        assert first.best_params[1].tobytes() == second.best_params[1].tobytes()
+        assert first.best_params[2].factors.tobytes() == second.best_params[2].factors.tobytes()
+        for name in ("lambda_breakdown", "initial_breakdown"):
+            got, want = getattr(second, name), getattr(first, name)
+            assert dataclasses.astuple(got)[:3] == dataclasses.astuple(want)[:3], name
+            assert got.per_factor.tobytes() == want.per_factor.tobytes(), name
+
+    def test_kept_rows_are_not_overwritten(self):
+        # Row 0's and the best row's breakdowns come from their own
+        # evaluations; here 41 more iterations run after the best row.
+        ham = random_hamiltonian(6, np.random.default_rng(62), n_electrons=6)
+        config = OptimizationConfig(max_iters=50, rel_tol=0.0, learning_rate=3e-2)
+        report = optimize(ham, 6, config)
+        assert 0 < report.best_iteration < report.iterations_run == 50
+        # A run that stops at the best row evaluates nothing after it.
+        stopped = optimize(ham, 6, dataclasses.replace(config, max_iters=report.best_iteration))
+        assert stopped.best_iteration == report.best_iteration
+        xdf = lambda_df(initial_double_factorization(ham.g, 6), effective_one_body(ham))
+        for got, want in (
+            (report.initial_breakdown, xdf),
+            (report.lambda_breakdown, stopped.lambda_breakdown),
+        ):
+            assert dataclasses.astuple(got)[:3] == dataclasses.astuple(want)[:3]
+            assert got.per_factor.tobytes() == want.per_factor.tobytes()
+        assert report.err_final == stopped.err_final
+
     def test_trace_starts_at_initialization(self):
         rng = np.random.default_rng(33)
         ham = random_hamiltonian(3, rng)
@@ -619,13 +658,17 @@ class TestPackedKernel:
         xi = symmetrize_one_body(rng.standard_normal((n, n)))
         theta, _ = optimizer._pack(ham, (0.3, xi, init))
         assert theta.size == 1 + n * n + n * n * (n + 1) // 2
-        h_eff = effective_one_body(ham)
-        grad, weights = np.empty_like(theta), optimizer._gradient_weights(n, 7.0)
-        optimizer._evaluate(ham, h_eff, theta)[3](weights, grad)  # warm caches
 
+        def evaluate_with_gradient():
+            objective = optimizer._Objective(ham, theta)
+            objective.weigh(7.0)
+            objective.evaluate()
+            objective.gradient()
+
+        evaluate_with_gradient()  # warm caches
         tracemalloc.start()
         try:
-            optimizer._evaluate(ham, h_eff, theta)[3](weights, grad)
+            evaluate_with_gradient()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

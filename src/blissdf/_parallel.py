@@ -1,13 +1,15 @@
 """Fixed-block loops on all available CPUs, with BLAS pinned to one thread.
 
-A caller cuts its work into a fixed number of independent blocks, so each
-block computes the same bits whichever thread runs it and however many run.
-The threads only pay off with BLAS at one thread: otherwise each block's
-BLAS threads compete for the same cores. So run_blocks uses more than the
-calling thread only while numpy's bundled OpenBLAS reports one thread, as
-inside one_blas_thread(). Without a known OpenBLAS symbol it never does.
-The extra threads form one pool, started on the first split call and kept
-for the life of the process, so a call starts no thread once it exists.
+The partition lives here: run_blocks cuts range(length) into fixed slices
+of _BLOCK items, so each block computes the same bits whichever thread runs
+it and however many run. Callers write their block loop as fn(part) over
+those slices. The threads only pay off with BLAS at one thread: otherwise
+each block's BLAS threads compete for the same cores. So run_blocks uses
+more than the calling thread only while numpy's bundled OpenBLAS reports
+one thread, as inside one_blas_thread(). Without a known OpenBLAS symbol it
+never does. The extra threads form one pool, started on the first split
+call and kept for the life of the process, so a call starts no thread once
+it exists.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import os
 import threading
 
 import numpy as np
+
+# Items per block of run_blocks; a caller's bits may depend on it.
+_BLOCK = 64
 
 # (set, get) thread-count functions of the OpenBLAS that numpy wheels bundle.
 _OPENBLAS_SYMBOLS = (
@@ -109,35 +114,37 @@ def _pool(size: int):
     return _jobs
 
 
-def run_blocks(fn, count: int, first=None):
-    """Call fn(0), ..., fn(count - 1) and first(); return first()'s result.
+def run_blocks(fn, length: int, first=None):
+    """Call fn(part) on each fixed slice of range(length) and first(); return first()'s result.
 
-    first runs on the calling thread, which then takes blocks from the same
-    queue as up to workers - 1 threads of a pool that persists across calls.
-    With one block or one worker everything runs on the calling thread.
-    Blocks must be independent; each writes its own part of outputs its
-    caller allocated. If first or a block raises, no further block starts,
-    and the first error is raised once every started block has finished,
-    so no block writes after this returns or raises.
+    The slices hold _BLOCK items each, the last one possibly fewer. first
+    runs on the calling thread, which then takes blocks from the same queue
+    as up to workers - 1 threads of a pool that persists across calls. With
+    one block or one worker everything runs on the calling thread. Blocks
+    must be independent; each writes its own part of outputs its caller
+    allocated. If first or a block raises, no further block starts, and the
+    first error is raised once every started block has finished, so no
+    block writes after this returns or raises.
     """
-    workers = 1 if count <= 1 else min(_workers(), count)
+    parts = [slice(start, min(start + _BLOCK, length)) for start in range(0, length, _BLOCK)]
+    workers = 1 if len(parts) <= 1 else min(_workers(), len(parts))
     if workers == 1:
         result = None if first is None else first()
-        for index in range(count):
-            fn(index)
+        for part in parts:
+            fn(part)
         return result
 
     done = threading.Condition()
-    blocks, errors, helping, is_open = iter(range(count)), [], 0, True
+    blocks, errors, helping, is_open = iter(parts), [], 0, True
 
     def drain():
         while True:
             with done:
-                index = None if errors else next(blocks, None)
-            if index is None:
+                part = None if errors else next(blocks, None)
+            if part is None:
                 return
             try:
-                fn(index)
+                fn(part)
             except BaseException as exc:
                 with done:
                     errors.append(exc)

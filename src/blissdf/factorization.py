@@ -44,9 +44,6 @@ from blissdf.hamiltonian import (
 
 ARCHIVE_FORMAT = "blissdf-factors-v1"
 
-# Matrices per block of the eigh and subgradient loops (see nuclear_norms).
-_BLOCK = 64
-
 
 class IndefiniteTensorError(ValueError):
     """The reshaped two-body tensor has significantly negative eigenvalues.
@@ -200,17 +197,13 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
     return Rank1Decomposition(eigenvalues=eigvals[order], vectors=vectors[order])
 
 
-def nuclear_norms(mats: np.ndarray, first=None, fill=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nuclear_norms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nuclear norms of symmetric matrices (..., N, N) from eigh over fixed blocks.
 
-    The stack is cut into blocks of _BLOCK matrices, one batched eigh each, and
-    run_blocks spreads the blocks over the CPUs while BLAS is at one thread,
-    on the calling thread and a worker pool that persists across calls.
-    A matrix's eigenpairs do not depend on its block or thread, so the bits
-    are those of one batched eigh over the whole stack. ``first``, if given,
-    runs on the calling thread alongside the blocks. ``fill(part)``, if given,
-    writes the matrices of the flattened stack's slice ``part`` just before
-    their block's eigh, on the same thread.
+    One batched eigh per block of run_blocks, which spreads the blocks over
+    the CPUs while BLAS is at one thread. A matrix's eigenpairs do not depend
+    on its block or thread, so the bits are those of one batched eigh over
+    the whole stack.
 
     Returns (norms, eigvals, eigvecs), the last two for sign_subgradients.
     eigh rather than eigvalsh: every nuclear norm in the package comes from
@@ -220,40 +213,23 @@ def nuclear_norms(mats: np.ndarray, first=None, fill=None) -> tuple[np.ndarray, 
     eigvals, eigvecs = np.empty(mats.shape[:-1]), np.empty(mats.shape)
     flat, vals, vecs = mats.reshape(-1, n, n), eigvals.reshape(-1, n), eigvecs.reshape(-1, n, n)
 
-    def block(index):
-        part = slice(index * _BLOCK, min((index + 1) * _BLOCK, len(flat)))
-        if fill is not None:
-            fill(part)
+    def block(part):
         vals[part], vecs[part] = np.linalg.eigh(flat[part])
 
-    run_blocks(block, -(-len(flat) // _BLOCK), first)
+    run_blocks(block, len(flat))
     return np.add.reduce(np.abs(eigvals), axis=-1), eigvals, eigvecs
 
 
-def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray, then=None, work=None) -> np.ndarray:
+def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray, work=None) -> np.ndarray:
     """Each matrix's U sign(D) U^T (sign(0) = 0), written over its eigenvectors U.
 
-    The product runs over the blocks of nuclear_norms, so no temporary is as
-    large as the whole stack. ``work``, a spent array of eigvecs' shape such
-    as the eigh input, if given, holds each U sign(D) instead of a temporary.
-    ``then(part)``, if given, runs right after the products of the flattened
-    stack's slice ``part``, on the same thread, so a caller can use each
-    block's subgradients while other blocks still run: the optimizer forms
-    the gradient of the block's factor rows there and takes their Adam step.
-    Returns ``eigvecs``.
+    One batched product over the stack it is given; the optimizer calls it
+    once per block, so no temporary is as large as its whole stack.
+    ``work``, a spent array of eigvecs' shape such as the eigh input, if
+    given, holds U sign(D) instead of a temporary. Returns ``eigvecs``.
     """
-    n = eigvecs.shape[-1]
-    vecs, signs = eigvecs.reshape(-1, n, n), np.sign(eigvals).reshape(-1, 1, n)
-    work = None if work is None else work.reshape(-1, n, n)
-
-    def block(index):
-        part = slice(index * _BLOCK, min((index + 1) * _BLOCK, len(vecs)))
-        scaled = np.multiply(vecs[part], signs[part], out=None if work is None else work[part])
-        vecs[part] = scaled @ vecs[part].swapaxes(-1, -2)
-        if then is not None:
-            then(part)
-
-    run_blocks(block, -(-len(vecs) // _BLOCK))
+    scaled = np.multiply(eigvecs, np.sign(eigvals)[..., None, :], out=work)
+    eigvecs[...] = scaled @ eigvecs.swapaxes(-1, -2)
     return eigvecs
 
 

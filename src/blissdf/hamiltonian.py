@@ -97,6 +97,13 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _electron_count(name: str, value) -> int:
+    """value as an int; ValueError unless it is a Python or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclasses.dataclass(frozen=True, eq=False, init=False)
 class Hamiltonian:
     """Electronic Hamiltonian in the excitation-ordered convention.
@@ -127,7 +134,7 @@ class Hamiltonian:
             raise ValueError("Hamiltonian coefficients must be finite")
         if not np.isfinite(core_constant):
             raise ValueError("core constant must be finite")
-        n_e = int(n_electrons)
+        n_e = _electron_count("n_electrons", n_electrons)
         if not 0 <= n_e <= 2 * n:
             raise ValueError(f"n_electrons={n_e} outside [0, {2 * n}]")
         object.__setattr__(self, "h", _frozen_array(h))
@@ -163,11 +170,12 @@ class ShiftParams:
         xi = symmetrize_one_body(self.xi)
         if not np.isfinite(xi).all() or not np.isfinite(self.kappa):
             raise ValueError("shift parameters must be finite")
-        if int(self.n_e) < 0:
+        n_e = _electron_count("n_e", self.n_e)
+        if n_e < 0:
             raise ValueError("n_e must be nonnegative")
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "xi", _frozen_array(xi))
-        object.__setattr__(self, "n_e", int(self.n_e))
+        object.__setattr__(self, "n_e", n_e)
 
     @classmethod
     def zero(cls, n_orbitals: int, n_e: int) -> "ShiftParams":

@@ -18,8 +18,8 @@ smoothing or perturbation is needed.
 The descent runs in pair space (hamiltonian.PairSpace) over the M nonzero
 initial factors (a zero factor has a zero gradient; the reported factors
 are padded back to R with zeros), so nothing in it is N^4 sized. The one
-flat parameter vector holds kappa, xi (N x N) and each factor's P =
-N(N+1)/2 upper-triangle entries in plain A coordinates: the factor gradient
+flat parameter vector holds each factor's P = N(N+1)/2 upper-triangle
+entries in plain A coordinates, then kappa and xi (N x N): the factor gradient
 is that of one matrix entry, so Adam steps as on the full symmetric
 matrices. With F the (M, P) packed factors, the residual is the P x P
 matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
@@ -39,19 +39,20 @@ once row 0 fixes it, the penalty weight, so an iteration runs only its
 arithmetic. What a row keeps, its Err and its batch's nuclear norms, is
 fresh per evaluation, so later iterations cannot overwrite it.
 
-The three run with BLAS at one thread, in two phases over the fixed
-64-matrix blocks of the eigh stack, spread over all available CPUs by one
-persistent thread pool (blissdf._parallel). In the first, each block
-unpacks its factors and runs their eigh (factorization.nuclear_norms)
-while the calling thread forms the residual F^T F. In the second, after
-the stop check, each block forms its subgradients
+The three run with BLAS at one thread, in two phases, each one run_blocks
+call over the fixed 64-matrix blocks of the eigh stack that
+blissdf._parallel cuts and spreads over all available CPUs on one
+persistent thread pool. In evaluate(), each block unpacks its factors and
+runs their eigh while the calling thread forms the residual F^T F. In
+gradient(), after the stop check, each block forms its subgradients
 (factorization.sign_subgradients), then for its own factor rows the Err
-term (F_b * c) D and the scaled subgradients, and in optimize the Adam
-step on its own slice of theta, m and v; the last block, which holds h',
-also does kappa and xi. Adam is elementwise and the blocks do not depend
-on the core count, so no bit does. A row block of (F * c) D need not be
-bit equal to the same rows of one whole gemm, so the block size is part of
-what fixes the bits.
+term (F_b * c) D and the scaled subgradients, and calls then() once on the
+slice of theta it wrote: in optimize, the Adam step on that slice of
+theta, m and v. The last block holds h', so it also does kappa and xi,
+which follow its factor rows in theta. Adam is elementwise and the blocks
+do not depend on the core count, so no bit does. A row block of (F * c) D
+need not be bit equal to the same rows of one whole gemm, so the block
+size is part of what fixes the bits.
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ from pathlib import Path
 
 import numpy as np
 
-from blissdf._parallel import one_blas_thread
+from blissdf._parallel import one_blas_thread, run_blocks
 from blissdf.factorization import (
     FactorSet,
     LambdaBreakdown,
     initial_double_factorization,
     lambda_parts,
-    nuclear_norms,
     sign_subgradients,
 )
 from blissdf.hamiltonian import (
@@ -216,9 +216,9 @@ class OptimizationReport:
 def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
     """Check and symmetrize (kappa, xi, factors); return them as one flat vector.
 
-    The vector holds kappa, xi and each factor's upper triangle, up to the last
-    nonzero factor (see effective_rank): a trailing zero factor has an exactly
-    zero gradient and adds nothing to the cost. R is returned with it.
+    The vector holds each factor's upper triangle, up to the last nonzero
+    factor (see effective_rank), then kappa and xi: a trailing zero factor has
+    an exactly zero gradient and adds nothing to the cost. R is returned with it.
     """
     kappa, xi, factors = params
     n = ham.n_orbitals
@@ -231,13 +231,13 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
     rank = len(factors)
     factors = factors[: effective_rank(factors)]
     factors = pair_space(n).pack(_symmetric_part(factors, ((0, 2, 1),)))
-    return np.concatenate(([float(kappa)], xi.ravel(), factors.ravel())), rank
+    return np.concatenate((factors.ravel(), [float(kappa)], xi.ravel())), rank
 
 
 def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Writable views (xi, factors) of theta, (N, N) and (M, P); kappa is theta[0]."""
-    xi_end = 1 + n * n
-    return theta[1:xi_end].reshape(n, n), theta[xi_end:].reshape(-1, n * (n + 1) // 2)
+    """Writable views (factors, xi) of theta, (M, P) and (N, N); kappa lies between them."""
+    tail = theta.size - 1 - n * n
+    return theta[:tail].reshape(-1, n * (n + 1) // 2), theta[tail + 1 :].reshape(n, n)
 
 
 class _Objective:
@@ -247,10 +247,10 @@ class _Objective:
         n = ham.n_orbitals
         self.space, self.n_shift, self.g_pairs = pair_space(n), n - ham.n_electrons, ham.g_pairs
         self.h_eff, self.theta, self.grad = effective_one_body(ham), theta, np.empty_like(theta)
-        self.xi, self.factors = _blocks(theta, n)
-        self.grad_xi, self.grad_factors = _blocks(self.grad, n)
-        self.head, self.rank = 1 + n * n, len(self.factors)
-        self.xi_diagonal = theta[1 : self.head : n + 1]  # np.trace(xi) is add.reduce over this view
+        self.factors, self.xi = _blocks(theta, n)
+        self.grad_factors, self.grad_xi = _blocks(self.grad, n)
+        self.rank, self.tail = len(self.factors), self.factors.size  # theta[tail] is kappa
+        self.xi_diagonal = theta[self.tail + 1 :: n + 1]  # np.trace(xi) is add.reduce over this view
         self.stack, self.eye, self.batch = np.empty((self.rank + 1, n, n)), np.eye(n), None
         self.flat_stack = self.stack.reshape(self.rank + 1, n * n)
 
@@ -260,61 +260,59 @@ class _Objective:
 
     def evaluate(self) -> tuple[float, float, np.ndarray]:
         """(err, lambda, norms) at theta, norms the M factors' then h''s; keeps the batch for gradient()."""
-        space, rank, xi, factors = self.space, self.rank, self.xi, self.factors
+        space, rank, xi, factors, stack = self.space, self.rank, self.xi, self.factors, self.stack
         # The shifted h' = h' + (N - n_e) xi + (kappa + tr xi) I.
-        one_body = np.add(self.h_eff, self.n_shift * xi, out=self.stack[rank])
-        one_body += (self.theta.item(0) + float(np.add.reduce(self.xi_diagonal))) * self.eye
-        err = diff = None
+        one_body = np.add(self.h_eff, self.n_shift * xi, out=stack[rank])
+        one_body += (self.theta.item(self.tail) + float(np.add.reduce(self.xi_diagonal))) * self.eye
+        eigvals, eigvecs = np.empty(stack.shape[:-1]), np.empty(stack.shape)
 
-        def residual() -> None:  # the P-sized residual, on this thread beside the eigh blocks
-            nonlocal err, diff
-            err, diff = space.residual(space.shifted(self.g_pairs, xi), factors)
-
-        def unpack(part: slice) -> None:
+        def block(part: slice) -> None:
             rows = slice(part.start, min(part.stop, rank))
             factors[rows].take(space.unpack_index, axis=1, out=self.flat_stack[rows], mode="clip")
+            eigvals[part], eigvecs[part] = np.linalg.eigh(stack[part])
 
-        norms, eigvals, eigvecs = nuclear_norms(self.stack, first=residual, fill=unpack)
+        def residual():  # the P-sized residual, on this thread beside the eigh blocks
+            return space.residual(space.shifted(self.g_pairs, xi), factors)
+
+        err, diff = run_blocks(block, rank + 1, residual)
+        norms = np.add.reduce(np.abs(eigvals), axis=-1)
         self.batch = diff, norms, eigvals, eigvecs
         return err, lambda_parts(norms[:rank], norms[rank])[0], norms
 
     def gradient(self, then=lambda part: None) -> None:
         """Write the gradient at the last evaluate()'s theta into grad, once, in its batch's blocks.
 
-        Each block then calls ``then(part)`` on its thread for each slice of theta it wrote.
+        Each block then calls ``then(part)`` on its thread for the slice of theta it wrote.
         """
         diff, norms, eigvals, eigvecs = self.batch
         self.batch = None  # the evaluation's arrays go with this call
-        space, rank, head, factors, grad_xi = self.space, self.rank, self.head, self.factors, self.grad_xi
-        flat_stack, flat_vecs = self.flat_stack, eigvecs.reshape(rank + 1, -1)
-        width = factors.shape[1]
+        space, rank, factors, stack = self.space, self.rank, self.factors, self.stack
+        flat_vecs, width = eigvecs.reshape(rank + 1, -1), factors.shape[1]
 
         def block(part: slice) -> None:
+            sign_subgradients(eigvals[part], eigvecs[part], work=stack[part])
             # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
             rows = slice(part.start, min(part.stop, rank))
             # The (rows, P) terms are formed in the block's part of the spent eigh stack.
             out = self.grad_factors[rows]
-            work = flat_stack[rows].reshape(-1)[: out.size].reshape(out.shape)
+            work = self.flat_stack[rows].reshape(-1)[: out.size].reshape(out.shape)
             np.matmul(np.multiply(factors[rows], self.err_scale, work), diff, out)
             flat_vecs[rows].take(space.upper, axis=1, out=work, mode="clip")
             work *= norms[rows, None]
             out += work
-            start = head + rows.start * width
-            if part.stop > rank:  # the last block holds h''s subgradient
+            stop = part.stop * width
+            if part.stop > rank:  # the last block holds h', and kappa and xi follow its factor rows
                 one_body_trace = float(eigvecs[rank].trace())
-                self.grad[0] = one_body_trace
+                self.grad[self.tail] = one_body_trace
                 # d Err / d xi_ab = 2 sum_k D_(ab),(kk), in the order of the fancy index's copy.
                 xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
                 xi_part += self.n_shift * eigvecs[rank] + one_body_trace * self.eye
                 # symmetrize_one_body's average, in place and without its bitwise check.
-                np.multiply(np.add(xi_part, xi_part.T, grad_xi), 0.5, grad_xi)
-                if rows.start:
-                    then(slice(0, head))
-                else:  # one block: the head and the factors are one slice
-                    start = 0
-            then(slice(start, head + rows.stop * width))
+                np.multiply(np.add(xi_part, xi_part.T, self.grad_xi), 0.5, self.grad_xi)
+                stop = self.grad.size
+            then(slice(part.start * width, stop))
 
-        sign_subgradients(eigvals, eigvecs, then=block, work=self.stack)
+        run_blocks(block, rank + 1)
 
 
 @one_blas_thread()
@@ -354,7 +352,8 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     objective.gradient()
     d_factors = np.zeros((rank, ham.n_orbitals, ham.n_orbitals))
     d_factors[: objective.rank] = objective.space.unpack(objective.grad_factors)
-    return objective.grad.item(0), objective.grad_xi, d_factors
+    # A copy: a view of grad_xi would keep the whole gradient vector alive.
+    return objective.grad.item(objective.tail), objective.grad_xi.copy(), d_factors
 
 
 def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
@@ -423,10 +422,10 @@ def optimize(
 
     n = ham.n_orbitals
     space = pair_space(n)
-    # theta starts at kappa = 0, xi = 0 and the M nonzero initial factors; the
-    # trailing exact-zero ones never move and stay out of it.
+    # theta starts at the M nonzero initial factors, kappa = 0 and xi = 0; the
+    # trailing exact-zero factors never move and stay out of it.
     init = initial_double_factorization(ham.g_pairs, rank)
-    theta = np.concatenate((np.zeros(1 + n * n), space.pack(init.factors[: init.effective_rank]).ravel()))
+    theta = np.concatenate((space.pack(init.factors[: init.effective_rank]).ravel(), np.zeros(1 + n * n)))
     del init
     objective = _Objective(ham, theta)
     # best_theta is written in place: a fresh copy per improvement, taken
@@ -434,7 +433,8 @@ def optimize(
     grad, best_theta = objective.grad, np.empty_like(theta)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     # Each frozen block's span of theta, where its gradient is zeroed.
-    spans = zip(PARAM_BLOCKS, ((0, 1), (1, objective.head), (objective.head, theta.size)))
+    tail = objective.tail
+    spans = zip(PARAM_BLOCKS, ((tail, tail + 1), (tail + 1, theta.size), (0, tail)))
     frozen = [span for name, span in spans if name not in free]
 
     def descend(part: slice) -> None:
@@ -483,14 +483,14 @@ def optimize(
     # Free the descent state, then unpack the best factors straight into the
     # zero-padded (R, N, N) output.
     del objective, theta, grad, m, v
-    best_xi, best_factors = _blocks(best_theta, n)
+    best_factors, best_xi = _blocks(best_theta, n)
     padded = np.zeros((rank, n, n))
     space.unpack(best_factors, out=padded[: len(best_factors)])
     padded.setflags(write=False)  # handed over to FactorSet without a copy
     init_breakdown = LambdaBreakdown.from_norms(init_norms[:-1], init_norms[-1], rank)
 
     return OptimizationReport(
-        best_params=(best_theta.item(0), best_xi, FactorSet(factors=padded)),
+        best_params=(best_theta.item(tail), best_xi, FactorSet(factors=padded)),
         lambda_breakdown=LambdaBreakdown.from_norms(best_norms[:-1], best_norms[-1], rank),
         err_final=best_err,
         total_trace=np.array(trace),

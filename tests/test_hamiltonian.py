@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,15 @@ class TestHamiltonian:
     def test_rejects_bad_electron_count(self):
         with pytest.raises(ValueError, match="n_electrons"):
             Hamiltonian(h=np.zeros((2, 2)), g=np.zeros((2, 2, 2, 2)), n_electrons=5)
+
+    def test_electron_count_must_be_an_integer(self):
+        # 2.7 must not be stored as 2; numpy integers are counts too.
+        for value in (2.7, 2.0, "2", True, None):
+            with pytest.raises(ValueError, match=re.escape(f"n_electrons must be an integer, got {value!r}")):
+                Hamiltonian(h=np.zeros((2, 2)), g=np.zeros((2, 2, 2, 2)), n_electrons=value)
+        for value in (3, np.int64(3), np.uint8(3)):
+            ham = Hamiltonian(h=np.zeros((2, 2)), g=np.zeros((2, 2, 2, 2)), n_electrons=value)
+            assert type(ham.n_electrons) is int and ham.n_electrons == 3
 
     def test_symmetric_input_is_copied_not_aliased(self):
         rng = np.random.default_rng(3)
@@ -235,6 +245,14 @@ class TestSymmetryShift:
         assert np.allclose(twice.h, once.h, atol=1e-12)
         assert np.allclose(twice.g, once.g, atol=1e-12)
         assert abs(twice.core_constant - once.core_constant) < 1e-12
+
+    def test_electron_count_must_be_an_integer(self):
+        # n_e = 1.9 stored as 1 would annihilate the wrong sector.
+        for value in (1.9, 1.0, np.float64(1.0), False):
+            with pytest.raises(ValueError, match=re.escape(f"n_e must be an integer, got {value!r}")):
+                ShiftParams(0.0, np.zeros((2, 2)), n_e=value)
+        for value in (1, np.int32(1)):
+            assert type(ShiftParams(0.0, np.zeros((2, 2)), n_e=value).n_e) is int
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(7)

@@ -38,17 +38,17 @@ def small_config(**overrides):
 
 
 def count_gradient_evaluations(monkeypatch) -> list:
-    """Record one entry per optimizer eigh batch turned into subgradients."""
+    """Record one entry per optimizer step phase, an eigh batch turned into a gradient."""
     from blissdf import optimizer
 
-    original = optimizer.sign_subgradients
+    original = optimizer._Objective.gradient
     calls = []
 
-    def counted(eigvals, eigvecs, **kwargs):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return original(eigvals, eigvecs, **kwargs)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "sign_subgradients", counted)
+    monkeypatch.setattr(optimizer._Objective, "gradient", counted)
     return calls
 
 
@@ -320,6 +320,17 @@ class TestGradient:
         _, grad_xi, grad_factors = gradient(ham, (0.1, xi, factors), 2.0)
         assert np.array_equal(grad_xi, grad_xi.T)
         assert np.array_equal(grad_factors, grad_factors.transpose(0, 2, 1))
+
+    def test_d_xi_owns_its_memory(self):
+        # A view of the flat gradient would keep all 1 + N^2 + M P entries
+        # alive for N^2 of them.
+        rng = np.random.default_rng(29)
+        ham = random_hamiltonian(6, rng, n_electrons=6)
+        init = initial_double_factorization(ham.g_pairs, 36)
+        xi = symmetrize_one_body(rng.standard_normal((6, 6)))
+        _, grad_xi, _ = gradient(ham, (0.1, xi, init), 2.0)
+        assert grad_xi.shape == (6, 6)
+        assert grad_xi.base is None
 
 
 class TestOptimize:

@@ -10,7 +10,8 @@ import pytest
 
 from blissdf import _parallel, factorization, optimizer
 from blissdf.factorization import nuclear_norms, sign_subgradients
-from blissdf.factorization import initial_double_factorization
+from blissdf.factorization import initial_double_factorization, lambda_df
+from blissdf.hamiltonian import effective_one_body
 from blissdf.optimizer import PARAM_BLOCKS, NonFiniteCostError, OptimizationConfig, optimize
 
 from conftest import random_hamiltonian
@@ -26,39 +27,43 @@ def set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def record_block_threads(monkeypatch) -> list:
-    """Record, per run_blocks call of the factorization kernels, the threads that ran its blocks."""
+def record_block_threads(monkeypatch, inline=False) -> list:
+    """Record each run_blocks call of the factorization kernels and the optimizer.
+
+    Each entry is (calling module, idents of the threads that ran its blocks,
+    one per block). With ``inline``, a block that runs off its caller's thread fails.
+    """
     calls = []
     original = _parallel.run_blocks
 
-    def recorded(fn, count, first=None):
-        threads = set()
-        calls.append(threads)
+    def wrap(module):
+        def recorded(fn, length, first=None):
+            caller, threads = threading.get_ident(), []
+            calls.append((module, threads))
 
-        def block(index):
-            threads.add(threading.get_ident())
-            fn(index)
+            def block(part):
+                if inline:
+                    assert threading.get_ident() == caller, "run_blocks ran a block on another thread"
+                threads.append(threading.get_ident())
+                fn(part)
 
-        return original(block, count, first)
+            return original(block, length, first)
 
-    monkeypatch.setattr(factorization, "run_blocks", recorded)
+        monkeypatch.setattr(module, "run_blocks", recorded)
+
+    wrap(factorization)
+    wrap(optimizer)
     return calls
 
 
-def forbid_threads(monkeypatch) -> None:
-    """Fail any factorization kernel block that runs off its caller's thread."""
-    original = _parallel.run_blocks
+def forbid_threads(monkeypatch) -> list:
+    """record_block_threads, failing any block that runs off its caller's thread."""
+    return record_block_threads(monkeypatch, inline=True)
 
-    def inline_only(fn, count, first=None):
-        caller = threading.get_ident()
 
-        def block(index):
-            assert threading.get_ident() == caller, "run_blocks ran a block on another thread"
-            fn(index)
-
-        return original(block, count, first)
-
-    monkeypatch.setattr(factorization, "run_blocks", inline_only)
+def optimizer_blocks(calls) -> list:
+    """Blocks per run_blocks call of the optimizer: one evaluate and one gradient per step."""
+    return [len(threads) for module, threads in calls if module is optimizer]
 
 
 def pool_threads() -> set:
@@ -75,15 +80,34 @@ def loop_subgradients(eigvals, eigvecs):
 
 
 class TestRunBlocks:
+    @pytest.mark.parametrize(
+        "length, starts",
+        [(0, []), (1, [0]), (64, [0]), (65, [0, 64]), (150, [0, 64, 128])],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fixed_slices_cover_every_item_once(self, monkeypatch, cpus, length, starts):
+        set_cpus(monkeypatch, cpus)
+        parts, done = [], np.zeros(length, dtype=int)
+
+        def block(part):
+            parts.append(part)
+            done[part] += 1
+
+        with _parallel.one_blas_thread():
+            _parallel.run_blocks(block, length)
+        want = [slice(start, min(start + 64, length)) for start in starts]
+        assert sorted(parts, key=lambda part: part.start) == want
+        assert done.tolist() == [1] * length
+
     @pytest.mark.parametrize("cpus", [1, 2, 5])
     def test_every_block_runs_once_and_first_returns(self, monkeypatch, cpus):
         # More workers than cores and frequent thread switches: a block
-        # handed out twice or lost would show in its count.
+        # handed out twice or lost would show in its items' counts.
         set_cpus(monkeypatch, cpus)
-        done = np.zeros(500, dtype=int)
+        done = np.zeros(500 * 64, dtype=int)
 
-        def block(index):
-            done[index] += 1
+        def block(part):
+            done[part] += 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -97,18 +121,18 @@ class TestRunBlocks:
     def test_a_block_error_reaches_the_caller(self, monkeypatch):
         set_cpus(monkeypatch, 2)
 
-        def block(index):
-            if index == 2:
-                raise ZeroDivisionError(index)
+        def block(part):
+            if part.start == 128:
+                raise ZeroDivisionError(part)
 
         with _parallel.one_blas_thread(), pytest.raises(ZeroDivisionError):
-            _parallel.run_blocks(block, 3)
+            _parallel.run_blocks(block, 150)
 
     def test_one_cpu_runs_every_block_on_the_calling_thread(self, monkeypatch):
         set_cpus(monkeypatch, 1)
         threads = []
         with _parallel.one_blas_thread():
-            _parallel.run_blocks(lambda index: threads.append(threading.get_ident()), 5)
+            _parallel.run_blocks(lambda part: threads.append(threading.get_ident()), 5 * 64)
         assert threads == [threading.get_ident()] * 5
 
     @needs_openblas
@@ -120,12 +144,12 @@ class TestRunBlocks:
         def split_call():
             barrier, threads = threading.Barrier(2, timeout=10), set()
 
-            def block(index):
+            def block(part):
                 threads.add(threading.get_ident())
                 barrier.wait()
 
             with _parallel.one_blas_thread():
-                _parallel.run_blocks(block, 2)
+                _parallel.run_blocks(block, 65)
             return threads
 
         split_call()
@@ -143,7 +167,7 @@ class TestRunBlocks:
         # the blocks, and with them their arrays, alive.
         set_cpus(monkeypatch, 2)
         with _parallel.one_blas_thread():
-            _parallel.run_blocks(lambda index: None, 2)  # start the pool
+            _parallel.run_blocks(lambda part: None, 65)  # start the pool
         release, busy = threading.Event(), []
         for _ in _parallel._threads:
             started = threading.Event()
@@ -158,11 +182,11 @@ class TestRunBlocks:
             data = Data()
             alive = weakref.ref(data)
 
-            def block(index, data=data):
+            def block(part, data=data):
                 pass
 
             with _parallel.one_blas_thread():
-                _parallel.run_blocks(block, 2)
+                _parallel.run_blocks(block, 65)
             del block, data
             assert alive() is None
         finally:
@@ -176,18 +200,18 @@ class TestRunBlocks:
         set_cpus(monkeypatch, 2)
         started, finished, running = [], [], threading.Event()
 
-        def block(index):
-            started.append(index)
+        def block(part):
+            started.append(part.start)
             running.set()
             time.sleep(0.2)
-            finished.append(index)
+            finished.append(part.start)
 
         def first():
             assert running.wait(10)
             raise KeyError("first")
 
         with _parallel.one_blas_thread(), pytest.raises(KeyError):
-            _parallel.run_blocks(block, 20, first=first)
+            _parallel.run_blocks(block, 20 * 64, first=first)
         assert sorted(finished) == sorted(started)
         assert 0 < len(started) < 20
 
@@ -196,17 +220,17 @@ class TestRunBlocks:
         set_cpus(monkeypatch, 2)
         finished, running = [], threading.Event()
 
-        def block(index):
-            if index == 0:
+        def block(part):
+            if part.start == 0:
                 assert running.wait(10)
-                raise ZeroDivisionError(index)
+                raise ZeroDivisionError(part)
             running.set()
             time.sleep(0.2)
-            finished.append(index)
+            finished.append(part.start)
 
         with _parallel.one_blas_thread(), pytest.raises(ZeroDivisionError):
-            _parallel.run_blocks(block, 2)
-        assert finished == [1]
+            _parallel.run_blocks(block, 65)
+        assert finished == [64]
 
 
 class TestPartitionedEigh:
@@ -231,21 +255,23 @@ class TestPartitionedEigh:
             assert norms.tobytes() == np.abs(want_vals).sum(axis=-1).tobytes()
             subs = sign_subgradients(eigvals, eigvecs)
         assert subs.tobytes() == want_subs.tobytes()
-        # Two calls, each on the caller and at most cpus - 1 pool threads.
-        assert len(calls) == 2
-        for threads in calls:
-            assert threading.get_ident() in threads
-            assert len(threads) <= cpus
-            assert threads - {threading.get_ident()} <= pool_threads()
+        # One call of three blocks, on the caller and at most cpus - 1 pool threads.
+        [(module, threads)] = calls
+        assert module is factorization and len(threads) == 3
+        assert threading.get_ident() in threads
+        assert len(set(threads)) <= cpus
+        assert set(threads) - {threading.get_ident()} <= pool_threads()
 
     def test_one_block_stack_runs_inline(self, monkeypatch):
         # N=8 at R=2N: a 17-matrix stack is one block, so even with two
         # CPUs and BLAS at one thread every block runs on the caller.
         set_cpus(monkeypatch, 2)
-        forbid_threads(monkeypatch)
+        calls = forbid_threads(monkeypatch)
         ham = random_hamiltonian(8, np.random.default_rng(61), n_electrons=8)
         report = optimize(ham, 16, OptimizationConfig(max_iters=5, rel_tol=0.0))
         assert report.iterations_run == 5
+        # Two calls per step and one for the last evaluation, each one block.
+        assert optimizer_blocks(calls) == [1] * (2 * report.iterations_run + 1)
 
 
 class TestPartitionedStep:
@@ -265,6 +291,27 @@ class TestPartitionedStep:
             runs.append((report.total_trace.tobytes(), kappa, xi.tobytes(), factor_set.factors.tobytes()))
         assert report.best_iteration > 0
         assert runs[0] == runs[1] == runs[2]
+
+    def test_row_norms_match_lambda_df_across_blocks(self, monkeypatch, ham):
+        # The optimizer's eigh blocks hold 64 and 15 matrices, h' last;
+        # nuclear_norms cuts the 78 factors into 64 and 14. A matrix's
+        # norm must not depend on its block.
+        set_cpus(monkeypatch, 2)
+        calls = record_block_threads(monkeypatch)
+        config = OptimizationConfig(max_iters=6, rel_tol=0.0, learning_rate=1e-2, err_budget=1e9)
+        report = optimize(ham, 144, config)
+        assert optimizer_blocks(calls) == [2] * (2 * report.iterations_run + 1)
+        assert report.best_iteration > 0
+        initial = lambda_df(initial_double_factorization(ham.g_pairs, 144), effective_one_body(ham))
+        got = report.initial_breakdown
+        assert (got.lambda_total, got.two_body_part, got.one_body_part) == (
+            initial.lambda_total,
+            initial.two_body_part,
+            initial.one_body_part,
+        )
+        assert got.per_factor.tobytes() == initial.per_factor.tobytes()
+        best = lambda_df(report.best_params[2], effective_one_body(ham))
+        assert report.lambda_breakdown.per_factor.tobytes() == best.per_factor.tobytes()
 
     @pytest.mark.parametrize(
         "free",
@@ -327,9 +374,10 @@ def test_without_openblas_symbol_runs_inline(monkeypatch):
     monkeypatch.setattr(_parallel, "_OPENBLAS_SYMBOLS", (("no_such_set", "no_such_get"),))
     assert _parallel._blas_thread_controls() is None
     set_cpus(monkeypatch, 2)
-    forbid_threads(monkeypatch)
+    calls = forbid_threads(monkeypatch)
     ham = random_hamiltonian(12, np.random.default_rng(63), n_electrons=12)
     report = optimize(ham, 144, OptimizationConfig(max_iters=5, rel_tol=0.0))  # 79 matrices, 2 blocks
     assert report.iterations_run == 5
+    assert optimizer_blocks(calls) == [2] * (2 * report.iterations_run + 1)
     assert np.all(np.isfinite(report.total_trace))
     assert report.lambda_breakdown.lambda_total <= report.initial_lambda

@@ -15,11 +15,20 @@ eigenvalues; there the subgradient sum_t sign(lambda_t) u_t u_t^T with
 sign(0) = 0 is used, which is valid for any orthonormal eigenbasis, so no
 smoothing or perturbation is needed.
 
+lambda depends on kappa only through the one-body norm ||h'_xi + t I||_*,
+with h'_xi = h' + (N - n_e) xi and t = kappa + tr xi. With e the ascending
+eigenvalues of h'_xi, sum_i |e_i + t| is smallest at t = -m, m the midpoint
+of the two middle entries of e (the middle entry at odd N). So optimize
+does not step kappa: with "kappa" free, every evaluation takes t = -m from
+the eigenvalues it already has and reports kappa = t - tr xi; with kappa
+frozen, t = tr xi. total_cost and gradient take kappa as given,
+t = kappa + tr xi. One code path serves both; only t differs.
+
 The descent runs in pair space (hamiltonian.PairSpace) over the M nonzero
 initial factors (a zero factor has a zero gradient; the reported factors
 are padded back to R with zeros), so nothing in it is N^4 sized. The one
 flat parameter vector holds each factor's P = N(N+1)/2 upper-triangle
-entries in plain A coordinates, then kappa and xi (N x N): the factor gradient
+entries in plain A coordinates, then xi (N x N) and kappa: the factor gradient
 is that of one matrix entry, so Adam steps as on the full symmetric
 matrices. With F the (M, P) packed factors, the residual is the P x P
 matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
@@ -34,7 +43,7 @@ for bit.
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
 views of theta and of its gradient, the (M + 1, N, N) eigh stack of the M
-unpacked factors and the shifted h', I_N, the pair index maps, h' and,
+unpacked factors and h'_xi, the pair index maps, h' and,
 once row 0 fixes it, the penalty weight, so an iteration runs only its
 arithmetic. What a row keeps, its Err and its batch's nuclear norms, is
 fresh per evaluation, so later iterations cannot overwrite it.
@@ -48,8 +57,9 @@ gradient(), after the stop check, each block forms its subgradients
 (factorization.sign_subgradients), then for its own factor rows the Err
 term (F_b * c) D and the scaled subgradients, and calls then() once on the
 slice of theta it wrote: in optimize, the Adam step on that slice of
-theta, m and v. The last block holds h', so it also does kappa and xi,
-which follow its factor rows in theta. Adam is elementwise and the blocks
+theta, m and v. The last block holds h'_xi, so it also does xi, which
+follows its factor rows in theta, and writes kappa's gradient into the
+last entry, which no Adam step touches. Adam is elementwise and the blocks
 do not depend on the core count, so no bit does. A row block of (F * c) D
 need not be bit equal to the same rows of one whole gemm, so the block
 size is part of what fixes the bits.
@@ -194,10 +204,13 @@ class OptimizationReport:
 
     ``best_params`` is the feasible iterate (Err within err_budget of the
     initial Err) with the smallest lambda; the initial point itself is always
-    feasible, so lambda never regresses past the initialization.
-    ``total_trace`` has one row (total, err, lambda) per evaluated iterate,
-    row 0 being the initialization. ``initial_breakdown`` is the lambda
-    breakdown of that initialization, the unshifted double factorization.
+    feasible, so lambda never regresses past row 0. ``total_trace`` has one
+    row (total, err, lambda) per evaluated iterate, row 0 being the initial
+    factors and xi = 0 at the closed-form kappa (0 if kappa is frozen), so
+    its lambda is at most the unshifted one. ``initial_lambda``,
+    ``initial_err`` and ``initial_breakdown`` are the unshifted double
+    factorization (XDF, kappa = 0), from row 0's eigenvalues before the
+    shift; the automatic ``c_approx_used`` is computed from them.
     """
 
     best_params: tuple[float, np.ndarray, FactorSet]
@@ -217,7 +230,7 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
     """Check and symmetrize (kappa, xi, factors); return them as one flat vector.
 
     The vector holds each factor's upper triangle, up to the last nonzero
-    factor (see effective_rank), then kappa and xi: a trailing zero factor has
+    factor (see effective_rank), then xi and kappa: a trailing zero factor has
     an exactly zero gradient and adds nothing to the cost. R is returned with it.
     """
     kappa, xi, factors = params
@@ -231,39 +244,42 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
     rank = len(factors)
     factors = factors[: effective_rank(factors)]
     factors = pair_space(n).pack(_symmetric_part(factors, ((0, 2, 1),)))
-    return np.concatenate((factors.ravel(), [float(kappa)], xi.ravel())), rank
+    return np.concatenate((factors.ravel(), xi.ravel(), [float(kappa)])), rank
 
 
 def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Writable views (factors, xi) of theta, (M, P) and (N, N); kappa lies between them."""
+    """Writable views (factors, xi) of theta, (M, P) and (N, N); kappa is theta[-1]."""
     tail = theta.size - 1 - n * n
-    return theta[:tail].reshape(-1, n * (n + 1) // 2), theta[tail + 1 :].reshape(n, n)
+    return theta[:tail].reshape(-1, n * (n + 1) // 2), theta[tail:-1].reshape(n, n)
 
 
 class _Objective:
     """One call's workspace for Total = c_approx * Err + lambda at theta (see the module docstring)."""
 
-    def __init__(self, ham: Hamiltonian, theta: np.ndarray):
+    def __init__(self, ham: Hamiltonian, theta: np.ndarray, closed_form: bool = False):
+        """``closed_form`` takes t = -m at every evaluation and writes kappa = t - tr xi into theta."""
         n = ham.n_orbitals
         self.space, self.n_shift, self.g_pairs = pair_space(n), n - ham.n_electrons, ham.g_pairs
         self.h_eff, self.theta, self.grad = effective_one_body(ham), theta, np.empty_like(theta)
         self.factors, self.xi = _blocks(theta, n)
         self.grad_factors, self.grad_xi = _blocks(self.grad, n)
-        self.rank, self.tail = len(self.factors), self.factors.size  # theta[tail] is kappa
-        self.xi_diagonal = theta[self.tail + 1 :: n + 1]  # np.trace(xi) is add.reduce over this view
-        self.stack, self.eye, self.batch = np.empty((self.rank + 1, n, n)), np.eye(n), None
+        self.rank, self.closed_form = len(self.factors), closed_form
+        self.xi_diagonal = self.xi.reshape(-1)[:: n + 1]  # np.trace(xi) is add.reduce over this view
+        self.stack, self.batch = np.empty((self.rank + 1, n, n)), None
         self.flat_stack = self.stack.reshape(self.rank + 1, n * n)
 
     def weigh(self, c_approx: float) -> None:
         """Fix the penalty weight of gradient(): c_approx and the residual's -4 c_approx c_p."""
         self.c_approx, self.err_scale = c_approx, -4.0 * c_approx * self.space.mult
 
-    def evaluate(self) -> tuple[float, float, np.ndarray]:
-        """(err, lambda, norms) at theta, norms the M factors' then h''s; keeps the batch for gradient()."""
+    def evaluate(self) -> tuple[float, float, np.ndarray, float]:
+        """(err, lambda, norms, unshifted) at theta; keeps the batch for gradient().
+
+        norms holds the M factors' nuclear norms, then ||h'_xi + t I||_*;
+        unshifted is ||h'_xi||_*, the one-body norm at t = 0.
+        """
         space, rank, xi, factors, stack = self.space, self.rank, self.xi, self.factors, self.stack
-        # The shifted h' = h' + (N - n_e) xi + (kappa + tr xi) I.
-        one_body = np.add(self.h_eff, self.n_shift * xi, out=stack[rank])
-        one_body += (self.theta.item(self.tail) + float(np.add.reduce(self.xi_diagonal))) * self.eye
+        np.add(self.h_eff, self.n_shift * xi, out=stack[rank])  # h'_xi = h' + (N - n_e) xi
         eigvals, eigvecs = np.empty(stack.shape[:-1]), np.empty(stack.shape)
 
         def block(part: slice) -> None:
@@ -276,8 +292,18 @@ class _Objective:
 
         err, diff = run_blocks(block, rank + 1, residual)
         norms = np.add.reduce(np.abs(eigvals), axis=-1)
+        unshifted, one_body = norms.item(rank), eigvals[rank]
+        trace_xi = float(np.add.reduce(self.xi_diagonal))
+        if self.closed_form:  # t = -m, from the ascending eigenvalues of h'_xi
+            n = space.n
+            t = -0.5 * (one_body.item((n - 1) // 2) + one_body.item(n // 2))
+            self.theta[-1] = t - trace_xi
+        else:
+            t = self.theta.item(-1) + trace_xi
+        one_body += t  # the eigenvalues of h'_xi + t I
+        norms[rank] = np.add.reduce(np.abs(one_body))
         self.batch = diff, norms, eigvals, eigvecs
-        return err, lambda_parts(norms[:rank], norms[rank])[0], norms
+        return err, lambda_parts(norms[:rank], norms[rank])[0], norms, unshifted
 
     def gradient(self, then=lambda part: None) -> None:
         """Write the gradient at the last evaluate()'s theta into grad, once, in its batch's blocks.
@@ -301,15 +327,17 @@ class _Objective:
             work *= norms[rows, None]
             out += work
             stop = part.stop * width
-            if part.stop > rank:  # the last block holds h', and kappa and xi follow its factor rows
-                one_body_trace = float(eigvecs[rank].trace())
-                self.grad[self.tail] = one_body_trace
+            if part.stop > rank:  # the last block holds h'_xi; xi follows its factor rows, then kappa
+                # d lambda / d t = tr U sign(D + t) U^T = sum_i sign(e_i + t), exactly; 0 at t = -m.
+                d_t = float(np.add.reduce(np.sign(eigvals[rank])))
+                self.grad[-1] = d_t
                 # d Err / d xi_ab = 2 sum_k D_(ab),(kk), in the order of the fancy index's copy.
                 xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
-                xi_part += self.n_shift * eigvecs[rank] + one_body_trace * self.eye
+                xi_part += self.n_shift * eigvecs[rank]
+                xi_part.reshape(-1)[:: space.n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
                 # symmetrize_one_body's average, in place and without its bitwise check.
                 np.multiply(np.add(xi_part, xi_part.T, self.grad_xi), 0.5, self.grad_xi)
-                stop = self.grad.size
+                stop = self.grad.size - 1  # kappa's entry is never stepped
             then(slice(part.start * width, stop))
 
         run_blocks(block, rank + 1)
@@ -353,7 +381,7 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     d_factors = np.zeros((rank, ham.n_orbitals, ham.n_orbitals))
     d_factors[: objective.rank] = objective.space.unpack(objective.grad_factors)
     # A copy: a view of grad_xi would keep the whole gradient vector alive.
-    return objective.grad.item(objective.tail), objective.grad_xi.copy(), d_factors
+    return objective.grad.item(-1), objective.grad_xi.copy(), d_factors
 
 
 def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
@@ -384,11 +412,13 @@ def optimize(
 ) -> OptimizationReport:
     """Minimize Total over the symmetry shift and the factor matrices.
 
-    Starts from kappa = 0, xi = 0 and the eigendecomposition-based double
-    factorization of the unshifted two-body tensor, then runs Adam with the
-    configured hyperparameters. Descent stops when the best Total seen fails
-    to improve by a relative rel_tol over a window of ``patience``
-    iterations, or at max_iters.
+    Starts from xi = 0 and the eigendecomposition-based double factorization
+    of the unshifted two-body tensor, then runs Adam on xi and the factors
+    with the configured hyperparameters. kappa is not stepped: if free, each
+    evaluation sets it to its closed form (see the module docstring), and
+    otherwise it stays 0. Descent stops when the best Total seen fails to
+    improve by a relative rel_tol over a window of ``patience`` iterations,
+    or at max_iters.
 
     The returned parameters are the iterate with the smallest lambda among
     those whose Err stays within ``config.err_budget`` of the initial Err.
@@ -407,8 +437,9 @@ def optimize(
 
     Returns:
         OptimizationReport; its lambda_breakdown and err_final come from
-        the evaluation that wrote the trace row at best_iteration, and its
-        initial ones from row 0, so each matches its row bit for bit.
+        the evaluation that wrote the trace row at best_iteration, so they
+        match that row bit for bit. Its initial ones are the unshifted
+        double factorization, from row 0's eigenvalues before the shift.
 
     Raises:
         NonFiniteCostError: If the cost evaluates to NaN or infinity.
@@ -422,19 +453,20 @@ def optimize(
 
     n = ham.n_orbitals
     space = pair_space(n)
-    # theta starts at the M nonzero initial factors, kappa = 0 and xi = 0; the
+    # theta starts at the M nonzero initial factors, xi = 0 and kappa = 0; the
     # trailing exact-zero factors never move and stay out of it.
     init = initial_double_factorization(ham.g_pairs, rank)
-    theta = np.concatenate((space.pack(init.factors[: init.effective_rank]).ravel(), np.zeros(1 + n * n)))
+    theta = np.concatenate((space.pack(init.factors[: init.effective_rank]).ravel(), np.zeros(n * n + 1)))
     del init
-    objective = _Objective(ham, theta)
+    objective = _Objective(ham, theta, closed_form="kappa" in free)
     # best_theta is written in place: a fresh copy per improvement, taken
     # while the evaluation's arrays are alive, raises the process peak RSS.
     grad, best_theta = objective.grad, np.empty_like(theta)
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    # Adam state for the stepped entries, all but kappa's.
+    m, v = np.zeros(theta.size - 1), np.zeros(theta.size - 1)
     # Each frozen block's span of theta, where its gradient is zeroed.
-    tail = objective.tail
-    spans = zip(PARAM_BLOCKS, ((tail, tail + 1), (tail + 1, theta.size), (0, tail)))
+    tail = objective.factors.size
+    spans = (("xi", (tail, theta.size - 1)), ("factors", (0, tail)))
     frozen = [span for name, span in spans if name not in free]
 
     def descend(part: slice) -> None:
@@ -449,11 +481,12 @@ def optimize(
     stop_reason = "max_iters"
 
     for iteration in range(config.max_iters + 1):
-        err, lam, norms = objective.evaluate()
+        err, lam, norms, unshifted = objective.evaluate()
         if iteration == 0:
-            init_err, init_norms = err, norms
-            # The automatic weight of OptimizationConfig, from the initial point.
-            c_approx = float(config.c_approx or min(max(1e3 * lam / max(err, 1e-12), 1e2), 1e9))
+            init_err, init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted, rank)
+            # The automatic weight of OptimizationConfig, from the unshifted initial point.
+            init_lambda = init_breakdown.lambda_total
+            c_approx = float(config.c_approx or min(max(1e3 * init_lambda / max(err, 1e-12), 1e2), 1e9))
             objective.weigh(c_approx)
         total = c_approx * err + lam
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
@@ -487,17 +520,17 @@ def optimize(
     padded = np.zeros((rank, n, n))
     space.unpack(best_factors, out=padded[: len(best_factors)])
     padded.setflags(write=False)  # handed over to FactorSet without a copy
-    init_breakdown = LambdaBreakdown.from_norms(init_norms[:-1], init_norms[-1], rank)
 
     return OptimizationReport(
-        best_params=(best_theta.item(tail), best_xi, FactorSet(factors=padded)),
+        # A copy of xi: a view would keep all of best_theta alive.
+        best_params=(best_theta.item(-1), best_xi.copy(), FactorSet(factors=padded)),
         lambda_breakdown=LambdaBreakdown.from_norms(best_norms[:-1], best_norms[-1], rank),
         err_final=best_err,
         total_trace=np.array(trace),
         iterations_run=len(trace) - 1,
         stop_reason=stop_reason,
         best_iteration=best_iteration,
-        initial_lambda=init_breakdown.lambda_total,
+        initial_lambda=init_lambda,
         initial_err=init_err,
         initial_breakdown=init_breakdown,
         c_approx_used=c_approx,

@@ -4,7 +4,7 @@ Each check builds small random instances with fixed seeds, compares two
 independently computed quantities, and reports the worst deviation against
 its tolerance. The fast level keeps orbital counts at N <= 2 and finishes in
 seconds; the full level extends to N = 3 and adds finite-difference gradient
-checks.
+checks and a check of the optimizer's closed-form kappa against a kappa grid.
 
 The operator-algebra checks multiply real ladder matrices on the full
 4^N-dimensional Fock space. The Hamiltonian checks (BLISS invariance and
@@ -15,7 +15,8 @@ number.
 The checks call the library through module-level names on purpose: the test
 suite substitutes a corrupted implementation here (for example a sign flip
 in the symmetry shift) and asserts that the affected check catches it. The
-random instances come from random_hamiltonian, which the tests share.
+random instances come from random_hamiltonian, which the tests share, and
+the molecule-shaped ones from chain_hamiltonian.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from blissdf.hamiltonian import (
     Hamiltonian,
     ShiftParams,
     apply_symmetry_shift,
+    effective_one_body,
     frobenius_error,
+    pair_space,
     reconstruct_two_body,
     symmetrize_one_body,
 )
-from blissdf.optimizer import gradient, total_cost
+from blissdf.optimizer import OptimizationConfig, gradient, optimize, total_cost
 
 LEVELS = ("fast", "full")
 
@@ -77,6 +80,61 @@ def random_hamiltonian(n: int, rng: np.random.Generator, n_electrons: int | None
         g=random_psd_two_body(n, rng),
         core_constant=float(rng.standard_normal()),
         n_electrons=n_electrons,
+    )
+
+
+def chain_hamiltonian(n: int, seed: int) -> Hamiltonian:
+    """Molecule-shaped Hamiltonian of a 1D chain: N/2 sites, an s- and a p-like orbital on each.
+
+    The sites sit on a line 1.8 apart, each moved by up to a quarter spacing
+    at random. Each carries one unit of nuclear charge and two Gaussians,
+    exp(-r^2) and r exp(-0.6 r^2), Loewdin-orthonormalized on a 600-point
+    grid. Every interaction uses the soft-Coulomb kernel 1/sqrt(r^2 + 1).
+    From the chemists' integrals (ij|kl), g = (ij|kl) / 2 and
+    h = T + V_nuc - 1/2 sum_k (ik|kj), at half filling (n_e = N).
+
+    The pair block of (ij|kl) has rank M of order N (a Cholesky rank, as for
+    real integrals): its eigenpairs above 1e-10 of the largest eigenvalue
+    make the roots L, rounded to multiples of 2^-20, and (ij|kl) = L L^T. T + V_nuc is
+    rounded to multiples of 2^-40. Every later sum is then exact: the tensor
+    is positive semidefinite and 8-fold symmetric bit for bit, and the FCIDUMP
+    round trip (write_integrals, load_integrals) gives back the same bits.
+    Deterministic from ``seed``; N must be even.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"chain_hamiltonian needs an even N >= 2, got {n}")
+    rng = np.random.default_rng(seed)
+    sites = 1.8 * (np.arange(n // 2) + rng.uniform(-0.25, 0.25, n // 2))
+    x = np.linspace(sites[0] - 4.0, sites[-1] + 4.0, 600)
+    dx = x[1] - x[0]
+    r = x[:, None] - sites
+    basis = np.empty((len(x), n))
+    basis[:, 0::2], basis[:, 1::2] = np.exp(-(r**2)), r * np.exp(-0.6 * r**2)
+    overlap_vals, overlap_vecs = np.linalg.eigh(basis.T @ basis * dx)
+    orbitals = basis @ (overlap_vecs / np.sqrt(overlap_vals)) @ overlap_vecs.T
+
+    def soft_coulomb(d):
+        return 1.0 / np.sqrt(d**2 + 1.0)
+
+    rows, cols = np.triu_indices(n)
+    densities = orbitals[:, rows] * orbitals[:, cols] * dx  # the P pair densities
+    eri = densities.T @ soft_coulomb(x[:, None] - x) @ densities
+    eri_vals, eri_vecs = np.linalg.eigh(0.5 * (eri + eri.T))
+    keep = eri_vals > 1e-10 * eri_vals[-1]
+    roots = np.round(eri_vecs[:, keep] * np.sqrt(eri_vals[keep]) * 2.0**20) * 2.0**-20
+    eri = roots @ roots.T  # exact: every product and partial sum is a multiple of 2^-40
+
+    slopes = np.gradient(orbitals, dx, axis=0)
+    nuclear = soft_coulomb(r).sum(axis=1)  # minus V_nuc on the grid
+    one_body = 0.5 * slopes.T @ slopes * dx - orbitals.T @ (nuclear[:, None] * orbitals) * dx
+    one_body = np.round((one_body + one_body.T) * 2.0**39) * 2.0**-40  # the symmetric part, rounded
+    index = pair_space(n).unpack_index.reshape(n, n)
+    exchange = np.einsum("ikj->ij", eri[index[:, :, None], index[None, :, :]])
+    return Hamiltonian(
+        h=one_body - 0.5 * exchange,
+        g=0.5 * eri,
+        core_constant=float(np.triu(soft_coulomb(sites[:, None] - sites), 1).sum()),
+        n_electrons=n,
     )
 
 
@@ -230,8 +288,33 @@ def _check_gradient() -> CheckResult:
     return CheckResult("gradient finite-difference agreement", worst, 1e-5)
 
 
+def _check_closed_form_kappa() -> CheckResult:
+    """The optimizer's row-0 lambda against the minimum of total_cost over a dense kappa grid.
+
+    Row 0 holds the initial factors and xi = 0 at the closed-form kappa, so
+    its lambda must be the smallest that total_cost reaches at any explicit
+    kappa. The grid spans +-(||h'||_F + 1), which holds every eigenvalue of
+    h' and so the minimizer; it is refined twice around its best point, down
+    to steps of 1e-6 of that half-width.
+    """
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for n in (2, 3):
+        ham = random_hamiltonian(n, rng)
+        factors, xi = initial_double_factorization(ham.g_pairs, n * n), np.zeros((n, n))
+        row0 = float(optimize(ham, n * n, OptimizationConfig(max_iters=1)).total_trace[0, 2])
+        center, half = 0.0, float(np.linalg.norm(effective_one_body(ham))) + 1.0
+        for _ in range(3):
+            grid = np.linspace(center - half, center + half, 201)
+            lambdas = [total_cost(ham, (kappa, xi, factors), 1.0)[2] for kappa in grid]
+            best = int(np.argmin(lambdas))
+            center, half = float(grid[best]), half / 100.0
+        worst = max(worst, abs(row0 - lambdas[best]) / lambdas[best])
+    return CheckResult("closed-form kappa", worst, 1e-6)
+
+
 def run_verification(level: str) -> list[CheckResult]:
-    """Run the oracle suites; 'fast' covers N <= 2, 'full' adds N = 3 and gradients."""
+    """Run the oracle suites; 'fast' covers N <= 2, 'full' adds N = 3, gradients and the closed-form kappa."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     sizes = (1, 2) if level == "fast" else (1, 2, 3)
@@ -245,5 +328,5 @@ def run_verification(level: str) -> list[CheckResult]:
         _check_factorization_exactness(sizes[1:]),
     ]
     if level == "full":
-        results.append(_check_gradient())
+        results += [_check_gradient(), _check_closed_form_kappa()]
     return results

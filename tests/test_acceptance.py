@@ -354,7 +354,7 @@ def test_large_molecule_reproduction(env_var, xdf_lambda, ceiling, target):
     n = ham.n_orbitals
     rank = n * n
 
-    init = initial_double_factorization(ham.g, rank)
+    init = initial_double_factorization(ham.g_pairs, rank)
     init_lambda = lambda_df(init, effective_one_body(ham)).lambda_total
     assert abs(init_lambda - xdf_lambda) <= 0.01 * xdf_lambda, (
         f"starting-point lambda {init_lambda:.1f} not within 1% of {xdf_lambda}"

@@ -562,6 +562,23 @@ class TestVerify:
         assert "FAIL" in stdout
         assert "BLISS invariance" in stderr
 
+    def test_offset_total_cost_fails_the_closed_form_check(self, capsys, monkeypatch):
+        # A total_cost whose lambda is off by a constant moves the grid
+        # minimum away from the optimizer's row 0, which the full level catches.
+        import blissdf.verify as verify_mod
+
+        true_cost = verify_mod.total_cost
+
+        def offset(ham, params, c_approx):
+            total, err, lam = true_cost(ham, params, c_approx)
+            return total + 1e-3, err, lam + 1e-3
+
+        monkeypatch.setattr(verify_mod, "total_cost", offset)
+        code, stdout, stderr = run_cli(["verify", "--level", "full"], capsys)
+        assert code == 4
+        assert "FAIL  closed-form kappa" in stdout
+        assert stderr.strip() == "verification failed: closed-form kappa"
+
 
 class TestReport:
     @pytest.fixture()

@@ -10,12 +10,15 @@ from blissdf import (
     apply_symmetry_shift,
     effective_one_body,
     frobenius_error,
+    load_integrals,
     reconstruct_two_body,
     symmetrize_two_body,
+    write_integrals,
 )
 from blissdf.factorization import initial_double_factorization
 from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import symmetrize_one_body, two_body_block
+from blissdf.verify import chain_hamiltonian
 
 from conftest import random_hamiltonian, random_psd_two_body
 
@@ -378,3 +381,40 @@ class TestFrobeniusError:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             frobenius_error(np.zeros((3, 3, 3, 3)), np.zeros((1, 2, 2)))
+
+
+class TestChainHamiltonian:
+    """The molecule-shaped generator: a low Cholesky rank, exact symmetry and an exact file round trip."""
+
+    def test_eight_fold_symmetric_and_factorizable(self):
+        ham = chain_hamiltonian(8, 1)
+        assert ham.n_electrons == 8
+        assert check_two_body_symmetry(ham.g) == 0.0
+        init = initial_double_factorization(ham.g_pairs, 64)  # no IndefiniteTensorError
+        assert frobenius_error(ham.g_pairs, init) <= 1e-24
+
+    def test_rank_is_of_order_n(self):
+        ham = chain_hamiltonian(32, 1)
+        pairs = 32 * 33 // 2
+        assert initial_double_factorization(ham.g_pairs, 32 * 32).effective_rank < pairs / 4
+
+    def test_fcidump_round_trip_is_bit_exact(self, tmp_path):
+        ham = chain_hamiltonian(16, 3)
+        path = tmp_path / "chain.fcidump"
+        write_integrals(path, ham)
+        back = load_integrals(path)
+        assert back.h.tobytes() == ham.h.tobytes()
+        assert back.g_pairs.tobytes() == ham.g_pairs.tobytes()
+        assert back.core_constant == ham.core_constant
+        assert back.n_electrons == ham.n_electrons
+
+    def test_deterministic_from_the_seed(self):
+        first, again, other = chain_hamiltonian(6, 2), chain_hamiltonian(6, 2), chain_hamiltonian(6, 5)
+        assert first.h.tobytes() == again.h.tobytes()
+        assert first.g_pairs.tobytes() == again.g_pairs.tobytes()
+        assert first.h.tobytes() != other.h.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_needs_an_even_orbital_count(self, n):
+        with pytest.raises(ValueError, match="even"):
+            chain_hamiltonian(n, 1)

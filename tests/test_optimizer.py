@@ -26,9 +26,10 @@ from blissdf import (
 )
 from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import symmetrize_one_body
-from blissdf.optimizer import _REAL_FIELDS, PARAM_BLOCKS
+from blissdf.optimizer import _REAL_FIELDS, PARAM_BLOCKS, _Objective, _pack
+from blissdf.verify import chain_hamiltonian
 
-from conftest import random_hamiltonian
+from conftest import closed_form_shift, random_hamiltonian
 
 
 def small_config(**overrides):
@@ -375,7 +376,18 @@ class TestOptimize:
         final = {"kappa": kappa, "xi": xi, "factors": fs.factors}
         for block in set(PARAM_BLOCKS) - set(free):
             assert np.array_equal(final[block], initial[block]), block
-        assert report.best_iteration > 0
+        if "kappa" in free:
+            # kappa is not stepped: every evaluation sets it to its closed form.
+            assert kappa == pytest.approx(closed_form_shift(ham, xi)[0], rel=1e-12)
+        if free != ("kappa",):  # a kappa-only run is optimal at row 0
+            assert report.best_iteration > 0
+
+    def test_best_xi_owns_its_memory(self):
+        # A view of best_theta would keep all M P + N^2 + 1 entries alive for N^2 of them.
+        ham = random_hamiltonian(6, np.random.default_rng(29), n_electrons=5)
+        xi = optimize(ham, 36, small_config(max_iters=3)).best_params[1]
+        assert xi.shape == (6, 6)
+        assert xi.base is None
 
     def test_no_gradient_on_the_last_iterate(self, monkeypatch):
         # A max_iters stop takes max_iters steps from max_iters + 1
@@ -549,7 +561,12 @@ class TestOptimize:
         report = optimize(ham, 6, small_config(max_iters=50))
         assert report.total_trace.shape == (report.iterations_run + 1, 3)
         assert report.total_trace[0, 1] == report.initial_err
-        assert report.total_trace[0, 2] == report.initial_lambda
+        # initial_lambda is the unshifted XDF point, bit for bit; row 0 is at the closed-form kappa.
+        xdf = lambda_df(initial_double_factorization(ham.g_pairs, 6), effective_one_body(ham))
+        assert report.initial_lambda == xdf.lambda_total
+        row0 = xdf.two_body_part + closed_form_shift(ham, np.zeros((3, 3)))[1]
+        assert report.total_trace[0, 2] == pytest.approx(row0, rel=1e-12)
+        assert report.total_trace[0, 2] <= report.initial_lambda
 
     def test_report_matches_trace_row_bitwise(self):
         rng = np.random.default_rng(34)
@@ -775,3 +792,89 @@ class TestPackedKernel:
         gradient(ham, params, 2.0)
         assert calls == [(4, 4, 4), (4, 4, 4)]
 
+
+class TestClosedFormKappa:
+    """optimize's kappa: t = -m from the eigenvalues of h'_xi at every evaluation, kappa = t - tr xi."""
+
+    @staticmethod
+    def closed_form_objective(ham, xi, factors, c_approx=3.0):
+        objective = _Objective(ham, _pack(ham, (0.0, xi, factors))[0], closed_form=True)
+        objective.weigh(c_approx)
+        return objective
+
+    @pytest.mark.parametrize(
+        "h, n_e, xi_diagonal, one_body, kappa",
+        [
+            # Odd N: h'_xi = diag(3, 0, 4), m = 3, and the middle eigenvalue gets sign(0) = 0.
+            ([3.0, -1.0, 4.0], 1, [0.0, 0.5, 0.0], 4.0, -3.5),
+            # Even N with tied middle eigenvalues: h'_xi = diag(2, 5, 2, -1), m = 2.
+            ([2.0, 5.0, 2.0, -1.0], 4, [0.5, 0.0, 0.0, 0.0], 6.0, -2.5),
+        ],
+        ids=["odd", "even-tied"],
+    )
+    def test_middle_signs_cancel_exactly(self, h, n_e, xi_diagonal, one_body, kappa):
+        n = len(h)
+        ham = Hamiltonian(h=np.diag(h), g=np.zeros((n, n, n, n)), n_electrons=n_e)
+        rng = np.random.default_rng(70 + n)
+        factors = symmetrize_one_body_stack(rng.standard_normal((2, n, n)))
+        xi = np.diag(xi_diagonal)
+        objective = self.closed_form_objective(ham, xi, factors)
+        _, _, norms, unshifted = objective.evaluate()
+        shifted = objective.batch[2][-1]  # the eigenvalues of h'_xi + t I
+        assert np.count_nonzero(shifted == 0.0) == 2 - n % 2
+        assert np.sum(np.sign(shifted)) == 0.0
+        assert norms[-1] == one_body
+        assert unshifted == np.abs(np.linalg.eigvalsh(ham.h + (n - n_e) * xi)).sum()
+        assert objective.theta[-1] == kappa
+        objective.gradient()
+        assert objective.grad[-1] == 0.0  # sum_i sign(e_i + t), exactly
+        # With no trace term, the xi and factor gradients are the explicit ones at kappa*.
+        d_kappa, d_xi, d_factors = gradient(ham, (kappa, xi, factors), 3.0)
+        assert d_kappa == 0.0
+        assert np.array_equal(objective.grad_xi, d_xi)
+        assert np.array_equal(objective.space.unpack(objective.grad_factors), d_factors)
+
+    def test_xi_gradient_matches_the_kappa_minimized_cost(self):
+        # Central differences of c Err + min_kappa lambda, with kappa set in
+        # closed form at every point, against the closed-form xi gradient.
+        rng = np.random.default_rng(71)
+        n, c, step = 4, 7.0, 1e-6
+        ham = random_hamiltonian(n, rng, n_electrons=2)
+        xi = symmetrize_one_body(0.3 * rng.standard_normal((n, n)))
+        factors = symmetrize_one_body_stack(rng.standard_normal((3, n, n)))
+        mu = np.linalg.eigvalsh(effective_one_body(ham) + (n - 2) * xi)
+        assert mu[2] - mu[1] > 1e-2  # the middle eigenvalues are distinct
+
+        def total(x):
+            err, lam = self.closed_form_objective(ham, x, factors, c).evaluate()[:2]
+            return c * err + lam
+
+        objective = self.closed_form_objective(ham, xi, factors, c)
+        objective.evaluate()
+        objective.gradient()
+        assert objective.grad[-1] == 0.0  # sum_i sign(e_i + t), not the round-off of tr U sign(D + t) U^T
+        checked = 0
+        for a in range(n):
+            for b in range(a, n):
+                bump = np.zeros((n, n))
+                bump[a, b] = bump[b, a] = step if a != b else 2.0 * step
+                fd = (total(xi + 0.5 * bump) - total(xi - 0.5 * bump)) / (2.0 * step)
+                want = objective.grad_xi[a, b]
+                if abs(want) > 1e-6:
+                    assert fd == pytest.approx(want, rel=1e-5)
+                    checked += 1
+        assert checked >= 8
+
+    def test_chain_row_zero_matches_the_eigvalsh_oracle(self):
+        # A molecule-shaped input at full rank: row 0 is the XDF factors at
+        # kappa* = -median(eig h'), well below the unshifted lambda.
+        ham = chain_hamiltonian(8, 1)
+        report = optimize(ham, 64, OptimizationConfig())
+        xdf = lambda_df(initial_double_factorization(ham.g_pairs, 64), effective_one_body(ham))
+        assert report.initial_lambda == xdf.lambda_total
+        row0 = report.total_trace[0, 2]
+        assert row0 == pytest.approx(xdf.two_body_part + closed_form_shift(ham, np.zeros((8, 8)))[1], rel=1e-12)
+        assert row0 < 0.65 * report.initial_lambda
+        assert report.lambda_breakdown.lambda_total <= row0
+        kappa, xi, _ = report.best_params
+        assert kappa == pytest.approx(closed_form_shift(ham, xi)[0], rel=1e-12)

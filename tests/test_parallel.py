@@ -14,7 +14,7 @@ from blissdf.factorization import initial_double_factorization, lambda_df
 from blissdf.hamiltonian import effective_one_body
 from blissdf.optimizer import PARAM_BLOCKS, NonFiniteCostError, OptimizationConfig, optimize
 
-from conftest import random_hamiltonian
+from conftest import closed_form_shift, random_hamiltonian
 
 CONTROLS = _parallel._blas_thread_controls()
 needs_openblas = pytest.mark.skipif(
@@ -328,7 +328,13 @@ class TestPartitionedStep:
         final = {"kappa": kappa, "xi": xi, "factors": factor_set.factors}
         for block in set(PARAM_BLOCKS) - set(free):
             assert np.asarray(final[block]).tobytes() == np.asarray(initial[block]).tobytes(), block
-        assert report.best_iteration > 0
+        if "kappa" in free:
+            # kappa is not stepped: every evaluation sets it to its closed form.
+            assert kappa == pytest.approx(closed_form_shift(ham, xi)[0], rel=1e-12)
+        # With kappa in closed form at n_e = N, lambda no longer depends on xi,
+        # so only a run that frees the factors (or freezes kappa) can improve on row 0.
+        if "factors" in free or "kappa" not in free:
+            assert report.best_iteration > 0
 
 
 @needs_openblas

@@ -19,7 +19,6 @@ from blissdf.hamiltonian import (
     frobenius_error,
     reconstruct_two_body,
     symmetrize_one_body,
-    symmetrize_two_body,
 )
 from blissdf.fcidump import FcidumpError, load_integrals, write_integrals
 from blissdf.factorization import (
@@ -54,7 +53,6 @@ __all__ = [
     "frobenius_error",
     "reconstruct_two_body",
     "symmetrize_one_body",
-    "symmetrize_two_body",
     "FcidumpError",
     "load_integrals",
     "write_integrals",

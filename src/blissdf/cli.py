@@ -55,7 +55,7 @@ from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_INPUT = 1

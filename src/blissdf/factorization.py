@@ -367,6 +367,19 @@ def save_factor_set(
                 member.write(arr.reshape(-1).view(np.uint8))
 
 
+def _finite_member(archive, name: str, shape: tuple, path) -> np.ndarray | None:
+    """archive[name], checked to be a finite real array of ``shape``; None if there is no such member."""
+    if name not in archive:
+        return None
+    value = archive[name]
+    if value.shape != shape or value.dtype.kind not in "fiu" or not np.isfinite(value).all():
+        raise ValueError(
+            f"{path}: {name} member must be a finite real array of shape {shape}, "
+            f"got {value.dtype} of shape {value.shape}"
+        )
+    return value
+
+
 def load_factor_set(
     path: str | Path,
 ) -> tuple[FactorSet, float | None, np.ndarray | None, dict]:
@@ -377,8 +390,9 @@ def load_factor_set(
         the archive holds a plain factorization without a symmetry shift.
 
     Raises:
-        ValueError: If the archive format tag is missing or unrecognized, or
-            a member other than kappa and xi is missing.
+        ValueError: If the archive format tag is missing or unrecognized, a
+            member other than kappa and xi is missing, or kappa is not a
+            finite scalar or xi not a finite (N, N) array.
     """
     # np.load leaves a file it opened itself open when the zip is corrupt.
     with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
@@ -394,7 +408,8 @@ def load_factor_set(
                 f"{path}: factor array shape {factors.shape} disagrees with "
                 f"recorded (R, N) = {expected}"
             )
-        kappa = float(archive["kappa"]) if "kappa" in archive else None
-        xi = archive["xi"] if "xi" in archive else None
+        kappa = _finite_member(archive, "kappa", (), path)
+        kappa = None if kappa is None else float(kappa)
+        xi = _finite_member(archive, "xi", (expected[1], expected[1]), path)
         manifest = json.loads(str(archive["manifest"]))
     return FactorSet(factors=factors), kappa, xi, manifest

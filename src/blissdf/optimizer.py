@@ -19,34 +19,34 @@ lambda depends on kappa only through the one-body norm ||h'_xi + t I||_*,
 with h'_xi = h' + (N - n_e) xi and t = kappa + tr xi. With e the ascending
 eigenvalues of h'_xi, sum_i |e_i + t| is smallest at t = -m, m the midpoint
 of the two middle entries of e (the middle entry at odd N). So optimize
-does not step kappa: with "kappa" free, every evaluation takes t = -m from
-the eigenvalues it already has and reports kappa = t - tr xi; with kappa
-frozen, t = tr xi. total_cost and gradient take kappa as given,
-t = kappa + tr xi. One code path serves both; only t differs.
+does not step kappa: every evaluation takes t = -m from the eigenvalues it
+already has and reports kappa = t - tr xi. total_cost and gradient take
+kappa as given, t = kappa + tr xi. One code path serves both; only t
+differs.
 
 The descent runs in pair space (hamiltonian.PairSpace) over the M nonzero
 initial factors (a zero factor has a zero gradient; the reported factors
 are padded back to R with zeros), so nothing in it is N^4 sized. The one
-flat parameter vector holds each factor's P = N(N+1)/2 upper-triangle
-entries in plain A coordinates, then xi (N x N) and kappa: the factor gradient
-is that of one matrix entry, so Adam steps as on the full symmetric
-matrices. With F the (M, P) packed factors, the residual is the P x P
-matrix D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2
-with multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
--4 c_approx (F * c) D + Lambda_r S_r. A run evaluates each trace row
-once: the initial and the best point's Err and lambda breakdown are kept
-from their own rows, and the gradient is built from the row's eigh batch
-after the stop check, only when a step follows. Descent is Adam, in place;
-a frozen block has its gradient zeroed, so it keeps its initial value bit
-for bit.
+flat parameter vector theta is exactly what Adam steps: each factor's
+P = N(N+1)/2 upper-triangle entries in plain A coordinates, then xi
+(N x N). The factor gradient is that of one matrix entry, so Adam steps as
+on the full symmetric matrices. With F the (M, P) packed factors, the
+residual is the P x P matrix D = (pair block of g + shift) - F^T F,
+Err = sum_pq c_p c_q D_pq^2 with multiplicities c = 1 (i = j) or 2
+(i < j), and the factor gradient is -4 c_approx (F * c) D + Lambda_r S_r.
+A run evaluates each trace row once: the initial and the best point's Err
+and lambda breakdown are kept from their own rows, and the gradient is
+built from the row's eigh batch after the stop check, only when a step
+follows. Descent is Adam on all of theta, in place.
 
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
-views of theta and of its gradient, the (M + 1, N, N) eigh stack of the M
-unpacked factors and h'_xi, the pair index maps, h' and,
-once row 0 fixes it, the penalty weight, so an iteration runs only its
-arithmetic. What a row keeps, its Err and its batch's nuclear norms, is
-fresh per evaluation, so later iterations cannot overwrite it.
+views of theta and of its gradient, kappa and its gradient, the
+(M + 1, N, N) eigh stack of the M unpacked factors and h'_xi, the pair
+index maps, h' and, once row 0 fixes it, the penalty weight, so an
+iteration runs only its arithmetic. What a row keeps, its Err and its
+batch's nuclear norms, is fresh per evaluation, so later iterations cannot
+overwrite it.
 
 The three run with BLAS at one thread, in two phases, each one run_blocks
 call over the fixed 64-matrix blocks of the eigh stack that
@@ -58,11 +58,11 @@ gradient(), after the stop check, each block forms its subgradients
 term (F_b * c) D and the scaled subgradients, and calls then() once on the
 slice of theta it wrote: in optimize, the Adam step on that slice of
 theta, m and v. The last block holds h'_xi, so it also does xi, which
-follows its factor rows in theta, and writes kappa's gradient into the
-last entry, which no Adam step touches. Adam is elementwise and the blocks
-do not depend on the core count, so no bit does. A row block of (F * c) D
-need not be bit equal to the same rows of one whole gemm, so the block
-size is part of what fixes the bits.
+follows its factor rows in theta, and keeps kappa's gradient on the
+workspace. Adam is elementwise and the blocks do not depend on the core
+count, so no bit does. A row block of (F * c) D need not be bit equal to
+the same rows of one whole gemm, so the block size is part of what fixes
+the bits.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ from blissdf.hamiltonian import (
     pair_space,
     symmetrize_one_body,
 )
-
-PARAM_BLOCKS = ("kappa", "xi", "factors")
 
 _REAL_FIELDS = (
     "c_approx",
@@ -206,11 +204,11 @@ class OptimizationReport:
     initial Err) with the smallest lambda; the initial point itself is always
     feasible, so lambda never regresses past row 0. ``total_trace`` has one
     row (total, err, lambda) per evaluated iterate, row 0 being the initial
-    factors and xi = 0 at the closed-form kappa (0 if kappa is frozen), so
-    its lambda is at most the unshifted one. ``initial_lambda``,
-    ``initial_err`` and ``initial_breakdown`` are the unshifted double
-    factorization (XDF, kappa = 0), from row 0's eigenvalues before the
-    shift; the automatic ``c_approx_used`` is computed from them.
+    factors and xi = 0 at the closed-form kappa, so its lambda is at most
+    the unshifted one. ``initial_lambda``, ``initial_err`` and
+    ``initial_breakdown`` are the unshifted double factorization (XDF,
+    kappa = 0), from row 0's eigenvalues before the shift; the automatic
+    ``c_approx_used`` is computed from them.
     """
 
     best_params: tuple[float, np.ndarray, FactorSet]
@@ -226,12 +224,12 @@ class OptimizationReport:
     c_approx_used: float
 
 
-def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
-    """Check and symmetrize (kappa, xi, factors); return them as one flat vector.
+def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float, int]:
+    """Check and symmetrize (kappa, xi, factors); return (theta, kappa, R).
 
-    The vector holds each factor's upper triangle, up to the last nonzero
-    factor (see effective_rank), then xi and kappa: a trailing zero factor has
-    an exactly zero gradient and adds nothing to the cost. R is returned with it.
+    theta holds each factor's upper triangle, up to the last nonzero factor
+    (see effective_rank), then xi: a trailing zero factor has an exactly zero
+    gradient and adds nothing to the cost.
     """
     kappa, xi, factors = params
     n = ham.n_orbitals
@@ -244,26 +242,26 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, int]:
     rank = len(factors)
     factors = factors[: effective_rank(factors)]
     factors = pair_space(n).pack(_symmetric_part(factors, ((0, 2, 1),)))
-    return np.concatenate((factors.ravel(), xi.ravel(), [float(kappa)])), rank
+    return np.concatenate((factors.ravel(), xi.ravel())), float(kappa), rank
 
 
 def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Writable views (factors, xi) of theta, (M, P) and (N, N); kappa is theta[-1]."""
-    tail = theta.size - 1 - n * n
-    return theta[:tail].reshape(-1, n * (n + 1) // 2), theta[tail:-1].reshape(n, n)
+    """Writable views (factors, xi) of theta, (M, P) and (N, N)."""
+    tail = theta.size - n * n
+    return theta[:tail].reshape(-1, n * (n + 1) // 2), theta[tail:].reshape(n, n)
 
 
 class _Objective:
     """One call's workspace for Total = c_approx * Err + lambda at theta (see the module docstring)."""
 
-    def __init__(self, ham: Hamiltonian, theta: np.ndarray, closed_form: bool = False):
-        """``closed_form`` takes t = -m at every evaluation and writes kappa = t - tr xi into theta."""
+    def __init__(self, ham: Hamiltonian, theta: np.ndarray, kappa: float | None = None):
+        """With ``kappa`` None, every evaluation takes t = -m and keeps kappa = t - tr xi."""
         n = ham.n_orbitals
         self.space, self.n_shift, self.g_pairs = pair_space(n), n - ham.n_electrons, ham.g_pairs
-        self.h_eff, self.theta, self.grad = effective_one_body(ham), theta, np.empty_like(theta)
+        self.h_eff, self.grad = effective_one_body(ham), np.empty_like(theta)
         self.factors, self.xi = _blocks(theta, n)
         self.grad_factors, self.grad_xi = _blocks(self.grad, n)
-        self.rank, self.closed_form = len(self.factors), closed_form
+        self.rank, self.closed_form, self.kappa = len(self.factors), kappa is None, kappa
         self.xi_diagonal = self.xi.reshape(-1)[:: n + 1]  # np.trace(xi) is add.reduce over this view
         self.stack, self.batch = np.empty((self.rank + 1, n, n)), None
         self.flat_stack = self.stack.reshape(self.rank + 1, n * n)
@@ -297,9 +295,9 @@ class _Objective:
         if self.closed_form:  # t = -m, from the ascending eigenvalues of h'_xi
             n = space.n
             t = -0.5 * (one_body.item((n - 1) // 2) + one_body.item(n // 2))
-            self.theta[-1] = t - trace_xi
+            self.kappa = t - trace_xi
         else:
-            t = self.theta.item(-1) + trace_xi
+            t = self.kappa + trace_xi
         one_body += t  # the eigenvalues of h'_xi + t I
         norms[rank] = np.add.reduce(np.abs(one_body))
         self.batch = diff, norms, eigvals, eigvecs
@@ -327,17 +325,16 @@ class _Objective:
             work *= norms[rows, None]
             out += work
             stop = part.stop * width
-            if part.stop > rank:  # the last block holds h'_xi; xi follows its factor rows, then kappa
+            if part.stop > rank:  # the last block holds h'_xi; xi follows its factor rows
                 # d lambda / d t = tr U sign(D + t) U^T = sum_i sign(e_i + t), exactly; 0 at t = -m.
-                d_t = float(np.add.reduce(np.sign(eigvals[rank])))
-                self.grad[-1] = d_t
+                d_t = self.d_kappa = float(np.add.reduce(np.sign(eigvals[rank])))
                 # d Err / d xi_ab = 2 sum_k D_(ab),(kk), in the order of the fancy index's copy.
                 xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
                 xi_part += self.n_shift * eigvecs[rank]
                 xi_part.reshape(-1)[:: space.n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
                 # symmetrize_one_body's average, in place and without its bitwise check.
                 np.multiply(np.add(xi_part, xi_part.T, self.grad_xi), 0.5, self.grad_xi)
-                stop = self.grad.size - 1  # kappa's entry is never stepped
+                stop = self.grad.size
             then(slice(part.start * width, stop))
 
         run_blocks(block, rank + 1)
@@ -359,7 +356,7 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
         zero factors are skipped, so a zero-padded factor stack gives the
         same bits as its unpadded prefix.
     """
-    err, lam = _Objective(ham, _pack(ham, params)[0]).evaluate()[:2]
+    err, lam = _Objective(ham, *_pack(ham, params)[:2]).evaluate()[:2]
     return float(c_approx) * err + lam, err, lam
 
 
@@ -373,15 +370,15 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
         sign(0) = 0 subgradient is returned. Trailing zero factors are
         skipped and get exact zeros in d_factors, as in total_cost.
     """
-    theta, rank = _pack(ham, params)
-    objective = _Objective(ham, theta)
+    theta, kappa, rank = _pack(ham, params)
+    objective = _Objective(ham, theta, kappa)
     objective.weigh(float(c_approx))
     objective.evaluate()
     objective.gradient()
     d_factors = np.zeros((rank, ham.n_orbitals, ham.n_orbitals))
     d_factors[: objective.rank] = objective.space.unpack(objective.grad_factors)
     # A copy: a view of grad_xi would keep the whole gradient vector alive.
-    return objective.grad.item(-1), objective.grad_xi.copy(), d_factors
+    return objective.d_kappa, objective.grad_xi.copy(), d_factors
 
 
 def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
@@ -408,17 +405,15 @@ def optimize(
     ham: Hamiltonian,
     rank: int,
     config: OptimizationConfig,
-    free: tuple[str, ...] = PARAM_BLOCKS,
 ) -> OptimizationReport:
     """Minimize Total over the symmetry shift and the factor matrices.
 
     Starts from xi = 0 and the eigendecomposition-based double factorization
     of the unshifted two-body tensor, then runs Adam on xi and the factors
-    with the configured hyperparameters. kappa is not stepped: if free, each
-    evaluation sets it to its closed form (see the module docstring), and
-    otherwise it stays 0. Descent stops when the best Total seen fails to
-    improve by a relative rel_tol over a window of ``patience`` iterations,
-    or at max_iters.
+    with the configured hyperparameters. kappa is not stepped: each
+    evaluation sets it to its closed form (see the module docstring).
+    Descent stops when the best Total seen fails to improve by a relative
+    rel_tol over a window of ``patience`` iterations, or at max_iters.
 
     The returned parameters are the iterate with the smallest lambda among
     those whose Err stays within ``config.err_budget`` of the initial Err.
@@ -431,9 +426,6 @@ def optimize(
             are nonzero, and the rest stay exact zeros.
         config: Hyperparameters. The descent is deterministic and uses no
             randomness.
-        free: Parameter blocks to update, a subset of ("kappa", "xi",
-            "factors"). Frozen blocks keep their initial values exactly;
-            the default frees everything.
 
     Returns:
         OptimizationReport; its lambda_breakdown and err_final come from
@@ -445,34 +437,23 @@ def optimize(
         NonFiniteCostError: If the cost evaluates to NaN or infinity.
         IndefiniteTensorError: Propagated from the initialization when the
             two-body tensor is not factorizable.
-        ValueError: On an unknown ``free`` block name or an invalid rank.
+        ValueError: On an invalid rank.
     """
-    unknown = set(free) - set(PARAM_BLOCKS)
-    if unknown:
-        raise ValueError(f"unknown free blocks {sorted(unknown)}; valid: {PARAM_BLOCKS}")
-
     n = ham.n_orbitals
     space = pair_space(n)
-    # theta starts at the M nonzero initial factors, xi = 0 and kappa = 0; the
-    # trailing exact-zero factors never move and stay out of it.
+    # theta starts at the M nonzero initial factors and xi = 0; the trailing
+    # exact-zero factors never move and stay out of it.
     init = initial_double_factorization(ham.g_pairs, rank)
-    theta = np.concatenate((space.pack(init.factors[: init.effective_rank]).ravel(), np.zeros(n * n + 1)))
+    theta = np.concatenate((space.pack(init.factors[: init.effective_rank]).ravel(), np.zeros(n * n)))
     del init
-    objective = _Objective(ham, theta, closed_form="kappa" in free)
+    objective = _Objective(ham, theta)
     # best_theta is written in place: a fresh copy per improvement, taken
     # while the evaluation's arrays are alive, raises the process peak RSS.
     grad, best_theta = objective.grad, np.empty_like(theta)
-    # Adam state for the stepped entries, all but kappa's.
-    m, v = np.zeros(theta.size - 1), np.zeros(theta.size - 1)
-    # Each frozen block's span of theta, where its gradient is zeroed.
-    tail = objective.factors.size
-    spans = (("xi", (tail, theta.size - 1)), ("factors", (0, tail)))
-    frozen = [span for name, span in spans if name not in free]
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
 
     def descend(part: slice) -> None:
         """Adam step on theta[part] at this iteration, once its gradient is final."""
-        for start, stop in frozen:
-            grad[max(start, part.start) : min(stop, part.stop)] = 0.0
         _adam_step(theta[part], grad[part], m[part], v[part], iteration + 1, config)
 
     trace = []
@@ -494,7 +475,7 @@ def optimize(
         trace.append((total, err, lam))
 
         if err <= init_err + config.err_budget and lam < best_lambda:
-            best_lambda, best_err, best_norms = lam, err, norms
+            best_lambda, best_err, best_norms, best_kappa = lam, err, norms, objective.kappa
             best_theta[...] = theta
             best_iteration = iteration
 
@@ -523,7 +504,7 @@ def optimize(
 
     return OptimizationReport(
         # A copy of xi: a view would keep all of best_theta alive.
-        best_params=(best_theta.item(-1), best_xi.copy(), FactorSet(factors=padded)),
+        best_params=(best_kappa, best_xi.copy(), FactorSet(factors=padded)),
         lambda_breakdown=LambdaBreakdown.from_norms(best_norms[:-1], best_norms[-1], rank),
         err_final=best_err,
         total_trace=np.array(trace),

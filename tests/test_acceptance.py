@@ -261,9 +261,10 @@ def test_gradient_against_finite_differences():
 
 
 def test_kappa_descent_matches_grid_scan():
-    # With xi and the factors frozen, lambda depends on kappa alone through
-    # || h' + kappa I ||_*, so an exhaustive grid scan over kappa is an
-    # independent oracle for the descent.
+    # Row 0 of a run holds xi = 0 and the initial factors, where lambda
+    # depends on kappa alone through || h' + kappa I ||_*, so an exhaustive
+    # grid scan over kappa is an independent oracle for the kappa the
+    # descent sets there.
     start = time.monotonic()
     rng = np.random.default_rng(104)
     factors = 0.3 * np.stack(
@@ -283,20 +284,18 @@ def test_kappa_descent_matches_grid_scan():
     lambda_on_grid = two_body + np.abs(mu[None, :] + grid[:, None]).sum(axis=1)
     grid_minimum = float(lambda_on_grid.min())
 
-    config = OptimizationConfig(
-        learning_rate=5e-2, max_iters=2000, patience=500, c_approx=1.0
-    )
-    report = optimize(ham, 4, config, free=("kappa",))
-    _, xi_best, factors_best = report.best_params
-    assert np.array_equal(xi_best, np.zeros((2, 2)))
-    assert np.array_equal(factors_best.factors, init.factors)
+    report = optimize(ham, 4, OptimizationConfig())
+    row0 = report.total_trace[0, 2]
+    assert report.lambda_breakdown.lambda_total <= row0
 
-    gap = abs(report.lambda_breakdown.lambda_total - grid_minimum)
+    # At N = 2 the norm is flat between -mu_2 and -mu_1, wide enough to hold
+    # grid points, so the grid minimum is exact up to round-off.
+    gap = abs(row0 - grid_minimum)
     elapsed = time.monotonic() - start
-    assert gap <= 1e-2
+    assert gap <= 1e-9
     assert elapsed < 300.0
     print(
-        f"PASS kappa-only oracle: descent lambda within {gap:.3e} of the "
+        f"PASS kappa oracle: row-0 lambda within {gap:.3e} of the "
         f"20001-point grid minimum, {elapsed:.1f}s"
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import blissdf
 from blissdf import (
     ShiftParams,
     apply_symmetry_shift,
@@ -667,6 +669,49 @@ def test_shipped_schema_is_valid(name):
     # itself against its meta-schema, so every shipped schema is checked here.
     schema = cli.load_schema(name)
     jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_public_api_is_pinned_to_the_schema_version():
+    # blissdf.__all__ and the optimizer's entry points change only with a
+    # schema_version bump: change this pin and SCHEMA_VERSION together.
+    assert cli.SCHEMA_VERSION == 3
+    assert sorted(blissdf.__all__) == [
+        "ConfigError",
+        "FactorSet",
+        "FcidumpError",
+        "Hamiltonian",
+        "IndefiniteTensorError",
+        "LambdaBreakdown",
+        "NonFiniteCostError",
+        "OptimizationConfig",
+        "OptimizationReport",
+        "Rank1Decomposition",
+        "ShiftParams",
+        "__version__",
+        "apply_symmetry_shift",
+        "effective_one_body",
+        "eigen_rank1",
+        "frobenius_error",
+        "gradient",
+        "initial_double_factorization",
+        "lambda_df",
+        "load_factor_set",
+        "load_integrals",
+        "nuclear_norm",
+        "optimize",
+        "reconstruct_two_body",
+        "save_factor_set",
+        "symmetrize_one_body",
+        "total_cost",
+        "write_integrals",
+    ]
+    entry_points = ("optimize", "total_cost", "gradient")
+    signatures = {name: str(inspect.signature(getattr(blissdf, name))) for name in entry_points}
+    assert signatures == {
+        "optimize": "(ham: 'Hamiltonian', rank: 'int', config: 'OptimizationConfig') -> 'OptimizationReport'",
+        "total_cost": "(ham: 'Hamiltonian', params, c_approx: 'float') -> 'tuple[float, float, float]'",
+        "gradient": "(ham: 'Hamiltonian', params, c_approx: 'float')",
+    }
 
 
 def test_trace_lines_equal_json_dumps(tmp_path):

@@ -496,6 +496,33 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"no {member} member"):
             load_factor_set(tmp_path / "cut.npz")
 
+    @pytest.mark.parametrize(
+        "member, value",
+        [
+            ("kappa", np.nan),
+            ("kappa", np.inf),
+            ("kappa", np.array([0.5, 0.5])),
+            ("kappa", np.array("0.5")),
+            ("xi", np.zeros((5, 2))),
+            ("xi", np.zeros((3, 3, 1))),
+            ("xi", np.diag([1.0, np.nan, 0.0])),
+            ("xi", np.full((3, 3), "x")),
+        ],
+        ids=[
+            "kappa-nan", "kappa-inf", "kappa-vector", "kappa-string",
+            "xi-5x2", "xi-3d", "xi-nan", "xi-string",
+        ],
+    )
+    def test_malformed_shift_member_is_a_value_error(self, tmp_path, member, value):
+        path = tmp_path / "full.npz"
+        save_factor_set(path, FactorSet(factors=np.ones((2, 3, 3))), kappa=0.5, xi=np.eye(3))
+        with np.load(path) as archive:
+            kept = {name: archive[name] for name in archive.files}
+        kept[member] = value
+        np.savez(tmp_path / "bad.npz", **kept)
+        with pytest.raises(ValueError, match=f"{member} member"):
+            load_factor_set(tmp_path / "bad.npz")
+
     def test_rejects_foreign_archive(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, data=np.zeros(3))

@@ -12,12 +12,11 @@ from blissdf import (
     frobenius_error,
     load_integrals,
     reconstruct_two_body,
-    symmetrize_two_body,
     write_integrals,
 )
 from blissdf.factorization import initial_double_factorization
 from blissdf.fermi_oracle import sector_eigenvalues
-from blissdf.hamiltonian import symmetrize_one_body, two_body_block
+from blissdf.hamiltonian import symmetrize_one_body, symmetrize_two_body, two_body_block
 from blissdf.verify import chain_hamiltonian
 
 from conftest import random_hamiltonian, random_psd_two_body

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 import tracemalloc
@@ -26,7 +25,7 @@ from blissdf import (
 )
 from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import symmetrize_one_body
-from blissdf.optimizer import _REAL_FIELDS, PARAM_BLOCKS, _Objective, _pack
+from blissdf.optimizer import _REAL_FIELDS, _Objective, _pack
 from blissdf.verify import chain_hamiltonian
 
 from conftest import closed_form_shift, random_hamiltonian
@@ -356,34 +355,8 @@ class TestOptimize:
         assert np.array_equal(r1.total_trace, r2.total_trace)
         assert r1.lambda_breakdown.lambda_total == r2.lambda_breakdown.lambda_total
 
-    @pytest.mark.parametrize(
-        "free",
-        [
-            subset
-            for size in (1, 2)
-            for subset in itertools.combinations(PARAM_BLOCKS, size)
-        ],
-        ids="+".join,
-    )
-    def test_frozen_blocks_stay_fixed(self, free):
-        rng = np.random.default_rng(30)
-        ham = random_hamiltonian(3, rng, n_electrons=2)
-        init = initial_double_factorization(ham.g, 4)
-
-        report = optimize(ham, 4, small_config(), free=free)
-        kappa, xi, fs = report.best_params
-        initial = {"kappa": 0.0, "xi": np.zeros((3, 3)), "factors": init.factors}
-        final = {"kappa": kappa, "xi": xi, "factors": fs.factors}
-        for block in set(PARAM_BLOCKS) - set(free):
-            assert np.array_equal(final[block], initial[block]), block
-        if "kappa" in free:
-            # kappa is not stepped: every evaluation sets it to its closed form.
-            assert kappa == pytest.approx(closed_form_shift(ham, xi)[0], rel=1e-12)
-        if free != ("kappa",):  # a kappa-only run is optimal at row 0
-            assert report.best_iteration > 0
-
     def test_best_xi_owns_its_memory(self):
-        # A view of best_theta would keep all M P + N^2 + 1 entries alive for N^2 of them.
+        # A view of best_theta would keep all M P + N^2 entries alive for N^2 of them.
         ham = random_hamiltonian(6, np.random.default_rng(29), n_electrons=5)
         xi = optimize(ham, 36, small_config(max_iters=3)).best_params[1]
         assert xi.shape == (6, 6)
@@ -500,12 +473,6 @@ class TestOptimize:
         assert pad_factors.shape == (n * n, n, n)
         assert pad_factors[:m].tobytes() == d_factors.tobytes()
         assert np.all(pad_factors[m:] == 0.0)
-
-    def test_unknown_free_block(self):
-        rng = np.random.default_rng(31)
-        ham = random_hamiltonian(2, rng)
-        with pytest.raises(ValueError, match="free"):
-            optimize(ham, 2, small_config(), free=("kappa", "gamma"))
 
     def test_nonfinite_cost_raises_with_iteration(self):
         rng = np.random.default_rng(32)
@@ -684,11 +651,11 @@ class TestPackedKernel:
         init = initial_double_factorization(ham.g, n * n)
         assert init.effective_rank == n
         xi = symmetrize_one_body(rng.standard_normal((n, n)))
-        theta, _ = optimizer._pack(ham, (0.3, xi, init))
-        assert theta.size == 1 + n * n + n * n * (n + 1) // 2
+        theta, kappa, _ = optimizer._pack(ham, (0.3, xi, init))
+        assert theta.size == n * n + n * n * (n + 1) // 2
 
         def evaluate_with_gradient():
-            objective = optimizer._Objective(ham, theta)
+            objective = optimizer._Objective(ham, theta, kappa)
             objective.weigh(7.0)
             objective.evaluate()
             objective.gradient()
@@ -798,7 +765,7 @@ class TestClosedFormKappa:
 
     @staticmethod
     def closed_form_objective(ham, xi, factors, c_approx=3.0):
-        objective = _Objective(ham, _pack(ham, (0.0, xi, factors))[0], closed_form=True)
+        objective = _Objective(ham, _pack(ham, (0.0, xi, factors))[0])
         objective.weigh(c_approx)
         return objective
 
@@ -825,9 +792,9 @@ class TestClosedFormKappa:
         assert np.sum(np.sign(shifted)) == 0.0
         assert norms[-1] == one_body
         assert unshifted == np.abs(np.linalg.eigvalsh(ham.h + (n - n_e) * xi)).sum()
-        assert objective.theta[-1] == kappa
+        assert objective.kappa == kappa
         objective.gradient()
-        assert objective.grad[-1] == 0.0  # sum_i sign(e_i + t), exactly
+        assert objective.d_kappa == 0.0  # sum_i sign(e_i + t), exactly
         # With no trace term, the xi and factor gradients are the explicit ones at kappa*.
         d_kappa, d_xi, d_factors = gradient(ham, (kappa, xi, factors), 3.0)
         assert d_kappa == 0.0
@@ -852,7 +819,7 @@ class TestClosedFormKappa:
         objective = self.closed_form_objective(ham, xi, factors, c)
         objective.evaluate()
         objective.gradient()
-        assert objective.grad[-1] == 0.0  # sum_i sign(e_i + t), not the round-off of tr U sign(D + t) U^T
+        assert objective.d_kappa == 0.0  # sum_i sign(e_i + t), not the round-off of tr U sign(D + t) U^T
         checked = 0
         for a in range(n):
             for b in range(a, n):

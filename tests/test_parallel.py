@@ -1,4 +1,3 @@
-import itertools
 import os
 import sys
 import threading
@@ -12,9 +11,9 @@ from blissdf import _parallel, factorization, optimizer
 from blissdf.factorization import nuclear_norms, sign_subgradients
 from blissdf.factorization import initial_double_factorization, lambda_df
 from blissdf.hamiltonian import effective_one_body
-from blissdf.optimizer import PARAM_BLOCKS, NonFiniteCostError, OptimizationConfig, optimize
+from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 
-from conftest import closed_form_shift, random_hamiltonian
+from conftest import random_hamiltonian
 
 CONTROLS = _parallel._blas_thread_controls()
 needs_openblas = pytest.mark.skipif(
@@ -281,6 +280,27 @@ class TestPartitionedStep:
     def ham(self):
         return random_hamiltonian(12, np.random.default_rng(64), n_electrons=12)
 
+    def test_adam_steps_every_entry_of_theta_once_per_step(self, monkeypatch, ham):
+        # theta is the M P factor entries then xi, and nothing else: per step
+        # the blocks' Adam slices must tile it exactly, xi's last entry included.
+        steps = {}
+        original = optimizer._adam_step
+
+        def recorded(theta, grad, m, v, step, config):
+            steps.setdefault(step, []).append((theta.ctypes.data, theta.size))
+            original(theta, grad, m, v, step, config)
+
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(optimizer, "_adam_step", recorded)
+        report = optimize(ham, 144, OptimizationConfig(max_iters=3, rel_tol=0.0))
+        rank = initial_double_factorization(ham.g_pairs, 144).effective_rank
+        assert sorted(steps) == list(range(1, report.iterations_run + 1))
+        for slices in steps.values():
+            slices.sort()
+            assert len(slices) == 2
+            assert all(a + 8 * size == b for (a, size), (b, _) in zip(slices, slices[1:]))
+            assert sum(size for _, size in slices) == rank * 78 + 144  # M P + N^2, P = 78 at N = 12
+
     def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, ham):
         config = OptimizationConfig(max_iters=6, rel_tol=0.0, learning_rate=1e-2, err_budget=1e9)
         runs = []
@@ -312,29 +332,6 @@ class TestPartitionedStep:
         assert got.per_factor.tobytes() == initial.per_factor.tobytes()
         best = lambda_df(report.best_params[2], effective_one_body(ham))
         assert report.lambda_breakdown.per_factor.tobytes() == best.per_factor.tobytes()
-
-    @pytest.mark.parametrize(
-        "free",
-        [subset for size in (1, 2) for subset in itertools.combinations(PARAM_BLOCKS, size)],
-        ids="+".join,
-    )
-    def test_frozen_blocks_keep_their_initial_bits(self, monkeypatch, ham, free):
-        set_cpus(monkeypatch, 2)
-        init = initial_double_factorization(ham.g_pairs, 144)
-        config = OptimizationConfig(max_iters=6, rel_tol=0.0, learning_rate=1e-2, err_budget=1e9)
-        report = optimize(ham, 144, config, free=free)
-        kappa, xi, factor_set = report.best_params
-        initial = {"kappa": 0.0, "xi": np.zeros((12, 12)), "factors": init.factors}
-        final = {"kappa": kappa, "xi": xi, "factors": factor_set.factors}
-        for block in set(PARAM_BLOCKS) - set(free):
-            assert np.asarray(final[block]).tobytes() == np.asarray(initial[block]).tobytes(), block
-        if "kappa" in free:
-            # kappa is not stepped: every evaluation sets it to its closed form.
-            assert kappa == pytest.approx(closed_form_shift(ham, xi)[0], rel=1e-12)
-        # With kappa in closed form at n_e = N, lambda no longer depends on xi,
-        # so only a run that frees the factors (or freezes kappa) can improve on row 0.
-        if "factors" in free or "kappa" not in free:
-            assert report.best_iteration > 0
 
 
 @needs_openblas

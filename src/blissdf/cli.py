@@ -8,7 +8,9 @@ Subcommands:
     optimize   Joint symmetry-shift + factorization descent; writes
                report.json, trace.jsonl, factors.npz, manifest.json.
     verify     Self-check suites over the dense fermionic oracle.
-    report     Render a report.json as a table (method, N, R, lambda, error).
+    report     Render a report.json as a table (method, N, R, lambda, error),
+               then the optimized run's iterations, stop reason and best
+               iteration.
 
 factorize and optimize parse the config, load the input and check --rank
 before they create --out, so a bad input, config or rank (exit 1) leaves no
@@ -55,7 +57,7 @@ from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -126,13 +128,22 @@ def _write_outputs(args, name: str, doc: dict, factor_set=None, **shift) -> None
     (args.out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_trace(path: Path, total_trace) -> None:
-    """Write json.dumps(row, sort_keys=True) per (total, err, lambda) row: json prints floats by repr."""
+def _write_trace(path: Path, total_trace, first_iterations) -> None:
+    """Write json.dumps(row, sort_keys=True) per (total, err, lambda) row: json prints floats by repr.
+
+    Each line also carries its phase, the index of the last entry of
+    ``first_iterations`` (each phase's first row, ascending from 0) at or
+    before it.
+    """
     rows = total_trace.tolist()
-    _validator("trace.schema.json").validate(dict(zip(("iter", "total", "err", "lambda"), (0, *rows[0]))))
-    line = '{"err": %r, "iter": %d, "lambda": %r, "total": %r}\n'
+    _validator("trace.schema.json").validate(dict(zip(("iter", "total", "err", "lambda", "phase"), (0, *rows[0], 0))))
+    line = '{"err": %r, "iter": %d, "lambda": %r, "phase": %d, "total": %r}\n'
+    stops = (*first_iterations[1:], len(rows))
     with open(path, "w") as handle:
-        handle.writelines(line % (err, i, lam, total) for i, (total, err, lam) in enumerate(rows))
+        for phase, (first, stop) in enumerate(zip(first_iterations, stops)):
+            handle.writelines(
+                line % (err, i, lam, phase, total) for i, (total, err, lam) in enumerate(rows[first:stop], first)
+            )
 
 
 def cmd_factorize(args) -> int:
@@ -171,7 +182,7 @@ def cmd_optimize(args) -> int:
     best_kappa, best_xi, best_factor_set = report.best_params
     init_breakdown = report.initial_breakdown
 
-    _write_trace(args.out / "trace.jsonl", report.total_trace)
+    _write_trace(args.out / "trace.jsonl", report.total_trace, [first for _, _, first in report.phases])
 
     n = ham.n_orbitals
     report_doc = {
@@ -179,6 +190,10 @@ def cmd_optimize(args) -> int:
         "rank": args.rank,
         "config": config.to_dict(),
         "c_approx_used": report.c_approx_used,
+        "phases": [
+            {"c_approx": c_approx, "learning_rate": learning_rate, "first_iteration": first}
+            for c_approx, learning_rate, first in report.phases
+        ],
         "runs": [
             {
                 "method": "XDF",
@@ -272,6 +287,12 @@ def cmd_report(args) -> int:
             f"{run['method']:<12} {run['n_orbitals']:>4} {run['rank']:>5} "
             f"{run['lambda']:>18.10g} {run['err']:>12.3e}"
         )
+    for run in data["runs"]:
+        if "iterations" in run:
+            print(
+                f"{run['method']}: {run['iterations']} iterations, stop_reason {run['stop_reason']}, "
+                f"best_iteration {run['best_iteration']}"
+            )
     return EXIT_OK
 
 

@@ -39,16 +39,28 @@ and lambda breakdown are kept from their own rows, and the gradient is
 built from the row's eigh batch after the stop check, only when a step
 follows. Descent is Adam on all of theta, in place.
 
+The descent is one loop over a list of phases, each a penalty weight, a
+learning rate and an iteration cap (_schedule). An explicit c_approx is one
+phase at the configured learning rate. c_approx None is a quadratic-penalty
+continuation (Nocedal & Wright, Numerical Optimization, ch. 17): a soft
+weight lets the shift and the factors move far from the exact start, then
+the automatic stiff weight, then the same weight at a tenth of the learning
+rate pulls Err back inside err_budget. A held stiff weight at a start with
+Err near zero freezes every factor, since the first Adam step raises Err far
+above it. Each phase ends on its own patience stop or its cap; the next one
+starts from that row with a fresh patience window and fresh Adam moments.
+The best feasible row is chosen across all phases.
+
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
 views of theta and of its gradient, kappa and its gradient, the
 (M + 1, N, N) eigh stack of the M unpacked factors and h'_xi, the pair
-index maps, h' and, once row 0 fixes it, the penalty weight, so an
-iteration runs only its arithmetic. What a row keeps, its Err and its
+index maps, h' and the current phase's penalty weight, so an iteration
+runs only its arithmetic. What a row keeps, its Err and its
 batch's nuclear norms, is fresh per evaluation, so later iterations cannot
 overwrite it.
 
-The three run with BLAS at one thread, in two phases, each one run_blocks
+The three run with BLAS at one thread, in two passes, each one run_blocks
 call over the fixed 64-matrix blocks of the eigh stack that
 blissdf._parallel cuts and spreads over all available CPUs on one
 persistent thread pool. In evaluate(), each block unpacks its factors and
@@ -69,7 +81,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,11 +151,16 @@ class NonFiniteCostError(ArithmeticError):
 class OptimizationConfig:
     """Hyperparameters for the penalized descent.
 
-    ``c_approx`` set to None selects an automatic weight,
-    1e3 * (initial lambda) / max(initial Err, 1e-12), clamped to
-    [1e2, 1e9], so the penalty dominates without flattening the lambda
-    signal. ``err_budget`` is not enforced during descent; it defines which
-    iterates count as feasible when the best one is selected afterwards.
+    A positive ``c_approx`` holds that penalty weight for the whole run at
+    ``learning_rate``. None, the default, selects the penalty schedule of
+    optimize: a soft weight, 10 * (initial lambda) / ||G||^2 with ||G||^2
+    the Err of zero factors, for at most max_iters // 2 iterations; then the
+    automatic weight 1e3 * (initial lambda) / max(initial Err, 1e-12),
+    clamped to [1e2, 1e9], for at most max_iters // 4; then that weight at
+    learning_rate / 10 up to max_iters. Without a two-body part (||G||^2 = 0)
+    it is the automatic weight alone. ``err_budget`` is not enforced during
+    descent; it defines which iterates count as feasible when the best one
+    is selected afterwards.
     Real-valued fields must be finite numbers; NaN and infinities raise
     ConfigError.
     """
@@ -208,7 +225,12 @@ class OptimizationReport:
     the unshifted one. ``initial_lambda``, ``initial_err`` and
     ``initial_breakdown`` are the unshifted double factorization (XDF,
     kappa = 0), from row 0's eigenvalues before the shift; the automatic
-    ``c_approx_used`` is computed from them.
+    weights are computed from them. ``phases`` holds (c_approx,
+    learning_rate, first_iteration) for each phase the run entered, in
+    order: trace rows from first_iteration to the next phase's are weighed
+    with its c_approx and were reached by its steps (row 0 belongs to the
+    first phase). ``stop_reason`` is "converged" only when the last phase
+    of the schedule stalls, else "max_iters".
     """
 
     best_params: tuple[float, np.ndarray, FactorSet]
@@ -221,7 +243,12 @@ class OptimizationReport:
     initial_lambda: float
     initial_err: float
     initial_breakdown: LambdaBreakdown
-    c_approx_used: float
+    phases: tuple[tuple[float, float, int], ...]
+
+    @property
+    def c_approx_used(self) -> float:
+        """The last phase's penalty weight: the configured c_approx, or the automatic one."""
+        return self.phases[-1][0]
 
 
 def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float, int]:
@@ -400,6 +427,26 @@ def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None
     theta -= update
 
 
+def _schedule(config: OptimizationConfig, init_lambda: float, init_err: float, zero_err: float):
+    """The descent's phases, each (config with its c_approx and learning rate, iteration cap).
+
+    ``zero_err`` is ||G||^2, the Err of zero factors. Phases with a zero cap
+    are left out; the last phase has no cap of its own but max_iters.
+    """
+    last = config.max_iters
+    if config.c_approx is not None:
+        return [(replace(config, c_approx=float(config.c_approx)), last)]
+    stiff = replace(config, c_approx=min(max(1e3 * init_lambda / max(init_err, 1e-12), 1e2), 1e9))
+    if zero_err == 0.0:  # no two-body part: no soft weight, today's single phase
+        return [(stiff, last)]
+    phases = [
+        (replace(config, c_approx=10.0 * init_lambda / zero_err), last // 2),
+        (stiff, last // 4),
+        (replace(stiff, learning_rate=config.learning_rate / 10), last),
+    ]
+    return [phase for phase in phases[:-1] if phase[1]] + phases[-1:]
+
+
 @one_blas_thread()
 def optimize(
     ham: Hamiltonian,
@@ -410,15 +457,19 @@ def optimize(
 
     Starts from xi = 0 and the eigendecomposition-based double factorization
     of the unshifted two-body tensor, then runs Adam on xi and the factors
-    with the configured hyperparameters. kappa is not stepped: each
-    evaluation sets it to its closed form (see the module docstring).
-    Descent stops when the best Total seen fails to improve by a relative
-    rel_tol over a window of ``patience`` iterations, or at max_iters.
+    through the phases of the penalty schedule (see OptimizationConfig and
+    the module docstring); an explicit ``config.c_approx`` is one phase.
+    kappa is not stepped: each evaluation sets it to its closed form. A
+    phase ends when the best Total seen in it fails to improve by a relative
+    rel_tol over a window of ``patience`` iterations, or at its iteration
+    cap; the next phase starts from that iterate with fresh Adam moments and
+    step count. The descent stops when the last phase ends, at the latest
+    after max_iters iterations in all.
 
     The returned parameters are the iterate with the smallest lambda among
-    those whose Err stays within ``config.err_budget`` of the initial Err.
-    The initial point is included, so the reported lambda never exceeds the
-    initialization's.
+    those whose Err stays within ``config.err_budget`` of the initial Err,
+    over all phases. The initial point is included, so the reported lambda
+    never exceeds the initialization's.
 
     Args:
         ham: Hamiltonian to shift and factorize.
@@ -441,6 +492,7 @@ def optimize(
     """
     n = ham.n_orbitals
     space = pair_space(n)
+    zero_err = float(space.mult @ np.square(ham.g_pairs) @ space.mult)  # ||G||^2, Err at F = 0
     # theta starts at the M nonzero initial factors and xi = 0; the trailing
     # exact-zero factors never move and stay out of it.
     init = initial_double_factorization(ham.g_pairs, rank)
@@ -454,22 +506,21 @@ def optimize(
 
     def descend(part: slice) -> None:
         """Adam step on theta[part] at this iteration, once its gradient is final."""
-        _adam_step(theta[part], grad[part], m[part], v[part], iteration + 1, config)
+        _adam_step(theta[part], grad[part], m[part], v[part], iteration - start + 1, phase)
 
-    trace = []
+    trace, firsts = [], [0]  # firsts: each entered phase's first trace row
     best_total = anchor_total = best_lambda = math.inf
-    anchor_iter = best_iteration = 0
-    stop_reason = "max_iters"
+    anchor_iter = best_iteration = start = 0
 
     for iteration in range(config.max_iters + 1):
         err, lam, norms, unshifted = objective.evaluate()
         if iteration == 0:
             init_err, init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted, rank)
-            # The automatic weight of OptimizationConfig, from the unshifted initial point.
-            init_lambda = init_breakdown.lambda_total
-            c_approx = float(config.c_approx or min(max(1e3 * init_lambda / max(err, 1e-12), 1e2), 1e9))
-            objective.weigh(c_approx)
-        total = c_approx * err + lam
+            init_lambda = init_breakdown.lambda_total  # lambda0 of the schedule's weights
+            schedule = _schedule(config, init_lambda, err, zero_err)
+            phase, cap = schedule[0]
+            objective.weigh(phase.c_approx)
+        total = phase.c_approx * err + lam
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(iteration)
         trace.append((total, err, lam))
@@ -486,12 +537,20 @@ def optimize(
         ):
             anchor_total = best_total
             anchor_iter = iteration
-        elif iteration - anchor_iter >= config.patience:
-            stop_reason = "converged"
-            break
+        stalled = iteration - anchor_iter >= config.patience
 
-        if iteration == config.max_iters:
-            break
+        if stalled or iteration - start == cap or iteration == config.max_iters:
+            if len(firsts) == len(schedule):
+                stop_reason = "converged" if stalled else "max_iters"
+                break
+            # The next phase steps from this row: a fresh window and fresh Adam state.
+            phase, cap = schedule[len(firsts)]
+            objective.weigh(phase.c_approx)
+            m.fill(0.0)
+            v.fill(0.0)
+            best_total = anchor_total = math.inf
+            start = iteration
+            firsts.append(iteration + 1)
         objective.gradient(then=descend)
 
     # Free the descent state, then unpack the best factors straight into the
@@ -514,5 +573,5 @@ def optimize(
         initial_lambda=init_lambda,
         initial_err=init_err,
         initial_breakdown=init_breakdown,
-        c_approx_used=c_approx,
+        phases=tuple((p.c_approx, p.learning_rate, first) for (p, _), first in zip(schedule, firsts)),
     )

@@ -4,7 +4,8 @@ Each check builds small random instances with fixed seeds, compares two
 independently computed quantities, and reports the worst deviation against
 its tolerance. The fast level keeps orbital counts at N <= 2 and finishes in
 seconds; the full level extends to N = 3 and adds finite-difference gradient
-checks and a check of the optimizer's closed-form kappa against a kappa grid.
+checks, a check of the optimizer's closed-form kappa against a kappa grid and
+one of the default penalty schedule against a single explicit weight.
 
 The operator-algebra checks multiply real ladder matrices on the full
 4^N-dimensional Fock space. The Hamiltonian checks (BLISS invariance and
@@ -21,7 +22,7 @@ the molecule-shaped ones from chain_hamiltonian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -313,8 +314,43 @@ def _check_closed_form_kappa() -> CheckResult:
     return CheckResult("closed-form kappa", worst, 1e-6)
 
 
+def _check_penalty_schedule() -> CheckResult:
+    """The default penalty schedule on chain N=4, R=16 against one explicit weight, through the sector oracle.
+
+    The default run (2000 iterations) must end at a feasible point, with Err
+    recomputed from its shift and factors within err_budget of the initial
+    Err, and at a lambda no larger than that of a single-phase run at the
+    schedule's last weight with the same budget. Rebuilt from its shifted
+    one-body part and its factors, the Hamiltonian must keep the input's
+    n_e-sector spectrum up to the residual's reach: with D the two-body
+    residual, the two-body operator of D moves no eigenvalue by more than
+    n_e^2 ||D||_* <= n_e^2 N sqrt(Err). A failed condition reads as an
+    infinite deviation.
+    """
+    ham, rank = chain_hamiltonian(4, 1), 16
+    config = OptimizationConfig(max_iters=2000)
+    report = optimize(ham, rank, config)
+    single = optimize(ham, rank, replace(config, c_approx=report.c_approx_used))
+    kappa, xi, factor_set = report.best_params
+    shifted = apply_symmetry_shift(ham, ShiftParams(kappa=kappa, xi=xi, n_e=ham.n_electrons))
+    budget = report.initial_err + config.err_budget
+    rebuilt = Hamiltonian(
+        h=shifted.h,
+        g=reconstruct_two_body(factor_set),
+        core_constant=shifted.core_constant,
+        n_electrons=ham.n_electrons,
+    )
+    reference = sector_eigenvalues(ham, ham.n_electrons)
+    worst = float(np.max(np.abs(sector_eigenvalues(rebuilt, ham.n_electrons) - reference)))
+    feasible = frobenius_error(shifted.g_pairs, factor_set) <= budget
+    if not (feasible and report.lambda_breakdown.lambda_total <= single.lambda_breakdown.lambda_total):
+        worst = float("inf")
+    tolerance = ham.n_electrons**2 * ham.n_orbitals * float(np.sqrt(budget))
+    return CheckResult("penalty schedule", worst, tolerance)
+
+
 def run_verification(level: str) -> list[CheckResult]:
-    """Run the oracle suites; 'fast' covers N <= 2, 'full' adds N = 3, gradients and the closed-form kappa."""
+    """Run the oracle suites; 'fast' covers N <= 2, 'full' adds N = 3, gradients, kappa and the schedule."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     sizes = (1, 2) if level == "fast" else (1, 2, 3)
@@ -328,5 +364,5 @@ def run_verification(level: str) -> list[CheckResult]:
         _check_factorization_exactness(sizes[1:]),
     ]
     if level == "full":
-        results += [_check_gradient(), _check_closed_form_kappa()]
+        results += [_check_gradient(), _check_closed_form_kappa(), _check_penalty_schedule()]
     return results

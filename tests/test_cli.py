@@ -386,6 +386,22 @@ class TestOptimize:
             jsonschema.validate(entry, schema)
             assert entry["iter"] == i
 
+    def test_trace_phases_follow_the_report(self, tmp_path, capsys):
+        # The default schedule at 40 iterations and rel_tol 0: caps 20 and 10,
+        # so the phases start at rows 0, 21 and 31.
+        out = tmp_path / "opt"
+        cfg = write_config(tmp_path, max_iters=40, rel_tol=0.0)
+        code, _, _ = run_cli(["optimize", "--input", FIXTURE, "--rank", "4", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        firsts = [phase["first_iteration"] for phase in report["phases"]]
+        assert firsts == [0, 21, 31]
+        assert [phase["learning_rate"] for phase in report["phases"]] == [1e-2, 1e-2, 1e-3]
+        assert report["c_approx_used"] == report["phases"][-1]["c_approx"]
+        assert report["runs"][1]["stop_reason"] == "max_iters"
+        phases = [json.loads(line)["phase"] for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert phases == [0] * 21 + [1] * 10 + [2] * 10
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"learning_rat": 0.1}))
@@ -581,6 +597,67 @@ class TestVerify:
         assert "FAIL  closed-form kappa" in stdout
         assert stderr.strip() == "verification failed: closed-form kappa"
 
+    def test_perturbed_best_factors_fail_the_penalty_schedule_check(self, capsys, monkeypatch):
+        # Best factors 1% off their run: Err recomputed from the outputs leaves
+        # the budget, which only the penalty-schedule check reads.
+        import dataclasses
+
+        import blissdf.verify as verify_mod
+        from blissdf import FactorSet
+
+        true_optimize = verify_mod.optimize
+
+        def perturbed(ham, rank, config):
+            report = true_optimize(ham, rank, config)
+            kappa, xi, factor_set = report.best_params
+            scaled = FactorSet(factors=1.01 * factor_set.factors)
+            return dataclasses.replace(report, best_params=(kappa, xi, scaled))
+
+        monkeypatch.setattr(verify_mod, "optimize", perturbed)
+        code, stdout, stderr = run_cli(["verify", "--level", "full"], capsys)
+        assert code == 4
+        assert "FAIL  penalty schedule" in stdout
+        assert stderr.strip() == "verification failed: penalty schedule"
+
+    def test_shifted_one_body_error_fails_the_penalty_schedule_check(self, capsys, monkeypatch):
+        # A shift that moves one one-body coefficient leaves Err and lambda
+        # alone; only the rebuilt Hamiltonian's sector spectrum shows it.
+        import blissdf.verify as verify_mod
+        from blissdf import Hamiltonian
+
+        true_shift = apply_symmetry_shift
+
+        def corrupted(ham, shift):
+            out = true_shift(ham, shift)
+            h_bad = np.array(out.h)
+            h_bad[0, 0] += 0.3
+            return Hamiltonian(h=h_bad, g=out.g, core_constant=out.core_constant, n_electrons=out.n_electrons)
+
+        monkeypatch.setattr(verify_mod, "apply_symmetry_shift", corrupted)
+        code, stdout, _ = run_cli(["verify", "--level", "full"], capsys)
+        assert code == 4
+        assert "FAIL  penalty schedule" in stdout
+
+    def test_truncated_schedule_fails_the_penalty_schedule_check(self, capsys, monkeypatch):
+        # A default run cut to one iteration ends feasible, but above the
+        # lambda that one explicit weight reaches in the full budget.
+        import dataclasses
+
+        import blissdf.verify as verify_mod
+
+        true_optimize = verify_mod.optimize
+
+        def truncated(ham, rank, config):
+            if config.c_approx is None:
+                config = dataclasses.replace(config, max_iters=1)
+            return true_optimize(ham, rank, config)
+
+        monkeypatch.setattr(verify_mod, "optimize", truncated)
+        code, stdout, stderr = run_cli(["verify", "--level", "full"], capsys)
+        assert code == 4
+        assert "FAIL  penalty schedule" in stdout
+        assert stderr.strip() == "verification failed: penalty schedule"
+
 
 class TestReport:
     @pytest.fixture()
@@ -612,6 +689,15 @@ class TestReport:
         assert lines[0].split() == ["method", "N", "R", "lambda", "error"]
         assert lines[2].startswith("XDF")
         assert lines[3].startswith("optimized")
+
+    def test_prints_the_optimized_run_summary(self, report_path, capsys):
+        code, stdout, _ = run_cli(["report", "--input", str(report_path)], capsys)
+        assert code == 0
+        run = json.loads(report_path.read_text())["runs"][1]
+        assert stdout.splitlines()[4:] == [
+            f"optimized: {run['iterations']} iterations, stop_reason {run['stop_reason']}, "
+            f"best_iteration {run['best_iteration']}"
+        ]
 
     def test_empty_runs_prints_header_only(self, report_path, tmp_path, capsys):
         doc = json.loads(report_path.read_text())
@@ -674,7 +760,7 @@ def test_shipped_schema_is_valid(name):
 def test_public_api_is_pinned_to_the_schema_version():
     # blissdf.__all__ and the optimizer's entry points change only with a
     # schema_version bump: change this pin and SCHEMA_VERSION together.
-    assert cli.SCHEMA_VERSION == 3
+    assert cli.SCHEMA_VERSION == 4
     assert sorted(blissdf.__all__) == [
         "ConfigError",
         "FactorSet",
@@ -717,10 +803,11 @@ def test_public_api_is_pinned_to_the_schema_version():
 def test_trace_lines_equal_json_dumps(tmp_path):
     values = [5e-324, 1e-300, 1e16, 2.0, -0.0, 0.1 + 0.2, 1.7976931348623157e308]
     rows = np.array([(-value, value, value / 7) for value in values])  # err, lambda >= 0
-    cli._write_trace(tmp_path / "trace.jsonl", rows)
+    cli._write_trace(tmp_path / "trace.jsonl", rows, [0, 3])
     lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
     assert lines == [
-        json.dumps({"iter": i, "total": total, "err": err, "lambda": lam}, sort_keys=True) + "\n"
+        json.dumps({"iter": i, "total": total, "err": err, "lambda": lam, "phase": int(i >= 3)}, sort_keys=True)
+        + "\n"
         for i, (total, err, lam) in enumerate(rows.tolist())
     ]
 

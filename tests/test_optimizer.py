@@ -28,7 +28,7 @@ from blissdf.hamiltonian import symmetrize_one_body
 from blissdf.optimizer import _REAL_FIELDS, _Objective, _pack
 from blissdf.verify import chain_hamiltonian
 
-from conftest import closed_form_shift, random_hamiltonian
+from conftest import closed_form_shift, random_hamiltonian, random_psd_two_body
 
 
 def small_config(**overrides):
@@ -505,9 +505,11 @@ class TestOptimize:
 
     def test_kept_rows_are_not_overwritten(self):
         # Row 0's and the best row's breakdowns come from their own
-        # evaluations; here 41 more iterations run after the best row.
+        # evaluations; here 41 more iterations run after the best row. One
+        # explicit weight: the schedule's caps scale with max_iters, so a
+        # shorter default run is no prefix of a longer one.
         ham = random_hamiltonian(6, np.random.default_rng(62), n_electrons=6)
-        config = OptimizationConfig(max_iters=50, rel_tol=0.0, learning_rate=3e-2)
+        config = OptimizationConfig(c_approx=300.0, max_iters=50, rel_tol=0.0, learning_rate=3e-2)
         report = optimize(ham, 6, config)
         assert 0 < report.best_iteration < report.iterations_run == 50
         # A run that stops at the best row evaluates nothing after it.
@@ -603,6 +605,93 @@ class TestOptimize:
         got = sector_eigenvalues(approx, 2)
         assert np.max(np.abs(ref - got)) < 1e-3
         assert report.lambda_breakdown.lambda_total < report.initial_lambda
+
+
+class TestPenaltySchedule:
+    """c_approx None: the soft weight, the automatic weight, then that weight at a tenth of the learning rate."""
+
+    @pytest.mark.parametrize("n,ceiling", [(8, 0.45), (16, 0.40)])
+    def test_full_rank_chain_reaches_the_ratio(self, n, ceiling):
+        # At R = N^2 the start is exact (Err0 ~ 1e-30), where one held stiff
+        # weight stalls near row 0 (ratios 0.61 and 0.65).
+        report = optimize(chain_hamiltonian(n, 1), n * n, OptimizationConfig())
+        assert report.lambda_breakdown.lambda_total <= ceiling * report.initial_lambda
+        assert report.err_final <= report.initial_err + 1e-6
+
+    @pytest.mark.parametrize(
+        "make_ham,rank",
+        [
+            (lambda rng: Hamiltonian(
+                h=symmetrize_one_body(rng.standard_normal((8, 8))), g=random_psd_two_body(8, rng), n_electrons=8
+            ), 64),
+            (lambda rng: random_hamiltonian(6, rng), 36),
+        ],
+        ids=["random-psd-n8", "random-n6"],
+    )
+    def test_no_worse_than_the_last_weight_alone(self, make_ham, rank):
+        ham = make_ham(np.random.default_rng(1))
+        report = optimize(ham, rank, OptimizationConfig())
+        single = optimize(ham, rank, OptimizationConfig(c_approx=report.c_approx_used))
+        assert len(report.phases) == 3 and len(single.phases) == 1
+        assert report.lambda_breakdown.lambda_total <= single.lambda_breakdown.lambda_total
+        assert report.err_final <= report.initial_err + 1e-6
+
+    @pytest.mark.parametrize(
+        "max_iters,firsts", [(1, (0,)), (2, (0, 2)), (3, (0, 2)), (4, (0, 3, 4))]
+    )
+    def test_rel_tol_zero_runs_exactly_max_iters(self, max_iters, firsts):
+        # Caps max_iters // 2 and // 4; a phase with a zero cap is left out,
+        # and the last phase always runs.
+        ham = random_hamiltonian(3, np.random.default_rng(70), n_electrons=3)
+        report = optimize(ham, 9, OptimizationConfig(max_iters=max_iters, rel_tol=0.0))
+        assert report.iterations_run == max_iters
+        assert report.stop_reason == "max_iters"
+        assert tuple(first for _, _, first in report.phases) == firsts
+        assert report.phases[-1][1] == 1e-4  # the last phase's learning rate is a tenth of 1e-3
+        assert report.c_approx_used == report.phases[-1][0]
+
+    def test_each_phase_restarts_adam(self, monkeypatch):
+        # Caps 2 and 1 at max_iters 4: steps 1, 2 of the first phase, then
+        # step 1 of each later phase, from zero moments, at lr, lr, lr / 10.
+        from blissdf import optimizer
+
+        steps = []
+        original = optimizer._adam_step
+
+        def recorded(theta, grad, m, v, step, config):
+            steps.append((step, config.learning_rate, not (m.any() or v.any())))
+            original(theta, grad, m, v, step, config)
+
+        monkeypatch.setattr(optimizer, "_adam_step", recorded)
+        ham = random_hamiltonian(3, np.random.default_rng(70), n_electrons=3)
+        optimize(ham, 9, OptimizationConfig(max_iters=4, rel_tol=0.0))
+        assert steps == [(1, 1e-3, True), (2, 1e-3, False), (1, 1e-3, True), (1, 1e-4, True)]
+
+    def test_explicit_weight_is_one_phase(self):
+        ham = random_hamiltonian(3, np.random.default_rng(71), n_electrons=3)
+        report = optimize(ham, 9, small_config(max_iters=40, c_approx=250))
+        assert report.phases == ((250.0, 1e-2, 0),)
+        assert report.c_approx_used == 250.0
+
+    def test_converged_only_when_the_last_phase_stalls(self):
+        # Each phase here ends on its own 20-row patience stop; the first two
+        # stalls start the next phase, the third ends the run.
+        ham = random_hamiltonian(2, np.random.default_rng(36), n_electrons=2)
+        report = optimize(ham, 4, small_config(max_iters=5000, patience=20, rel_tol=1e-3))
+        assert report.stop_reason == "converged"
+        assert len(report.phases) == 3
+        firsts = [first for _, _, first in report.phases] + [report.iterations_run + 1]
+        assert all(stop - first >= 20 for first, stop in zip(firsts, firsts[1:]))
+
+    def test_zero_two_body_falls_back_to_one_phase(self):
+        # ||G||^2 = 0 leaves the soft weight undefined; xi still descends.
+        h = symmetrize_one_body(np.random.default_rng(3).standard_normal((3, 3)))
+        ham = Hamiltonian(h=h, g=np.zeros((3, 3, 3, 3)), n_electrons=2)
+        report = optimize(ham, 9, OptimizationConfig())
+        assert report.phases == ((1e9, 1e-3, 0),)
+        assert report.best_params[2].effective_rank == 0
+        assert report.lambda_breakdown.lambda_total < 0.95 * report.initial_lambda
+        assert report.err_final <= report.initial_err + 1e-6
 
 
 class TestPackedKernel:

@@ -283,6 +283,7 @@ class TestPartitionedStep:
     def test_adam_steps_every_entry_of_theta_once_per_step(self, monkeypatch, ham):
         # theta is the M P factor entries then xi, and nothing else: per step
         # the blocks' Adam slices must tile it exactly, xi's last entry included.
+        # One explicit weight, so Adam's step count runs once through the run.
         steps = {}
         original = optimizer._adam_step
 
@@ -292,7 +293,7 @@ class TestPartitionedStep:
 
         set_cpus(monkeypatch, 2)
         monkeypatch.setattr(optimizer, "_adam_step", recorded)
-        report = optimize(ham, 144, OptimizationConfig(max_iters=3, rel_tol=0.0))
+        report = optimize(ham, 144, OptimizationConfig(c_approx=1e4, max_iters=3, rel_tol=0.0))
         rank = initial_double_factorization(ham.g_pairs, 144).effective_rank
         assert sorted(steps) == list(range(1, report.iterations_run + 1))
         for slices in steps.values():

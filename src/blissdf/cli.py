@@ -57,7 +57,7 @@ from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_INPUT = 1

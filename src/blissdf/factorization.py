@@ -8,9 +8,9 @@ by eigendecomposing its reshape over symmetric index pairs (exact at full
 rank when the reshape is positive semidefinite). Because g is symmetric in
 i <-> j and k <-> l, its N^2 x N^2 reshape vanishes on the antisymmetric
 pairs, so at most P = N(N+1)/2 factors are nonzero: the effective rank M is
-the number of pair-space eigenvalues above d_max * P * eps, and a request for
-R > M factors (up to N^2) gets the M nonzero ones followed by R - M exact
-zeros. Each symmetric factor A_r then admits an
+the number of pair-space eigenvalues above d_max * P * eps. A FactorSet and
+its archive store these M factors packed, (M, P), with the requested count
+R <= N^2: the other R - M are exact zeros. Each symmetric factor A_r has an
 eigendecomposition A_r = sum_t lambda_rt u_rt u_rt^T, whose absolute
 eigenvalue sum is the nuclear norm ||A_r||_*. The block-encoding scaling
 constant assembled from these pieces is
@@ -33,16 +33,17 @@ import numpy as np
 
 from blissdf._parallel import run_blocks
 from blissdf.hamiltonian import (
+    _as_int,
     _frozen_array,
+    _packed_factors,
     _pair_orbitals,
-    _symmetric_part,
-    effective_rank,
     pair_space,
     symmetrize_one_body,
     two_body_block,
 )
 
-ARCHIVE_FORMAT = "blissdf-factors-v1"
+ARCHIVE_FORMAT = "blissdf-factors-v2"
+_V1_FORMAT = "blissdf-factors-v1"  # factors held as the zero-padded (R, N, N) stack
 
 
 class IndefiniteTensorError(ValueError):
@@ -54,48 +55,53 @@ class IndefiniteTensorError(ValueError):
     """
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FactorSet:
-    """An ordered collection of R symmetric N x N factor matrices.
+    """An ordered collection of R symmetric N x N factor matrices, stored packed.
 
     Attributes:
-        factors: Array of shape (R, N, N); each slice is stored exactly
-            symmetrized. R = 0 is allowed (an empty factorization); R is
-            capped at N^2 since further factors cannot add anything.
+        packed: Read-only (M, P) upper triangles (P = N(N+1)/2, PairSpace.pack
+            order) of the first M factors; the other R - M are exact zeros.
+        rank: R, from 0 (an empty factorization) up to N^2.
 
-    The input is copied, except a read-only, exactly symmetric float64 array
-    that owns its memory: such a stack, as initial_double_factorization and
-    optimize build and hand over, is kept as it is.
+    ``FactorSet(factors)`` reads a FactorSet or a raw (R, N, N) stack (see
+    hamiltonian._packed_factors). ``factors`` unpacks the zero-padded stack
+    into a fresh read-only array on each access, N^4 at R = N^2: keep it
+    out of loops.
     """
 
-    factors: np.ndarray
+    packed: np.ndarray
+    rank: int
 
-    def __post_init__(self):
-        factors = self.factors
-        owned = isinstance(factors, np.ndarray) and factors.base is None and not factors.flags.writeable
-        factors = np.asarray(factors, dtype=np.float64)
-        if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
-            raise ValueError(f"factors must have shape (R, N, N), got {factors.shape}")
-        rank, n = factors.shape[0], factors.shape[1]
-        if rank > n * n:
-            raise ValueError(f"R={rank} exceeds N^2={n * n}")
-        if factors.size and not np.all(np.isfinite(factors)):
-            raise ValueError("factors contain non-finite entries")
-        factors = _symmetric_part(factors, ((0, 2, 1),), copy=not owned)
-        object.__setattr__(self, "factors", _frozen_array(factors))
+    def __init__(self, factors):
+        packed, rank = _packed_factors(factors)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "rank", rank)
+
+    @classmethod
+    def _from_packed(cls, packed: np.ndarray, rank: int) -> "FactorSet":
+        """R = ``rank`` factors whose first M are the (M, P) rows ``packed``, kept without a copy."""
+        factor_set = cls.__new__(cls)
+        object.__setattr__(factor_set, "packed", _frozen_array(packed))
+        object.__setattr__(factor_set, "rank", rank)
+        return factor_set
 
     @property
-    def rank(self) -> int:
-        return self.factors.shape[0]
+    def factors(self) -> np.ndarray:
+        """The (R, N, N) factor matrices, zero-padded, unpacked into a fresh read-only array."""
+        n = self.n_orbitals
+        factors = np.zeros((self.rank, n, n))
+        factors[: self.effective_rank] = pair_space(n).unpack(self.packed)
+        return _frozen_array(factors)
 
     @property
     def n_orbitals(self) -> int:
-        return self.factors.shape[1]
+        return _pair_orbitals(self.packed.shape[1])
 
     @property
     def effective_rank(self) -> int:
-        """Number of factors before the trailing exactly-zero ones."""
-        return effective_rank(self.factors)
+        """M, the number of stored factors; the others are exact zeros."""
+        return len(self.packed)
 
     def __iter__(self):
         return iter(self.factors)
@@ -259,8 +265,8 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     Each eigenvector v unpacks to A_ij = A_ji = v_(ij) / w_ij, and the
     factors are A_r = sqrt(d_r) * A for the ``rank`` largest eigenvalues d_r.
     Every factor whose eigenvalue is at most d_max * P * eps (the
-    ``matrix_rank`` tolerance) is an exact 0.0, so the result is the M
-    nonzero factors (M = effective rank, at most P) followed by exact zeros.
+    ``matrix_rank`` tolerance) is an exact 0.0, so the result stores the M
+    nonzero factors (M = effective rank, at most P) as its packed rows.
     With rank >= M and a positive semidefinite reshape the reconstruction is
     exact; truncation keeps the dominant factors and the residual error is
     non-increasing in ``rank``.
@@ -281,8 +287,7 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     n = _pair_orbitals(big.shape[0])
     check_rank(rank, n)
 
-    space = pair_space(n)
-    weights = np.sqrt(space.mult)
+    weights = np.sqrt(pair_space(n).mult)
     big *= np.outer(weights, weights)  # stays exactly symmetric
     eigvals, eigvecs = np.linalg.eigh(big)
     # The full reshape's spectrum is this one plus exact zeros.
@@ -301,34 +306,30 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     # Sign-fix each factor on its first nonzero entry, which is the same in
     # row-major order of the symmetric matrix as in pair order.
     packed *= (np.sqrt(eigvals[order]) * _leading_signs(packed))[:, None]
-    factors = np.zeros((rank, n, n))
-    space.unpack(packed, out=factors[: len(order)])
-    factors.setflags(write=False)  # handed over to FactorSet without a copy
-    return FactorSet(factors=factors)
+    return FactorSet._from_packed(packed, rank)
 
 
 def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     """Assemble the block-encoding scaling constant from its two sources.
 
     Args:
-        factor_set: Factors of the (shifted) two-body tensor.
+        factor_set: Factors of the (shifted) two-body tensor, or a raw stack.
         h_prime: Effective one-body matrix of the (shifted) Hamiltonian.
 
     Returns:
         LambdaBreakdown with lambda_total = 1/2 * sum_r Lambda_r^2 +
-        ||h_prime||_*, where Lambda_r = ||A_r||_*. Trailing exactly-zero
-        factors get Lambda_r = 0 and stay out of the sum, so zero padding
-        does not change the bits.
+        ||h_prime||_*, where Lambda_r = ||A_r||_*. The R - M zero factors
+        get Lambda_r = 0 and stay out of the sum.
 
     Raises:
         ValueError: If h_prime's dimension disagrees with the factors'.
     """
     h_prime = np.asarray(h_prime, dtype=np.float64)
-    n = factor_set.n_orbitals
+    packed, rank = _packed_factors(factor_set)
+    n = _pair_orbitals(packed.shape[1])
     if h_prime.shape != (n, n):
         raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
-    factors = factor_set.factors[: factor_set.effective_rank]
-    return LambdaBreakdown.from_norms(nuclear_norms(factors)[0], nuclear_norm(h_prime), factor_set.rank)
+    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(packed))[0], nuclear_norm(h_prime), rank)
 
 
 def save_factor_set(
@@ -338,10 +339,12 @@ def save_factor_set(
     kappa: float | None = None,
     xi: np.ndarray | None = None,
 ) -> None:
-    """Serialize a FactorSet (and optionally its shift) to an npz archive.
+    """Serialize a FactorSet (and optionally its shift) to a blissdf-factors-v2 npz archive.
 
-    The archive is a standard npz (readable by numpy) written with fixed zip
-    header timestamps, so identical content produces identical bytes and the
+    Its members are ``format``, ``n_orbitals``, ``rank``, ``factors`` (the
+    (M, P) FactorSet.packed rows), ``manifest`` and, if given, ``kappa`` and
+    ``xi``. The archive is a standard npz written with fixed zip header
+    timestamps, so identical content produces identical bytes and the
     float64 payload round-trips exactly. ``manifest`` may carry provenance
     such as the source-file checksum.
     """
@@ -349,7 +352,7 @@ def save_factor_set(
         "format": np.array(ARCHIVE_FORMAT),
         "n_orbitals": np.array(factor_set.n_orbitals, dtype=np.int64),
         "rank": np.array(factor_set.rank, dtype=np.int64),
-        "factors": np.asarray(factor_set.factors),
+        "factors": factor_set.packed,
         "manifest": np.array(json.dumps(manifest or {}, sort_keys=True)),
     }
     if kappa is not None:
@@ -368,11 +371,12 @@ def save_factor_set(
 
 
 def _finite_member(archive, name: str, shape: tuple, path) -> np.ndarray | None:
-    """archive[name], checked to be a finite real array of ``shape``; None if there is no such member."""
+    """archive[name], checked to be a finite real array of ``shape`` (None: any length); None if there is none."""
     if name not in archive:
         return None
     value = archive[name]
-    if value.shape != shape or value.dtype.kind not in "fiu" or not np.isfinite(value).all():
+    fits = value.ndim == len(shape) and all(want in (None, got) for want, got in zip(shape, value.shape))
+    if not fits or value.dtype.kind not in "fiu" or not np.isfinite(value).all():
         raise ValueError(
             f"{path}: {name} member must be a finite real array of shape {shape}, "
             f"got {value.dtype} of shape {value.shape}"
@@ -383,7 +387,7 @@ def _finite_member(archive, name: str, shape: tuple, path) -> np.ndarray | None:
 def load_factor_set(
     path: str | Path,
 ) -> tuple[FactorSet, float | None, np.ndarray | None, dict]:
-    """Load an archive written by save_factor_set.
+    """Load an archive written by save_factor_set, or a v1 one, whose factors are the padded (R, N, N) stack.
 
     Returns:
         Tuple (factor_set, kappa, xi, manifest); kappa and xi are None when
@@ -391,25 +395,31 @@ def load_factor_set(
 
     Raises:
         ValueError: If the archive format tag is missing or unrecognized, a
-            member other than kappa and xi is missing, or kappa is not a
-            finite scalar or xi not a finite (N, N) array.
+            member other than kappa and xi is missing, rank and n_orbitals
+            are not integers with 0 <= R <= N^2, factors is not finite with
+            at most R rows of N(N+1)/2 entries (v1: of shape (R, N, N)),
+            kappa is not a finite scalar or xi not a finite (N, N) array.
     """
     # np.load leaves a file it opened itself open when the zip is corrupt.
     with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-        if "format" not in archive or str(archive["format"]) != ARCHIVE_FORMAT:
+        tag = str(archive["format"]) if "format" in archive else None
+        if tag not in (ARCHIVE_FORMAT, _V1_FORMAT):
             raise ValueError(f"{path}: not a {ARCHIVE_FORMAT} archive")
         missing = [name for name in ("n_orbitals", "rank", "factors", "manifest") if name not in archive]
         if missing:
             raise ValueError(f"{path}: archive has no {', '.join(missing)} member")
-        factors = archive["factors"]
-        expected = (int(archive["rank"]), int(archive["n_orbitals"]))
-        if factors.shape[:2] != expected or factors.ndim != 3:
-            raise ValueError(
-                f"{path}: factor array shape {factors.shape} disagrees with "
-                f"recorded (R, N) = {expected}"
-            )
+        rank, n = (_as_int(f"{path}: {name} member", archive[name][()]) for name in ("rank", "n_orbitals"))
+        if n < 0 or not 0 <= rank <= n * n:
+            raise ValueError(f"{path}: rank member {rank} is outside [0, N^2] for n_orbitals member N={n}")
+        if tag == _V1_FORMAT:
+            factor_set = FactorSet(_finite_member(archive, "factors", (rank, n, n), path))
+        else:
+            packed = _finite_member(archive, "factors", (None, n * (n + 1) // 2), path)
+            if len(packed) > rank:
+                raise ValueError(f"{path}: factors member has {len(packed)} rows, more than rank R={rank}")
+            factor_set = FactorSet._from_packed(np.asarray(packed, dtype=np.float64), rank)
         kappa = _finite_member(archive, "kappa", (), path)
         kappa = None if kappa is None else float(kappa)
-        xi = _finite_member(archive, "xi", (expected[1], expected[1]), path)
+        xi = _finite_member(archive, "xi", (n, n), path)
         manifest = json.loads(str(archive["manifest"]))
-    return FactorSet(factors=factors), kappa, xi, manifest
+    return factor_set, kappa, xi, manifest

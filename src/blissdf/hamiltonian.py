@@ -97,7 +97,7 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _electron_count(name: str, value) -> int:
+def _as_int(name: str, value) -> int:
     """value as an int; ValueError unless it is a Python or numpy integer (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -134,7 +134,7 @@ class Hamiltonian:
             raise ValueError("Hamiltonian coefficients must be finite")
         if not np.isfinite(core_constant):
             raise ValueError("core constant must be finite")
-        n_e = _electron_count("n_electrons", n_electrons)
+        n_e = _as_int("n_electrons", n_electrons)
         if not 0 <= n_e <= 2 * n:
             raise ValueError(f"n_electrons={n_e} outside [0, {2 * n}]")
         object.__setattr__(self, "h", _frozen_array(h))
@@ -170,7 +170,7 @@ class ShiftParams:
         xi = symmetrize_one_body(self.xi)
         if not np.isfinite(xi).all() or not np.isfinite(self.kappa):
             raise ValueError("shift parameters must be finite")
-        n_e = _electron_count("n_e", self.n_e)
+        n_e = _as_int("n_e", self.n_e)
         if n_e < 0:
             raise ValueError("n_e must be nonnegative")
         object.__setattr__(self, "kappa", float(self.kappa))
@@ -219,35 +219,16 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     return ham.h + 2.0 * space.unpack(np.einsum("pk->p", ham.g_pairs[:, space.diagonal]))
 
 
-def effective_rank(factors: np.ndarray) -> int:
-    """Number of factors left once the trailing exactly-zero ones are dropped.
+def reconstruct_two_body(factors) -> np.ndarray:
+    """Assemble sum_r A_r (x) A_r from a FactorSet or a raw (R, N, N) stack (see _packed_factors).
 
-    Trailing zero factors add nothing to sum_r A_r (x) A_r or to lambda, so
-    every sum over factors stops here: a zero-padded stack then gives the
-    same bits as its unpadded prefix.
+    Returns the N^4 tensor with entries sum_r A[r,i,j] * A[r,k,l], unpacked
+    from the pair-space Gram matrix F^T F of the packed factors F; R may be zero.
     """
-    nonzero = np.flatnonzero(np.asarray(factors).any(axis=(1, 2)))
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-
-def reconstruct_two_body(factors: np.ndarray) -> np.ndarray:
-    """Assemble sum_r A_r (x) A_r from a stack of symmetric factor matrices.
-
-    Args:
-        factors: Array of shape (R, N, N) or a FactorSet; R may be zero.
-            Trailing exactly-zero factors are skipped (see effective_rank).
-
-    Returns:
-        The N^4 tensor with entries sum_r A[r,i,j] * A[r,k,l]. The result is
-        8-fold symmetric because each factor is.
-    """
-    factors = np.asarray(getattr(factors, "factors", factors), dtype=np.float64)
-    if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
-        raise ValueError(f"expected factors of shape (R, N, N), got {factors.shape}")
-    n = factors.shape[1]
-    rank = effective_rank(factors)
-    flat = factors[:rank].reshape(rank, n * n)
-    return (flat.T @ flat).reshape(n, n, n, n)
+    packed, _ = _packed_factors(factors)
+    n = _pair_orbitals(packed.shape[1])
+    index = pair_space(n).unpack_index
+    return (packed.T @ packed)[np.ix_(index, index)].reshape(n, n, n, n)
 
 
 class PairSpace:
@@ -268,16 +249,14 @@ class PairSpace:
         for shared in (self.upper, self.unpack_index, self.mult):  # one instance per N
             shared.setflags(write=False)
 
-    def pack(self, mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Upper triangles (..., P) of symmetric matrices (..., N, N), into ``out`` if given."""
+    def pack(self, mats: np.ndarray) -> np.ndarray:
+        """Upper triangles (..., P) of symmetric matrices (..., N, N)."""
         flat = mats.reshape(mats.shape[:-2] + (self.n**2,))
-        return flat.take(self.upper, axis=-1, out=out, mode="clip")  # "clip": no buffer copy
+        return flat.take(self.upper, axis=-1)
 
-    def unpack(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Symmetric matrices (..., N, N) from upper triangles (..., P), by one take."""
-        out = np.empty(packed.shape[:-1] + (self.n, self.n)) if out is None else out
-        flat_out = out.reshape(packed.shape[:-1] + (self.n**2,))  # "clip": no buffer copy
-        return packed.take(self.unpack_index, axis=-1, out=flat_out, mode="clip").reshape(out.shape)
+        return packed.take(self.unpack_index, axis=-1).reshape(packed.shape[:-1] + (self.n, self.n))
 
     def shifted(self, g_pairs: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """A copy of the pair block ``g_pairs`` plus (xi_ij delta_kl + delta_ij xi_kl) / 2."""
@@ -299,18 +278,40 @@ class PairSpace:
 pair_space = functools.lru_cache(maxsize=8)(PairSpace)
 
 
-def frobenius_error(g_target: np.ndarray, factors: np.ndarray) -> float:
+def _packed_factors(factors) -> tuple[np.ndarray, int]:
+    """(packed, R): the read-only (M, P) packed factors and the factor count R.
+
+    The one reader of factors: a FactorSet gives its stored fields. A raw
+    (R, N, N) stack must be finite with R <= N^2; it is symmetrized (as by
+    symmetrize_one_body), packed (PairSpace.pack) and cut after its last
+    nonzero factor, so a zero-padded stack gives the bits of its prefix.
+    """
+    if hasattr(factors, "packed"):  # a FactorSet, checked and packed on construction
+        return factors.packed, factors.rank
+    factors = np.asarray(factors, dtype=np.float64)
+    if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
+        raise ValueError(f"factors must have shape (R, N, N), got {factors.shape}")
+    rank, n = factors.shape[:2]
+    if rank > n * n:
+        raise ValueError(f"R={rank} exceeds N^2={n * n}")
+    if not np.isfinite(factors).all():
+        raise ValueError("factors contain non-finite entries")
+    packed = pair_space(n).pack(_symmetric_part(factors, ((0, 2, 1),), copy=False))
+    nonzero = np.flatnonzero(packed.any(axis=1))
+    # A copy of the prefix, so that no trailing zero rows stay allocated behind it.
+    return _frozen_array(packed[: nonzero[-1] + 1 if nonzero.size else 0].copy()), rank
+
+
+def frobenius_error(g_target: np.ndarray, factors) -> float:
     """Squared Frobenius residual between a tensor and its factorization.
 
     Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2, the squared norm, not
-    its square root, for an N^4 ``g_target`` or its pair block (two_body_block).
-    It is computed in pair space (PairSpace.residual), which assumes symmetric
-    factors, as every FactorSet holds.
+    its square root, for an N^4 ``g_target`` or its pair block (two_body_block)
+    and a FactorSet or a raw stack (_packed_factors), in pair space.
     """
     g_pairs = two_body_block(g_target)
-    factors = np.asarray(getattr(factors, "factors", factors), dtype=np.float64)
-    n = _pair_orbitals(g_pairs.shape[0])
-    if factors.ndim != 3 or factors.shape[1:] != (n, n):
-        raise ValueError(f"factor dimension {factors.shape} does not match tensor dimension {n}")
-    space = pair_space(n)
-    return space.residual(g_pairs, space.pack(factors[: effective_rank(factors)]))[0]
+    packed, _ = _packed_factors(factors)
+    n = _pair_orbitals(len(g_pairs))
+    if packed.shape[1] != len(g_pairs):
+        raise ValueError(f"factor dimension {_pair_orbitals(packed.shape[1])} does not match tensor dimension {n}")
+    return pair_space(n).residual(g_pairs, packed)[0]

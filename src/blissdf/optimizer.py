@@ -25,8 +25,8 @@ kappa as given, t = kappa + tr xi. One code path serves both; only t
 differs.
 
 The descent runs in pair space (hamiltonian.PairSpace) over the M nonzero
-initial factors (a zero factor has a zero gradient; the reported factors
-are padded back to R with zeros), so nothing in it is N^4 sized. The one
+initial factors (a zero factor has a zero gradient), and the reported
+FactorSet keeps its M packed rows, so nothing in it is N^4 sized. The one
 flat parameter vector theta is exactly what Adam steps: each factor's
 P = N(N+1)/2 upper-triangle entries in plain A coordinates, then xi
 (N x N). The factor gradient is that of one matrix entry, so Adam steps as
@@ -96,9 +96,9 @@ from blissdf.factorization import (
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
-    _symmetric_part,
+    _packed_factors,
+    _pair_orbitals,
     effective_one_body,
-    effective_rank,
     pair_space,
     symmetrize_one_body,
 )
@@ -254,22 +254,17 @@ class OptimizationReport:
 def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float, int]:
     """Check and symmetrize (kappa, xi, factors); return (theta, kappa, R).
 
-    theta holds each factor's upper triangle, up to the last nonzero factor
-    (see effective_rank), then xi: a trailing zero factor has an exactly zero
-    gradient and adds nothing to the cost.
+    theta holds the packed factors (hamiltonian._packed_factors), then xi.
     """
     kappa, xi, factors = params
     n = ham.n_orbitals
     xi = symmetrize_one_body(np.asarray(xi, dtype=np.float64))
     if xi.shape != (n, n):
         raise ValueError(f"xi shape {xi.shape} does not match N={n}")
-    factors = np.asarray(getattr(factors, "factors", factors), dtype=np.float64)
-    if factors.ndim != 3 or factors.shape[1:] != (n, n):
-        raise ValueError(f"factors shape {factors.shape} does not match (R, {n}, {n})")
-    rank = len(factors)
-    factors = factors[: effective_rank(factors)]
-    factors = pair_space(n).pack(_symmetric_part(factors, ((0, 2, 1),)))
-    return np.concatenate((factors.ravel(), xi.ravel())), float(kappa), rank
+    packed, rank = _packed_factors(factors)
+    if packed.shape[1] != n * (n + 1) // 2:
+        raise ValueError(f"factors are for N={_pair_orbitals(packed.shape[1])} orbitals, not N={n}")
+    return np.concatenate((packed.ravel(), xi.ravel())), float(kappa), rank
 
 
 def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -495,9 +490,7 @@ def optimize(
     zero_err = float(space.mult @ np.square(ham.g_pairs) @ space.mult)  # ||G||^2, Err at F = 0
     # theta starts at the M nonzero initial factors and xi = 0; the trailing
     # exact-zero factors never move and stay out of it.
-    init = initial_double_factorization(ham.g_pairs, rank)
-    theta = np.concatenate((space.pack(init.factors[: init.effective_rank]).ravel(), np.zeros(n * n)))
-    del init
+    theta = np.concatenate((initial_double_factorization(ham.g_pairs, rank).packed.ravel(), np.zeros(n * n)))
     objective = _Objective(ham, theta)
     # best_theta is written in place: a fresh copy per improvement, taken
     # while the evaluation's arrays are alive, raises the process peak RSS.
@@ -553,17 +546,11 @@ def optimize(
             firsts.append(iteration + 1)
         objective.gradient(then=descend)
 
-    # Free the descent state, then unpack the best factors straight into the
-    # zero-padded (R, N, N) output.
-    del objective, theta, grad, m, v
     best_factors, best_xi = _blocks(best_theta, n)
-    padded = np.zeros((rank, n, n))
-    space.unpack(best_factors, out=padded[: len(best_factors)])
-    padded.setflags(write=False)  # handed over to FactorSet without a copy
-
     return OptimizationReport(
-        # A copy of xi: a view would keep all of best_theta alive.
-        best_params=(best_kappa, best_xi.copy(), FactorSet(factors=padded)),
+        # The factors keep their rows of best_theta; a copy of xi, as a view
+        # would keep all of best_theta alive on its own.
+        best_params=(best_kappa, best_xi.copy(), FactorSet._from_packed(best_factors, rank)),
         lambda_breakdown=LambdaBreakdown.from_norms(best_norms[:-1], best_norms[-1], rank),
         err_final=best_err,
         total_trace=np.array(trace),

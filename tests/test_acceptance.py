@@ -25,10 +25,12 @@ from blissdf import (
     gradient,
     initial_double_factorization,
     lambda_df,
+    load_factor_set,
     load_integrals,
     nuclear_norm,
     optimize,
     reconstruct_two_body,
+    save_factor_set,
     total_cost,
 )
 from blissdf.fermi_oracle import MAX_ORBITALS, sector_eigenvalues, sector_hamiltonian
@@ -332,7 +334,7 @@ def test_improvement_property():
         print(f"PASS improvement property: {improved}/10 trials improved >= 1%, none regressed")
 
 
-def test_chain_n54_penalty_schedule():
+def test_chain_n54_penalty_schedule(tmp_path):
     # Minutes of descent on the molecule-shaped N=54 chain (M = 124 of
     # P = 1485 pairs) at full rank; set BLISSDF_SLOW_CHAIN to enable.
     if not os.environ.get("BLISSDF_SLOW_CHAIN"):
@@ -343,6 +345,15 @@ def test_chain_n54_penalty_schedule():
     ratio = report.lambda_breakdown.lambda_total / report.initial_lambda
     assert report.err_final <= report.initial_err + 1e-6
     assert ratio <= 0.30
+    # The archive holds the M packed factors, not the 68 MB padded stack.
+    kappa, xi, factor_set = report.best_params
+    path = tmp_path / "factors.npz"
+    save_factor_set(path, factor_set, kappa=kappa, xi=xi)
+    assert path.stat().st_size < 5e6
+    loaded, kappa_back, xi_back, _ = load_factor_set(path)
+    assert loaded.rank == 54 * 54
+    assert loaded.packed.tobytes() == factor_set.packed.tobytes()
+    assert kappa_back == kappa and xi_back.tobytes() == xi.tobytes()
     print(
         f"PASS chain N=54: lambda ratio {ratio:.4f} <= 0.30 at iteration "
         f"{report.best_iteration} of {report.iterations_run}, {time.monotonic() - start:.0f}s"

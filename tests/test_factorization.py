@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import tracemalloc
 import warnings
 import zipfile
@@ -21,6 +22,7 @@ from blissdf import (
 )
 from blissdf.factorization import nuclear_norms, sign_subgradients
 from blissdf.hamiltonian import symmetrize_one_body, two_body_block
+from blissdf.verify import chain_hamiltonian
 
 from conftest import random_psd_two_body
 
@@ -53,6 +55,20 @@ class TestFactorSet:
         fs = FactorSet(factors=np.zeros((0, 3, 3)))
         assert fs.rank == 0
 
+    def test_stores_the_packed_nonzero_factors(self):
+        # Only the factors up to the last nonzero one are stored, as (M, P)
+        # upper triangles; .factors unpacks a fresh zero-padded stack.
+        factors = np.zeros((5, 3, 3))
+        factors[1] = np.eye(3)
+        fs = FactorSet(factors=factors)
+        assert fs.packed.shape == (2, 6)
+        assert not fs.packed.flags.writeable
+        assert (fs.rank, fs.effective_rank, fs.n_orbitals) == (5, 2, 3)
+        first, second = fs.factors, fs.factors
+        assert first.tobytes() == factors.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not first.flags.writeable
+
     def test_symmetric_input_is_copied_not_aliased(self):
         rng = np.random.default_rng(2)
         factors = rng.standard_normal((3, 4, 4))
@@ -65,9 +81,11 @@ class TestFactorSet:
 
 class TestInitialDoubleFactorization:
     def test_factor_stack_is_built_once(self):
-        # The (R, N, N) stack goes to the FactorSet without a copy: at
-        # R = N^2 the peak is that stack plus the P x P eigendecomposition
-        # (about 2.1x the stack), where a second copy takes it past 2.8x.
+        # The (M, P) packed rows go to the FactorSet as they are, and no
+        # (R, N, N) stack is built: at R = N^2 the peak is the P x P
+        # eigendecomposition's, about 4.5 pair blocks (the weighted copy,
+        # its weights, eigh's vectors and workspace, the reordered vectors).
+        # A zero-padded stack beside them takes it past 6.6 blocks.
         n = 16
         g_pairs = two_body_block(random_psd_two_body(n, np.random.default_rng(64)))
         initial_double_factorization(g_pairs, n * n)  # warm caches
@@ -77,8 +95,9 @@ class TestInitialDoubleFactorization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not fs.factors.flags.writeable
-        assert peak < 2.5 * fs.factors.nbytes
+        assert not fs.packed.flags.writeable
+        assert fs.packed.shape == g_pairs.shape
+        assert peak < 5 * g_pairs.nbytes
 
     def test_rank_one_input_recovered_up_to_sign(self):
         rng = np.random.default_rng(1)
@@ -507,10 +526,19 @@ class TestSerialization:
             ("xi", np.zeros((3, 3, 1))),
             ("xi", np.diag([1.0, np.nan, 0.0])),
             ("xi", np.full((3, 3), "x")),
+            ("rank", np.array([2, 2])),
+            ("rank", np.array(2.7)),
+            ("rank", np.array(10)),
+            ("n_orbitals", np.array(3.9)),
+            ("factors", np.full((2, 6), np.nan)),
+            ("factors", np.ones((2, 5))),
+            ("factors", np.ones((3, 6))),
         ],
         ids=[
             "kappa-nan", "kappa-inf", "kappa-vector", "kappa-string",
             "xi-5x2", "xi-3d", "xi-nan", "xi-string",
+            "rank-vector", "rank-2.7", "rank-beyond-n-squared", "n_orbitals-3.9",
+            "factors-nan", "factors-width-5", "factors-more-rows-than-rank",
         ],
     )
     def test_malformed_shift_member_is_a_value_error(self, tmp_path, member, value):
@@ -522,6 +550,47 @@ class TestSerialization:
         np.savez(tmp_path / "bad.npz", **kept)
         with pytest.raises(ValueError, match=f"{member} member"):
             load_factor_set(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize("shift", [False, True], ids=["plain", "shifted"])
+    def test_reads_a_v1_archive(self, tmp_path, shift):
+        # v1 archives hold the zero-padded (R, N, N) stack as factors.
+        terms = np.random.default_rng(18).standard_normal((4, 3, 3))
+        stack = np.zeros((9, 3, 3))
+        stack[:4] = terms + terms.transpose(0, 2, 1)
+        members = {
+            "format": np.array("blissdf-factors-v1"),
+            "n_orbitals": np.array(3, dtype=np.int64),
+            "rank": np.array(9, dtype=np.int64),
+            "factors": stack,
+            "manifest": np.array(json.dumps({"k": 1})),
+        }
+        xi = symmetrize_one_body(np.arange(9.0).reshape(3, 3))
+        if shift:
+            members.update(kappa=np.array(0.75), xi=xi)
+        np.savez(tmp_path / "v1.npz", **members)
+        loaded, kappa, xi_back, manifest = load_factor_set(tmp_path / "v1.npz")
+        assert loaded.factors.tobytes() == stack.tobytes()
+        assert (loaded.rank, loaded.effective_rank) == (9, 4)
+        assert manifest == {"k": 1}
+        if shift:
+            assert kappa == 0.75
+            assert xi_back.tobytes() == xi.tobytes()
+        else:
+            assert kappa is None and xi_back is None
+
+    def test_archive_holds_only_the_nonzero_factors(self, tmp_path):
+        # Chain N = 32 at R = N^2 has M = 73 nonzero factors of P = 528
+        # entries; the zero-padded stack would take 8.39 MB.
+        ham = chain_hamiltonian(32, 1)
+        fs = initial_double_factorization(ham.g_pairs, 32 * 32)
+        assert fs.packed.shape == (73, 528)
+        path = tmp_path / "factors.npz"
+        save_factor_set(path, fs)
+        assert path.stat().st_size <= 8 * 73 * 528 + 4096
+        assert load_factor_set(path)[0].factors.tobytes() == fs.factors.tobytes()
+        with np.load(path) as archive:
+            assert str(archive["format"]) == "blissdf-factors-v2"
+            assert archive["factors"].shape == (73, 528)
 
     def test_rejects_foreign_archive(self, tmp_path):
         path = tmp_path / "other.npz"

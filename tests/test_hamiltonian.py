@@ -12,6 +12,7 @@ from blissdf import (
     frobenius_error,
     load_integrals,
     reconstruct_two_body,
+    total_cost,
     write_integrals,
 )
 from blissdf.factorization import initial_double_factorization
@@ -380,6 +381,15 @@ class TestFrobeniusError:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             frobenius_error(np.zeros((3, 3, 3, 3)), np.zeros((1, 2, 2)))
+
+    def test_raw_stack_counts_its_symmetric_part(self):
+        # A non-symmetric raw stack is read as its symmetric part, as
+        # total_cost reads it, not as its upper triangles alone.
+        ham = random_hamiltonian(3, np.random.default_rng(3), 3)
+        factors = np.random.default_rng(4).standard_normal((2, 3, 3))
+        err = total_cost(ham, (0.0, np.zeros((3, 3)), factors), 1.0)[1]
+        assert frobenius_error(ham.g_pairs, factors) == err
+        assert err == pytest.approx(271.67, abs=0.01)
 
 
 class TestChainHamiltonian:

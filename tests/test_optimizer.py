@@ -796,38 +796,43 @@ class TestPackedKernel:
         assert calls[0] == (21, 21)
 
     def test_peak_memory_of_a_run(self, monkeypatch):
-        # R = N^2 at N = 16, so each (R, N, N) array is g.nbytes. The
-        # initial FactorSet is dropped once packed into theta, so the peak
-        # is one evaluation's (about 3.7 g.nbytes: five theta-sized vectors,
-        # the pair block, the residual and the eigh stack with its
-        # eigenvectors). Keeping the initial factors through the descent, or
-        # the Adam state and a symmetrized copy beside the padded output,
-        # takes it past 6 g.nbytes.
-        from blissdf import optimizer
+        # R = N^2 at N = 16, so an (R, N, N) array would be g.nbytes. The
+        # factors travel as packed (M, P) rows: the initial factorization's
+        # go into theta, and the best theta's rows become the output without
+        # a copy, so the peak is one evaluation's (about 3.7 g.nbytes: five
+        # theta-sized vectors, the pair block, the residual and the eigh
+        # stack with its eigenvectors). Keeping the initial factors through
+        # the descent, or a zero-padded output beside the Adam state, takes
+        # it past 4 g.nbytes.
+        constructions = []
+        from_packed = FactorSet._from_packed.__func__
 
-        in_use = []
-
-        def traced_factor_set(factors):
-            in_use.append(tracemalloc.get_traced_memory()[0])
-            return FactorSet(factors=factors)
+        def traced_from_packed(cls, packed, rank):
+            before = tracemalloc.get_traced_memory()[0]
+            factor_set = from_packed(cls, packed, rank)
+            constructions.append((packed.shape, tracemalloc.get_traced_memory()[0] - before))
+            return factor_set
 
         n = 16
+        pairs = n * (n + 1) // 2
         ham = random_hamiltonian(n, np.random.default_rng(55), n_electrons=n)
         cfg = OptimizationConfig(max_iters=3, rel_tol=0.0)
         optimize(ham, n * n, cfg)  # warm caches
-        monkeypatch.setattr(optimizer, "FactorSet", traced_factor_set)
+        monkeypatch.setattr(FactorSet, "_from_packed", classmethod(traced_from_packed))
         tracemalloc.start()
         try:
             report = optimize(ham, n * n, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.best_params[2].factors.nbytes == ham.g.nbytes
+        factor_set = report.best_params[2]
+        assert factor_set.rank == n * n
+        assert factor_set.packed.shape == (pairs, pairs)
         assert peak < 4 * ham.g.nbytes
-        # The descent state is freed before the padded output is built:
-        # then only that output and the best theta (0.3 g.nbytes) are held.
-        assert len(in_use) == 1
-        assert in_use[0] < 1.5 * ham.g.nbytes
+        # Two constructions, the initial factorization's and the output's,
+        # both from (M, P) rows, and neither copies them.
+        assert [shape for shape, _ in constructions] == [(pairs, pairs)] * 2
+        assert all(grown < 0.25 * factor_set.packed.nbytes for _, grown in constructions)
 
     def test_one_eigh_batch_per_evaluation(self, monkeypatch):
         from blissdf import optimizer

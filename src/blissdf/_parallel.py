@@ -7,9 +7,9 @@ those slices. The threads only pay off with BLAS at one thread: otherwise
 each block's BLAS threads compete for the same cores. So run_blocks uses
 more than the calling thread only while numpy's bundled OpenBLAS reports
 one thread, as inside one_blas_thread(). Without a known OpenBLAS symbol it
-never does. The extra threads form one pool, started on the first split
-call and kept for the life of the process, so a call starts no thread once
-it exists.
+never does. The extra threads belong to one ThreadPoolExecutor per worker
+count, made on the first split call and kept for the life of the process,
+so a later call starts no thread.
 """
 
 from __future__ import annotations
@@ -85,46 +85,26 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# The worker threads run_blocks shares across calls, started as first needed
-# and kept for the life of the process; they take jobs from _jobs.
-_pool_lock = threading.Lock()
-_jobs = None
-_threads: list[threading.Thread] = []
+@functools.cache
+def _executor(size: int):
+    """A ThreadPoolExecutor of ``size`` threads, kept for the life of the process."""
+    # Imported here: a run that never splits a stack does not load it.
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get()()
-
-
-def _pool(size: int):
-    """The SimpleQueue of at least ``size`` worker threads, starting those still missing."""
-    global _jobs
-    with _pool_lock:
-        if _jobs is None:
-            import queue  # imported here: a run that never splits a stack does not load it
-
-            _jobs = queue.SimpleQueue()
-        while len(_threads) < size:
-            thread = threading.Thread(
-                target=_serve, args=(_jobs,), name=f"blissdf-block-{len(_threads)}", daemon=True
-            )
-            thread.start()
-            _threads.append(thread)
-    return _jobs
+    return ThreadPoolExecutor(size, thread_name_prefix="blissdf-block")
 
 
 def run_blocks(fn, length: int, first=None):
     """Call fn(part) on each fixed slice of range(length) and first(); return first()'s result.
 
     The slices hold _BLOCK items each, the last one possibly fewer. first
-    runs on the calling thread, which then takes blocks from the same queue
-    as up to workers - 1 threads of a pool that persists across calls. With
-    one block or one worker everything runs on the calling thread. Blocks
-    must be independent; each writes its own part of outputs its caller
-    allocated. If first or a block raises, no further block starts, and the
-    first error is raised once every started block has finished, so no
-    block writes after this returns or raises.
+    runs on the calling thread, which then takes blocks from the same
+    iterator as up to workers - 1 jobs on an executor that persists across
+    calls. With one block or one worker everything runs on the calling
+    thread. Blocks must be independent; each writes its own part of outputs
+    its caller allocated. If first or a block raises, no further block
+    starts, and the first error is raised once every started block has
+    finished, so no block writes after this returns or raises.
     """
     parts = [slice(start, min(start + _BLOCK, length)) for start in range(0, length, _BLOCK)]
     workers = 1 if len(parts) <= 1 else min(_workers(), len(parts))
@@ -134,53 +114,37 @@ def run_blocks(fn, length: int, first=None):
             fn(part)
         return result
 
-    done = threading.Condition()
-    blocks, errors, helping, is_open = iter(parts), [], 0, True
+    lock, blocks, errors = threading.Lock(), iter(parts), []
 
     def drain():
         while True:
-            with done:
+            with lock:
                 part = None if errors else next(blocks, None)
             if part is None:
                 return
             try:
                 fn(part)
             except BaseException as exc:
-                with done:
+                with lock:
                     errors.append(exc)
                 return
 
-    def assist():
-        # A job that a worker takes up after the caller has closed the call
-        # returns at once, so the caller never waits on a busy pool.
-        nonlocal helping
-        with done:
-            if not is_open:
-                return
-            helping += 1
-        try:
-            drain()
-        finally:
-            with done:
-                helping -= 1
-                done.notify_all()
-
-    jobs = _pool(workers - 1)
-    for _ in range(workers - 1):
-        jobs.put(assist)
+    jobs = [_executor(workers - 1).submit(drain) for _ in range(workers - 1)]
     result = None
     try:
         if first is not None:
             result = first()
     except BaseException as exc:
-        with done:
+        with lock:
             errors.append(exc)
     drain()
-    with done:
-        is_open = False
-        done.wait_for(lambda: helping == 0)
-    # A job still queued for a busy pool thread holds drain: it must not
-    # keep fn, and with it the blocks' arrays, alive after this returns.
+    # No block is left to start: cancel each job no thread has taken up, so
+    # the caller never waits on a busy pool, and wait for each running one.
+    for job in jobs:
+        if not job.cancel():
+            job.result()
+    # A cancelled job stays queued behind a busy thread and holds drain: it
+    # must not keep fn, and with it the blocks' arrays, alive after this returns.
     fn = None
     if errors:
         raise errors[0]

@@ -62,9 +62,10 @@ overwrite it.
 
 The three run with BLAS at one thread, in two passes, each one run_blocks
 call over the fixed 64-matrix blocks of the eigh stack that
-blissdf._parallel cuts and spreads over all available CPUs on one
-persistent thread pool. In evaluate(), each block unpacks its factors and
-runs their eigh while the calling thread forms the residual F^T F. In
+blissdf._parallel cuts and spreads over all available CPUs: the calling
+thread and a thread pool kept across calls take them from one shared list.
+In evaluate(), each block unpacks its factors and runs their eigh while the
+calling thread forms the residual F^T F. In
 gradient(), after the stop check, each block forms its subgradients
 (factorization.sign_subgradients), then for its own factor rows the Err
 term (F_b * c) D and the scaled subgradients, and calls then() once on the

@@ -1,4 +1,6 @@
+import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -7,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from blissdf import _parallel, factorization, optimizer
+from blissdf import _parallel, factorization, optimizer, write_integrals
 from blissdf.factorization import nuclear_norms, sign_subgradients
 from blissdf.factorization import initial_double_factorization, lambda_df
 from blissdf.hamiltonian import effective_one_body
@@ -66,7 +68,8 @@ def optimizer_blocks(calls) -> list:
 
 
 def pool_threads() -> set:
-    return {thread.ident for thread in _parallel._threads}
+    """Idents of the live threads of run_blocks' executors."""
+    return {t.ident for t in threading.enumerate() if t.name.startswith("blissdf-block")}
 
 
 def loop_subgradients(eigvals, eigvecs):
@@ -161,19 +164,14 @@ class TestRunBlocks:
 
     @needs_openblas
     def test_a_queued_job_keeps_no_block_data(self, monkeypatch):
-        # Every pool thread is busy, so the caller runs both blocks and
-        # returns while its job is still queued. That job must not keep
-        # the blocks, and with them their arrays, alive.
+        # The pool's one thread is busy, so the caller runs both blocks and
+        # returns while its cancelled job is still queued. That job must not
+        # keep the blocks, and with them their arrays, alive.
         set_cpus(monkeypatch, 2)
-        with _parallel.one_blas_thread():
-            _parallel.run_blocks(lambda part: None, 65)  # start the pool
-        release, busy = threading.Event(), []
-        for _ in _parallel._threads:
-            started = threading.Event()
-            busy.append(started)
-            _parallel._jobs.put(lambda started=started: (started.set(), release.wait(10)))
+        started, release = threading.Event(), threading.Event()
+        busy = _parallel._executor(1).submit(lambda: (started.set(), release.wait(10)))
         try:
-            assert all(event.wait(10) for event in busy)
+            assert started.wait(10)
 
             class Data:
                 pass
@@ -186,6 +184,7 @@ class TestRunBlocks:
 
             with _parallel.one_blas_thread():
                 _parallel.run_blocks(block, 65)
+            assert not busy.done()  # the caller did not wait for its queued job
             del block, data
             assert alive() is None
         finally:
@@ -385,3 +384,55 @@ def test_without_openblas_symbol_runs_inline(monkeypatch):
     assert optimizer_blocks(calls) == [2] * (2 * report.iterations_run + 1)
     assert np.all(np.isfinite(report.total_trace))
     assert report.lambda_breakdown.lambda_total <= report.initial_lambda
+
+
+# Runs the CLI's main in-process, then prints its exit code, whether
+# concurrent.futures was imported and how many pool threads are alive.
+CLI_THEN_REPORT = """
+import sys, threading
+from blissdf import cli
+code = cli.main(sys.argv[1:])
+pool = [thread for thread in threading.enumerate() if thread.name.startswith("blissdf-block")]
+print(code, "concurrent.futures" in sys.modules, len(pool))
+"""
+
+
+def optimize_in_subprocess(tmp_path, n, rank, cpus):
+    """Run `blissdf optimize` for 5 steps on a random N-orbital input, under -X dev on ``cpus``."""
+    inp, cfg = tmp_path / "in.fcidump", tmp_path / "config.json"
+    write_integrals(inp, random_hamiltonian(n, np.random.default_rng(65), n_electrons=n))
+    cfg.write_text(json.dumps({"max_iters": 5, "rel_tol": 0.0}))
+    src = os.path.dirname(os.path.dirname(_parallel.__file__))
+    out = tmp_path / "out"
+    argv = ["optimize", "--input", str(inp), "--rank", str(rank), "--config", str(cfg), "--out", str(out)]
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-c", CLI_THEN_REPORT, *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
+class TestProcess:
+    @needs_openblas
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_split_run_exits_cleanly(self, tmp_path):
+        # N=12 at R=N^2: 79 matrices, two blocks on two CPUs, so one pool
+        # thread runs. Interpreter exit joins it: the process must still end
+        # at once, and -X dev must find nothing to warn about.
+        proc = optimize_in_subprocess(tmp_path, 12, 144, sorted(os.sched_getaffinity(0))[:2])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "0 True 1"
+
+    def test_one_block_run_starts_no_pool(self, tmp_path):
+        # N=8 at R=2N: 17 matrices, one block, so everything runs inline.
+        proc = optimize_in_subprocess(tmp_path, 8, 16, os.sched_getaffinity(0))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False 0"

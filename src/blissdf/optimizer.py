@@ -443,6 +443,101 @@ def _schedule(config: OptimizationConfig, init_lambda: float, init_err: float, z
     return [phase for phase in phases[:-1] if phase[1]] + phases[-1:]
 
 
+# What _Descent.record tells optimize after a row.
+_CONTINUE, _NEXT_PHASE, _STOP = "continue", "next phase", "stop"
+
+
+class _Descent:
+    """optimize's state between rows: theta with Adam's moments, the phases, the patience window and the best row.
+
+    record() takes each evaluated row in turn and says whether to go on,
+    with the next phase entered from this row, or to stop; step() is the
+    Adam step of the row's gradient. Nothing here is allocated per row:
+    best_theta is written in place, and a row keeps its own evaluation's
+    norms.
+    """
+
+    def __init__(self, ham: Hamiltonian, rank: int, config: OptimizationConfig, theta: np.ndarray):
+        space = pair_space(ham.n_orbitals)
+        self.zero_err = float(space.mult @ np.square(ham.g_pairs) @ space.mult)  # ||G||^2, Err at F = 0
+        self.rank, self.config, self.theta = rank, config, theta
+        self.objective = _Objective(ham, theta)
+        # best_theta is written in place: a fresh copy per improvement, taken
+        # while the evaluation's arrays are alive, raises the process peak RSS.
+        self.grad, self.best_theta = self.objective.grad, np.empty_like(theta)
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+        self.trace, self.firsts = [], [0]  # firsts: each entered phase's first trace row
+        self.best_total = self.anchor_total = self.best_lambda = math.inf
+        self.anchor_iter = self.best_iteration = self.start = 0
+
+    def record(self, err: float, lam: float, norms: np.ndarray, unshifted: float) -> str:
+        """Keep the next trace row, evaluate()'s at theta; return _CONTINUE, _NEXT_PHASE (entered) or _STOP."""
+        config, iteration = self.config, len(self.trace)
+        if iteration == 0:
+            self.init_err, self.init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted, self.rank)
+            init_lambda = self.init_breakdown.lambda_total  # lambda0 of the schedule's weights
+            self.schedule = _schedule(config, init_lambda, err, self.zero_err)
+            self.phase, self.cap = self.schedule[0]
+            self.objective.weigh(self.phase.c_approx)
+        total = self.phase.c_approx * err + lam
+        if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
+            raise NonFiniteCostError(iteration)
+        self.trace.append((total, err, lam))
+
+        if err <= self.init_err + config.err_budget and lam < self.best_lambda:
+            self.best_lambda, self.best_err, self.best_norms = lam, err, norms
+            self.best_kappa, self.best_iteration = self.objective.kappa, iteration
+            self.best_theta[...] = self.theta
+
+        self.best_total = min(self.best_total, total)
+        if not math.isfinite(self.anchor_total) or (
+            self.anchor_total - self.best_total
+            >= config.rel_tol * max(abs(self.anchor_total), 1.0)
+        ):
+            self.anchor_total = self.best_total
+            self.anchor_iter = iteration
+        stalled = iteration - self.anchor_iter >= config.patience
+
+        if not (stalled or iteration - self.start == self.cap or iteration == config.max_iters):
+            return _CONTINUE
+        if len(self.firsts) == len(self.schedule):
+            self.stop_reason = "converged" if stalled else "max_iters"
+            return _STOP
+        # The next phase steps from this row: a fresh window and fresh Adam state.
+        self.phase, self.cap = self.schedule[len(self.firsts)]
+        self.objective.weigh(self.phase.c_approx)
+        self.m.fill(0.0)
+        self.v.fill(0.0)
+        self.best_total = self.anchor_total = math.inf
+        self.start = iteration
+        self.firsts.append(iteration + 1)
+        return _NEXT_PHASE
+
+    def step(self, part: slice) -> None:
+        """Adam step on theta[part] from the last row, once its gradient is final."""
+        count = len(self.trace) - self.start  # from 1 in each phase
+        _adam_step(self.theta[part], self.grad[part], self.m[part], self.v[part], count, self.phase)
+
+    def report(self) -> OptimizationReport:
+        best_factors, best_xi = _blocks(self.best_theta, self.objective.space.n)
+        rank, norms = self.rank, self.best_norms
+        return OptimizationReport(
+            # The factors keep their rows of best_theta; a copy of xi, as a view
+            # would keep all of best_theta alive on its own.
+            best_params=(self.best_kappa, best_xi.copy(), FactorSet._from_packed(best_factors, rank)),
+            lambda_breakdown=LambdaBreakdown.from_norms(norms[:-1], norms[-1], rank),
+            err_final=self.best_err,
+            total_trace=np.array(self.trace),
+            iterations_run=len(self.trace) - 1,
+            stop_reason=self.stop_reason,
+            best_iteration=self.best_iteration,
+            initial_lambda=self.init_breakdown.lambda_total,
+            initial_err=self.init_err,
+            initial_breakdown=self.init_breakdown,
+            phases=tuple((p.c_approx, p.learning_rate, first) for (p, _), first in zip(self.schedule, self.firsts)),
+        )
+
+
 @one_blas_thread()
 def optimize(
     ham: Hamiltonian,
@@ -487,79 +582,10 @@ def optimize(
         ValueError: On an invalid rank.
     """
     n = ham.n_orbitals
-    space = pair_space(n)
-    zero_err = float(space.mult @ np.square(ham.g_pairs) @ space.mult)  # ||G||^2, Err at F = 0
     # theta starts at the M nonzero initial factors and xi = 0; the trailing
     # exact-zero factors never move and stay out of it.
     theta = np.concatenate((initial_double_factorization(ham.g_pairs, rank).packed.ravel(), np.zeros(n * n)))
-    objective = _Objective(ham, theta)
-    # best_theta is written in place: a fresh copy per improvement, taken
-    # while the evaluation's arrays are alive, raises the process peak RSS.
-    grad, best_theta = objective.grad, np.empty_like(theta)
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-
-    def descend(part: slice) -> None:
-        """Adam step on theta[part] at this iteration, once its gradient is final."""
-        _adam_step(theta[part], grad[part], m[part], v[part], iteration - start + 1, phase)
-
-    trace, firsts = [], [0]  # firsts: each entered phase's first trace row
-    best_total = anchor_total = best_lambda = math.inf
-    anchor_iter = best_iteration = start = 0
-
-    for iteration in range(config.max_iters + 1):
-        err, lam, norms, unshifted = objective.evaluate()
-        if iteration == 0:
-            init_err, init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted, rank)
-            init_lambda = init_breakdown.lambda_total  # lambda0 of the schedule's weights
-            schedule = _schedule(config, init_lambda, err, zero_err)
-            phase, cap = schedule[0]
-            objective.weigh(phase.c_approx)
-        total = phase.c_approx * err + lam
-        if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
-            raise NonFiniteCostError(iteration)
-        trace.append((total, err, lam))
-
-        if err <= init_err + config.err_budget and lam < best_lambda:
-            best_lambda, best_err, best_norms, best_kappa = lam, err, norms, objective.kappa
-            best_theta[...] = theta
-            best_iteration = iteration
-
-        best_total = min(best_total, total)
-        if not math.isfinite(anchor_total) or (
-            anchor_total - best_total
-            >= config.rel_tol * max(abs(anchor_total), 1.0)
-        ):
-            anchor_total = best_total
-            anchor_iter = iteration
-        stalled = iteration - anchor_iter >= config.patience
-
-        if stalled or iteration - start == cap or iteration == config.max_iters:
-            if len(firsts) == len(schedule):
-                stop_reason = "converged" if stalled else "max_iters"
-                break
-            # The next phase steps from this row: a fresh window and fresh Adam state.
-            phase, cap = schedule[len(firsts)]
-            objective.weigh(phase.c_approx)
-            m.fill(0.0)
-            v.fill(0.0)
-            best_total = anchor_total = math.inf
-            start = iteration
-            firsts.append(iteration + 1)
-        objective.gradient(then=descend)
-
-    best_factors, best_xi = _blocks(best_theta, n)
-    return OptimizationReport(
-        # The factors keep their rows of best_theta; a copy of xi, as a view
-        # would keep all of best_theta alive on its own.
-        best_params=(best_kappa, best_xi.copy(), FactorSet._from_packed(best_factors, rank)),
-        lambda_breakdown=LambdaBreakdown.from_norms(best_norms[:-1], best_norms[-1], rank),
-        err_final=best_err,
-        total_trace=np.array(trace),
-        iterations_run=len(trace) - 1,
-        stop_reason=stop_reason,
-        best_iteration=best_iteration,
-        initial_lambda=init_lambda,
-        initial_err=init_err,
-        initial_breakdown=init_breakdown,
-        phases=tuple((p.c_approx, p.learning_rate, first) for (p, _), first in zip(schedule, firsts)),
-    )
+    descent = _Descent(ham, rank, config, theta)
+    while descent.record(*descent.objective.evaluate()) != _STOP:  # at the latest at row max_iters
+        descent.objective.gradient(then=descent.step)
+    return descent.report()

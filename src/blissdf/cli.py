@@ -10,7 +10,8 @@ Subcommands:
     verify     Self-check suites over the dense fermionic oracle.
     report     Render a report.json as a table (method, N, R, lambda, error),
                then the optimized run's iterations, stop reason and best
-               iteration.
+               iteration, and its phases (c_approx, learning rate, first
+               iteration), marking the one that holds the best iteration.
 
 factorize and optimize parse the config, load the input and check --rank
 before they create --out, so a bad input, config or rank (exit 1) leaves no
@@ -293,6 +294,13 @@ def cmd_report(args) -> int:
                 f"{run['method']}: {run['iterations']} iterations, stop_reason {run['stop_reason']}, "
                 f"best_iteration {run['best_iteration']}"
             )
+            # The phase holding best_iteration is the last one to start at or before it.
+            best = sum(phase["first_iteration"] <= run["best_iteration"] for phase in data["phases"]) - 1
+            for index, phase in enumerate(data["phases"]):
+                print(
+                    f"phase {index}: c_approx {phase['c_approx']:.6g}, learning_rate {phase['learning_rate']:.6g}, "
+                    f"first_iteration {phase['first_iteration']}" + (", holds best_iteration" if index == best else "")
+                )
     return EXIT_OK
 
 

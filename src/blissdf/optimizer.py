@@ -39,17 +39,20 @@ and lambda breakdown are kept from their own rows, and the gradient is
 built from the row's eigh batch after the stop check, only when a step
 follows. Descent is Adam on all of theta, in place.
 
-The descent is one loop over a list of phases, each a penalty weight, a
-learning rate and an iteration cap (_schedule). An explicit c_approx is one
-phase at the configured learning rate. c_approx None is a quadratic-penalty
-continuation (Nocedal & Wright, Numerical Optimization, ch. 17): a soft
-weight lets the shift and the factors move far from the exact start, then
-the automatic stiff weight, then the same weight at a tenth of the learning
-rate pulls Err back inside err_budget. A held stiff weight at a start with
-Err near zero freezes every factor, since the first Adam step raises Err far
-above it. Each phase ends on its own patience stop or its cap; the next one
-starts from that row with a fresh patience window and fresh Adam moments.
-The best feasible row is chosen across all phases.
+The descent is one loop over phases, each a penalty weight and a learning
+rate (_schedule), kept with the rest of its state in _Descent. An explicit
+c_approx is one phase at the configured learning rate. c_approx None is a
+quadratic-penalty continuation (Nocedal & Wright, Numerical Optimization,
+ch. 17): a soft weight lets the shift and the factors move far from the
+exact start, then the automatic stiff weight pulls Err back inside
+err_budget, at a tenth of the learning rate after each stall. A held stiff
+weight at a start with Err near zero freezes every factor, since the first
+Adam step raises Err far above it. The patience window watches Total until
+a row after the soft phase is feasible, and from then on the best feasible
+lambda, the reported quantity; the run ends on its first stall at a tenth
+of the learning rate or below. Each phase steps from the last row of the
+one before with a fresh window and fresh Adam moments. The best feasible
+row is chosen across all phases.
 
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
@@ -157,11 +160,11 @@ class OptimizationConfig:
     optimize: a soft weight, 10 * (initial lambda) / ||G||^2 with ||G||^2
     the Err of zero factors, for at most max_iters // 2 iterations; then the
     automatic weight 1e3 * (initial lambda) / max(initial Err, 1e-12),
-    clamped to [1e2, 1e9], for at most max_iters // 4; then that weight at
-    learning_rate / 10 up to max_iters. Without a two-body part (||G||^2 = 0)
-    it is the automatic weight alone. ``err_budget`` is not enforced during
-    descent; it defines which iterates count as feasible when the best one
-    is selected afterwards.
+    clamped to [1e2, 1e9], at learning_rate and at a tenth of the last
+    learning rate after each stall. Without a two-body part (||G||^2 = 0)
+    it is the automatic weight alone, as one phase. ``err_budget`` is not
+    enforced during descent; it defines which iterates count as feasible,
+    for the schedule's stop and for the best one selected afterwards.
     Real-valued fields must be finite numbers; NaN and infinities raise
     ConfigError.
     """
@@ -230,8 +233,8 @@ class OptimizationReport:
     learning_rate, first_iteration) for each phase the run entered, in
     order: trace rows from first_iteration to the next phase's are weighed
     with its c_approx and were reached by its steps (row 0 belongs to the
-    first phase). ``stop_reason`` is "converged" only when the last phase
-    of the schedule stalls, else "max_iters".
+    first phase). ``stop_reason`` is "converged" when the run ends on a
+    stall (see optimize), else "max_iters".
     """
 
     best_params: tuple[float, np.ndarray, FactorSet]
@@ -424,23 +427,17 @@ def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None
 
 
 def _schedule(config: OptimizationConfig, init_lambda: float, init_err: float, zero_err: float):
-    """The descent's phases, each (config with its c_approx and learning rate, iteration cap).
+    """(first phase, stiff phase), each a config with its c_approx; the stiff one is None in a one-phase run.
 
-    ``zero_err`` is ||G||^2, the Err of zero factors. Phases with a zero cap
-    are left out; the last phase has no cap of its own but max_iters.
+    ``zero_err`` is ||G||^2, the Err of zero factors. An explicit c_approx,
+    or no two-body part to weigh softly, is one phase.
     """
-    last = config.max_iters
     if config.c_approx is not None:
-        return [(replace(config, c_approx=float(config.c_approx)), last)]
+        return replace(config, c_approx=float(config.c_approx)), None
     stiff = replace(config, c_approx=min(max(1e3 * init_lambda / max(init_err, 1e-12), 1e2), 1e9))
-    if zero_err == 0.0:  # no two-body part: no soft weight, today's single phase
-        return [(stiff, last)]
-    phases = [
-        (replace(config, c_approx=10.0 * init_lambda / zero_err), last // 2),
-        (stiff, last // 4),
-        (replace(stiff, learning_rate=config.learning_rate / 10), last),
-    ]
-    return [phase for phase in phases[:-1] if phase[1]] + phases[-1:]
+    if zero_err == 0.0:
+        return stiff, None
+    return replace(config, c_approx=10.0 * init_lambda / zero_err), stiff
 
 
 # What _Descent.record tells optimize after a row.
@@ -466,51 +463,70 @@ class _Descent:
         # while the evaluation's arrays are alive, raises the process peak RSS.
         self.grad, self.best_theta = self.objective.grad, np.empty_like(theta)
         self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
-        self.trace, self.firsts = [], [0]  # firsts: each entered phase's first trace row
-        self.best_total = self.anchor_total = self.best_lambda = math.inf
-        self.anchor_iter = self.best_iteration = self.start = 0
+        self.trace, self.phases = [], []  # phases: (c_approx, learning_rate, first row) as entered
+        self.best_lambda, self.best_iteration = math.inf, 0
+        self.watch_lambda = False  # the window watches Total until a row after the soft phase is feasible
+
+    def _enter(self, phase: OptimizationConfig, row: int) -> None:
+        """Step from this row with ``phase``: zero Adam moments, step count 1 and a fresh window."""
+        self.phases.append((phase.c_approx, phase.learning_rate, row + 1 if self.phases else 0))
+        self.phase, self.start = phase, row
+        self.objective.weigh(phase.c_approx)
+        self.m.fill(0.0)
+        self.v.fill(0.0)
+        self._restart_window(row)
+
+    def _restart_window(self, row: int) -> None:
+        # A new weight's Totals are unknown until its first row; the best feasible lambda is known now.
+        self.low = self.anchor = self.best_lambda if self.watch_lambda else math.inf
+        self.anchor_row = row
 
     def record(self, err: float, lam: float, norms: np.ndarray, unshifted: float) -> str:
         """Keep the next trace row, evaluate()'s at theta; return _CONTINUE, _NEXT_PHASE (entered) or _STOP."""
-        config, iteration = self.config, len(self.trace)
-        if iteration == 0:
+        config, row = self.config, len(self.trace)
+        if row == 0:
             self.init_err, self.init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted, self.rank)
-            init_lambda = self.init_breakdown.lambda_total  # lambda0 of the schedule's weights
-            self.schedule = _schedule(config, init_lambda, err, self.zero_err)
-            self.phase, self.cap = self.schedule[0]
-            self.objective.weigh(self.phase.c_approx)
+            # lambda0 and Err0 set the schedule's weights.
+            first, self.stiff = _schedule(config, self.init_breakdown.lambda_total, err, self.zero_err)
+            self._enter(first, row)
         total = self.phase.c_approx * err + lam
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
-            raise NonFiniteCostError(iteration)
+            raise NonFiniteCostError(row)
         self.trace.append((total, err, lam))
 
-        if err <= self.init_err + config.err_budget and lam < self.best_lambda:
+        feasible = err <= self.init_err + config.err_budget
+        if feasible and lam < self.best_lambda:
             self.best_lambda, self.best_err, self.best_norms = lam, err, norms
-            self.best_kappa, self.best_iteration = self.objective.kappa, iteration
+            self.best_kappa, self.best_iteration = self.objective.kappa, row
             self.best_theta[...] = self.theta
+        if feasible and len(self.phases) > 1 and not self.watch_lambda:
+            self.watch_lambda = True
+            self._restart_window(row)
 
-        self.best_total = min(self.best_total, total)
-        if not math.isfinite(self.anchor_total) or (
-            self.anchor_total - self.best_total
-            >= config.rel_tol * max(abs(self.anchor_total), 1.0)
+        self.low = min(self.low, self.best_lambda if self.watch_lambda else total)
+        if not math.isfinite(self.anchor) or (
+            self.anchor - self.low >= config.rel_tol * max(abs(self.anchor), 1.0)
         ):
-            self.anchor_total = self.best_total
-            self.anchor_iter = iteration
-        stalled = iteration - self.anchor_iter >= config.patience
+            self.anchor, self.anchor_row = self.low, row
+        stalled = row - self.anchor_row >= config.patience
 
-        if not (stalled or iteration - self.start == self.cap or iteration == config.max_iters):
-            return _CONTINUE
-        if len(self.firsts) == len(self.schedule):
-            self.stop_reason = "converged" if stalled else "max_iters"
+        if self.stiff is not None and len(self.phases) == 1 and (stalled or row == config.max_iters // 2):
+            self._enter(self.stiff, row)  # the soft phase ends on its stall or at half the rows
+            return _NEXT_PHASE
+        # One phase stops on its stall, the schedule on one at a tenth of the learning rate or
+        # below once watching lambda; the learning rate underflowing to zero also ends it.
+        learning_rate = self.phase.learning_rate / 10
+        converged = stalled and (
+            self.stiff is None
+            or learning_rate == 0.0
+            or (self.watch_lambda and self.phase.learning_rate <= config.learning_rate / 10)
+        )
+        if converged or row == config.max_iters:
+            self.stop_reason = "converged" if converged else "max_iters"
             return _STOP
-        # The next phase steps from this row: a fresh window and fresh Adam state.
-        self.phase, self.cap = self.schedule[len(self.firsts)]
-        self.objective.weigh(self.phase.c_approx)
-        self.m.fill(0.0)
-        self.v.fill(0.0)
-        self.best_total = self.anchor_total = math.inf
-        self.start = iteration
-        self.firsts.append(iteration + 1)
+        if not stalled:
+            return _CONTINUE
+        self._enter(replace(self.phase, learning_rate=learning_rate), row)
         return _NEXT_PHASE
 
     def step(self, part: slice) -> None:
@@ -534,7 +550,7 @@ class _Descent:
             initial_lambda=self.init_breakdown.lambda_total,
             initial_err=self.init_err,
             initial_breakdown=self.init_breakdown,
-            phases=tuple((p.c_approx, p.learning_rate, first) for (p, _), first in zip(self.schedule, self.firsts)),
+            phases=tuple(self.phases),
         )
 
 
@@ -551,11 +567,15 @@ def optimize(
     through the phases of the penalty schedule (see OptimizationConfig and
     the module docstring); an explicit ``config.c_approx`` is one phase.
     kappa is not stepped: each evaluation sets it to its closed form. A
-    phase ends when the best Total seen in it fails to improve by a relative
-    rel_tol over a window of ``patience`` iterations, or at its iteration
-    cap; the next phase starts from that iterate with fresh Adam moments and
-    step count. The descent stops when the last phase ends, at the latest
-    after max_iters iterations in all.
+    stall is ``patience`` iterations in which the watched value does not
+    improve on its window's anchor by rel_tol * max(|anchor|, 1). It watches
+    Total, and in the schedule, once a row after the soft phase is feasible,
+    the best feasible lambda. One phase, or the stiff weight at
+    learning_rate / 10 or below after such a row, stops on its stall. The
+    soft phase ends on its stall or at iteration max_iters // 2, and every
+    other stall starts a phase at a tenth of the learning rate. Each phase
+    steps from that row with fresh Adam moments and step count. The descent
+    stops at the latest after max_iters iterations.
 
     The returned parameters are the iterate with the smallest lambda among
     those whose Err stays within ``config.err_budget`` of the initial Err,

@@ -320,7 +320,7 @@ def _check_penalty_schedule() -> CheckResult:
     The default run (2000 iterations) must end at a feasible point, with Err
     recomputed from its shift and factors within err_budget of the initial
     Err, and at a lambda no larger than that of a single-phase run at the
-    schedule's last weight with the same budget. Rebuilt from its shifted
+    schedule's automatic weight with the same budget. Rebuilt from its shifted
     one-body part and its factors, the Hamiltonian must keep the input's
     n_e-sector spectrum up to the residual's reach: with D the two-body
     residual, the two-body operator of D moves no eigenvalue by more than

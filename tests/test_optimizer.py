@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -607,8 +608,23 @@ class TestOptimize:
         assert report.lambda_breakdown.lambda_total < report.initial_lambda
 
 
+def record_adam_steps(monkeypatch) -> list:
+    """Record (step count, learning rate, moments all zero) for each Adam step of the descent."""
+    from blissdf import optimizer
+
+    steps = []
+    original = optimizer._adam_step
+
+    def recorded(theta, grad, m, v, step, config):
+        steps.append((step, config.learning_rate, not (m.any() or v.any())))
+        original(theta, grad, m, v, step, config)
+
+    monkeypatch.setattr(optimizer, "_adam_step", recorded)
+    return steps
+
+
 class TestPenaltySchedule:
-    """c_approx None: the soft weight, the automatic weight, then that weight at a tenth of the learning rate."""
+    """c_approx None: the soft weight, then the automatic weight at a tenth of the learning rate after each stall."""
 
     @pytest.mark.parametrize("n,ceiling", [(8, 0.45), (16, 0.40)])
     def test_full_rank_chain_reaches_the_ratio(self, n, ceiling):
@@ -632,40 +648,84 @@ class TestPenaltySchedule:
         ham = make_ham(np.random.default_rng(1))
         report = optimize(ham, rank, OptimizationConfig())
         single = optimize(ham, rank, OptimizationConfig(c_approx=report.c_approx_used))
-        assert len(report.phases) == 3 and len(single.phases) == 1
+        # The soft phase, the stiff weight at lr, then lr / 10, where the best feasible lambda stalls.
+        assert [lr for _, lr, _ in report.phases] == [1e-3, 1e-3, 1e-4] and len(single.phases) == 1
+        assert report.stop_reason == "converged"
         assert report.lambda_breakdown.lambda_total <= single.lambda_breakdown.lambda_total
         assert report.err_final <= report.initial_err + 1e-6
 
     @pytest.mark.parametrize(
-        "max_iters,firsts", [(1, (0,)), (2, (0, 2)), (3, (0, 2)), (4, (0, 3, 4))]
+        "max_iters,firsts", [(1, (0, 1)), (2, (0, 2)), (3, (0, 2)), (4, (0, 3))]
     )
     def test_rel_tol_zero_runs_exactly_max_iters(self, max_iters, firsts):
-        # Caps max_iters // 2 and // 4; a phase with a zero cap is left out,
-        # and the last phase always runs.
+        # rel_tol 0 never stalls: the soft phase ends at its cap, row
+        # max_iters // 2 (row 0 at max_iters 1), and the stiff weight runs
+        # at the configured learning rate to max_iters.
         ham = random_hamiltonian(3, np.random.default_rng(70), n_electrons=3)
         report = optimize(ham, 9, OptimizationConfig(max_iters=max_iters, rel_tol=0.0))
         assert report.iterations_run == max_iters
         assert report.stop_reason == "max_iters"
         assert tuple(first for _, _, first in report.phases) == firsts
-        assert report.phases[-1][1] == 1e-4  # the last phase's learning rate is a tenth of 1e-3
+        assert [lr for _, lr, _ in report.phases] == [1e-3, 1e-3]
         assert report.c_approx_used == report.phases[-1][0]
 
     def test_each_phase_restarts_adam(self, monkeypatch):
-        # Caps 2 and 1 at max_iters 4: steps 1, 2 of the first phase, then
-        # step 1 of each later phase, from zero moments, at lr, lr, lr / 10.
-        from blissdf import optimizer
-
-        steps = []
-        original = optimizer._adam_step
-
-        def recorded(theta, grad, m, v, step, config):
-            steps.append((step, config.learning_rate, not (m.any() or v.any())))
-            original(theta, grad, m, v, step, config)
-
-        monkeypatch.setattr(optimizer, "_adam_step", recorded)
+        # Every phase steps from zero moments at step count 1, then counts up
+        # at its own learning rate: here the soft phase, the stiff weight at
+        # lr, then two stalls of it, each at a tenth of the last rate.
+        steps = record_adam_steps(monkeypatch)
         ham = random_hamiltonian(3, np.random.default_rng(70), n_electrons=3)
-        optimize(ham, 9, OptimizationConfig(max_iters=4, rel_tol=0.0))
-        assert steps == [(1, 1e-3, True), (2, 1e-3, False), (1, 1e-3, True), (1, 1e-4, True)]
+        report = optimize(ham, 9, OptimizationConfig(max_iters=40, patience=3, rel_tol=1e-2))
+        assert [lr for _, lr, _ in report.phases] == [1e-3, 1e-3, 1e-4, 1e-5]
+        assert len(steps) == report.iterations_run
+        bounds = [first for _, _, first in report.phases[1:]] + [report.iterations_run + 1]
+        row = 0
+        for (_, learning_rate, _), stop in zip(report.phases, bounds):
+            # A phase's first step is taken from the last row of the one before.
+            assert steps[row:stop - 1] == [(k, learning_rate, k == 1) for k in range(1, stop - row)]
+            row = stop - 1
+
+    def test_infeasible_stiff_stall_divides_the_learning_rate(self, monkeypatch):
+        # No row after the soft phase is feasible here, so each Total stall of
+        # the stiff weight starts a phase at a tenth of the learning rate, from
+        # zero moments and step count 1, instead of ending the run.
+        steps = record_adam_steps(monkeypatch)
+        ham = random_hamiltonian(3, np.random.default_rng(70), n_electrons=3)
+        report = optimize(ham, 9, OptimizationConfig(max_iters=40, patience=3, rel_tol=1e-2))
+        assert report.stop_reason == "max_iters"
+        stiff = report.phases[1][2]
+        budget = report.initial_err + 1e-6
+        assert np.all(report.total_trace[stiff:, 1] > budget)
+        for (_, before, _), (c_approx, learning_rate, first) in zip(report.phases[1:], report.phases[2:]):
+            assert c_approx == report.phases[1][0] and learning_rate == before / 10
+            assert steps[first - 1] == (1, learning_rate, True)  # the stall row's step
+            assert steps[first - 2][0] > 1  # the row before it stepped in the phase before
+        assert len(report.phases) == 4
+
+    def test_chain_n8_stops_when_the_best_feasible_lambda_stalls(self):
+        # The stiff weight at lr / 10 makes the rows feasible again, and the
+        # run ends when the best feasible lambda then stalls: 2734 rows
+        # against the fixed phases' 4331, with the same best row 2334.
+        report = optimize(chain_hamiltonian(8, 1), 64, OptimizationConfig())
+        assert report.stop_reason == "converged"
+        assert report.iterations_run <= 3250
+        assert report.lambda_breakdown.lambda_total / report.initial_lambda <= 0.31679614944242557
+        assert report.err_final <= report.initial_err + 1e-6
+        assert report.phases[-1][1] == 1e-4
+
+    def test_explicit_weight_keeps_its_bits(self):
+        # One phase with the Total stall: the trace and the best point's
+        # bits (kappa, xi, then the packed factors) as this descent first
+        # wrote them (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+        ham = random_hamiltonian(3, np.random.default_rng(71), n_electrons=3)
+        config = OptimizationConfig(max_iters=2000, learning_rate=1e-2, patience=50, rel_tol=1e-6, c_approx=10.0)
+        report = optimize(ham, 3, config)
+        kappa, xi, factor_set = report.best_params
+        assert (report.iterations_run, report.best_iteration, report.stop_reason) == (438, 315, "converged")
+        trace = hashlib.sha256(report.total_trace.tobytes()).hexdigest()
+        best = hashlib.sha256(np.float64(kappa).tobytes() + xi.tobytes() + factor_set.packed.tobytes()).hexdigest()
+        assert trace == "a8bc0e345773808a9a95dec0e2fea4bc231d27644fd0143c1705b7f364d830e5"
+        assert best == "75a47a73cc8952b141ebb2d1ea9c3f8aef378266af535d575a4a7fa2a3e67d52"
 
     def test_explicit_weight_is_one_phase(self):
         ham = random_hamiltonian(3, np.random.default_rng(71), n_electrons=3)
@@ -674,14 +734,17 @@ class TestPenaltySchedule:
         assert report.c_approx_used == 250.0
 
     def test_converged_only_when_the_last_phase_stalls(self):
-        # Each phase here ends on its own 20-row patience stop; the first two
-        # stalls start the next phase, the third ends the run.
+        # Each phase here ends on its own 20-row patience stop. The soft
+        # phase's stall starts the stiff weight at lr, whose stall starts it
+        # at lr / 10; a stall there, after a feasible row, ends the run.
         ham = random_hamiltonian(2, np.random.default_rng(36), n_electrons=2)
         report = optimize(ham, 4, small_config(max_iters=5000, patience=20, rel_tol=1e-3))
         assert report.stop_reason == "converged"
-        assert len(report.phases) == 3
+        assert [lr for _, lr, _ in report.phases] == [1e-2, 1e-2, 1e-3]
         firsts = [first for _, _, first in report.phases] + [report.iterations_run + 1]
         assert all(stop - first >= 20 for first, stop in zip(firsts, firsts[1:]))
+        budget = report.initial_err + 1e-6
+        assert np.any(report.total_trace[firsts[1]:, 1] <= budget)
 
     def test_zero_two_body_falls_back_to_one_phase(self):
         # ||G||^2 = 0 leaves the soft weight undefined; xi still descends.

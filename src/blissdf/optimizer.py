@@ -449,19 +449,23 @@ class _Descent:
 
     record() takes each evaluated row in turn and says whether to go on,
     with the next phase entered from this row, or to stop; step() is the
-    Adam step of the row's gradient. Nothing here is allocated per row:
+    Adam step of the row's gradient. No array is allocated per row:
     best_theta is written in place, and a row keeps its own evaluation's
     norms.
     """
 
-    def __init__(self, ham: Hamiltonian, rank: int, config: OptimizationConfig, theta: np.ndarray):
-        space = pair_space(ham.n_orbitals)
+    def __init__(self, ham: Hamiltonian, rank: int, config: OptimizationConfig):
+        n = ham.n_orbitals
+        space = pair_space(n)
         self.zero_err = float(space.mult @ np.square(ham.g_pairs) @ space.mult)  # ||G||^2, Err at F = 0
+        # theta starts at the M nonzero initial factors and xi = 0; the trailing
+        # exact-zero factors never move and stay out of it.
+        theta = np.concatenate((initial_double_factorization(ham.g_pairs, rank).packed.ravel(), np.zeros(n * n)))
         self.rank, self.config, self.theta = rank, config, theta
         self.objective = _Objective(ham, theta)
         # best_theta is written in place: a fresh copy per improvement, taken
         # while the evaluation's arrays are alive, raises the process peak RSS.
-        self.grad, self.best_theta = self.objective.grad, np.empty_like(theta)
+        self.best_theta = np.empty_like(theta)
         self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
         self.trace, self.phases = [], []  # phases: (c_approx, learning_rate, first row) as entered
         self.best_lambda, self.best_iteration = math.inf, 0
@@ -532,7 +536,7 @@ class _Descent:
     def step(self, part: slice) -> None:
         """Adam step on theta[part] from the last row, once its gradient is final."""
         count = len(self.trace) - self.start  # from 1 in each phase
-        _adam_step(self.theta[part], self.grad[part], self.m[part], self.v[part], count, self.phase)
+        _adam_step(self.theta[part], self.objective.grad[part], self.m[part], self.v[part], count, self.phase)
 
     def report(self) -> OptimizationReport:
         best_factors, best_xi = _blocks(self.best_theta, self.objective.space.n)
@@ -568,14 +572,14 @@ def optimize(
     the module docstring); an explicit ``config.c_approx`` is one phase.
     kappa is not stepped: each evaluation sets it to its closed form. A
     stall is ``patience`` iterations in which the watched value does not
-    improve on its window's anchor by rel_tol * max(|anchor|, 1). It watches
-    Total, and in the schedule, once a row after the soft phase is feasible,
-    the best feasible lambda. One phase, or the stiff weight at
-    learning_rate / 10 or below after such a row, stops on its stall. The
-    soft phase ends on its stall or at iteration max_iters // 2, and every
-    other stall starts a phase at a tenth of the learning rate. Each phase
-    steps from that row with fresh Adam moments and step count. The descent
-    stops at the latest after max_iters iterations.
+    improve on its window's anchor by rel_tol * max(|anchor|, 1): Total, or
+    in the schedule, once a row after the soft phase is feasible, the best
+    feasible lambda. The soft phase ends on its stall or at iteration
+    max_iters // 2. Every later stall starts a phase at a tenth of the
+    learning rate, with fresh Adam moments and step count, except the one
+    that ends the run: a single phase's, or the schedule's first at
+    learning_rate / 10 or below once it watches lambda. The descent stops
+    at the latest after max_iters iterations.
 
     The returned parameters are the iterate with the smallest lambda among
     those whose Err stays within ``config.err_budget`` of the initial Err,
@@ -601,11 +605,7 @@ def optimize(
             two-body tensor is not factorizable.
         ValueError: On an invalid rank.
     """
-    n = ham.n_orbitals
-    # theta starts at the M nonzero initial factors and xi = 0; the trailing
-    # exact-zero factors never move and stay out of it.
-    theta = np.concatenate((initial_double_factorization(ham.g_pairs, rank).packed.ravel(), np.zeros(n * n)))
-    descent = _Descent(ham, rank, config, theta)
+    descent = _Descent(ham, rank, config)
     while descent.record(*descent.objective.evaluate()) != _STOP:  # at the latest at row max_iters
         descent.objective.gradient(then=descent.step)
     return descent.report()

@@ -702,6 +702,15 @@ class TestPenaltySchedule:
             assert steps[first - 2][0] > 1  # the row before it stepped in the phase before
         assert len(report.phases) == 4
 
+    def test_learning_rate_underflow_ends_the_run(self):
+        # With patience 1 nearly every row stalls, and no row after the soft
+        # phase is feasible: the learning rate falls tenfold per stall until
+        # a tenth of it would be zero, which ends the run instead of raising.
+        ham = random_hamiltonian(3, np.random.default_rng(70), n_electrons=3)
+        report = optimize(ham, 9, OptimizationConfig(max_iters=2000, patience=1, rel_tol=0.5))
+        assert report.stop_reason == "converged" and report.iterations_run < 2000
+        assert report.phases[-1][1] > 0.0 and report.phases[-1][1] / 10 == 0.0
+
     def test_chain_n8_stops_when_the_best_feasible_lambda_stalls(self):
         # The stiff weight at lr / 10 makes the rows feasible again, and the
         # run ends when the best feasible lambda then stalls: 2734 rows

@@ -45,14 +45,14 @@ c_approx is one phase at the configured learning rate. c_approx None is a
 quadratic-penalty continuation (Nocedal & Wright, Numerical Optimization,
 ch. 17): a soft weight lets the shift and the factors move far from the
 exact start, then the automatic stiff weight pulls Err back inside
-err_budget, at a tenth of the learning rate after each stall. A held stiff
-weight at a start with Err near zero freezes every factor, since the first
-Adam step raises Err far above it. The patience window watches Total until
-a row after the soft phase is feasible, and from then on the best feasible
-lambda, the reported quantity; the run ends on its first stall at a tenth
-of the learning rate or below. Each phase steps from the last row of the
-one before with a fresh window and fresh Adam moments. The best feasible
-row is chosen across all phases.
+err_budget, at the learning rate and, after its stall, at a tenth of it.
+A held stiff weight at a start with Err near zero freezes every factor,
+since the first Adam step raises Err far above it. The patience window
+watches Total until a row after the soft phase is feasible, and from then
+on the best feasible lambda, the reported quantity; the run ends on the
+stall at a tenth of the learning rate. Each phase steps from the last row
+of the one before with a fresh window and fresh Adam moments. The best
+feasible row is chosen across all phases.
 
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
@@ -160,13 +160,13 @@ class OptimizationConfig:
     optimize: a soft weight, 10 * (initial lambda) / ||G||^2 with ||G||^2
     the Err of zero factors, for at most max_iters // 2 iterations; then the
     automatic weight 1e3 * (initial lambda) / max(initial Err, 1e-12),
-    clamped to [1e2, 1e9], at learning_rate and at a tenth of the last
-    learning rate after each stall. Without a two-body part (||G||^2 = 0)
-    it is the automatic weight alone, as one phase. ``err_budget`` is not
-    enforced during descent; it defines which iterates count as feasible,
-    for the schedule's stop and for the best one selected afterwards.
-    Real-valued fields must be finite numbers; NaN and infinities raise
-    ConfigError.
+    clamped to [1e2, 1e9], at learning_rate and, after its stall, at
+    learning_rate / 10 until its next stall. Without a two-body part
+    (||G||^2 = 0) it is the automatic weight alone, as one phase.
+    ``err_budget`` is not enforced during descent; it defines which iterates
+    count as feasible, for the schedule's stop and for the best one selected
+    afterwards. Real-valued fields must be finite numbers; NaN and
+    infinities raise ConfigError.
     """
 
     c_approx: float | None = None
@@ -440,15 +440,11 @@ def _schedule(config: OptimizationConfig, init_lambda: float, init_err: float, z
     return replace(config, c_approx=10.0 * init_lambda / zero_err), stiff
 
 
-# What _Descent.record tells optimize after a row.
-_CONTINUE, _NEXT_PHASE, _STOP = "continue", "next phase", "stop"
-
-
 class _Descent:
     """optimize's state between rows: theta with Adam's moments, the phases, the patience window and the best row.
 
-    record() takes each evaluated row in turn and says whether to go on,
-    with the next phase entered from this row, or to stop; step() is the
+    record() takes each evaluated row in turn, enters the next phase from
+    it when its phase ends and says whether to stop; step() is the
     Adam step of the row's gradient. No array is allocated per row:
     best_theta is written in place, and a row keeps its own evaluation's
     norms.
@@ -485,8 +481,8 @@ class _Descent:
         self.low = self.anchor = self.best_lambda if self.watch_lambda else math.inf
         self.anchor_row = row
 
-    def record(self, err: float, lam: float, norms: np.ndarray, unshifted: float) -> str:
-        """Keep the next trace row, evaluate()'s at theta; return _CONTINUE, _NEXT_PHASE (entered) or _STOP."""
+    def record(self, err: float, lam: float, norms: np.ndarray, unshifted: float) -> bool:
+        """Keep the next trace row, evaluate()'s at theta, and enter the next phase on its end; True to stop."""
         config, row = self.config, len(self.trace)
         if row == 0:
             self.init_err, self.init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted, self.rank)
@@ -513,25 +509,18 @@ class _Descent:
         ):
             self.anchor, self.anchor_row = self.low, row
         stalled = row - self.anchor_row >= config.patience
-
         if self.stiff is not None and len(self.phases) == 1 and (stalled or row == config.max_iters // 2):
             self._enter(self.stiff, row)  # the soft phase ends on its stall or at half the rows
-            return _NEXT_PHASE
-        # One phase stops on its stall, the schedule on one at a tenth of the learning rate or
-        # below once watching lambda; the learning rate underflowing to zero also ends it.
-        learning_rate = self.phase.learning_rate / 10
-        converged = stalled and (
-            self.stiff is None
-            or learning_rate == 0.0
-            or (self.watch_lambda and self.phase.learning_rate <= config.learning_rate / 10)
-        )
+            return False
+        # A single phase ends on its stall; the schedule's stiff weight goes on at lr / 10
+        # after its first stall and ends on its second.
+        converged = stalled and len(self.phases) != 2
         if converged or row == config.max_iters:
             self.stop_reason = "converged" if converged else "max_iters"
-            return _STOP
-        if not stalled:
-            return _CONTINUE
-        self._enter(replace(self.phase, learning_rate=learning_rate), row)
-        return _NEXT_PHASE
+            return True
+        if stalled:
+            self._enter(replace(self.stiff, learning_rate=config.learning_rate / 10), row)
+        return False
 
     def step(self, part: slice) -> None:
         """Adam step on theta[part] from the last row, once its gradient is final."""
@@ -575,11 +564,11 @@ def optimize(
     improve on its window's anchor by rel_tol * max(|anchor|, 1): Total, or
     in the schedule, once a row after the soft phase is feasible, the best
     feasible lambda. The soft phase ends on its stall or at iteration
-    max_iters // 2. Every later stall starts a phase at a tenth of the
-    learning rate, with fresh Adam moments and step count, except the one
-    that ends the run: a single phase's, or the schedule's first at
-    learning_rate / 10 or below once it watches lambda. The descent stops
-    at the latest after max_iters iterations.
+    max_iters // 2, the stiff weight at learning_rate on its stall; each
+    next phase starts with fresh Adam moments and step count. A single
+    phase's stall ends the run, as does the schedule's last, at
+    learning_rate / 10. The descent stops at the latest after max_iters
+    iterations.
 
     The returned parameters are the iterate with the smallest lambda among
     those whose Err stays within ``config.err_budget`` of the initial Err,
@@ -606,6 +595,6 @@ def optimize(
         ValueError: On an invalid rank.
     """
     descent = _Descent(ham, rank, config)
-    while descent.record(*descent.objective.evaluate()) != _STOP:  # at the latest at row max_iters
+    while not descent.record(*descent.objective.evaluate()):  # at the latest at row max_iters
         descent.objective.gradient(then=descent.step)
     return descent.report()

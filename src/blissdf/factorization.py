@@ -226,16 +226,16 @@ def nuclear_norms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.add.reduce(np.abs(eigvals), axis=-1), eigvals, eigvecs
 
 
-def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray, work=None) -> np.ndarray:
-    """Each matrix's U sign(D) U^T (sign(0) = 0), written over its eigenvectors U.
+def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Each matrix's U sign(D) U^T (sign(0) = 0), written over its eigenvectors U, a (K, N, N) stack.
 
-    One batched product over the stack it is given; the optimizer calls it
-    once per block, so no temporary is as large as its whole stack.
-    ``work``, a spent array of eigvecs' shape such as the eigh input, if
-    given, holds U sign(D) instead of a temporary. Returns ``eigvecs``.
+    One batched product per 32 matrices, so each of its two temporaries
+    holds at most 32 matrices; a matrix's product is one gemm either way.
+    Returns ``eigvecs``.
     """
-    scaled = np.multiply(eigvecs, np.sign(eigvals)[..., None, :], out=work)
-    eigvecs[...] = scaled @ eigvecs.swapaxes(-1, -2)
+    for start in range(0, len(eigvecs), 32):
+        vecs = eigvecs[start : start + 32]
+        vecs[...] = (vecs * np.sign(eigvals[start : start + 32])[..., None, :]) @ vecs.swapaxes(-1, -2)
     return eigvecs
 
 

@@ -25,15 +25,17 @@ emits only the canonical representative of each 8-fold orbit.
 
 The loader is an array pipeline with no Python object per record. It reads
 the file once as bytes and decodes only the header. One pass of numpy's C
-text parser over the bytes, with ``D`` exponents translated to ``E``, fills
-a value and four index columns, one sort of integer orbit keys groups the
-records, and each orbit's values are added in file order and divided by
-their count, then written at the orbit's two entries of g's P x P pair
-block (no N^4 tensor). If the C parser rejects the data or a mask flags a
-record, the whole file is decoded and every line is read by
-``_check_record``, the one definition of an error, which accepts what
-Python's ``float``/``int`` accept and raises on the first bad line. Orbit
-conflicts come last: one-body first, each kind by first appearance.
+text parser over the bytes, or over a copy with ``D`` exponents translated
+to ``E`` if the data have any, fills a value and four index columns, which
+are reduced to an orbit key and a value each. One sort of the keys groups
+the records, and each orbit's values are added in file order and divided
+by their count, then written at the two entries of g's P x P pair block
+(no N^4 tensor) that its key names. The traced peak is under 4 times the
+file size. If the C parser rejects the data or a mask flags a record, the
+whole file is decoded and every line is read by ``_check_record``, the one
+definition of an error, which accepts what Python's ``float``/``int``
+accept and raises on the first bad line. Orbit conflicts come last:
+one-body first, each kind by first appearance.
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def _data_lines(data: bytes, start: int, first: int):
 def _parse_data(data: bytes, start: int, first: int, norb: int) -> np.ndarray:
     """Records of the data section data[start:], whose first line is ``first``."""
     if data.isascii() and not any(c in data for c in _CONTROL_BREAKS):
-        stream = io.BytesIO(data.translate(_EXPONENTS))
+        # A translated copy of the file only if the data have a D exponent.
+        stream = io.BytesIO(data.translate(_EXPONENTS) if any(data.find(c, start) >= 0 for c in b"Dd") else data)
         stream.seek(start)
         try:
             with warnings.catch_warnings():
@@ -169,7 +172,7 @@ def _parse_data(data: bytes, start: int, first: int, norb: int) -> np.ndarray:
             if valid.all() and np.isfinite(rec["value"]).all():
                 return rec
         finally:
-            del stream  # the translated copy of the file
+            del stream  # and with it any translated copy of the file
     numbered = _data_lines(data, start, first)
     return np.array([_check_record(s, n, norb) for n, s in numbered if s.split()], _RECORD)
 
@@ -190,41 +193,45 @@ def _read(data: bytes | str) -> tuple[np.ndarray, np.ndarray, float, int]:
     head, start = (data[: brk.start()], brk.end()) if brk else (data, len(data))
     norb, nelec, _ms2, first_data = _parse_header(head.decode().splitlines())
     rec = _parse_data(data, start, first_data + 1, norb)
-    # Orbit key: larger and smaller pair of {i, j}, {k, l}; the core key is 0.
-    ij, kl = (np.maximum(rec[p], rec[q]) * (norb + 1) + np.minimum(rec[p], rec[q])
-              for p, q in ("ij", "kl"))
-    keys = np.maximum(ij, kl) * (norb + 1) ** 2 + np.minimum(ij, kl)
-    orbits, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True)
-    del ij, kl, keys  # dead, and as large as the temporaries of the conflict check
-    i, j, k, l = (rec[x][first] - 1 for x in "ijkl")  # one record of each orbit
-    lo, hi = np.full(orbits.size, np.inf), np.full(orbits.size, -np.inf)
-    np.minimum.at(lo, inverse, rec["value"])
-    np.maximum.at(hi, inverse, rec["value"])
+    # Orbit key: the larger and smaller of the pair codes max(i, j) * base + min(i, j) of {i, j}, {k, l}.
+    base = norb + 1
+    ij, kl = (np.maximum(rec[p], rec[q]) * base + np.minimum(rec[p], rec[q]) for p, q in ("ij", "kl"))
+    keys = np.maximum(ij, kl) * base**2 + np.minimum(ij, kl)
+    values = rec["value"].copy()
+    del rec, ij, kl  # the 40-byte records, reduced to their keys and values
+    orbits, inverse = np.unique(keys, return_inverse=True)
+    high, low = np.divmod(orbits, base**2)  # pair codes; low is 0 in one-body orbits, both in the core's
+    del keys, orbits
+    lo, hi = np.full(high.size, np.inf), np.full(high.size, -np.inf)
+    np.minimum.at(lo, inverse, values)
+    np.maximum.at(hi, inverse, values)
     scale = np.maximum(np.abs(lo), np.abs(hi))
-    bad = (orbits > 0) & (scale > 0.0) & (hi - lo > ASYMMETRY_RTOL * scale)
+    bad = (high > 0) & (scale > 0.0) & (hi - lo > ASYMMETRY_RTOL * scale)
+    del lo, hi, scale
     if bad.any():
-        orbit = np.flatnonzero(bad)[np.lexsort((first[bad], k[bad] >= 0))[0]]
+        rows = np.flatnonzero(bad[inverse])  # report the first in file order, one-body orbits first
+        orbit = inverse[min(rows, key=lambda r: (low[inverse[r]] > 0, r))]
         rows = np.flatnonzero(inverse == orbit)
         lines = [n for n, s in _data_lines(data, start, first_data + 1) if s.split()]
-        lines, found = [lines[r] for r in rows], rec["value"][rows].tolist()
-        a, b, c, d = (int(x[orbit]) + 1 for x in (i, j, k, l))
-        low, high = sorted([(max(a, b), min(a, b)), (max(c, d), min(c, d))])
-        kind, name = ("two-body", high + low) if c else ("one-body", high)
+        lines, found = [lines[r] for r in rows], values[rows].tolist()
+        (a, b), (c, d) = (divmod(int(x[orbit]), base) for x in (high, low))
+        kind, name = ("two-body", (a, b, c, d)) if c else ("one-body", (a, b))
         raise FcidumpError(
             f"conflicting {kind} entries for orbit {name}: values {min(found)!r} and "
             f"{max(found)!r} disagree beyond relative tolerance {ASYMMETRY_RTOL:g} "
             f"(lines {lines})", line=lines[-1])
     # bincount adds in file order, so each mean is sum(values) / len(values).
-    means = np.bincount(inverse, weights=rec["value"]) / counts
-    core = means[0] if orbits.size and orbits[0] == 0 else 0.0
-    one, two = (k < 0) & (orbits > 0), k >= 0
-    # The per-record arrays are dead from here; free them before the pair block.
-    del rec, first, inverse, counts, lo, hi, scale, bad
-    t_mat, v_pairs = np.zeros((norb, norb)), np.zeros((norb * (norb + 1) // 2,) * 2)
-    t_mat[i[one], j[one]] = t_mat[j[one], i[one]] = means[one]
-    pq, rs = (pair_space(norb).unpack_index[a[two] * norb + b[two]] for a, b in ((i, j), (k, l)))
+    means = np.bincount(inverse, weights=values) / np.bincount(inverse)
+    del values, inverse, bad  # the per-record arrays, before the pair block
+    core = means[0] if high.size and high[0] == 0 else 0.0
+    space, pair = pair_space(norb), np.zeros(base**2, np.intp)  # pair[code]: the pair index of a pair code
+    pair.reshape(base, base)[1:, 1:] = space.unpack_index.reshape(norb, norb)
+    one, two = (low == 0) & (high > 0), low > 0
+    t_pairs, v_pairs = np.zeros(space.mult.size), np.zeros((space.mult.size,) * 2)
+    t_pairs[pair[high[one]]] = means[one]
+    pq, rs = pair[high[two]], pair[low[two]]
     v_pairs[pq, rs] = v_pairs[rs, pq] = means[two]
+    t_mat = space.unpack(t_pairs)
     # Reorder a+a+aa -> a+a a+a: the contraction term moves into the one-body
     # matrix, the remaining two-body coefficient is halved (in place).
     h = t_mat - 0.5 * _exchange(v_pairs, norb)
@@ -267,13 +274,10 @@ def write_integrals(path: str | Path, ham: Hamiltonian, ms2: int = 0) -> None:
     order = pair_space(n).unpack_index[[i * n + j for i, j in pairs]]
     v_ordered = v_pairs[np.ix_(order, order)]  # rows and columns in emission order
 
-    lines = [f" &FCI NORB={n},NELEC={ham.n_electrons},MS2={ms2},", " &END"]
-    for a, (i, j) in enumerate(pairs):
-        for (k, l), value in zip(pairs[: a + 1], v_ordered[a].tolist()):  # (k, l) <= (i, j)
-            if value != 0.0:
-                lines.append(f"{_FLOAT_FORMAT % value} {i + 1} {j + 1} {k + 1} {l + 1}")
-    for i, j in pairs:
-        if t_mat[i, j] != 0.0:
-            lines.append(f"{_FLOAT_FORMAT % t_mat[i, j]} {i + 1} {j + 1} 0 0")
-    lines.append(f"{_FLOAT_FORMAT % ham.core_constant} 0 0 0 0")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:  # line by line: no list of the file's lines
+        out.write(f" &FCI NORB={n},NELEC={ham.n_electrons},MS2={ms2},\n &END\n")
+        for a, (i, j) in enumerate(pairs):  # (k, l) <= (i, j)
+            row = zip(pairs[: a + 1], v_ordered[a].tolist())
+            out.writelines(f"{_FLOAT_FORMAT % v} {i + 1} {j + 1} {k + 1} {l + 1}\n" for (k, l), v in row if v != 0.0)
+        out.writelines(f"{_FLOAT_FORMAT % t_mat[i, j]} {i + 1} {j + 1} 0 0\n" for i, j in pairs if t_mat[i, j] != 0.0)
+        out.write(f"{_FLOAT_FORMAT % ham.core_constant} 0 0 0 0\n")

@@ -56,12 +56,12 @@ feasible row is chosen across all phases.
 
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
-views of theta and of its gradient, kappa and its gradient, the
-(M + 1, N, N) eigh stack of the M unpacked factors and h'_xi, the pair
-index maps, h' and the current phase's penalty weight, so an iteration
-runs only its arithmetic. What a row keeps, its Err and its
-batch's nuclear norms, is fresh per evaluation, so later iterations cannot
-overwrite it.
+views of theta, kappa and its gradient, the (M + 1, N, N) eigh stack, the
+pair index maps, h' and the current phase's penalty weight, so an
+iteration runs only its arithmetic. The stack is the one array of its
+size: the M unpacked factors and h'_xi, then their eigenvectors, then the
+subgradients. What a row keeps, its Err and its batch's nuclear norms, is
+fresh per evaluation, so later iterations cannot overwrite it.
 
 The three run with BLAS at one thread, in two passes, each one run_blocks
 call over the fixed 64-matrix blocks of the eigh stack that
@@ -71,9 +71,10 @@ In evaluate(), each block unpacks its factors and runs their eigh while the
 calling thread forms the residual F^T F. In
 gradient(), after the stop check, each block forms its subgradients
 (factorization.sign_subgradients), then for its own factor rows the Err
-term (F_b * c) D and the scaled subgradients, and calls then() once on the
-slice of theta it wrote: in optimize, the Adam step on that slice of
-theta, m and v. The last block holds h'_xi, so it also does xi, which
+term (F_b * c) D and the scaled subgradients in its own array, and calls
+then(part, grad) with it and the slice of theta it belongs to: in
+optimize, the Adam step on that slice of theta, m and v. No theta-sized
+gradient exists. The last block holds h'_xi, so it also does xi, which
 follows its factor rows in theta, and keeps kappa's gradient on the
 workspace. Adam is elementwise and the blocks do not depend on the core
 count, so no bit does. A row block of (F * c) D need not be bit equal to
@@ -284,9 +285,8 @@ class _Objective:
         """With ``kappa`` None, every evaluation takes t = -m and keeps kappa = t - tr xi."""
         n = ham.n_orbitals
         self.space, self.n_shift, self.g_pairs = pair_space(n), n - ham.n_electrons, ham.g_pairs
-        self.h_eff, self.grad = effective_one_body(ham), np.empty_like(theta)
+        self.h_eff = effective_one_body(ham)
         self.factors, self.xi = _blocks(theta, n)
-        self.grad_factors, self.grad_xi = _blocks(self.grad, n)
         self.rank, self.closed_form, self.kappa = len(self.factors), kappa is None, kappa
         self.xi_diagonal = self.xi.reshape(-1)[:: n + 1]  # np.trace(xi) is add.reduce over this view
         self.stack, self.batch = np.empty((self.rank + 1, n, n)), None
@@ -304,12 +304,12 @@ class _Objective:
         """
         space, rank, xi, factors, stack = self.space, self.rank, self.xi, self.factors, self.stack
         np.add(self.h_eff, self.n_shift * xi, out=stack[rank])  # h'_xi = h' + (N - n_e) xi
-        eigvals, eigvecs = np.empty(stack.shape[:-1]), np.empty(stack.shape)
+        eigvals = np.empty(stack.shape[:-1])
 
-        def block(part: slice) -> None:
+        def block(part: slice) -> None:  # the eigenvectors overwrite the unpacked factors
             rows = slice(part.start, min(part.stop, rank))
             factors[rows].take(space.unpack_index, axis=1, out=self.flat_stack[rows], mode="clip")
-            eigvals[part], eigvecs[part] = np.linalg.eigh(stack[part])
+            eigvals[part], stack[part] = np.linalg.eigh(stack[part])
 
         def residual():  # the P-sized residual, on this thread beside the eigh blocks
             return space.residual(space.shifted(self.g_pairs, xi), factors)
@@ -326,42 +326,44 @@ class _Objective:
             t = self.kappa + trace_xi
         one_body += t  # the eigenvalues of h'_xi + t I
         norms[rank] = np.add.reduce(np.abs(one_body))
-        self.batch = diff, norms, eigvals, eigvecs
+        self.batch = diff, norms, eigvals
         return err, lambda_parts(norms[:rank], norms[rank])[0], norms, unshifted
 
-    def gradient(self, then=lambda part: None) -> None:
-        """Write the gradient at the last evaluate()'s theta into grad, once, in its batch's blocks.
+    def gradient(self, then=lambda part, grad: None) -> None:
+        """Form the gradient at the last evaluate()'s theta once, block by block, from its batch.
 
-        Each block then calls ``then(part)`` on its thread for the slice of theta it wrote.
+        Each block calls ``then(part, grad)`` on its thread with its own
+        array ``grad``, the gradient of the slice ``part`` of theta.
         """
-        diff, norms, eigvals, eigvecs = self.batch
+        diff, norms, eigvals = self.batch
         self.batch = None  # the evaluation's arrays go with this call
         space, rank, factors, stack = self.space, self.rank, self.factors, self.stack
-        flat_vecs, width = eigvecs.reshape(rank + 1, -1), factors.shape[1]
+        width, n = factors.shape[1], space.n
 
         def block(part: slice) -> None:
-            sign_subgradients(eigvals[part], eigvecs[part], work=stack[part])
+            sign_subgradients(eigvals[part], stack[part])
             # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
             rows = slice(part.start, min(part.stop, rank))
-            # The (rows, P) terms are formed in the block's part of the spent eigh stack.
-            out = self.grad_factors[rows]
-            work = self.flat_stack[rows].reshape(-1)[: out.size].reshape(out.shape)
-            np.matmul(np.multiply(factors[rows], self.err_scale, work), diff, out)
-            flat_vecs[rows].take(space.upper, axis=1, out=work, mode="clip")
+            size = (rows.stop - rows.start) * width
+            grad = np.empty(size + n * n if part.stop > rank else size)
+            out = grad[:size].reshape(-1, width)
+            work = np.multiply(factors[rows], self.err_scale)
+            np.matmul(work, diff, out)
+            self.flat_stack[rows].take(space.upper, axis=1, out=work, mode="clip")
             work *= norms[rows, None]
             out += work
-            stop = part.stop * width
+            del work  # before then(), which may take its own scratch
             if part.stop > rank:  # the last block holds h'_xi; xi follows its factor rows
                 # d lambda / d t = tr U sign(D + t) U^T = sum_i sign(e_i + t), exactly; 0 at t = -m.
                 d_t = self.d_kappa = float(np.add.reduce(np.sign(eigvals[rank])))
                 # d Err / d xi_ab = 2 sum_k D_(ab),(kk), in the order of the fancy index's copy.
                 xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
-                xi_part += self.n_shift * eigvecs[rank]
-                xi_part.reshape(-1)[:: space.n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
+                xi_part += self.n_shift * stack[rank]
+                xi_part.reshape(-1)[:: n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
                 # symmetrize_one_body's average, in place and without its bitwise check.
-                np.multiply(np.add(xi_part, xi_part.T, self.grad_xi), 0.5, self.grad_xi)
-                stop = self.grad.size
-            then(slice(part.start * width, stop))
+                grad_xi = grad[size:].reshape(n, n)
+                np.multiply(np.add(xi_part, xi_part.T, grad_xi), 0.5, grad_xi)
+            then(slice(part.start * width, part.start * width + grad.size), grad)
 
         run_blocks(block, rank + 1)
 
@@ -400,11 +402,13 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     objective = _Objective(ham, theta, kappa)
     objective.weigh(float(c_approx))
     objective.evaluate()
-    objective.gradient()
+    grad = np.empty_like(theta)
+    objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
+    grad_factors, grad_xi = _blocks(grad, ham.n_orbitals)
     d_factors = np.zeros((rank, ham.n_orbitals, ham.n_orbitals))
-    d_factors[: objective.rank] = objective.space.unpack(objective.grad_factors)
+    d_factors[: objective.rank] = objective.space.unpack(grad_factors)
     # A copy: a view of grad_xi would keep the whole gradient vector alive.
-    return objective.d_kappa, objective.grad_xi.copy(), d_factors
+    return objective.d_kappa, grad_xi.copy(), d_factors
 
 
 def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
@@ -522,10 +526,10 @@ class _Descent:
             self._enter(replace(self.stiff, learning_rate=config.learning_rate / 10), row)
         return False
 
-    def step(self, part: slice) -> None:
-        """Adam step on theta[part] from the last row, once its gradient is final."""
+    def step(self, part: slice, grad: np.ndarray) -> None:
+        """Adam step on theta[part] from the last row with its final gradient ``grad``, spent here."""
         count = len(self.trace) - self.start  # from 1 in each phase
-        _adam_step(self.theta[part], self.objective.grad[part], self.m[part], self.v[part], count, self.phase)
+        _adam_step(self.theta[part], grad, self.m[part], self.v[part], count, self.phase)
 
     def report(self) -> OptimizationReport:
         best_factors, best_xi = _blocks(self.best_theta, self.objective.space.n)

@@ -354,9 +354,13 @@ def test_chain_n54_penalty_schedule(tmp_path):
     assert loaded.rank == 54 * 54
     assert loaded.packed.tobytes() == factor_set.packed.tobytes()
     assert kappa_back == kappa and xi_back.tobytes() == xi.tobytes()
+    import resource  # POSIX only, as is the opt-in run
+
+    # ru_maxrss is in KiB on Linux. It is the pytest process's peak, the chain generator's included.
     print(
         f"PASS chain N=54: lambda ratio {ratio:.4f} <= 0.30 at iteration "
-        f"{report.best_iteration} of {report.iterations_run}, {time.monotonic() - start:.0f}s"
+        f"{report.best_iteration} of {report.iterations_run}, {time.monotonic() - start:.0f}s, "
+        f"ru_maxrss {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB"
     )
 
 

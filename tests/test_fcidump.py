@@ -373,6 +373,21 @@ class TestArrayLoader:
             tracemalloc.stop()
         assert peak <= 8 * ham.g.nbytes
 
+    def test_peak_memory_is_a_few_file_sizes(self, tmp_path):
+        # The file's bytes, the parsed records until their keys and values
+        # are taken, then record-sized integer arrays: no translated copy of
+        # a file without D exponents, no 40-byte records while grouping.
+        path = tmp_path / "n16.fcidump"
+        write_integrals(path, random_hamiltonian(16, np.random.default_rng(7), n_electrons=16))
+        assert b"D" not in path.read_bytes().partition(b"&END")[2].upper()
+        tracemalloc.start()
+        try:
+            load_integrals(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * path.stat().st_size
+
     def test_parse_arrays_freed_before_the_tensor(self, tmp_path):
         # The per-record arrays of the parse (about 40 bytes a record, one
         # record per orbit of 8) must be gone when the pair block and its
@@ -502,6 +517,19 @@ class TestWriter:
                 continue
             i, j, k, l = key
             assert i >= j and k >= l and (i, j) >= (k, l)
+
+    def test_peak_memory_is_below_two_file_sizes(self, tmp_path):
+        # The lines go to the file as they are formatted: a list of them,
+        # joined and encoded, took the peak to 6 times the file's bytes.
+        ham = random_hamiltonian(16, np.random.default_rng(7), n_electrons=16)
+        path = tmp_path / "n16.fcidump"
+        tracemalloc.start()
+        try:
+            write_integrals(path, ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * path.stat().st_size
 
     def test_written_file_loads_via_dense_oracle(self, tmp_path):
         # write -> load -> sector blocks must agree with the original ones

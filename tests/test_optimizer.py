@@ -25,7 +25,7 @@ from blissdf import (
 )
 from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import symmetrize_one_body
-from blissdf.optimizer import _REAL_FIELDS, _Objective, _pack
+from blissdf.optimizer import _REAL_FIELDS, _Objective, _blocks, _pack
 from blissdf.verify import chain_hamiltonian
 
 from conftest import closed_form_shift, random_hamiltonian, random_psd_two_body
@@ -858,11 +858,12 @@ class TestPackedKernel:
         # R = N^2 at N = 16, so an (R, N, N) array would be g.nbytes. The
         # factors travel as packed (M, P) rows: the initial factorization's
         # go into theta, and the best theta's rows become the output without
-        # a copy, so the peak is one evaluation's (about 3.7 g.nbytes: five
-        # theta-sized vectors, the pair block, the residual and the eigh
-        # stack with its eigenvectors). Keeping the initial factors through
-        # the descent, or a zero-padded output beside the Adam state, takes
-        # it past 4 g.nbytes.
+        # a copy, so the peak is one evaluation's (about 2.6 g.nbytes: four
+        # theta-sized vectors, the pair block, the residual, the eigh stack
+        # and the blocks' scratch). The eigenvectors overwrite the eigh
+        # stack and each block's gradient is its own; a second stack or a
+        # theta-sized gradient takes it past 3 g.nbytes, as do the initial
+        # factors kept through the descent or a zero-padded output.
         constructions = []
         from_packed = FactorSet._from_packed.__func__
 
@@ -887,7 +888,7 @@ class TestPackedKernel:
         factor_set = report.best_params[2]
         assert factor_set.rank == n * n
         assert factor_set.packed.shape == (pairs, pairs)
-        assert peak < 4 * ham.g.nbytes
+        assert peak < 3 * ham.g.nbytes
         # Two constructions, the initial factorization's and the output's,
         # both from (M, P) rows, and neither copies them.
         assert [shape for shape, _ in constructions] == [(pairs, pairs)] * 2
@@ -922,6 +923,13 @@ class TestClosedFormKappa:
         objective.weigh(c_approx)
         return objective
 
+    @staticmethod
+    def gathered_gradient(objective):
+        """(factor rows, xi) of the gradient that objective.gradient() hands to then(), block by block."""
+        grad = np.empty(objective.factors.size + objective.xi.size)
+        objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
+        return _blocks(grad, objective.space.n)
+
     @pytest.mark.parametrize(
         "h, n_e, xi_diagonal, one_body, kappa",
         [
@@ -946,13 +954,13 @@ class TestClosedFormKappa:
         assert norms[-1] == one_body
         assert unshifted == np.abs(np.linalg.eigvalsh(ham.h + (n - n_e) * xi)).sum()
         assert objective.kappa == kappa
-        objective.gradient()
+        grad_factors, grad_xi = self.gathered_gradient(objective)
         assert objective.d_kappa == 0.0  # sum_i sign(e_i + t), exactly
         # With no trace term, the xi and factor gradients are the explicit ones at kappa*.
         d_kappa, d_xi, d_factors = gradient(ham, (kappa, xi, factors), 3.0)
         assert d_kappa == 0.0
-        assert np.array_equal(objective.grad_xi, d_xi)
-        assert np.array_equal(objective.space.unpack(objective.grad_factors), d_factors)
+        assert np.array_equal(grad_xi, d_xi)
+        assert np.array_equal(objective.space.unpack(grad_factors), d_factors)
 
     def test_xi_gradient_matches_the_kappa_minimized_cost(self):
         # Central differences of c Err + min_kappa lambda, with kappa set in
@@ -971,7 +979,7 @@ class TestClosedFormKappa:
 
         objective = self.closed_form_objective(ham, xi, factors, c)
         objective.evaluate()
-        objective.gradient()
+        grad_xi = self.gathered_gradient(objective)[1]
         assert objective.d_kappa == 0.0  # sum_i sign(e_i + t), not the round-off of tr U sign(D + t) U^T
         checked = 0
         for a in range(n):
@@ -979,7 +987,7 @@ class TestClosedFormKappa:
                 bump = np.zeros((n, n))
                 bump[a, b] = bump[b, a] = step if a != b else 2.0 * step
                 fd = (total(xi + 0.5 * bump) - total(xi - 0.5 * bump)) / (2.0 * step)
-                want = objective.grad_xi[a, b]
+                want = grad_xi[a, b]
                 if abs(want) > 1e-6:
                     assert fd == pytest.approx(want, rel=1e-5)
                     checked += 1

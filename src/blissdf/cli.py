@@ -58,7 +58,7 @@ from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -160,7 +160,7 @@ def cmd_factorize(args) -> int:
         "err": err,
         "lambda_one_body": breakdown.one_body_part,
         "lambda_two_body": breakdown.two_body_part,
-        "per_factor": [float(x) for x in breakdown.per_factor],
+        "per_factor": breakdown.per_factor.tolist(),
     }
     _write_outputs(args, "summary.json", summary, factor_set)
 

@@ -43,7 +43,6 @@ from blissdf.hamiltonian import (
 )
 
 ARCHIVE_FORMAT = "blissdf-factors-v2"
-_V1_FORMAT = "blissdf-factors-v1"  # factors held as the zero-padded (R, N, N) stack
 
 
 class IndefiniteTensorError(ValueError):
@@ -143,7 +142,9 @@ class LambdaBreakdown:
 
     lambda_total = two_body_part + one_body_part, where two_body_part is
     1/2 * sum_r Lambda_r^2 and one_body_part is the nuclear norm of the
-    effective one-body matrix.
+    effective one-body matrix. per_factor holds Lambda_r = ||A_r||_* of the
+    M stored factors, up to the last nonzero one; the other R - M factors
+    are exact zeros with Lambda_r = 0.
     """
 
     lambda_total: float
@@ -157,14 +158,12 @@ class LambdaBreakdown:
         )
 
     @classmethod
-    def from_norms(cls, factor_norms: np.ndarray, one_body: float, rank: int) -> "LambdaBreakdown":
-        """The breakdown of R factors whose nonzero prefix has nuclear norms ``factor_norms``.
+    def from_norms(cls, factor_norms: np.ndarray, one_body: float) -> "LambdaBreakdown":
+        """The breakdown of factors with nuclear norms ``factor_norms`` and ||h'||_* = ``one_body``.
 
-        ``one_body`` is ||h'||_*; per_factor is padded with zeros to ``rank``.
+        per_factor is ``factor_norms`` itself, set read-only, not a copy.
         """
-        per_factor = np.zeros(rank)
-        per_factor[: len(factor_norms)] = factor_norms
-        return cls(*lambda_parts(factor_norms, one_body), per_factor)
+        return cls(*lambda_parts(factor_norms, one_body), factor_norms)
 
 
 def lambda_parts(factor_norms: np.ndarray, one_body: float) -> tuple[float, float, float]:
@@ -318,18 +317,19 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
 
     Returns:
         LambdaBreakdown with lambda_total = 1/2 * sum_r Lambda_r^2 +
-        ||h_prime||_*, where Lambda_r = ||A_r||_*. The R - M zero factors
-        get Lambda_r = 0 and stay out of the sum.
+        ||h_prime||_*, where Lambda_r = ||A_r||_*. per_factor lists the M
+        factors up to the last nonzero one; the R - M zero factors have
+        Lambda_r = 0 and stay out of it and of the sum.
 
     Raises:
         ValueError: If h_prime's dimension disagrees with the factors'.
     """
     h_prime = np.asarray(h_prime, dtype=np.float64)
-    packed, rank = _packed_factors(factor_set)
+    packed = _packed_factors(factor_set)[0]
     n = _pair_orbitals(packed.shape[1])
     if h_prime.shape != (n, n):
         raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
-    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(packed))[0], nuclear_norm(h_prime), rank)
+    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(packed))[0], nuclear_norm(h_prime))
 
 
 def save_factor_set(
@@ -387,23 +387,24 @@ def _finite_member(archive, name: str, shape: tuple, path) -> np.ndarray | None:
 def load_factor_set(
     path: str | Path,
 ) -> tuple[FactorSet, float | None, np.ndarray | None, dict]:
-    """Load an archive written by save_factor_set, or a v1 one, whose factors are the padded (R, N, N) stack.
+    """Load a blissdf-factors-v2 archive written by save_factor_set.
 
     Returns:
         Tuple (factor_set, kappa, xi, manifest); kappa and xi are None when
         the archive holds a plain factorization without a symmetry shift.
 
     Raises:
-        ValueError: If the archive format tag is missing or unrecognized, a
-            member other than kappa and xi is missing, rank and n_orbitals
-            are not integers with 0 <= R <= N^2, factors is not finite with
-            at most R rows of N(N+1)/2 entries (v1: of shape (R, N, N)),
-            kappa is not a finite scalar or xi not a finite (N, N) array.
+        ValueError: If the archive format tag is missing or is not
+            blissdf-factors-v2 (the v1 archives of schema_version 4 and
+            below included), a member other than kappa and xi is missing,
+            rank and n_orbitals are not integers with 0 <= R <= N^2, factors
+            is not finite with at most R rows of N(N+1)/2 entries, kappa is
+            not a finite scalar or xi not a finite (N, N) array.
     """
     # np.load leaves a file it opened itself open when the zip is corrupt.
     with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
         tag = str(archive["format"]) if "format" in archive else None
-        if tag not in (ARCHIVE_FORMAT, _V1_FORMAT):
+        if tag != ARCHIVE_FORMAT:
             raise ValueError(f"{path}: not a {ARCHIVE_FORMAT} archive")
         missing = [name for name in ("n_orbitals", "rank", "factors", "manifest") if name not in archive]
         if missing:
@@ -411,13 +412,10 @@ def load_factor_set(
         rank, n = (_as_int(f"{path}: {name} member", archive[name][()]) for name in ("rank", "n_orbitals"))
         if n < 0 or not 0 <= rank <= n * n:
             raise ValueError(f"{path}: rank member {rank} is outside [0, N^2] for n_orbitals member N={n}")
-        if tag == _V1_FORMAT:
-            factor_set = FactorSet(_finite_member(archive, "factors", (rank, n, n), path))
-        else:
-            packed = _finite_member(archive, "factors", (None, n * (n + 1) // 2), path)
-            if len(packed) > rank:
-                raise ValueError(f"{path}: factors member has {len(packed)} rows, more than rank R={rank}")
-            factor_set = FactorSet._from_packed(np.asarray(packed, dtype=np.float64), rank)
+        packed = _finite_member(archive, "factors", (None, n * (n + 1) // 2), path)
+        if len(packed) > rank:
+            raise ValueError(f"{path}: factors member has {len(packed)} rows, more than rank R={rank}")
+        factor_set = FactorSet._from_packed(np.asarray(packed, dtype=np.float64), rank)
         kappa = _finite_member(archive, "kappa", (), path)
         kappa = None if kappa is None else float(kappa)
         xi = _finite_member(archive, "xi", (n, n), path)

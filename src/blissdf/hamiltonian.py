@@ -60,12 +60,17 @@ def _symmetric_part(arr: np.ndarray, axes: tuple, copy: bool = True) -> np.ndarr
     ``copy``: every average would give the same bits, 0.5 * (x + x) == x, at
     the cost of two temporaries per pass.
     """
-    bits = arr.view(np.uint64)
-    if all(np.array_equal(bits, bits.transpose(perm)) for perm in axes):
+    if _bitwise_symmetric(arr, axes):
         return arr.copy() if copy else arr
     for perm in axes:
         arr = 0.5 * (arr + arr.transpose(perm))
     return arr
+
+
+def _bitwise_symmetric(arr: np.ndarray, axes: tuple) -> bool:
+    """Whether a float64 array equals its transpose under each of ``axes`` bit for bit."""
+    bits = arr.view(np.uint64)
+    return all(np.array_equal(bits, bits.transpose(perm)) for perm in axes)
 
 
 def _pair_orbitals(pairs: int) -> int:
@@ -78,14 +83,28 @@ def two_body_block(g: np.ndarray) -> np.ndarray:
     """The P x P pair block g_(ij),(kl), i <= j and k <= l, as a fresh, exactly symmetric array.
 
     The one reader of both two-body forms: ``g`` is an (N, N, N, N) tensor,
-    blocked after symmetrize_two_body, or a (P, P) block with P = N(N+1)/2,
-    symmetrized. Any other shape raises ValueError.
+    blocked as after symmetrize_two_body, or a (P, P) block with
+    P = N(N+1)/2, symmetrized. Any other shape raises ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim == 4 and len(set(g.shape)) == 1:
         n, upper = g.shape[0], pair_space(g.shape[0]).upper
-        # The fancy index copies, so a symmetric g needs no copy of its own.
-        return _symmetric_part(g, _TWO_BODY_AXES, copy=False).reshape(n * n, n * n)[np.ix_(upper, upper)]
+        flat = g.reshape(n * n, n * n)
+        if _bitwise_symmetric(g, _TWO_BODY_AXES):  # the fancy index copies
+            return flat[np.ix_(upper, upper)]
+        # symmetrize_two_body's three averages 0.5 * (x + y), the i <-> j one on
+        # the pair rows alone and the k <-> l one on their pair columns, summed
+        # in place: the same bits with no N^4 temporary.
+        rows, cols = np.divmod(upper, n)
+        lower = cols * n + rows
+        half = flat[upper]
+        half += flat[lower]
+        half *= 0.5
+        block = half[:, upper]
+        block += half[:, lower]
+        del half  # before the pair average's temporaries
+        block *= 0.5
+        return 0.5 * (block + block.T)
     if g.ndim == 2 and g.shape[0] == g.shape[1] and _pair_orbitals(g.shape[0]) >= 0:
         return _symmetric_part(g, ((1, 0),))
     raise ValueError(f"expected an N^4 tensor or a P x P pair block, got shape {g.shape}")

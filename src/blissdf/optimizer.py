@@ -68,18 +68,18 @@ call over the fixed 64-matrix blocks of the eigh stack that
 blissdf._parallel cuts and spreads over all available CPUs: the calling
 thread and a thread pool kept across calls take them from one shared list.
 In evaluate(), each block unpacks its factors and runs their eigh while the
-calling thread forms the residual F^T F. In
-gradient(), after the stop check, each block forms its subgradients
-(factorization.sign_subgradients), then for its own factor rows the Err
-term (F_b * c) D and the scaled subgradients in its own array, and calls
-then(part, grad) with it and the slice of theta it belongs to: in
-optimize, the Adam step on that slice of theta, m and v. No theta-sized
-gradient exists. The last block holds h'_xi, so it also does xi, which
-follows its factor rows in theta, and keeps kappa's gradient on the
-workspace. Adam is elementwise and the blocks do not depend on the core
-count, so no bit does. A row block of (F * c) D need not be bit equal to
-the same rows of one whole gemm, so the block size is part of what fixes
-the bits.
+calling thread forms the residual F^T F. In gradient(), after the stop
+check, each block forms its subgradients (factorization.sign_subgradients),
+then for its own factor rows the Err term (F_b * c) D and the scaled
+subgradients in its own array, and calls then(part, grad) with it and the
+slice of theta it belongs to: in optimize, the Adam step on that slice of
+theta, m and v, so no theta-sized gradient exists; in the public gradient,
+a copy into the theta-sized array whose two blocks it returns. The last
+block holds h'_xi, so it also does xi, which follows its factor rows in
+theta, and keeps kappa's gradient on the workspace. Adam is elementwise
+and the blocks do not depend on the core count, so no bit does. A row
+block of (F * c) D need not be bit equal to the same rows of one whole
+gemm, so the block size is part of what fixes the bits.
 """
 
 from __future__ import annotations
@@ -108,15 +108,10 @@ from blissdf.hamiltonian import (
     symmetrize_one_body,
 )
 
-_REAL_FIELDS = (
-    "c_approx",
-    "learning_rate",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_epsilon",
-    "rel_tol",
-    "err_budget",
-)
+_REAL_FIELDS = ("c_approx", "learning_rate", "rel_tol", "err_budget")
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 def _integer(low, high):
@@ -128,9 +123,6 @@ _RULES = (
     ("c_approx", lambda x: x is None or x > 0, "be positive"),
     ("max_iters", _integer(1, math.inf), "be a positive integer"),
     ("learning_rate", lambda x: x > 0, "be positive"),
-    ("adam_beta1", lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
-    ("adam_beta2", lambda x: 0.0 < x < 1.0, "lie in (0, 1)"),
-    ("adam_epsilon", lambda x: x > 0, "be positive"),
     ("rel_tol", lambda x: x >= 0, "be nonnegative"),
     ("patience", _integer(1, math.inf), "be a positive integer"),
     ("err_budget", lambda x: x >= 0, "be nonnegative"),
@@ -167,15 +159,13 @@ class OptimizationConfig:
     ``err_budget`` is not enforced during descent; it defines which iterates
     count as feasible, for the schedule's stop and for the best one selected
     afterwards. Real-valued fields must be finite numbers; NaN and
-    infinities raise ConfigError.
+    infinities raise ConfigError. Adam's constants are fixed, not
+    configured: beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8.
     """
 
     c_approx: float | None = None
     max_iters: int = 10000
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     rel_tol: float = 1e-7
     patience: int = 200
     err_budget: float = 1e-6
@@ -256,8 +246,8 @@ class OptimizationReport:
         return self.phases[-1][0]
 
 
-def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float, int]:
-    """Check and symmetrize (kappa, xi, factors); return (theta, kappa, R).
+def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
+    """Check and symmetrize (kappa, xi, factors); return (theta, kappa).
 
     theta holds the packed factors (hamiltonian._packed_factors), then xi.
     """
@@ -266,10 +256,10 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float, int]:
     xi = symmetrize_one_body(np.asarray(xi, dtype=np.float64))
     if xi.shape != (n, n):
         raise ValueError(f"xi shape {xi.shape} does not match N={n}")
-    packed, rank = _packed_factors(factors)
+    packed = _packed_factors(factors)[0]
     if packed.shape[1] != n * (n + 1) // 2:
         raise ValueError(f"factors are for N={_pair_orbitals(packed.shape[1])} orbitals, not N={n}")
-    return np.concatenate((packed.ravel(), xi.ravel())), float(kappa), rank
+    return np.concatenate((packed.ravel(), xi.ravel())), float(kappa)
 
 
 def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +374,7 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
         zero factors are skipped, so a zero-padded factor stack gives the
         same bits as its unpadded prefix.
     """
-    err, lam = _Objective(ham, *_pack(ham, params)[:2]).evaluate()[:2]
+    err, lam = _Objective(ham, *_pack(ham, params)).evaluate()[:2]
     return float(c_approx) * err + lam, err, lam
 
 
@@ -393,27 +383,27 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     """Analytic gradient of total_cost in all three parameter blocks.
 
     Returns:
-        (d_kappa, d_xi, d_factors) with d_xi symmetric and d_factors of
-        shape (R, N, N). At eigenvalue crossings of the nuclear norms the
-        sign(0) = 0 subgradient is returned. Trailing zero factors are
-        skipped and get exact zeros in d_factors, as in total_cost.
+        (d_kappa, d_xi, d_factors) with d_xi symmetric and d_factors the
+        (M, P) rows of the factors total_cost reads, in PairSpace.pack
+        order: trailing zero factors are skipped, as in total_cost, so M
+        counts the factors up to the last nonzero one. Entry
+        d_factors[r, pair_space(N).unpack_index[a * N + b]] is the
+        derivative by entry (a, b) of factor r, which the symmetrization
+        on entry shares with (b, a). At eigenvalue crossings of the nuclear
+        norms the sign(0) = 0 subgradient is returned.
     """
-    theta, kappa, rank = _pack(ham, params)
-    objective = _Objective(ham, theta, kappa)
+    objective = _Objective(ham, *_pack(ham, params))
     objective.weigh(float(c_approx))
     objective.evaluate()
-    grad = np.empty_like(theta)
+    grad = np.empty(objective.factors.size + objective.xi.size)
     objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
-    grad_factors, grad_xi = _blocks(grad, ham.n_orbitals)
-    d_factors = np.zeros((rank, ham.n_orbitals, ham.n_orbitals))
-    d_factors[: objective.rank] = objective.space.unpack(grad_factors)
-    # A copy: a view of grad_xi would keep the whole gradient vector alive.
-    return objective.d_kappa, grad_xi.copy(), d_factors
+    d_factors, d_xi = _blocks(grad, ham.n_orbitals)
+    return objective.d_kappa, d_xi, d_factors
 
 
 def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
     """Adam step ``step`` (from 1) of theta with moments m and v, all in place; grad is scratch."""
-    beta1, beta2 = config.adam_beta1, config.adam_beta2
+    beta1, beta2 = _ADAM_BETA1, _ADAM_BETA2
     m *= beta1
     update = np.multiply(grad, 1.0 - beta1)  # the one temporary
     m += update
@@ -423,7 +413,7 @@ def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None
     v += grad
     # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps), in place.
     np.sqrt(np.divide(v, 1.0 - beta2**step, out=grad), out=grad)
-    grad += config.adam_epsilon
+    grad += _ADAM_EPSILON
     np.divide(m, 1.0 - beta1**step, out=update)
     update *= config.learning_rate
     update /= grad
@@ -489,7 +479,7 @@ class _Descent:
         """Keep the next trace row, evaluate()'s at theta, and enter the next phase on its end; True to stop."""
         config, row = self.config, len(self.trace)
         if row == 0:
-            self.init_err, self.init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted, self.rank)
+            self.init_err, self.init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted)
             # lambda0 and Err0 set the schedule's weights.
             first, self.stiff = _schedule(config, self.init_breakdown.lambda_total, err, self.zero_err)
             self._enter(first, row)
@@ -533,12 +523,12 @@ class _Descent:
 
     def report(self) -> OptimizationReport:
         best_factors, best_xi = _blocks(self.best_theta, self.objective.space.n)
-        rank, norms = self.rank, self.best_norms
+        norms = self.best_norms
         return OptimizationReport(
             # The factors keep their rows of best_theta; a copy of xi, as a view
             # would keep all of best_theta alive on its own.
-            best_params=(self.best_kappa, best_xi.copy(), FactorSet._from_packed(best_factors, rank)),
-            lambda_breakdown=LambdaBreakdown.from_norms(norms[:-1], norms[-1], rank),
+            best_params=(self.best_kappa, best_xi.copy(), FactorSet._from_packed(best_factors, self.rank)),
+            lambda_breakdown=LambdaBreakdown.from_norms(norms[:-1], norms[-1]),
             err_final=self.best_err,
             total_trace=np.array(self.trace),
             iterations_run=len(self.trace) - 1,

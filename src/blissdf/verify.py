@@ -268,6 +268,8 @@ def _check_gradient() -> CheckResult:
         factors = 0.5 * (factors + factors.transpose(0, 2, 1))
         c_approx = 50.0
         grad_kappa, grad_xi, grad_factors = gradient(ham, (kappa, xi, factors), c_approx)
+        # Raw entry (a, b) of factor r reads its pair's entry of the packed rows.
+        grad_factors = pair_space(n).unpack(grad_factors)
         analytic = np.concatenate([[grad_kappa], grad_xi.ravel(), grad_factors.ravel()])
         point = np.concatenate([[kappa], xi.ravel(), factors.ravel()])
         step = 1e-5

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -66,7 +67,8 @@ class TestFactorize:
         assert summary["lambda_df"] == pytest.approx(
             summary["lambda_one_body"] + summary["lambda_two_body"], rel=1e-12
         )
-        assert len(summary["per_factor"]) == 4
+        # tiny2's pair space (P = 3) holds 2 nonzero factors of R = 4.
+        assert len(summary["per_factor"]) == 2
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["kind"] == "factorize"
@@ -154,7 +156,9 @@ class TestFactorize:
         assert code == 0
         assert "R=4 (2 nonzero)" in stdout
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["per_factor"][2:] == [0.0, 0.0]
+        assert summary["rank"] == 4
+        assert len(summary["per_factor"]) == 2
+        assert 0.0 not in summary["per_factor"]
 
 
 class TestOptimize:
@@ -782,7 +786,7 @@ def test_shipped_schema_is_valid(name):
 def test_public_api_is_pinned_to_the_schema_version():
     # blissdf.__all__ and the optimizer's entry points change only with a
     # schema_version bump: change this pin and SCHEMA_VERSION together.
-    assert cli.SCHEMA_VERSION == 5
+    assert cli.SCHEMA_VERSION == 6
     assert sorted(blissdf.__all__) == [
         "ConfigError",
         "FactorSet",
@@ -820,6 +824,15 @@ def test_public_api_is_pinned_to_the_schema_version():
         "total_cost": "(ham: 'Hamiltonian', params, c_approx: 'float') -> 'tuple[float, float, float]'",
         "gradient": "(ham: 'Hamiltonian', params, c_approx: 'float')",
     }
+    # The config keys are the manifest's and report.json's config block.
+    assert [field.name for field in dataclasses.fields(blissdf.OptimizationConfig)] == [
+        "c_approx",
+        "max_iters",
+        "learning_rate",
+        "rel_tol",
+        "patience",
+        "err_budget",
+    ]
 
 
 def test_trace_lines_equal_json_dumps(tmp_path):

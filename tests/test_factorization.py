@@ -258,9 +258,8 @@ class TestNullSpace:
         b_full, b_prefix = lambda_df(full, h_prime), lambda_df(prefix, h_prime)
         assert b_full.lambda_total == b_prefix.lambda_total
         assert b_full.two_body_part == b_prefix.two_body_part
-        assert b_full.per_factor.tolist() == b_prefix.per_factor.tolist() + [0.0] * (
-            n * n - pairs
-        )
+        assert b_full.per_factor.tobytes() == b_prefix.per_factor.tobytes()
+        assert len(b_full.per_factor) == full.effective_rank
         assert frobenius_error(g, full) == frobenius_error(g, prefix)
 
     def test_effective_rank_counts_up_to_last_nonzero(self):
@@ -552,8 +551,9 @@ class TestSerialization:
             load_factor_set(tmp_path / "bad.npz")
 
     @pytest.mark.parametrize("shift", [False, True], ids=["plain", "shifted"])
-    def test_reads_a_v1_archive(self, tmp_path, shift):
-        # v1 archives hold the zero-padded (R, N, N) stack as factors.
+    def test_rejects_a_v1_archive(self, tmp_path, shift):
+        # v1 archives, written up to schema_version 4, hold the zero-padded
+        # (R, N, N) stack as factors; only v2 is read.
         terms = np.random.default_rng(18).standard_normal((4, 3, 3))
         stack = np.zeros((9, 3, 3))
         stack[:4] = terms + terms.transpose(0, 2, 1)
@@ -568,15 +568,8 @@ class TestSerialization:
         if shift:
             members.update(kappa=np.array(0.75), xi=xi)
         np.savez(tmp_path / "v1.npz", **members)
-        loaded, kappa, xi_back, manifest = load_factor_set(tmp_path / "v1.npz")
-        assert loaded.factors.tobytes() == stack.tobytes()
-        assert (loaded.rank, loaded.effective_rank) == (9, 4)
-        assert manifest == {"k": 1}
-        if shift:
-            assert kappa == 0.75
-            assert xi_back.tobytes() == xi.tobytes()
-        else:
-            assert kappa is None and xi_back is None
+        with pytest.raises(ValueError, match="not a blissdf-factors-v2 archive"):
+            load_factor_set(tmp_path / "v1.npz")
 
     def test_archive_holds_only_the_nonzero_factors(self, tmp_path):
         # Chain N = 32 at R = N^2 has M = 73 nonzero factors of P = 528

@@ -178,10 +178,32 @@ class TestPairBlockStorage:
         assert frobenius_error(packed.g_pairs, factors.factors[:5]) == frobenius_error(g, factors.factors[:5])
 
     def test_asymmetric_block_is_symmetrized(self):
-        block = np.random.default_rng(23).standard_normal((6, 6))
+        rng = np.random.default_rng(23)
+        block = rng.standard_normal((6, 6))
         ham = Hamiltonian(h=np.zeros((3, 3)), g=block)
         assert ham.g_pairs.tobytes() == (0.5 * (block + block.T)).tobytes()
         check_two_body_symmetry(ham.g)
+        # An asymmetric tensor: averaging only the pair rows and columns
+        # gives the bits of the pair block of symmetrize_two_body's tensor.
+        for n in (3, 8):
+            g = rng.standard_normal((n, n, n, n))
+            upper = np.flatnonzero(np.triu(np.ones((n, n))))
+            want = symmetrize_two_body(g).reshape(n * n, n * n)[np.ix_(upper, upper)]
+            assert two_body_block(g).tobytes() == want.tobytes()
+
+    def test_asymmetric_tensor_keeps_no_full_size_temporary(self):
+        # The averages run on the P x N^2 pair rows, two of them at once:
+        # about N^4 in all, where averaging the whole tensor held two N^4
+        # temporaries at once.
+        g = np.random.default_rng(24).standard_normal((16, 16, 16, 16))
+        two_body_block(g)
+        tracemalloc.start()
+        try:
+            two_body_block(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * g.nbytes
 
     @pytest.mark.parametrize("shape", [(5, 5), (4, 4), (6, 3), (2, 2, 2, 3), (2, 2, 2), (36,)])
     def test_format_helper_rejects_other_shapes(self, shape):

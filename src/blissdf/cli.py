@@ -58,7 +58,7 @@ from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -188,9 +188,7 @@ def cmd_optimize(args) -> int:
     n = ham.n_orbitals
     report_doc = {
         **header,
-        "rank": args.rank,
         "config": config.to_dict(),
-        "c_approx_used": report.c_approx_used,
         "phases": [
             {"c_approx": c_approx, "learning_rate": learning_rate, "first_iteration": first}
             for c_approx, learning_rate, first in report.phases
@@ -221,11 +219,6 @@ def cmd_optimize(args) -> int:
         "best": {
             "kappa": best_kappa,
             "xi": [[float(x) for x in row] for row in best_xi],
-            "lambda": report.lambda_breakdown.lambda_total,
-            "lambda_one_body": report.lambda_breakdown.one_body_part,
-            "lambda_two_body": report.lambda_breakdown.two_body_part,
-            "err": report.err_final,
-            "best_iteration": report.best_iteration,
         },
     }
     _write_outputs(args, "report.json", report_doc, best_factor_set, kappa=best_kappa, xi=best_xi)

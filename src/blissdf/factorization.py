@@ -125,11 +125,9 @@ class Rank1Decomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "eigenvalues", _frozen_array(np.asarray(self.eigenvalues))
-        )
-        object.__setattr__(self, "vectors", _frozen_array(np.asarray(self.vectors)))
+    def __post_init__(self):  # read-only copies: the caller's arrays stay its own
+        object.__setattr__(self, "eigenvalues", _frozen_array(np.array(self.eigenvalues)))
+        object.__setattr__(self, "vectors", _frozen_array(np.array(self.vectors)))
 
     def reconstruct(self) -> np.ndarray:
         """Return sum_t lambda_t u_t u_t^T."""
@@ -152,16 +150,14 @@ class LambdaBreakdown:
     one_body_part: float
     per_factor: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "per_factor", _frozen_array(np.asarray(self.per_factor))
-        )
+    def __post_init__(self):  # a read-only copy: the caller's array stays its own
+        object.__setattr__(self, "per_factor", _frozen_array(np.array(self.per_factor)))
 
     @classmethod
     def from_norms(cls, factor_norms: np.ndarray, one_body: float) -> "LambdaBreakdown":
         """The breakdown of factors with nuclear norms ``factor_norms`` and ||h'||_* = ``one_body``.
 
-        per_factor is ``factor_norms`` itself, set read-only, not a copy.
+        per_factor is a read-only copy of ``factor_norms``.
         """
         return cls(*lambda_parts(factor_norms, one_body), factor_norms)
 

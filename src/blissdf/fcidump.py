@@ -183,6 +183,17 @@ def _exchange(v_pairs: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("ikj->ij", v_pairs[index[:, :, None], index[None, :, :]])
 
 
+def _excitation_order(t_mat: np.ndarray, v_pairs: np.ndarray) -> np.ndarray:
+    """h of chemists' integrals (t, v), with v the P x P pair block, which is halved in place.
+
+    Reordering a+a+aa -> a+a a+a moves the contraction term into the one-body
+    matrix, h = t - 1/2 sum_k v_ikkj, and halves the two-body coefficient.
+    """
+    h = t_mat - 0.5 * _exchange(v_pairs, len(t_mat))
+    v_pairs *= 0.5
+    return h
+
+
 def _read(data: bytes | str) -> tuple[np.ndarray, np.ndarray, float, int]:
     """(h, P x P pair block of g, core constant, NELEC) of an FCIDUMP's UTF-8 bytes or text."""
     if isinstance(data, str):
@@ -231,12 +242,7 @@ def _read(data: bytes | str) -> tuple[np.ndarray, np.ndarray, float, int]:
     t_pairs[pair[high[one]]] = means[one]
     pq, rs = pair[high[two]], pair[low[two]]
     v_pairs[pq, rs] = v_pairs[rs, pq] = means[two]
-    t_mat = space.unpack(t_pairs)
-    # Reorder a+a+aa -> a+a a+a: the contraction term moves into the one-body
-    # matrix, the remaining two-body coefficient is halved (in place).
-    h = t_mat - 0.5 * _exchange(v_pairs, norb)
-    v_pairs *= 0.5
-    return h, v_pairs, core, nelec
+    return _excitation_order(space.unpack(t_pairs), v_pairs), v_pairs, core, nelec
 
 
 def load_integrals(path: str | Path) -> Hamiltonian:

@@ -39,20 +39,22 @@ and lambda breakdown are kept from their own rows, and the gradient is
 built from the row's eigh batch after the stop check, only when a step
 follows. Descent is Adam on all of theta, in place.
 
-The descent is one loop over phases, each a penalty weight and a learning
-rate (_schedule), kept with the rest of its state in _Descent. An explicit
-c_approx is one phase at the configured learning rate. c_approx None is a
+The descent is one loop over a table of phases (_schedule), each a penalty
+weight, a learning rate and the row at which it ends at the latest; _Descent
+walks the table with the rest of the loop's state. An explicit c_approx is
+one phase at the configured learning rate. c_approx None is a
 quadratic-penalty continuation (Nocedal & Wright, Numerical Optimization,
 ch. 17): a soft weight lets the shift and the factors move far from the
 exact start, then the automatic stiff weight pulls Err back inside
-err_budget, at the learning rate and, after its stall, at a tenth of it.
-A held stiff weight at a start with Err near zero freezes every factor,
-since the first Adam step raises Err far above it. The patience window
-watches Total until a row after the soft phase is feasible, and from then
-on the best feasible lambda, the reported quantity; the run ends on the
-stall at a tenth of the learning rate. Each phase steps from the last row
-of the one before with a fresh window and fresh Adam moments. The best
-feasible row is chosen across all phases.
+err_budget, at the learning rate and at a tenth of it. A held stiff weight
+at a start with Err near zero freezes every factor, since the first Adam
+step raises Err far above it. Every phase ends on its stall, the soft one
+at row max_iters // 2 at the latest, and the end of the last phase ends
+the run. The patience window watches Total until a row after the soft
+phase is feasible, and from then on the best feasible lambda, the reported
+quantity. Each phase steps from the last row of the one before with a
+fresh window and fresh Adam moments. The best feasible row is chosen
+across all phases.
 
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
@@ -86,7 +88,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -149,13 +151,14 @@ class OptimizationConfig:
     """Hyperparameters for the penalized descent.
 
     A positive ``c_approx`` holds that penalty weight for the whole run at
-    ``learning_rate``. None, the default, selects the penalty schedule of
-    optimize: a soft weight, 10 * (initial lambda) / ||G||^2 with ||G||^2
-    the Err of zero factors, for at most max_iters // 2 iterations; then the
-    automatic weight 1e3 * (initial lambda) / max(initial Err, 1e-12),
-    clamped to [1e2, 1e9], at learning_rate and, after its stall, at
-    learning_rate / 10 until its next stall. Without a two-body part
-    (||G||^2 = 0) it is the automatic weight alone, as one phase.
+    ``learning_rate``, as one phase. None, the default, selects the penalty
+    schedule of optimize, three phases: a soft weight, 10 * (initial lambda)
+    / ||G||^2 with ||G||^2 the Err of zero factors, until its stall or
+    iteration max_iters // 2; then the automatic weight 1e3 * (initial
+    lambda) / max(initial Err, 1e-12), clamped to [1e2, 1e9], at
+    learning_rate until its stall, and at learning_rate / 10 until its next.
+    Without a two-body part (||G||^2 = 0) it is the automatic weight alone,
+    as one phase. Every run stops at the latest after max_iters iterations.
     ``err_budget`` is not enforced during descent; it defines which iterates
     count as feasible, for the schedule's stop and for the best one selected
     afterwards. Real-valued fields must be finite numbers; NaN and
@@ -401,7 +404,16 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     return objective.d_kappa, d_xi, d_factors
 
 
-def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None:
+@dataclass(frozen=True)
+class _Phase:
+    """One phase of the descent: a penalty weight, a learning rate and the row at which it ends at the latest."""
+
+    c_approx: float
+    learning_rate: float
+    last_row: float = math.inf
+
+
+def _adam_step(theta, grad, m, v, step: int, phase: _Phase) -> None:
     """Adam step ``step`` (from 1) of theta with moments m and v, all in place; grad is scratch."""
     beta1, beta2 = _ADAM_BETA1, _ADAM_BETA2
     m *= beta1
@@ -415,31 +427,37 @@ def _adam_step(theta, grad, m, v, step: int, config: OptimizationConfig) -> None
     np.sqrt(np.divide(v, 1.0 - beta2**step, out=grad), out=grad)
     grad += _ADAM_EPSILON
     np.divide(m, 1.0 - beta1**step, out=update)
-    update *= config.learning_rate
+    update *= phase.learning_rate
     update /= grad
     theta -= update
 
 
-def _schedule(config: OptimizationConfig, init_lambda: float, init_err: float, zero_err: float):
-    """(first phase, stiff phase), each a config with its c_approx; the stiff one is None in a one-phase run.
+def _schedule(config: OptimizationConfig, init_lambda: float, init_err: float, zero_err: float) -> tuple[_Phase, ...]:
+    """Every phase the run may enter, in order; each ends on its stall, the soft one at max_iters // 2 at the latest.
 
-    ``zero_err`` is ||G||^2, the Err of zero factors. An explicit c_approx,
-    or no two-body part to weigh softly, is one phase.
+    ``zero_err`` is ||G||^2, the Err of zero factors. An explicit c_approx
+    is one phase, as is the automatic stiff weight when there is no
+    two-body part to weigh softly. Otherwise the soft weight comes first,
+    then the stiff weight at the learning rate and at a tenth of it.
     """
+    lr = config.learning_rate
     if config.c_approx is not None:
-        return replace(config, c_approx=float(config.c_approx)), None
-    stiff = replace(config, c_approx=min(max(1e3 * init_lambda / max(init_err, 1e-12), 1e2), 1e9))
+        return (_Phase(float(config.c_approx), lr),)
+    stiff = min(max(1e3 * init_lambda / max(init_err, 1e-12), 1e2), 1e9)
     if zero_err == 0.0:
-        return stiff, None
-    return replace(config, c_approx=10.0 * init_lambda / zero_err), stiff
+        return (_Phase(stiff, lr),)
+    soft = _Phase(10.0 * init_lambda / zero_err, lr, last_row=config.max_iters // 2)
+    return soft, _Phase(stiff, lr), _Phase(stiff, lr / 10)
 
 
 class _Descent:
     """optimize's state between rows: theta with Adam's moments, the phases, the patience window and the best row.
 
-    record() takes each evaluated row in turn, enters the next phase from
-    it when its phase ends and says whether to stop; step() is the
-    Adam step of the row's gradient. No array is allocated per row:
+    record() takes each evaluated row in turn and walks the schedule, the
+    _schedule table made at row 0: when a phase ends, on its stall or at
+    its last_row, it enters the next phase from that row, and the end of
+    the last phase, or row max_iters, stops the run. step() is the Adam
+    step of the row's gradient. No array is allocated per row:
     best_theta is written in place, and a row keeps its own evaluation's
     norms.
     """
@@ -461,7 +479,7 @@ class _Descent:
         self.best_lambda, self.best_iteration = math.inf, 0
         self.watch_lambda = False  # the window watches Total until a row after the soft phase is feasible
 
-    def _enter(self, phase: OptimizationConfig, row: int) -> None:
+    def _enter(self, phase: _Phase, row: int) -> None:
         """Step from this row with ``phase``: zero Adam moments, step count 1 and a fresh window."""
         self.phases.append((phase.c_approx, phase.learning_rate, row + 1 if self.phases else 0))
         self.phase, self.start = phase, row
@@ -481,8 +499,8 @@ class _Descent:
         if row == 0:
             self.init_err, self.init_breakdown = err, LambdaBreakdown.from_norms(norms[:-1], unshifted)
             # lambda0 and Err0 set the schedule's weights.
-            first, self.stiff = _schedule(config, self.init_breakdown.lambda_total, err, self.zero_err)
-            self._enter(first, row)
+            self.schedule = _schedule(config, self.init_breakdown.lambda_total, err, self.zero_err)
+            self._enter(self.schedule[0], row)
         total = self.phase.c_approx * err + lam
         if not (math.isfinite(total) and math.isfinite(err) and math.isfinite(lam)):
             raise NonFiniteCostError(row)
@@ -503,18 +521,16 @@ class _Descent:
         ):
             self.anchor, self.anchor_row = self.low, row
         stalled = row - self.anchor_row >= config.patience
-        if self.stiff is not None and len(self.phases) == 1 and (stalled or row == config.max_iters // 2):
-            self._enter(self.stiff, row)  # the soft phase ends on its stall or at half the rows
+        ended = stalled or row == self.phase.last_row
+        if ended and len(self.phases) == len(self.schedule):
+            self.stop_reason = "converged"
+        elif row == config.max_iters:
+            self.stop_reason = "max_iters"
+        else:
+            if ended:
+                self._enter(self.schedule[len(self.phases)], row)
             return False
-        # A single phase ends on its stall; the schedule's stiff weight goes on at lr / 10
-        # after its first stall and ends on its second.
-        converged = stalled and len(self.phases) != 2
-        if converged or row == config.max_iters:
-            self.stop_reason = "converged" if converged else "max_iters"
-            return True
-        if stalled:
-            self._enter(replace(self.stiff, learning_rate=config.learning_rate / 10), row)
-        return False
+        return True
 
     def step(self, part: slice, grad: np.ndarray) -> None:
         """Adam step on theta[part] from the last row with its final gradient ``grad``, spent here."""
@@ -557,12 +573,10 @@ def optimize(
     stall is ``patience`` iterations in which the watched value does not
     improve on its window's anchor by rel_tol * max(|anchor|, 1): Total, or
     in the schedule, once a row after the soft phase is feasible, the best
-    feasible lambda. The soft phase ends on its stall or at iteration
-    max_iters // 2, the stiff weight at learning_rate on its stall; each
-    next phase starts with fresh Adam moments and step count. A single
-    phase's stall ends the run, as does the schedule's last, at
-    learning_rate / 10. The descent stops at the latest after max_iters
-    iterations.
+    feasible lambda. Each phase ends on its stall, the soft one at
+    iteration max_iters // 2 at the latest; the next phase starts with
+    fresh Adam moments and step count, and the end of the last one ends
+    the run. The descent stops at the latest after max_iters iterations.
 
     The returned parameters are the iterate with the smallest lambda among
     those whose Err stays within ``config.err_budget`` of the initial Err,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from blissdf.factorization import eigen_rank1, initial_double_factorization
+from blissdf.fcidump import _excitation_order
 from blissdf.fermi_oracle import (
     b_operator,
     ladder_operator,
@@ -129,11 +130,10 @@ def chain_hamiltonian(n: int, seed: int) -> Hamiltonian:
     nuclear = soft_coulomb(r).sum(axis=1)  # minus V_nuc on the grid
     one_body = 0.5 * slopes.T @ slopes * dx - orbitals.T @ (nuclear[:, None] * orbitals) * dx
     one_body = np.round((one_body + one_body.T) * 2.0**39) * 2.0**-40  # the symmetric part, rounded
-    index = pair_space(n).unpack_index.reshape(n, n)
-    exchange = np.einsum("ikj->ij", eri[index[:, :, None], index[None, :, :]])
+    h = _excitation_order(one_body, eri)  # halves eri in place
     return Hamiltonian(
-        h=one_body - 0.5 * exchange,
-        g=0.5 * eri,
+        h=h,
+        g=eri,
         core_constant=float(np.triu(soft_coulomb(sites[:, None] - sites), 1).sum()),
         n_electrons=n,
     )

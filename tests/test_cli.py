@@ -181,7 +181,7 @@ class TestOptimize:
         assert code == 0
         assert "R=4 (2 nonzero)" in stdout
         report = json.loads((out / "report.json").read_text())
-        assert report["rank"] == report["runs"][1]["rank"] == 4
+        assert [run["rank"] for run in report["runs"]] == [4, 4]
 
     def test_end_to_end_report(self, tmp_path, capsys):
         out = tmp_path / "opt"
@@ -210,7 +210,9 @@ class TestOptimize:
         xdf, opt = report["runs"]
         assert opt["lambda"] <= xdf["lambda"]
         assert opt["err"] <= xdf["err"] + report["config"]["err_budget"]
-        assert report["best"]["lambda"] == opt["lambda"]
+        assert set(report["best"]) == {"kappa", "xi"}
+        best_row = (out / "trace.jsonl").read_text().splitlines()[opt["best_iteration"]]
+        assert json.loads(best_row)["lambda"] == opt["lambda"]
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["kind"] == "optimize"
@@ -303,7 +305,7 @@ class TestOptimize:
         assert kappa == report["best"]["kappa"]
         assert np.array_equal(xi, np.array(report["best"]["xi"]))
 
-        _, err, lam = total_cost(ham, (kappa, xi, fs), report["c_approx_used"])
+        _, err, lam = total_cost(ham, (kappa, xi, fs), report["phases"][-1]["c_approx"])
         assert abs(err - opt_run["err"]) <= 1e-10
         assert abs(lam - opt_run["lambda"]) <= 1e-10
 
@@ -403,7 +405,7 @@ class TestOptimize:
         firsts = [phase["first_iteration"] for phase in report["phases"]]
         assert firsts[:2] == [0, 21] and len(firsts) == 3
         assert [phase["learning_rate"] for phase in report["phases"]] == [1e-2, 1e-2, 1e-3]
-        assert report["c_approx_used"] == report["phases"][-1]["c_approx"]
+        assert report["phases"][1]["c_approx"] == report["phases"][2]["c_approx"]
         assert report["runs"][1]["stop_reason"] == "converged"
         phases = [json.loads(line)["phase"] for line in (out / "trace.jsonl").read_text().splitlines()]
         stops = firsts[1:] + [report["runs"][1]["iterations"] + 1]
@@ -786,7 +788,7 @@ def test_shipped_schema_is_valid(name):
 def test_public_api_is_pinned_to_the_schema_version():
     # blissdf.__all__ and the optimizer's entry points change only with a
     # schema_version bump: change this pin and SCHEMA_VERSION together.
-    assert cli.SCHEMA_VERSION == 6
+    assert cli.SCHEMA_VERSION == 7
     assert sorted(blissdf.__all__) == [
         "ConfigError",
         "FactorSet",

@@ -20,7 +20,7 @@ from blissdf import (
     reconstruct_two_body,
     save_factor_set,
 )
-from blissdf.factorization import nuclear_norms, sign_subgradients
+from blissdf.factorization import LambdaBreakdown, Rank1Decomposition, nuclear_norms, sign_subgradients
 from blissdf.hamiltonian import symmetrize_one_body, two_body_block
 from blissdf.verify import chain_hamiltonian
 
@@ -284,6 +284,15 @@ class TestEigenRank1:
         decomp = eigen_rank1(np.diag([-2.0, 2.0]))
         assert list(decomp.eigenvalues) == [2.0, -2.0]
 
+    def test_input_is_copied_not_aliased(self):
+        e, v = np.array([2.0, -1.0]), np.eye(2)
+        decomp = Rank1Decomposition(e, v)
+        assert decomp.eigenvalues.tobytes() == e.tobytes() and decomp.vectors.tobytes() == v.tobytes()
+        assert not np.shares_memory(decomp.eigenvalues, e) and not np.shares_memory(decomp.vectors, v)
+        assert e.flags.writeable and v.flags.writeable
+        e[0] = 7.0
+        assert decomp.eigenvalues[0] == 2.0
+
     def test_sign_fixing(self):
         rng = np.random.default_rng(7)
         a = symmetrize_one_body(rng.standard_normal((4, 4)))
@@ -432,6 +441,20 @@ class TestLambdaBreakdown:
         fs = FactorSet(factors=np.zeros((1, 2, 2)))
         with pytest.raises(ValueError, match="match"):
             lambda_df(fs, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda a: LambdaBreakdown(2.5, 2.5, 0.0, a), lambda a: LambdaBreakdown.from_norms(a, 0.0)],
+        ids=["init", "from_norms"],
+    )
+    def test_input_is_copied_not_aliased(self, build):
+        a = np.array([1.0, 2.0])
+        breakdown = build(a)
+        assert breakdown.per_factor.tobytes() == a.tobytes()
+        assert not np.shares_memory(breakdown.per_factor, a)
+        assert a.flags.writeable
+        a[0] = 7.0
+        assert breakdown.per_factor[0] == 1.0
 
 
 class TestSerialization:

@@ -137,8 +137,9 @@ def _write_trace(path: Path, total_trace, first_iterations) -> None:
     before it.
     """
     rows = total_trace.tolist()
-    _validator("trace.schema.json").validate(dict(zip(("iter", "total", "err", "lambda", "phase"), (0, *rows[0], 0))))
     line = '{"err": %r, "iter": %d, "lambda": %r, "phase": %d, "total": %r}\n'
+    total, err, lam = rows[0]
+    _validator("trace.schema.json").validate(json.loads(line % (err, 0, lam, 0, total)))
     stops = (*first_iterations[1:], len(rows))
     with open(path, "w") as handle:
         for phase, (first, stop) in enumerate(zip(first_iterations, stops)):

@@ -73,8 +73,8 @@ class FcidumpError(ValueError):
         super().__init__(message)
 
 
-def _parse_header(lines: list[str]) -> tuple[int, int, int, int]:
-    """Parse the &FCI namelist; returns (norb, nelec, ms2, first_data_line)."""
+def _parse_header(lines: list[str]) -> tuple[int, int, int]:
+    """Parse the &FCI namelist; returns (norb, nelec, first_data_line)."""
     if not lines:
         raise FcidumpError("empty file", line=1)
     header_parts: list[str] = []
@@ -101,24 +101,21 @@ def _parse_header(lines: list[str]) -> tuple[int, int, int, int]:
     header = " ".join(header_parts)
     header = re.sub(r"^\s*&FCI", "", header, flags=re.IGNORECASE)
 
-    def read_int(key: str, required: bool, default: int = 0) -> int:
+    def read_int(key: str) -> int:
         match = re.search(rf"{key}\s*=\s*([+-]?\d+)", header, flags=re.IGNORECASE)
         if match is None:
-            if required:
-                raise FcidumpError(f"header is missing {key}", line=end_line + 1)
-            return default
+            raise FcidumpError(f"header is missing {key}", line=end_line + 1)
         return int(match.group(1))
 
-    norb = read_int("NORB", required=True)
-    nelec = read_int("NELEC", required=True)
-    ms2 = read_int("MS2", required=False)
+    norb = read_int("NORB")
+    nelec = read_int("NELEC")
     if norb < 1:
         raise FcidumpError(f"NORB={norb} must be positive", line=end_line + 1)
     if not 0 <= nelec <= 2 * norb:
         raise FcidumpError(
             f"NELEC={nelec} outside [0, {2 * norb}]", line=end_line + 1
         )
-    return norb, nelec, ms2, end_line + 1
+    return norb, nelec, end_line + 1
 
 
 def _check_record(raw: str, n: int, norb: int) -> tuple[float, int, int, int, int]:
@@ -202,7 +199,7 @@ def _read(data: bytes | str) -> tuple[np.ndarray, np.ndarray, float, int]:
     term = re.search(rb"&END|/", data, re.IGNORECASE)
     brk = _LINE_BREAK.search(data, term.end()) if term else None
     head, start = (data[: brk.start()], brk.end()) if brk else (data, len(data))
-    norb, nelec, _ms2, first_data = _parse_header(head.decode().splitlines())
+    norb, nelec, first_data = _parse_header(head.decode().splitlines())
     rec = _parse_data(data, start, first_data + 1, norb)
     # Orbit key: the larger and smaller of the pair codes max(i, j) * base + min(i, j) of {i, j}, {k, l}.
     base = norb + 1

@@ -220,9 +220,10 @@ def apply_symmetry_shift(ham: Hamiltonian, shift: ShiftParams) -> Hamiltonian:
     n = ham.n_orbitals
     if shift.xi.shape[0] != n:
         raise ValueError(f"shift is {shift.xi.shape[0]} orbitals but Hamiltonian is {n}")
+    space = pair_space(n)
     return Hamiltonian(
         h=ham.h - shift.n_e * shift.xi + shift.kappa * np.eye(n),
-        g=pair_space(n).shifted(ham.g_pairs, shift.xi),
+        g=space.shifted(ham.g_pairs, space.pack(shift.xi)),
         core_constant=ham.core_constant - shift.kappa * shift.n_e,
         n_electrons=ham.n_electrons,
     )
@@ -274,12 +275,12 @@ class PairSpace:
         return flat.take(self.upper, axis=-1)
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """Symmetric matrices (..., N, N) from upper triangles (..., P), by one take."""
-        return packed.take(self.unpack_index, axis=-1).reshape(packed.shape[:-1] + (self.n, self.n))
+        """Symmetric matrices (..., N, N) from upper triangles (..., P), by one take into a fresh array."""
+        return packed.take(self.unpack_index.reshape(self.n, self.n), axis=-1)
 
     def shifted(self, g_pairs: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """A copy of the pair block ``g_pairs`` plus (xi_ij delta_kl + delta_ij xi_kl) / 2."""
-        shifted, half = g_pairs.copy(), 0.5 * self.pack(xi)
+        """A copy of the pair block ``g_pairs`` plus (xi_ij delta_kl + delta_ij xi_kl) / 2, for xi packed (pack)."""
+        shifted, half = g_pairs.copy(), 0.5 * xi
         shifted[:, self.diagonal] += half[:, None]
         shifted[self.diagonal, :] += half
         return shifted

@@ -27,17 +27,19 @@ differs.
 The descent runs in pair space (hamiltonian.PairSpace) over the M nonzero
 initial factors (a zero factor has a zero gradient), and the reported
 FactorSet keeps its M packed rows, so nothing in it is N^4 sized. The one
-flat parameter vector theta is exactly what Adam steps: each factor's
-P = N(N+1)/2 upper-triangle entries in plain A coordinates, then xi
-(N x N). The factor gradient is that of one matrix entry, so Adam steps as
-on the full symmetric matrices. With F the (M, P) packed factors, the
-residual is the P x P matrix D = (pair block of g + shift) - F^T F,
-Err = sum_pq c_p c_q D_pq^2 with multiplicities c = 1 (i = j) or 2
-(i < j), and the factor gradient is -4 c_approx (F * c) D + Lambda_r S_r.
-A run evaluates each trace row once: the initial and the best point's Err
-and lambda breakdown are kept from their own rows, and the gradient is
-built from the row's eigh batch after the stop check, only when a step
-follows. Descent is Adam on all of theta, in place.
+parameter array theta, (M + 1, P) with P = N(N+1)/2, is exactly what Adam
+steps: rows 0..M-1 hold the factors' upper-triangle entries in plain A
+coordinates and row M holds xi's, each in PairSpace.pack order, so row r of
+theta belongs to matrix r of the eigh stack. Each entry's gradient is that
+of one matrix entry, so Adam steps as on the full symmetric matrices. With
+F = theta[:M] the packed factors, the residual is the P x P matrix
+D = (pair block of g + shift) - F^T F, Err = sum_pq c_p c_q D_pq^2 with
+multiplicities c = 1 (i = j) or 2 (i < j), and the factor gradient is
+-4 c_approx (F * c) D + Lambda_r S_r. A run evaluates each trace row once:
+the initial and the best point's Err and lambda breakdown are kept from
+their own rows, and the gradient is built from the row's eigh batch after
+the stop check, only when a step follows. Descent is Adam on all of theta,
+in place.
 
 The descent is one loop over a table of phases (_schedule), each a penalty
 weight, a learning rate and the row at which it ends at the latest; _Descent
@@ -69,19 +71,19 @@ The three run with BLAS at one thread, in two passes, each one run_blocks
 call over the fixed 64-matrix blocks of the eigh stack that
 blissdf._parallel cuts and spreads over all available CPUs: the calling
 thread and a thread pool kept across calls take them from one shared list.
-In evaluate(), each block unpacks its factors and runs their eigh while the
-calling thread forms the residual F^T F. In gradient(), after the stop
-check, each block forms its subgradients (factorization.sign_subgradients),
-then for its own factor rows the Err term (F_b * c) D and the scaled
-subgradients in its own array, and calls then(part, grad) with it and the
-slice of theta it belongs to: in optimize, the Adam step on that slice of
-theta, m and v, so no theta-sized gradient exists; in the public gradient,
-a copy into the theta-sized array whose two blocks it returns. The last
-block holds h'_xi, so it also does xi, which follows its factor rows in
-theta, and keeps kappa's gradient on the workspace. Adam is elementwise
-and the blocks do not depend on the core count, so no bit does. A row
-block of (F * c) D need not be bit equal to the same rows of one whole
-gemm, so the block size is part of what fixes the bits.
+In evaluate(), each block unpacks its rows of theta, turns xi into h'_xi,
+and runs their eigh while the calling thread forms the residual F^T F. In
+gradient(), after the stop check, each block forms its subgradients
+(factorization.sign_subgradients), then for its own factor rows the Err
+term (F_b * c) D and the scaled subgradients in its own array, and calls
+then(part, grad) with it and its eigh block's rows of theta: in optimize,
+the Adam step on those rows of theta, m and v, so no theta-sized gradient
+exists; in the public gradient, a copy into the theta-sized array whose
+rows it returns. The last block holds h'_xi, so it also does xi's row and
+keeps kappa's gradient on the workspace. Adam is elementwise and the blocks
+do not depend on the core count, so no bit does. A row block of (F * c) D
+need not be bit equal to the same rows of one whole gemm, so the block size
+is part of what fixes the bits.
 """
 
 from __future__ import annotations
@@ -188,8 +190,10 @@ class OptimizationConfig:
                 raise ConfigError(f"{name} must {rule}, got {value}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "OptimizationConfig":
-        """Build a config from a JSON-style dict; unknown keys are an error."""
+    def from_dict(cls, data: dict, _source: str = "") -> "OptimizationConfig":
+        """Build a config from a JSON-style dict; anything else, or an unknown key, is a ConfigError."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"{_source}config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -203,9 +207,7 @@ class OptimizationConfig:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(data, f"{path}: ")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -252,7 +254,8 @@ class OptimizationReport:
 def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
     """Check and symmetrize (kappa, xi, factors); return (theta, kappa).
 
-    theta holds the packed factors (hamiltonian._packed_factors), then xi.
+    theta is (M + 1, P): the packed factors (hamiltonian._packed_factors),
+    then xi packed as a factor (PairSpace.pack).
     """
     kappa, xi, factors = params
     n = ham.n_orbitals
@@ -262,13 +265,7 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
     packed = _packed_factors(factors)[0]
     if packed.shape[1] != n * (n + 1) // 2:
         raise ValueError(f"factors are for N={_pair_orbitals(packed.shape[1])} orbitals, not N={n}")
-    return np.concatenate((packed.ravel(), xi.ravel())), float(kappa)
-
-
-def _blocks(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Writable views (factors, xi) of theta, (M, P) and (N, N)."""
-    tail = theta.size - n * n
-    return theta[:tail].reshape(-1, n * (n + 1) // 2), theta[tail:].reshape(n, n)
+    return np.vstack((packed, pair_space(n).pack(xi))), float(kappa)
 
 
 class _Objective:
@@ -279,9 +276,8 @@ class _Objective:
         n = ham.n_orbitals
         self.space, self.n_shift, self.g_pairs = pair_space(n), n - ham.n_electrons, ham.g_pairs
         self.h_eff = effective_one_body(ham)
-        self.factors, self.xi = _blocks(theta, n)
+        self.theta, self.factors, self.xi = theta, theta[:-1], theta[-1]
         self.rank, self.closed_form, self.kappa = len(self.factors), kappa is None, kappa
-        self.xi_diagonal = self.xi.reshape(-1)[:: n + 1]  # np.trace(xi) is add.reduce over this view
         self.stack, self.batch = np.empty((self.rank + 1, n, n)), None
         self.flat_stack = self.stack.reshape(self.rank + 1, n * n)
 
@@ -295,22 +291,23 @@ class _Objective:
         norms holds the M factors' nuclear norms, then ||h'_xi + t I||_*;
         unshifted is ||h'_xi||_*, the one-body norm at t = 0.
         """
-        space, rank, xi, factors, stack = self.space, self.rank, self.xi, self.factors, self.stack
-        np.add(self.h_eff, self.n_shift * xi, out=stack[rank])  # h'_xi = h' + (N - n_e) xi
+        space, rank, xi, stack = self.space, self.rank, self.xi, self.stack
         eigvals = np.empty(stack.shape[:-1])
 
-        def block(part: slice) -> None:  # the eigenvectors overwrite the unpacked factors
-            rows = slice(part.start, min(part.stop, rank))
-            factors[rows].take(space.unpack_index, axis=1, out=self.flat_stack[rows], mode="clip")
+        def block(part: slice) -> None:  # the eigenvectors overwrite the unpacked rows of theta
+            self.theta[part].take(space.unpack_index, axis=1, out=self.flat_stack[part], mode="clip")
+            if part.stop > rank:  # h'_xi = h' + (N - n_e) xi
+                stack[rank] *= self.n_shift
+                stack[rank] += self.h_eff
             eigvals[part], stack[part] = np.linalg.eigh(stack[part])
 
         def residual():  # the P-sized residual, on this thread beside the eigh blocks
-            return space.residual(space.shifted(self.g_pairs, xi), factors)
+            return space.residual(space.shifted(self.g_pairs, xi), self.factors)
 
         err, diff = run_blocks(block, rank + 1, residual)
         norms = np.add.reduce(np.abs(eigvals), axis=-1)
         unshifted, one_body = norms.item(rank), eigvals[rank]
-        trace_xi = float(np.add.reduce(self.xi_diagonal))
+        trace_xi = float(np.add.reduce(xi[space.diagonal]))
         if self.closed_form:  # t = -m, from the ascending eigenvalues of h'_xi
             n = space.n
             t = -0.5 * (one_body.item((n - 1) // 2) + one_body.item(n // 2))
@@ -326,37 +323,36 @@ class _Objective:
         """Form the gradient at the last evaluate()'s theta once, block by block, from its batch.
 
         Each block calls ``then(part, grad)`` on its thread with its own
-        array ``grad``, the gradient of the slice ``part`` of theta.
+        array ``grad``, the gradient of the rows ``part`` of theta, which
+        are the rows of its eigh block.
         """
         diff, norms, eigvals = self.batch
         self.batch = None  # the evaluation's arrays go with this call
         space, rank, factors, stack = self.space, self.rank, self.factors, self.stack
-        width, n = factors.shape[1], space.n
+        n = space.n
 
         def block(part: slice) -> None:
             sign_subgradients(eigvals[part], stack[part])
             # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
             rows = slice(part.start, min(part.stop, rank))
-            size = (rows.stop - rows.start) * width
-            grad = np.empty(size + n * n if part.stop > rank else size)
-            out = grad[:size].reshape(-1, width)
+            grad = np.empty((part.stop - part.start, factors.shape[1]))
+            out = grad[: rows.stop - rows.start]
             work = np.multiply(factors[rows], self.err_scale)
             np.matmul(work, diff, out)
             self.flat_stack[rows].take(space.upper, axis=1, out=work, mode="clip")
             work *= norms[rows, None]
             out += work
             del work  # before then(), which may take its own scratch
-            if part.stop > rank:  # the last block holds h'_xi; xi follows its factor rows
+            if part.stop > rank:  # the last block holds h'_xi; xi's row is its last
                 # d lambda / d t = tr U sign(D + t) U^T = sum_i sign(e_i + t), exactly; 0 at t = -m.
                 d_t = self.d_kappa = float(np.add.reduce(np.sign(eigvals[rank])))
                 # d Err / d xi_ab = 2 sum_k D_(ab),(kk), in the order of the fancy index's copy.
                 xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
                 xi_part += self.n_shift * stack[rank]
                 xi_part.reshape(-1)[:: n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
-                # symmetrize_one_body's average, in place and without its bitwise check.
-                grad_xi = grad[size:].reshape(n, n)
-                np.multiply(np.add(xi_part, xi_part.T, grad_xi), 0.5, grad_xi)
-            then(slice(part.start * width, part.start * width + grad.size), grad)
+                # The packed symmetric part, symmetrize_one_body's 0.5 (x_ab + x_ba) for a <= b.
+                np.multiply(np.add(space.pack(xi_part), space.pack(xi_part.T), grad[-1]), 0.5, grad[-1])
+            then(part, grad)
 
         run_blocks(block, rank + 1)
 
@@ -398,10 +394,9 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     objective = _Objective(ham, *_pack(ham, params))
     objective.weigh(float(c_approx))
     objective.evaluate()
-    grad = np.empty(objective.factors.size + objective.xi.size)
+    grad = np.empty_like(objective.theta)
     objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
-    d_factors, d_xi = _blocks(grad, ham.n_orbitals)
-    return objective.d_kappa, d_xi, d_factors
+    return objective.d_kappa, objective.space.unpack(grad[-1]), grad[:-1]
 
 
 @dataclass(frozen=True)
@@ -468,7 +463,8 @@ class _Descent:
         self.zero_err = float(space.mult @ np.square(ham.g_pairs) @ space.mult)  # ||G||^2, Err at F = 0
         # theta starts at the M nonzero initial factors and xi = 0; the trailing
         # exact-zero factors never move and stay out of it.
-        theta = np.concatenate((initial_double_factorization(ham.g_pairs, rank).packed.ravel(), np.zeros(n * n)))
+        packed = initial_double_factorization(ham.g_pairs, rank).packed
+        theta = np.vstack((packed, np.zeros(packed.shape[1])))
         self.rank, self.config, self.theta = rank, config, theta
         self.objective = _Objective(ham, theta)
         # best_theta is written in place: a fresh copy per improvement, taken
@@ -538,12 +534,11 @@ class _Descent:
         _adam_step(self.theta[part], grad, self.m[part], self.v[part], count, self.phase)
 
     def report(self) -> OptimizationReport:
-        best_factors, best_xi = _blocks(self.best_theta, self.objective.space.n)
-        norms = self.best_norms
+        best, norms = self.best_theta, self.best_norms
+        # The factors keep their rows of best_theta; unpack gives xi its own array.
+        best_xi = self.objective.space.unpack(best[-1])
         return OptimizationReport(
-            # The factors keep their rows of best_theta; a copy of xi, as a view
-            # would keep all of best_theta alive on its own.
-            best_params=(self.best_kappa, best_xi.copy(), FactorSet._from_packed(best_factors, self.rank)),
+            best_params=(self.best_kappa, best_xi, FactorSet._from_packed(best[:-1], self.rank)),
             lambda_breakdown=LambdaBreakdown.from_norms(norms[:-1], norms[-1]),
             err_final=self.best_err,
             total_trace=np.array(self.trace),

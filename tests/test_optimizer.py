@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from blissdf import (
 )
 from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import pair_space, symmetrize_one_body
-from blissdf.optimizer import _REAL_FIELDS, _Objective, _blocks, _pack
+from blissdf.optimizer import _REAL_FIELDS, _Objective, _pack
 from blissdf.verify import chain_hamiltonian
 
 from conftest import closed_form_shift, random_hamiltonian, random_psd_two_body
@@ -119,6 +120,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys.*learning_rat"):
             OptimizationConfig.from_dict({"learning_rat": 1e-3})
 
+    @pytest.mark.parametrize("data", [None, 3, "max_iters", [["max_iters", 3]]], ids=repr)
+    def test_from_dict_rejects_non_dicts(self, data):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            OptimizationConfig.from_dict(data)
+
     def test_from_dict_integer_fields_reject_floats(self):
         with pytest.raises(ConfigError, match="max_iters"):
             OptimizationConfig.from_dict({"max_iters": 10.0})
@@ -167,7 +173,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             OptimizationConfig.from_json(path)
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="object"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: config must be a JSON object"):
             OptimizationConfig.from_json(path)
 
 
@@ -816,7 +822,7 @@ class TestPackedKernel:
         assert init.effective_rank == n
         xi = symmetrize_one_body(rng.standard_normal((n, n)))
         theta, kappa = optimizer._pack(ham, (0.3, xi, init))
-        assert theta.size == n * n + n * n * (n + 1) // 2
+        assert theta.size == (n + 1) * n * (n + 1) // 2  # (M + 1) P with M = N
 
         def evaluate_with_gradient():
             objective = optimizer._Objective(ham, theta, kappa)
@@ -942,9 +948,9 @@ class TestClosedFormKappa:
     @staticmethod
     def gathered_gradient(objective):
         """(factor rows, xi) of the gradient that objective.gradient() hands to then(), block by block."""
-        grad = np.empty(objective.factors.size + objective.xi.size)
+        grad = np.empty_like(objective.theta)
         objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
-        return _blocks(grad, objective.space.n)
+        return grad[:-1], objective.space.unpack(grad[-1])
 
     @pytest.mark.parametrize(
         "h, n_e, xi_diagonal, one_body, kappa",

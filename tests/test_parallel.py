@@ -280,14 +280,17 @@ class TestPartitionedStep:
         return random_hamiltonian(12, np.random.default_rng(64), n_electrons=12)
 
     def test_adam_steps_every_entry_of_theta_once_per_step(self, monkeypatch, ham):
-        # theta is the M P factor entries then xi, and nothing else: per step
-        # the blocks' Adam slices must tile it exactly, xi's last entry included.
-        # One explicit weight, so Adam's step count runs once through the run.
-        steps = {}
+        # theta is the M packed factor rows then xi's row, and nothing else: per
+        # step the blocks' Adam slices must tile it exactly, xi's last entry
+        # included, each slice the rows of its eigh block. One explicit weight,
+        # so Adam's step count runs once through the run.
+        steps, rows = {}, {}
         original = optimizer._adam_step
 
         def recorded(theta, grad, m, v, step, config):
             steps.setdefault(step, []).append((theta.ctypes.data, theta.size))
+            first = (theta.ctypes.data - theta.base.ctypes.data) // theta.base[0].nbytes
+            rows.setdefault(step, []).append((first, first + len(theta), theta.base.shape))
             original(theta, grad, m, v, step, config)
 
         set_cpus(monkeypatch, 2)
@@ -299,7 +302,9 @@ class TestPartitionedStep:
             slices.sort()
             assert len(slices) == 2
             assert all(a + 8 * size == b for (a, size), (b, _) in zip(slices, slices[1:]))
-            assert sum(size for _, size in slices) == rank * 78 + 144  # M P + N^2, P = 78 at N = 12
+            assert sum(size for _, size in slices) == (rank + 1) * 78  # (M + 1) P, P = 78 at N = 12
+        for blocks in rows.values():  # the eigh blocks: 64 factors, then the other factors and h'_xi
+            assert sorted(blocks) == [(0, 64, (rank + 1, 78)), (64, rank + 1, (rank + 1, 78))]
 
     def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, ham):
         config = OptimizationConfig(max_iters=6, rel_tol=0.0, learning_rate=1e-2, err_budget=1e9)

@@ -100,20 +100,14 @@ def run_blocks(fn, length: int, first=None):
     The slices hold _BLOCK items each, the last one possibly fewer. first
     runs on the calling thread, which then takes blocks from the same
     iterator as up to workers - 1 jobs on an executor that persists across
-    calls. With one block or one worker everything runs on the calling
-    thread. Blocks must be independent; each writes its own part of outputs
-    its caller allocated. If first or a block raises, no further block
-    starts, and the first error is raised once every started block has
-    finished, so no block writes after this returns or raises.
+    calls. With one block or one worker no job is submitted, so everything
+    runs on the calling thread. Blocks must be independent; each writes its
+    own part of outputs its caller allocated. If first or a block raises, no
+    further block starts, and the first error is raised once every started
+    block has finished, so no block writes after this returns or raises.
     """
     parts = [slice(start, min(start + _BLOCK, length)) for start in range(0, length, _BLOCK)]
     workers = 1 if len(parts) <= 1 else min(_workers(), len(parts))
-    if workers == 1:
-        result = None if first is None else first()
-        for part in parts:
-            fn(part)
-        return result
-
     lock, blocks, errors = threading.Lock(), iter(parts), []
 
     def drain():

@@ -190,7 +190,7 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
         Rank1Decomposition with unit-norm, sign-fixed eigenvectors such that
         sum_t lambda_t u_t u_t^T reconstructs the input.
     """
-    a = symmetrize_one_body(np.asarray(a, dtype=np.float64))
+    a = symmetrize_one_body(a)
     eigvals, eigvecs = np.linalg.eigh(a)
     vectors = eigvecs.T * _leading_signs(eigvecs.T)[:, None]
     # lexsort's last key is its primary one; the vectors compare entry by entry.
@@ -198,40 +198,24 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
     return Rank1Decomposition(eigenvalues=eigvals[order], vectors=vectors[order])
 
 
-def nuclear_norms(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nuclear_norms(mats: np.ndarray) -> np.ndarray:
     """Nuclear norms of symmetric matrices (..., N, N) from eigh over fixed blocks.
 
     One batched eigh per block of run_blocks, which spreads the blocks over
-    the CPUs while BLAS is at one thread. A matrix's eigenpairs do not depend
-    on its block or thread, so the bits are those of one batched eigh over
-    the whole stack.
-
-    Returns (norms, eigvals, eigvecs), the last two for sign_subgradients.
-    eigh rather than eigvalsh: every nuclear norm in the package comes from
-    this one LAPACK path, so recomputed norms match the optimizer's trace bitwise.
+    the CPUs while BLAS is at one thread; each block holds its eigenvectors
+    only while it runs. eigh rather than eigvalsh: a matrix's eigenpairs do
+    not depend on its block, so these norms match the optimizer's eigh stack
+    bit for bit.
     """
     n = mats.shape[-1]
-    eigvals, eigvecs = np.empty(mats.shape[:-1]), np.empty(mats.shape)
-    flat, vals, vecs = mats.reshape(-1, n, n), eigvals.reshape(-1, n), eigvecs.reshape(-1, n, n)
+    eigvals = np.empty(mats.shape[:-1])
+    flat, vals = mats.reshape(-1, n, n), eigvals.reshape(-1, n)
 
     def block(part):
-        vals[part], vecs[part] = np.linalg.eigh(flat[part])
+        vals[part] = np.linalg.eigh(flat[part])[0]
 
     run_blocks(block, len(flat))
-    return np.add.reduce(np.abs(eigvals), axis=-1), eigvals, eigvecs
-
-
-def sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    """Each matrix's U sign(D) U^T (sign(0) = 0), written over its eigenvectors U, a (K, N, N) stack.
-
-    One batched product per 32 matrices, so each of its two temporaries
-    holds at most 32 matrices; a matrix's product is one gemm either way.
-    Returns ``eigvecs``.
-    """
-    for start in range(0, len(eigvecs), 32):
-        vecs = eigvecs[start : start + 32]
-        vecs[...] = (vecs * np.sign(eigvals[start : start + 32])[..., None, :]) @ vecs.swapaxes(-1, -2)
-    return eigvecs
+    return np.add.reduce(np.abs(eigvals), axis=-1)
 
 
 def nuclear_norm(a: np.ndarray) -> float:
@@ -241,7 +225,7 @@ def nuclear_norm(a: np.ndarray) -> float:
     minimum of sum_t |lambda_t| over all decompositions into rank-1 terms
     with unit vectors.
     """
-    return float(nuclear_norms(symmetrize_one_body(a))[0])
+    return float(nuclear_norms(symmetrize_one_body(a)))
 
 
 def check_rank(rank: int, n: int) -> None:
@@ -325,7 +309,7 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     n = _pair_orbitals(packed.shape[1])
     if h_prime.shape != (n, n):
         raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
-    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(packed))[0], nuclear_norm(h_prime))
+    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(packed)), nuclear_norm(h_prime))
 
 
 def save_factor_set(

@@ -17,11 +17,12 @@ The integral convention is recorded as ``INTEGRAL_CONVENTION`` and echoed in
 all run reports, since upstream integral files do not declare theirs.
 
 Format accepted: a namelist header ``&FCI NORB=...,NELEC=...,MS2=...,``
-terminated by ``&END`` or ``/`` (possibly spanning several lines; extra keys
-such as ORBSYM are tolerated), followed by whitespace-separated records
-``value i j k l`` with 1-based indices. ``i j 0 0`` is a one-body entry,
-``0 0 0 0`` the core constant, anything else a two-body entry. The writer
-emits only the canonical representative of each 8-fold orbit.
+that ends at the first ``&END`` or ``/`` (possibly spanning several lines;
+extra keys such as ORBSYM are tolerated; the rest of its last line is
+ignored), followed by whitespace-separated records ``value i j k l`` with
+1-based indices. ``i j 0 0`` is a one-body entry, ``0 0 0 0`` the core
+constant, anything else a two-body entry. The writer emits only the
+canonical representative of each 8-fold orbit.
 
 The loader is an array pipeline with no Python object per record. It reads
 the file once as bytes and decodes only the header. One pass of numpy's C
@@ -61,6 +62,8 @@ _CONTROL_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"  # line breaks to splitlines(), spaces
 # str.splitlines()'s line breaks, as UTF-8 bytes.
 _LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 _EXPONENTS = bytes.maketrans(b"Dd", b"Ee")
+# The namelist ends at its first terminator.
+_TERMINATOR = re.compile(rb"&END|/", re.IGNORECASE)
 
 
 class FcidumpError(ValueError):
@@ -73,49 +76,31 @@ class FcidumpError(ValueError):
         super().__init__(message)
 
 
-def _parse_header(lines: list[str]) -> tuple[int, int, int]:
-    """Parse the &FCI namelist; returns (norb, nelec, first_data_line)."""
+def _parse_header(lines: list[str]) -> tuple[int, int]:
+    """(norb, nelec) of the &FCI namelist ``lines``, whose last line holds its first terminator."""
     if not lines:
         raise FcidumpError("empty file", line=1)
-    header_parts: list[str] = []
-    end_line = None
-    for idx, raw in enumerate(lines):
-        stripped = raw.strip()
-        if idx == 0 and not stripped.upper().startswith("&FCI"):
-            raise FcidumpError("header must start with &FCI", line=1)
-        body = stripped
-        terminated = False
-        for terminator in ("&END", "/"):
-            pos = body.upper().find(terminator)
-            if pos >= 0:
-                body = body[:pos]
-                terminated = True
-                break
-        header_parts.append(body)
-        if terminated:
-            end_line = idx
-            break
-    if end_line is None:
+    if not lines[0].strip().upper().startswith("&FCI"):
+        raise FcidumpError("header must start with &FCI", line=1)
+    last = _TERMINATOR.split(lines[-1].encode(), maxsplit=1)
+    if len(last) == 1:
         raise FcidumpError("header not terminated by &END or /", line=len(lines))
-
-    header = " ".join(header_parts)
+    header = " ".join([*lines[:-1], last[0].decode()])
     header = re.sub(r"^\s*&FCI", "", header, flags=re.IGNORECASE)
 
     def read_int(key: str) -> int:
         match = re.search(rf"{key}\s*=\s*([+-]?\d+)", header, flags=re.IGNORECASE)
         if match is None:
-            raise FcidumpError(f"header is missing {key}", line=end_line + 1)
+            raise FcidumpError(f"header is missing {key}", line=len(lines))
         return int(match.group(1))
 
     norb = read_int("NORB")
     nelec = read_int("NELEC")
     if norb < 1:
-        raise FcidumpError(f"NORB={norb} must be positive", line=end_line + 1)
+        raise FcidumpError(f"NORB={norb} must be positive", line=len(lines))
     if not 0 <= nelec <= 2 * norb:
-        raise FcidumpError(
-            f"NELEC={nelec} outside [0, {2 * norb}]", line=end_line + 1
-        )
-    return norb, nelec, end_line + 1
+        raise FcidumpError(f"NELEC={nelec} outside [0, {2 * norb}]", line=len(lines))
+    return norb, nelec
 
 
 def _check_record(raw: str, n: int, norb: int) -> tuple[float, int, int, int, int]:
@@ -195,11 +180,13 @@ def _read(data: bytes | str) -> tuple[np.ndarray, np.ndarray, float, int]:
     """(h, P x P pair block of g, core constant, NELEC) of an FCIDUMP's UTF-8 bytes or text."""
     if isinstance(data, str):
         data = data.encode()
-    # _parse_header only reads up to the first line holding a terminator.
-    term = re.search(rb"&END|/", data, re.IGNORECASE)
+    # The header is every line up to the one that holds the first terminator.
+    term = _TERMINATOR.search(data)
     brk = _LINE_BREAK.search(data, term.end()) if term else None
     head, start = (data[: brk.start()], brk.end()) if brk else (data, len(data))
-    norb, nelec, first_data = _parse_header(head.decode().splitlines())
+    lines = head.decode().splitlines()
+    norb, nelec = _parse_header(lines)
+    first_data = len(lines)
     rec = _parse_data(data, start, first_data + 1, norb)
     # Orbit key: the larger and smaller of the pair codes max(i, j) * base + min(i, j) of {i, j}, {k, l}.
     base = norb + 1

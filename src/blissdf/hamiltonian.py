@@ -38,20 +38,6 @@ def symmetrize_one_body(mat: np.ndarray) -> np.ndarray:
     return _symmetric_part(mat, ((1, 0),))
 
 
-def symmetrize_two_body(g: np.ndarray) -> np.ndarray:
-    """Project a rank-4 tensor onto its 8-fold symmetric part.
-
-    The result satisfies g[i,j,k,l] == g[j,i,k,l] == g[i,j,l,k] == g[k,l,i,j]
-    bit-exactly: each pairwise average (i <-> j, then k <-> l, then the
-    pairs) produces bitwise-identical entries across the orbit, and later
-    averages preserve earlier ones. The result is always a fresh array.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 4 or len(set(g.shape)) != 1:
-        raise ValueError(f"expected an N^4 tensor, got shape {g.shape}")
-    return _symmetric_part(g, _TWO_BODY_AXES)
-
-
 def _symmetric_part(arr: np.ndarray, axes: tuple, copy: bool = True) -> np.ndarray:
     """Average a float64 array with its transpose under each of ``axes`` in turn.
 
@@ -83,8 +69,9 @@ def two_body_block(g: np.ndarray) -> np.ndarray:
     """The P x P pair block g_(ij),(kl), i <= j and k <= l, as a fresh, exactly symmetric array.
 
     The one reader of both two-body forms: ``g`` is an (N, N, N, N) tensor,
-    blocked as after symmetrize_two_body, or a (P, P) block with
-    P = N(N+1)/2, symmetrized. Any other shape raises ValueError.
+    projected onto its 8-fold symmetric part by three averages
+    0.5 * (x + y), over i <-> j, then k <-> l, then the pairs, or a (P, P)
+    block with P = N(N+1)/2, symmetrized. Any other shape raises ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim == 4 and len(set(g.shape)) == 1:
@@ -92,9 +79,9 @@ def two_body_block(g: np.ndarray) -> np.ndarray:
         flat = g.reshape(n * n, n * n)
         if _bitwise_symmetric(g, _TWO_BODY_AXES):  # the fancy index copies
             return flat[np.ix_(upper, upper)]
-        # symmetrize_two_body's three averages 0.5 * (x + y), the i <-> j one on
-        # the pair rows alone and the k <-> l one on their pair columns, summed
-        # in place: the same bits with no N^4 temporary.
+        # The three averages, the i <-> j one on the pair rows alone and the
+        # k <-> l one on their pair columns, summed in place, then the pair
+        # one: the bits of averaging the whole tensor, with no N^4 temporary.
         rows, cols = np.divmod(upper, n)
         lower = cols * n + rows
         half = flat[upper]

@@ -74,7 +74,7 @@ thread and a thread pool kept across calls take them from one shared list.
 In evaluate(), each block unpacks its rows of theta, turns xi into h'_xi,
 and runs their eigh while the calling thread forms the residual F^T F. In
 gradient(), after the stop check, each block forms its subgradients
-(factorization.sign_subgradients), then for its own factor rows the Err
+U sign(D) U^T (_sign_subgradients), then for its own factor rows the Err
 term (F_b * c) D and the scaled subgradients in its own array, and calls
 then(part, grad) with it and its eigh block's rows of theta: in optimize,
 the Adam step on those rows of theta, m and v, so no theta-sized gradient
@@ -101,7 +101,6 @@ from blissdf.factorization import (
     LambdaBreakdown,
     initial_double_factorization,
     lambda_parts,
-    sign_subgradients,
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
@@ -118,17 +117,17 @@ _REAL_FIELDS = ("c_approx", "learning_rate", "rel_tol", "err_budget")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
-def _integer(low, high):
-    return lambda x: not isinstance(x, bool) and isinstance(x, int) and low <= x < high
+def _positive_integer(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, int) and x >= 1
 
 
 # Checked in this order, after every _REAL_FIELDS entry is a finite number.
 _RULES = (
     ("c_approx", lambda x: x is None or x > 0, "be positive"),
-    ("max_iters", _integer(1, math.inf), "be a positive integer"),
+    ("max_iters", _positive_integer, "be a positive integer"),
     ("learning_rate", lambda x: x > 0, "be positive"),
     ("rel_tol", lambda x: x >= 0, "be nonnegative"),
-    ("patience", _integer(1, math.inf), "be a positive integer"),
+    ("patience", _positive_integer, "be a positive integer"),
     ("err_budget", lambda x: x >= 0, "be nonnegative"),
 )
 
@@ -259,13 +258,24 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
     """
     kappa, xi, factors = params
     n = ham.n_orbitals
-    xi = symmetrize_one_body(np.asarray(xi, dtype=np.float64))
+    xi = symmetrize_one_body(xi)
     if xi.shape != (n, n):
         raise ValueError(f"xi shape {xi.shape} does not match N={n}")
     packed = _packed_factors(factors)[0]
     if packed.shape[1] != n * (n + 1) // 2:
         raise ValueError(f"factors are for N={_pair_orbitals(packed.shape[1])} orbitals, not N={n}")
     return np.vstack((packed, pair_space(n).pack(xi))), float(kappa)
+
+
+def _sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray) -> None:
+    """Write each matrix's U sign(D) U^T (sign(0) = 0) over its eigenvectors U, a (K, N, N) stack.
+
+    One batched product per 32 matrices, so each of its two temporaries
+    holds at most 32 matrices; a matrix's product is one gemm either way.
+    """
+    for start in range(0, len(eigvecs), 32):
+        vecs = eigvecs[start : start + 32]
+        vecs[...] = (vecs * np.sign(eigvals[start : start + 32])[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 class _Objective:
@@ -332,7 +342,7 @@ class _Objective:
         n = space.n
 
         def block(part: slice) -> None:
-            sign_subgradients(eigvals[part], stack[part])
+            _sign_subgradients(eigvals[part], stack[part])
             # Per entry of A_r: -4 c_approx sum_q c_q F_rq D_qp + Lambda_r (S_r)_p.
             rows = slice(part.start, min(part.stop, rank))
             grad = np.empty((part.stop - part.start, factors.shape[1]))

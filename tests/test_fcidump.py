@@ -16,7 +16,7 @@ from blissdf import (
 )
 from blissdf.fcidump import INTEGRAL_CONVENTION
 from blissdf.fermi_oracle import ladder_operator, sector_hamiltonian, sector_states
-from blissdf.hamiltonian import symmetrize_one_body, symmetrize_two_body
+from blissdf.hamiltonian import symmetrize_one_body
 
 from conftest import random_hamiltonian
 
@@ -67,6 +67,17 @@ class TestHeaderParsing:
         path = write_lines(tmp_path, ["NORB=2", "1.0 1 1 0 0"])
         with pytest.raises(FcidumpError, match="line 1"):
             load_integrals(path)
+
+    def test_namelist_ends_at_its_first_terminator(self, tmp_path):
+        # NELEC=2 comes after the / that ends the namelist, so the header has none.
+        path = write_lines(tmp_path, [" &FCI NORB=1, / NELEC=2, &END", "1.0 1 1 0 0"])
+        with pytest.raises(FcidumpError, match="^line 1: header is missing NELEC$"):
+            load_integrals(path)
+
+    def test_second_terminator_on_the_line_is_ignored(self, tmp_path):
+        path = write_lines(tmp_path, [" &FCI NORB=2,NELEC=2, / &END", "1.0 1 1 0 0"])
+        ham = load_integrals(path)
+        assert (ham.n_orbitals, ham.n_electrons) == (2, 2)
 
     def test_unterminated_header(self, tmp_path):
         path = write_lines(tmp_path, ["&FCI NORB=2,NELEC=2,"])
@@ -454,7 +465,7 @@ class TestConventionConversion:
         rng = np.random.default_rng(42)
         n = 2
         t = symmetrize_one_body(rng.standard_normal((n, n)))
-        v = symmetrize_two_body(rng.standard_normal((n, n, n, n)))
+        v = Hamiltonian(t, rng.standard_normal((n, n, n, n))).g
         core = float(rng.standard_normal())
 
         lines = [f" &FCI NORB={n},NELEC=2,MS2=0,", " &END"]

@@ -17,7 +17,7 @@ from blissdf import (
 )
 from blissdf.factorization import initial_double_factorization
 from blissdf.fermi_oracle import sector_eigenvalues
-from blissdf.hamiltonian import symmetrize_one_body, symmetrize_two_body, two_body_block
+from blissdf.hamiltonian import symmetrize_one_body, two_body_block
 from blissdf.verify import chain_hamiltonian
 
 from conftest import random_hamiltonian, random_psd_two_body
@@ -40,15 +40,15 @@ def check_two_body_symmetry(g: np.ndarray, tol: float = 0.0) -> float:
 class TestSymmetrization:
     def test_two_body_symmetrization_is_exact(self):
         rng = np.random.default_rng(0)
-        g = symmetrize_two_body(rng.standard_normal((4, 4, 4, 4)))
+        g = Hamiltonian(np.zeros((4, 4)), rng.standard_normal((4, 4, 4, 4))).g
         for axes in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1),
                      (1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 1, 0), (3, 2, 0, 1)]:
             assert np.array_equal(g, g.transpose(axes))
 
     def test_symmetric_input_unchanged(self):
         rng = np.random.default_rng(1)
-        g = symmetrize_two_body(rng.standard_normal((3, 3, 3, 3)))
-        assert np.array_equal(symmetrize_two_body(g), g)
+        ham = Hamiltonian(np.zeros((3, 3)), rng.standard_normal((3, 3, 3, 3)))
+        assert two_body_block(ham.g).tobytes() == ham.g_pairs.tobytes()
 
     def test_check_two_body_symmetry_raises(self):
         g = np.zeros((2, 2, 2, 2))
@@ -184,11 +184,14 @@ class TestPairBlockStorage:
         assert ham.g_pairs.tobytes() == (0.5 * (block + block.T)).tobytes()
         check_two_body_symmetry(ham.g)
         # An asymmetric tensor: averaging only the pair rows and columns
-        # gives the bits of the pair block of symmetrize_two_body's tensor.
+        # gives the bits of the pair block of the whole tensor's three
+        # averages, over i <-> j, then k <-> l, then the pairs.
         for n in (3, 8):
-            g = rng.standard_normal((n, n, n, n))
+            g = want = rng.standard_normal((n, n, n, n))
+            for axes in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+                want = 0.5 * (want + want.transpose(axes))
             upper = np.flatnonzero(np.triu(np.ones((n, n))))
-            want = symmetrize_two_body(g).reshape(n * n, n * n)[np.ix_(upper, upper)]
+            want = want.reshape(n * n, n * n)[np.ix_(upper, upper)]
             assert two_body_block(g).tobytes() == want.tobytes()
 
     def test_asymmetric_tensor_keeps_no_full_size_temporary(self):
@@ -222,7 +225,7 @@ class TestPairBlockStorage:
         dense = ham.g + np.einsum("ij,kl->ijkl", 0.5 * xi, eye)
         dense += np.einsum("ij,kl->ijkl", eye, 0.5 * xi)
         shifted = apply_symmetry_shift(ham, ShiftParams(0.0, xi, ham.n_electrons))
-        assert shifted.g.tobytes() == symmetrize_two_body(dense).tobytes()
+        assert shifted.g.tobytes() == Hamiltonian(np.zeros((4, 4)), dense).g.tobytes()
 
 
 class TestSymmetryShift:

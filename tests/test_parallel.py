@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from blissdf import _parallel, factorization, optimizer, write_integrals
-from blissdf.factorization import nuclear_norms, sign_subgradients
-from blissdf.factorization import initial_double_factorization, lambda_df
+from blissdf.factorization import initial_double_factorization, lambda_df, nuclear_norms
 from blissdf.hamiltonian import effective_one_body
-from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
+from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, _sign_subgradients, optimize
 
 from conftest import random_hamiltonian
 
@@ -120,8 +119,9 @@ class TestRunBlocks:
             sys.setswitchinterval(interval)
         assert done.tolist() == [1] * len(done)
 
-    def test_a_block_error_reaches_the_caller(self, monkeypatch):
-        set_cpus(monkeypatch, 2)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_block_error_reaches_the_caller(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
 
         def block(part):
             if part.start == 128:
@@ -129,6 +129,17 @@ class TestRunBlocks:
 
         with _parallel.one_blas_thread(), pytest.raises(ZeroDivisionError):
             _parallel.run_blocks(block, 150)
+
+    def test_one_cpu_first_error_starts_no_block(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        started = []
+
+        def first():
+            raise KeyError("first")
+
+        with _parallel.one_blas_thread(), pytest.raises(KeyError, match="first"):
+            _parallel.run_blocks(started.append, 5 * 64, first=first)
+        assert started == []
 
     def test_one_cpu_runs_every_block_on_the_calling_thread(self, monkeypatch):
         set_cpus(monkeypatch, 1)
@@ -247,11 +258,9 @@ class TestPartitionedEigh:
         set_cpus(monkeypatch, cpus)
         calls = record_block_threads(monkeypatch)
         with _parallel.one_blas_thread():
-            norms, eigvals, eigvecs = nuclear_norms(mats)
-            assert eigvals.tobytes() == want_vals.tobytes()
-            assert eigvecs.tobytes() == want_vecs.tobytes()
-            assert norms.tobytes() == np.abs(want_vals).sum(axis=-1).tobytes()
-            subs = sign_subgradients(eigvals, eigvecs)
+            assert nuclear_norms(mats).tobytes() == np.abs(want_vals).sum(axis=-1).tobytes()
+            eigvals, subs = np.linalg.eigh(mats)
+            _sign_subgradients(eigvals, subs)
         assert subs.tobytes() == want_subs.tobytes()
         # One call of three blocks, on the caller and at most cpus - 1 pool threads.
         [(module, threads)] = calls

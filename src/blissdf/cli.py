@@ -23,9 +23,9 @@ files, schema mismatch, an unusable --out, an input too large to allocate),
 (non-finite cost), 4 verification failure.
 
 All JSON outputs and factors.npz are deterministic for a fixed input and
-config, whatever the core count or BLAS environment: commands run with
-numpy's OpenBLAS pinned to one thread and split their eigh stacks into fixed
-blocks over the available CPUs (see blissdf._parallel). Where no known
+config, whatever the core count or BLAS environment: each kernel they call
+pins numpy's OpenBLAS to one thread itself and splits its eigh stacks into
+fixed blocks over the available CPUs (see blissdf._parallel). Where no known
 OpenBLAS symbol is found they run on one thread and their bits follow the BLAS
 thread count. Wall-clock timestamps appear only in manifest.json.
 """
@@ -45,7 +45,6 @@ from pathlib import Path
 import jsonschema
 
 from blissdf import __version__
-from blissdf._parallel import one_blas_thread
 from blissdf.factorization import (
     IndefiniteTensorError,
     check_rank,
@@ -348,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with one_blas_thread():
-            return args.func(args)
+        return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blissdf._parallel import run_blocks
+from blissdf._parallel import one_blas_thread, run_blocks
 from blissdf.hamiltonian import (
     _as_int,
     _frozen_array,
@@ -198,14 +198,14 @@ def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
     return Rank1Decomposition(eigenvalues=eigvals[order], vectors=vectors[order])
 
 
+@one_blas_thread()
 def nuclear_norms(mats: np.ndarray) -> np.ndarray:
     """Nuclear norms of symmetric matrices (..., N, N) from eigh over fixed blocks.
 
-    One batched eigh per block of run_blocks, which spreads the blocks over
-    the CPUs while BLAS is at one thread; each block holds its eigenvectors
-    only while it runs. eigh rather than eigvalsh: a matrix's eigenpairs do
-    not depend on its block, so these norms match the optimizer's eigh stack
-    bit for bit.
+    BLAS runs at one thread, and run_blocks spreads one batched eigh per
+    block over the CPUs; each block holds its eigenvectors only while it
+    runs. eigh rather than eigvalsh: a matrix's eigenpairs do not depend on
+    its block, so these norms match the optimizer's eigh stack bit for bit.
     """
     n = mats.shape[-1]
     eigvals = np.empty(mats.shape[:-1])
@@ -234,6 +234,7 @@ def check_rank(rank: int, n: int) -> None:
         raise ValueError(f"rank must be in [1, {n * n}], got {rank}")
 
 
+@one_blas_thread()
 def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     """Factor the two-body tensor into Kronecker squares of symmetric matrices.
 

@@ -1,4 +1,4 @@
-"""FCIDUMP integral file ingestion and emission.
+r"""FCIDUMP integral file ingestion and emission.
 
 FCIDUMP files store chemists'-notation integrals (ij|kl) for the
 normal-ordered Hamiltonian
@@ -21,8 +21,10 @@ that ends at the first ``&END`` or ``/`` (possibly spanning several lines;
 extra keys such as ORBSYM are tolerated; the rest of its last line is
 ignored), followed by whitespace-separated records ``value i j k l`` with
 1-based indices. ``i j 0 0`` is a one-body entry, ``0 0 0 0`` the core
-constant, anything else a two-body entry. The writer emits only the
-canonical representative of each 8-fold orbit.
+constant, anything else a two-body entry. A line ends at ``\r\n``, ``\r``
+or ``\n``, as in numpy's parser; the other breaks of str.splitlines(), such
+as ``\x0c`` or U+2028, are whitespace. The writer emits only the canonical
+representative of each 8-fold orbit.
 
 The loader is an array pipeline with no Python object per record. It reads
 the file once as bytes and decodes only the header. One pass of numpy's C
@@ -32,11 +34,11 @@ are reduced to an orbit key and a value each. One sort of the keys groups
 the records, and each orbit's values are added in file order and divided
 by their count, then written at the two entries of g's P x P pair block
 (no N^4 tensor) that its key names. The traced peak is under 4 times the
-file size. If the C parser rejects the data or a mask flags a record, the
-whole file is decoded and every line is read by ``_check_record``, the one
-definition of an error, which accepts what Python's ``float``/``int``
-accept and raises on the first bad line. Orbit conflicts come last:
-one-body first, each kind by first appearance.
+file size. If the C parser rejects the data (a non-ASCII byte or a bare
+``\r``, say) or a mask flags a record, each line is decoded and read by
+``_check_record``, the one definition of an error, which accepts what
+Python's ``float``/``int`` accept and raises on the first bad line. Orbit
+conflicts come last: one-body first, each kind by first appearance.
 """
 
 from __future__ import annotations
@@ -58,9 +60,8 @@ ASYMMETRY_RTOL = 1e-10
 
 _FLOAT_FORMAT = "%.17g"
 _RECORD = np.dtype([("value", "f8"), ("i", "i8"), ("j", "i8"), ("k", "i8"), ("l", "i8")])
-_CONTROL_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"  # line breaks to splitlines(), spaces to numpy
-# str.splitlines()'s line breaks, as UTF-8 bytes.
-_LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
+# bytes.splitlines()'s line breaks, the ones numpy's parser ends a line at.
+_LINE_BREAK = re.compile(rb"\r\n|[\r\n]")
 _EXPONENTS = bytes.maketrans(b"Dd", b"Ee")
 # The namelist ends at its first terminator.
 _TERMINATOR = re.compile(rb"&END|/", re.IGNORECASE)
@@ -128,35 +129,32 @@ def _check_record(raw: str, n: int, norb: int) -> tuple[float, int, int, int, in
 def _data_lines(data: bytes, start: int, first: int):
     """(number, line) of the data section data[start:], whose first line is ``first``.
 
-    The whole file is decoded, so invalid UTF-8 anywhere raises here.
+    Each line is decoded as it is read, so invalid UTF-8 raises at its line.
     """
-    text = data.decode()
-    return enumerate(text[len(data[:start].decode()) :].splitlines(), first)
+    return enumerate((line.decode() for line in data[start:].splitlines()), first)
 
 
 def _parse_data(data: bytes, start: int, first: int, norb: int) -> np.ndarray:
     """Records of the data section data[start:], whose first line is ``first``."""
-    if data.isascii() and not any(c in data for c in _CONTROL_BREAKS):
-        # A translated copy of the file only if the data have a D exponent.
-        stream = io.BytesIO(data.translate(_EXPONENTS) if any(data.find(c, start) >= 0 for c in b"Dd") else data)
-        stream.seek(start)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # numpy < 2 warns on an index "1.0"
-                rec = np.loadtxt(stream, _RECORD, comments=None, ndmin=1, encoding="ascii")
-        except (ValueError, Warning):
-            pass
-        else:
-            inside = [(rec[x] >= 1) & (rec[x] <= norb) for x in "ijkl"]
-            zero = [rec[x] == 0 for x in "ijkl"]
-            core_or_one = zero[2] & zero[3] & (zero[0] & zero[1] | inside[0] & inside[1])
-            valid = core_or_one | np.all(inside, axis=0)
-            if valid.all() and np.isfinite(rec["value"]).all():
-                return rec
-        finally:
-            del stream  # and with it any translated copy of the file
-    numbered = _data_lines(data, start, first)
-    return np.array([_check_record(s, n, norb) for n, s in numbered if s.split()], _RECORD)
+    # A translated copy of the file only if the data have a D exponent.
+    stream = io.BytesIO(data.translate(_EXPONENTS) if any(data.find(c, start) >= 0 for c in b"Dd") else data)
+    stream.seek(start)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 warns on an index "1.0"
+            rec = np.loadtxt(stream, _RECORD, comments=None, ndmin=1, encoding="ascii")
+    except (ValueError, Warning):  # a non-ASCII byte raises UnicodeDecodeError, a ValueError
+        pass
+    else:
+        inside = [(rec[x] >= 1) & (rec[x] <= norb) for x in "ijkl"]
+        zero = [rec[x] == 0 for x in "ijkl"]
+        core_or_one = zero[2] & zero[3] & (zero[0] & zero[1] | inside[0] & inside[1])
+        valid = core_or_one | np.all(inside, axis=0)
+        if valid.all() and np.isfinite(rec["value"]).all():
+            return rec
+    finally:
+        del stream  # and with it any translated copy of the file
+    return np.array([_check_record(s, n, norb) for n, s in _data_lines(data, start, first) if s.split()], _RECORD)
 
 
 def _exchange(v_pairs: np.ndarray, n: int) -> np.ndarray:
@@ -176,15 +174,13 @@ def _excitation_order(t_mat: np.ndarray, v_pairs: np.ndarray) -> np.ndarray:
     return h
 
 
-def _read(data: bytes | str) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(h, P x P pair block of g, core constant, NELEC) of an FCIDUMP's UTF-8 bytes or text."""
-    if isinstance(data, str):
-        data = data.encode()
+def _read(data: bytes) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(h, P x P pair block of g, core constant, NELEC) of an FCIDUMP's UTF-8 bytes."""
     # The header is every line up to the one that holds the first terminator.
     term = _TERMINATOR.search(data)
     brk = _LINE_BREAK.search(data, term.end()) if term else None
     head, start = (data[: brk.start()], brk.end()) if brk else (data, len(data))
-    lines = head.decode().splitlines()
+    lines = [line.decode() for line in head.splitlines()]
     norb, nelec = _parse_header(lines)
     first_data = len(lines)
     rec = _parse_data(data, start, first_data + 1, norb)

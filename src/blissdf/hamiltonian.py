@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from blissdf._parallel import one_blas_thread
+
 _TWO_BODY_AXES = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
 
 
@@ -226,6 +228,7 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     return ham.h + 2.0 * space.unpack(np.einsum("pk->p", ham.g_pairs[:, space.diagonal]))
 
 
+@one_blas_thread()
 def reconstruct_two_body(factors) -> np.ndarray:
     """Assemble sum_r A_r (x) A_r from a FactorSet or a raw (R, N, N) stack (see _packed_factors).
 
@@ -309,6 +312,7 @@ def _packed_factors(factors) -> tuple[np.ndarray, int]:
     return _frozen_array(packed[: nonzero[-1] + 1 if nonzero.size else 0].copy()), rank
 
 
+@one_blas_thread()
 def frobenius_error(g_target: np.ndarray, factors) -> float:
     """Squared Frobenius residual between a tensor and its factorization.
 

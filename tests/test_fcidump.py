@@ -352,16 +352,40 @@ class TestArrayLoader:
         assert got.h.tobytes() == want.h.tobytes()
         assert got.g.tobytes() == want.g.tobytes()
 
-    @pytest.mark.parametrize("brk", ["\f", "\x1c", "\x85", "\u2028"], ids=repr)
-    def test_every_line_break_ends_a_line(self, tmp_path, brk):
-        # str.splitlines() breaks here, so the record has only 3 fields, and
-        # the line after it is line 4.
-        lines = ["&FCI NORB=2,NELEC=2 /", f"1.0 1 1{brk}0 0"]
-        with pytest.raises(FcidumpError, match="^line 2: expected 'value i j k l', got 3"):
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=repr)
+    def test_only_cr_and_lf_end_a_line(self, tmp_path, brk):
+        path = tmp_path / "test.fcidump"
+        path.write_bytes(brk.join(["&FCI NORB=2,NELEC=2", "/", "1.0 1 1 0 0", "", "nan 1 1 0 0"]).encode())
+        with pytest.raises(FcidumpError, match="^line 5: non-finite"):
+            load_integrals(path)
+
+    @pytest.mark.parametrize("space", ["\x0b", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=repr)
+    def test_other_line_breaks_are_spaces(self, tmp_path, space):
+        # str.splitlines() would end a line here; numpy and str.split() read
+        # a space, so the record keeps its 5 fields and the next line is 3.
+        lines = ["&FCI NORB=2,NELEC=2 /", f"1.0 1 1{space}0 0{space}", "nan 1 1 0 0"]
+        with pytest.raises(FcidumpError, match="^line 3: non-finite"):
             load_integrals(write_lines(tmp_path, lines))
-        lines = ["&FCI NORB=2,NELEC=2 /", f"1.0 1 1 0 0{brk}", "nan 1 1 0 0"]
-        with pytest.raises(FcidumpError, match="^line 4: non-finite"):
-            load_integrals(write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"], ids=repr)
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=repr)
+    def test_separators_load_bit_equal(self, tmp_path, monkeypatch, space, brk):
+        # ASCII separators with \n or \r\n take numpy's parser; the others,
+        # and a bare \r, which numpy rejects, take the per-line path.
+        plain = tmp_path / "plain.fcidump"
+        write_integrals(plain, random_hamiltonian(4, np.random.default_rng(66), n_electrons=4))
+        lines = plain.read_text().splitlines()
+        assert lines[1] == " &END"
+        spaced = tmp_path / "spaced.fcidump"
+        spaced.write_bytes(brk.join([*lines[:2], *(space.join(line.split()) for line in lines[2:]), ""]).encode())
+        fast, checked = space.isascii() and brk != "\r", []
+        check = None if fast else fcidump._check_record
+        monkeypatch.setattr(fcidump, "_check_record", lambda *args: checked.append(args) or check(*args))
+        want, got = load_integrals(plain), load_integrals(spaced)
+        assert len(checked) == (0 if fast else len(lines) - 2)
+        assert got.h.tobytes() == want.h.tobytes()
+        assert got.g_pairs.tobytes() == want.g_pairs.tobytes()
+        assert got.core_constant == want.core_constant
 
     def test_non_ascii_header(self, tmp_path):
         # 12 two-byte characters: the data starts 12 bytes after its
@@ -369,9 +393,10 @@ class TestArrayLoader:
         lines = ["&FCI NORB=2,NELEC=2, TITLE=" + "é" * 12, "&END 9.0 1 1 0 0", "1.0 1 1 0 0"]
         assert load_integrals(write_lines(tmp_path, lines)).h[0, 0] == 1.0
 
-    def test_header_ends_at_a_form_feed(self, tmp_path):
-        path = write_lines(tmp_path, ["&FCI NORB=1,NELEC=1 /\f1.5 1 1 0 0"])
-        assert load_integrals(path).h[0, 0] == 1.5
+    def test_form_feed_does_not_end_the_header(self, tmp_path):
+        # The record after the form feed is on the terminator's line, which is ignored.
+        path = write_lines(tmp_path, ["&FCI NORB=1,NELEC=1 /\f1.5 1 1 0 0", "2.5 1 1 0 0"])
+        assert load_integrals(path).h[0, 0] == 2.5
 
     def test_peak_memory_is_a_few_tensors(self, tmp_path):
         path = tmp_path / "n16.fcidump"
@@ -405,10 +430,10 @@ class TestArrayLoader:
         # one-body contraction are built. The bound is four N^4 tensors.
         path = tmp_path / "n16.fcidump"
         write_integrals(path, random_hamiltonian(16, np.random.default_rng(7), n_electrons=16))
-        text = path.read_text()
+        data = path.read_bytes()
         tracemalloc.start()
         try:
-            _, g_pairs, _, _ = fcidump._read(text)
+            _, g_pairs, _, _ = fcidump._read(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

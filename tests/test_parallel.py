@@ -11,7 +11,7 @@ import pytest
 
 from blissdf import _parallel, factorization, optimizer, write_integrals
 from blissdf.factorization import initial_double_factorization, lambda_df, nuclear_norms
-from blissdf.hamiltonian import effective_one_body
+from blissdf.hamiltonian import effective_one_body, frobenius_error
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, _sign_subgradients, optimize
 
 from conftest import random_hamiltonian
@@ -371,6 +371,53 @@ class TestBlasPin:
             assert self.blas_threads() == 2
         finally:
             CONTROLS[0](before)
+
+    @pytest.fixture
+    def at_two_threads(self):
+        before = self.blas_threads()
+        CONTROLS[0](2)
+        yield
+        CONTROLS[0](before)
+
+    def test_kernels_give_the_bits_of_one_thread(self, at_two_threads):
+        # From N = 20 (P = 210) up, an unpinned pair-space eigh and F^T F
+        # change their last bits with the BLAS thread count; a full-rank
+        # Err of about 1e-22 shows F^T F's.
+        ham = random_hamiltonian(20, np.random.default_rng(67), n_electrons=20)
+        full = initial_double_factorization(ham.g_pairs, 400)
+        runs = []
+        for threads in (1, 2):
+            CONTROLS[0](threads)
+            factor_set = initial_double_factorization(ham.g_pairs, 400)
+            runs.append((factor_set.packed.tobytes(), frobenius_error(ham.g_pairs, full)))
+            assert self.blas_threads() == threads
+        assert runs[0] == runs[1]
+
+    def test_library_lambda_is_the_optimizer_start(self, at_two_threads):
+        # The README's library example: its second line repeats the first bit for bit.
+        ham = random_hamiltonian(20, np.random.default_rng(68), n_electrons=20)
+        start = lambda_df(initial_double_factorization(ham.g_pairs, 400), effective_one_body(ham))
+        report = optimize(ham, 400, OptimizationConfig(max_iters=1))
+        assert start.lambda_total == report.initial_breakdown.lambda_total
+
+    def test_cli_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        inp, cfg = tmp_path / "in.fcidump", tmp_path / "config.json"
+        write_integrals(inp, random_hamiltonian(20, np.random.default_rng(69), n_electrons=20))
+        cfg.write_text(json.dumps({"max_iters": 3, "rel_tol": 0.0}))
+        src = os.path.dirname(os.path.dirname(_parallel.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / threads
+            for command, extra in (("factorize", []), ("optimize", ["--config", str(cfg)])):
+                argv = [command, "--input", str(inp), "--rank", "400", "--out", str(out / command), *extra]
+                proc = subprocess.run(
+                    [sys.executable, "-m", "blissdf.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+                )
+                assert proc.returncode == 0, proc.stderr
+            files = [path for path in out.rglob("*.*") if path.name != "manifest.json"]
+            outputs.append({path.relative_to(out): path.read_bytes() for path in files})
+        assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
 
     def test_restored_after_nonfinite_cost(self):
         before = self.blas_threads()

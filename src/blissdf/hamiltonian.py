@@ -25,40 +25,36 @@ import numpy as np
 
 from blissdf._parallel import one_blas_thread
 
-_TWO_BODY_AXES = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
+_CHUNK = 32  # rows per pass of a chunked average, whose temporaries stay small beside its output
+
+
+def _average(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * a + 0.5 * b, into ``out`` if given: the one rule for every symmetric part.
+
+    Halving first keeps the average of two finite floats finite. It gives the
+    bits of 0.5 * (a + b) wherever that is finite, except that a result below
+    2^-1021 in magnitude may move by one unit in the last place.
+    """
+    out = np.multiply(a, 0.5, out=out)
+    out += np.multiply(b, 0.5, order="C")  # for a transposed b, faster than b's own order
+    return out
 
 
 def symmetrize_one_body(mat: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (mat + mat.T) / 2 as a fresh float64 array.
+    """Return the symmetric part 0.5 * mat + 0.5 * mat.T as a fresh float64 array, by chunks of rows.
 
-    An exactly symmetric input comes back as a copy (see _symmetric_part), so
-    an entry above half the float64 range does not overflow.
+    Every finite input stays finite (see _average); an exactly symmetric one
+    keeps its bits, except that an entry below 2^-1021 in magnitude may move
+    by one unit in the last place.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return _symmetric_part(mat, ((1, 0),))
-
-
-def _symmetric_part(arr: np.ndarray, axes: tuple, copy: bool = True) -> np.ndarray:
-    """Average a float64 array with its transpose under each of ``axes`` in turn.
-
-    Returns a fresh array, except that an input already symmetric bit for bit
-    (signed zeros included) comes back as a plain copy, or as itself if not
-    ``copy``: every average would give the same bits, 0.5 * (x + x) == x, at
-    the cost of two temporaries per pass.
-    """
-    if _bitwise_symmetric(arr, axes):
-        return arr.copy() if copy else arr
-    for perm in axes:
-        arr = 0.5 * (arr + arr.transpose(perm))
-    return arr
-
-
-def _bitwise_symmetric(arr: np.ndarray, axes: tuple) -> bool:
-    """Whether a float64 array equals its transpose under each of ``axes`` bit for bit."""
-    bits = arr.view(np.uint64)
-    return all(np.array_equal(bits, bits.transpose(perm)) for perm in axes)
+    out = np.empty(mat.shape)
+    for start in range(0, len(mat), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        _average(mat[rows], mat[:, rows].T, out[rows])
+    return out
 
 
 def _pair_orbitals(pairs: int) -> int:
@@ -71,31 +67,28 @@ def two_body_block(g: np.ndarray) -> np.ndarray:
     """The P x P pair block g_(ij),(kl), i <= j and k <= l, as a fresh, exactly symmetric array.
 
     The one reader of both two-body forms: ``g`` is an (N, N, N, N) tensor,
-    projected onto its 8-fold symmetric part by three averages
-    0.5 * (x + y), over i <-> j, then k <-> l, then the pairs, or a (P, P)
-    block with P = N(N+1)/2, symmetrized. Any other shape raises ValueError.
+    projected onto its 8-fold symmetric part by three averages (_average),
+    over i <-> j, then k <-> l, then the pairs, or a (P, P) block with
+    P = N(N+1)/2, averaged with its transpose (symmetrize_one_body); either
+    way with the bits rule of _average. Any other shape raises ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim == 4 and len(set(g.shape)) == 1:
         n, upper = g.shape[0], pair_space(g.shape[0]).upper
         flat = g.reshape(n * n, n * n)
-        if _bitwise_symmetric(g, _TWO_BODY_AXES):  # the fancy index copies
-            return flat[np.ix_(upper, upper)]
-        # The three averages, the i <-> j one on the pair rows alone and the
-        # k <-> l one on their pair columns, summed in place, then the pair
-        # one: the bits of averaging the whole tensor, with no N^4 temporary.
         rows, cols = np.divmod(upper, n)
         lower = cols * n + rows
-        half = flat[upper]
-        half += flat[lower]
-        half *= 0.5
-        block = half[:, upper]
-        block += half[:, lower]
-        del half  # before the pair average's temporaries
-        block *= 0.5
-        return 0.5 * (block + block.T)
+        # The i <-> j average on a chunk of pair rows, then the k <-> l one on its pair
+        # columns: the bits of averaging the whole tensor, with no temporary above a chunk.
+        block = np.empty((len(upper), len(upper)))
+        for start in range(0, len(upper), _CHUNK):
+            pairs = slice(start, start + _CHUNK)
+            half = flat[upper[pairs]]
+            _average(half, flat[lower[pairs]], half)
+            _average(half[:, upper], half[:, lower], block[pairs])
+        return symmetrize_one_body(block)
     if g.ndim == 2 and g.shape[0] == g.shape[1] and _pair_orbitals(g.shape[0]) >= 0:
-        return _symmetric_part(g, ((1, 0),))
+        return symmetrize_one_body(g)
     raise ValueError(f"expected an N^4 tensor or a P x P pair block, got shape {g.shape}")
 
 
@@ -124,8 +117,11 @@ class Hamiltonian:
         n_electrons: Electron count of the physical sector, 0 <= n_e <= 2N.
 
     The constructor takes ``g`` as an N^4 tensor or as its pair block (see
-    two_body_block). It symmetrizes ``h`` and ``g`` exactly and freezes the
-    arrays; instances are immutable and safe to share across threads.
+    two_body_block). It projects ``h`` and ``g`` onto their symmetric parts by
+    one rule, the average 0.5 * x + 0.5 * y of mirrored entries: a finite input
+    stays finite, and an exactly symmetric one keeps its bits, except that an
+    entry below 2^-1021 in magnitude may move by one unit in the last place.
+    It freezes the arrays; instances are immutable and safe to share across threads.
     """
 
     h: np.ndarray
@@ -292,9 +288,9 @@ def _packed_factors(factors) -> tuple[np.ndarray, int]:
     """(packed, R): the read-only (M, P) packed factors and the factor count R.
 
     The one reader of factors: a FactorSet gives its stored fields. A raw
-    (R, N, N) stack must be finite with R <= N^2; it is symmetrized (as by
-    symmetrize_one_body), packed (PairSpace.pack) and cut after its last
-    nonzero factor, so a zero-padded stack gives the bits of its prefix.
+    (R, N, N) stack must be finite with R <= N^2; both of its orientations
+    are packed (PairSpace.pack) and averaged by _average's rule, and it is cut
+    after its last nonzero factor, so a zero-padded stack gives the bits of its prefix.
     """
     if hasattr(factors, "packed"):  # a FactorSet, checked and packed on construction
         return factors.packed, factors.rank
@@ -306,7 +302,8 @@ def _packed_factors(factors) -> tuple[np.ndarray, int]:
         raise ValueError(f"R={rank} exceeds N^2={n * n}")
     if not np.isfinite(factors).all():
         raise ValueError("factors contain non-finite entries")
-    packed = pair_space(n).pack(_symmetric_part(factors, ((0, 2, 1),), copy=False))
+    space = pair_space(n)
+    packed = _average(space.pack(factors), space.pack(factors.transpose(0, 2, 1)))
     nonzero = np.flatnonzero(packed.any(axis=1))
     # A copy of the prefix, so that no trailing zero rows stay allocated behind it.
     return _frozen_array(packed[: nonzero[-1] + 1 if nonzero.size else 0].copy()), rank

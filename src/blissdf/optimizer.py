@@ -104,6 +104,7 @@ from blissdf.factorization import (
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
+    _average,
     _packed_factors,
     _pair_orbitals,
     effective_one_body,
@@ -360,8 +361,8 @@ class _Objective:
                 xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
                 xi_part += self.n_shift * stack[rank]
                 xi_part.reshape(-1)[:: n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
-                # The packed symmetric part, symmetrize_one_body's 0.5 (x_ab + x_ba) for a <= b.
-                np.multiply(np.add(space.pack(xi_part), space.pack(xi_part.T), grad[-1]), 0.5, grad[-1])
+                # The packed symmetric part, symmetrize_one_body's 0.5 x_ab + 0.5 x_ba for a <= b.
+                _average(space.pack(xi_part), space.pack(xi_part.T), grad[-1])
             then(part, grad)
 
         run_blocks(block, rank + 1)

@@ -39,6 +39,7 @@ from blissdf.fermi_oracle import (
 from blissdf.hamiltonian import (
     Hamiltonian,
     ShiftParams,
+    _average,
     apply_symmetry_shift,
     effective_one_body,
     frobenius_error,
@@ -121,7 +122,7 @@ def chain_hamiltonian(n: int, seed: int) -> Hamiltonian:
     rows, cols = np.triu_indices(n)
     densities = orbitals[:, rows] * orbitals[:, cols] * dx  # the P pair densities
     eri = densities.T @ soft_coulomb(x[:, None] - x) @ densities
-    eri_vals, eri_vecs = np.linalg.eigh(0.5 * (eri + eri.T))
+    eri_vals, eri_vecs = np.linalg.eigh(symmetrize_one_body(eri))
     keep = eri_vals > 1e-10 * eri_vals[-1]
     roots = np.round(eri_vecs[:, keep] * np.sqrt(eri_vals[keep]) * 2.0**20) * 2.0**-20
     eri = roots @ roots.T  # exact: every product and partial sum is a multiple of 2^-40
@@ -129,7 +130,7 @@ def chain_hamiltonian(n: int, seed: int) -> Hamiltonian:
     slopes = np.gradient(orbitals, dx, axis=0)
     nuclear = soft_coulomb(r).sum(axis=1)  # minus V_nuc on the grid
     one_body = 0.5 * slopes.T @ slopes * dx - orbitals.T @ (nuclear[:, None] * orbitals) * dx
-    one_body = np.round((one_body + one_body.T) * 2.0**39) * 2.0**-40  # the symmetric part, rounded
+    one_body = np.round(symmetrize_one_body(one_body) * 2.0**40) * 2.0**-40  # the symmetric part, rounded
     h = _excitation_order(one_body, eri)  # halves eri in place
     return Hamiltonian(
         h=h,
@@ -265,7 +266,7 @@ def _check_gradient() -> CheckResult:
         kappa = float(rng.standard_normal())
         xi = symmetrize_one_body(0.3 * rng.standard_normal((n, n)))
         factors = 0.5 * rng.standard_normal((rank, n, n))
-        factors = 0.5 * (factors + factors.transpose(0, 2, 1))
+        factors = _average(factors, factors.transpose(0, 2, 1))
         c_approx = 50.0
         grad_kappa, grad_xi, grad_factors = gradient(ham, (kappa, xi, factors), c_approx)
         # Raw entry (a, b) of factor r reads its pair's entry of the packed rows.

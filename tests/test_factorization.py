@@ -496,6 +496,24 @@ class TestSerialization:
                 np.lib.format.write_array(expected, np.load(io.BytesIO(data)), allow_pickle=False)
                 assert data == expected.getvalue(), name
 
+    def test_huge_mirrored_pair_is_averaged(self, tmp_path):
+        # 1.5e308 + 1.6e308 overflows, but their average 1.55e308 is finite:
+        # a raw stack's FactorSet stores it, and its archive reads back bit
+        # for bit. Its nuclear norm, 3.1e308, overflows, so lambda reads inf
+        # as at the symmetric part, not NaN.
+        stack = np.zeros((2, 2, 2))
+        stack[0, 0, 1], stack[0, 1, 0], stack[1, 0, 0] = 1.5e308, 1.6e308, 1.0
+        fs = FactorSet(factors=stack)
+        assert fs.packed.tolist() == [[0.0, 1.55e308, 0.0], [1.0, 0.0, 0.0]]
+        path = tmp_path / "huge.npz"
+        save_factor_set(path, fs, kappa=0.0, xi=np.eye(2))
+        loaded = load_factor_set(path)[0]
+        assert (loaded.packed.tobytes(), loaded.rank) == (fs.packed.tobytes(), 2)
+        with np.errstate(over="ignore"):
+            breakdown = lambda_df(fs, np.eye(2))
+        assert breakdown.per_factor.tolist() == [np.inf, 1.0]
+        assert (breakdown.lambda_total, breakdown.one_body_part) == (np.inf, 2.0)
+
     def test_roundtrip_without_shift(self, tmp_path):
         fs = FactorSet(factors=np.zeros((1, 2, 2)))
         path = tmp_path / "plain.npz"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blissdf import (
+    FactorSet,
     Hamiltonian,
     ShiftParams,
     apply_symmetry_shift,
@@ -17,7 +18,7 @@ from blissdf import (
 )
 from blissdf.factorization import initial_double_factorization
 from blissdf.fermi_oracle import sector_eigenvalues
-from blissdf.hamiltonian import symmetrize_one_body, two_body_block
+from blissdf.hamiltonian import pair_space, symmetrize_one_body, two_body_block
 from blissdf.verify import chain_hamiltonian
 
 from conftest import random_hamiltonian, random_psd_two_body
@@ -49,6 +50,19 @@ class TestSymmetrization:
         rng = np.random.default_rng(1)
         ham = Hamiltonian(np.zeros((3, 3)), rng.standard_normal((3, 3, 3, 3)))
         assert two_body_block(ham.g).tobytes() == ham.g_pairs.tobytes()
+        # Halving before the sum gives x back for x = 1e308, 1e-300 and -0.0:
+        # only entries below 2^-1021 in magnitude may move, by one unit.
+        space = pair_space(3)
+        h = symmetrize_one_body(rng.standard_normal((3, 3)))
+        h[0, 0], h[0, 1], h[1, 0], h[1, 2], h[2, 1] = 1e308, 1e-300, 1e-300, -0.0, -0.0
+        block = symmetrize_one_body(rng.standard_normal((6, 6)))
+        block[0, 0], block[1, 4], block[4, 1], block[2, 3], block[3, 2] = 1e308, 1e-300, 1e-300, -0.0, -0.0
+        g = block[np.ix_(space.unpack_index, space.unpack_index)].reshape(3, 3, 3, 3)
+        assert symmetrize_one_body(h).tobytes() == h.tobytes()
+        assert ShiftParams(kappa=0.0, xi=h, n_e=1).xi.tobytes() == h.tobytes()
+        assert two_body_block(block).tobytes() == two_body_block(g).tobytes() == block.tobytes()
+        stack = np.stack([h, -h])
+        assert FactorSet(factors=stack).packed.tobytes() == space.pack(stack).tobytes()
 
     def test_check_two_body_symmetry_raises(self):
         g = np.zeros((2, 2, 2, 2))
@@ -109,21 +123,6 @@ class TestHamiltonian:
         g[0, 0, 0, 0] = 7.0
         assert ham.g[0, 0, 0, 0] != 7.0
 
-    def test_symmetric_input_skips_the_averaging_passes(self):
-        # A g that is already exactly symmetric costs one copy, not the
-        # two N^4 temporaries of each averaging pass.
-        rng = np.random.default_rng(4)
-        g = random_psd_two_body(8, rng)
-        h = np.eye(8)
-        Hamiltonian(h=h, g=g)
-        tracemalloc.start()
-        try:
-            Hamiltonian(h=h, g=g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * g.nbytes
-
     def test_mirrored_signed_zeros_are_averaged(self):
         # 0.0 == -0.0, but the bits differ: such a g takes the averaging
         # path, which stores +0.0 at both entries.
@@ -133,19 +132,34 @@ class TestHamiltonian:
         assert not np.signbit(ham.g).any()
 
     def test_huge_symmetric_entry_is_kept(self):
-        # Averaging x with itself overflowed to inf above DBL_MAX / 2; an
-        # exactly symmetric input is stored as given instead.
+        # 0.5 * (x + x) overflows to inf above DBL_MAX / 2; the average
+        # 0.5 * x + 0.5 * x halves first and gives back x.
         g = np.zeros((1, 1, 1, 1))
         g[0, 0, 0, 0] = 1.5e308
         assert Hamiltonian(h=np.zeros((1, 1)), g=g).g[0, 0, 0, 0] == 1.5e308
 
     def test_huge_symmetric_one_body_entry_is_kept(self):
-        # The same rule holds for h: averaging 1e308 with itself overflowed
-        # to inf, and the Hamiltonian then rejected h as non-finite.
+        # The same rule holds for h: 0.5 * (x + x) at 1e308 would overflow
+        # to inf, and the Hamiltonian would then reject h as non-finite.
         h = np.array([[1e308, 0.0], [0.0, 1.0]])
         ham = Hamiltonian(h=h, g=np.zeros((2, 2, 2, 2)))
         assert ham.h.tobytes() == h.tobytes()
         assert not np.shares_memory(ham.h, h)
+
+    def test_huge_mirrored_pair_is_averaged(self):
+        # 1.5e308 + 1.6e308 overflows, but their average 1.55e308 is finite:
+        # h, an N^4 g, a pair block and xi each store it at both entries.
+        pair = np.array([[0.0, 1.5e308], [1.6e308, 0.0]])
+        want = np.array([[0.0, 1.55e308], [1.55e308, 0.0]])
+        assert Hamiltonian(h=pair, g=np.zeros((2, 2, 2, 2))).h.tobytes() == want.tobytes()
+        g = np.zeros((2, 2, 2, 2))
+        g[0, 1, 0, 0], g[1, 0, 0, 0] = g[0, 0, 0, 1], g[0, 0, 1, 0] = 1.5e308, 1.6e308
+        stored = Hamiltonian(h=np.zeros((2, 2)), g=g).g
+        assert stored[0, 1, 0, 0] == stored[1, 0, 0, 0] == stored[0, 0, 1, 0] == 1.55e308
+        block = np.zeros((3, 3))
+        block[0, 1], block[1, 0] = 1.5e308, 1.6e308
+        assert Hamiltonian(h=np.zeros((2, 2)), g=block).g_pairs[:2, :2].tobytes() == want.tobytes()
+        assert ShiftParams(kappa=0.0, xi=pair, n_e=1).xi.tobytes() == want.tobytes()
 
 
 class TestPairBlockStorage:
@@ -178,15 +192,25 @@ class TestPairBlockStorage:
         assert frobenius_error(packed.g_pairs, factors.factors[:5]) == frobenius_error(g, factors.factors[:5])
 
     def test_asymmetric_block_is_symmetrized(self):
+        # Each reader gives the bits of the averages 0.5 * (x + y) on every
+        # finite input that does not overflow them: one-body matrices, raw
+        # factor stacks, pair blocks and N^4 tensors, the latter by the
+        # whole tensor's three averages, over i <-> j, then k <-> l, then
+        # the pairs.
         rng = np.random.default_rng(23)
         block = rng.standard_normal((6, 6))
         ham = Hamiltonian(h=np.zeros((3, 3)), g=block)
         assert ham.g_pairs.tobytes() == (0.5 * (block + block.T)).tobytes()
         check_two_body_symmetry(ham.g)
-        # An asymmetric tensor: averaging only the pair rows and columns
-        # gives the bits of the pair block of the whole tensor's three
-        # averages, over i <-> j, then k <-> l, then the pairs.
-        for n in (3, 8):
+        for n in (1, 2, 3, 8, 16):
+            mat = rng.standard_normal((n, n))
+            assert symmetrize_one_body(mat).tobytes() == (0.5 * (mat + mat.T)).tobytes()
+            stack = rng.standard_normal((n, n, n))
+            want = pair_space(n).pack(0.5 * (stack + stack.transpose(0, 2, 1)))
+            assert FactorSet(factors=stack).packed.tobytes() == want.tobytes()
+            pairs = n * (n + 1) // 2
+            block = rng.standard_normal((pairs, pairs))
+            assert two_body_block(block).tobytes() == (0.5 * (block + block.T)).tobytes()
             g = want = rng.standard_normal((n, n, n, n))
             for axes in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
                 want = 0.5 * (want + want.transpose(axes))
@@ -195,18 +219,22 @@ class TestPairBlockStorage:
             assert two_body_block(g).tobytes() == want.tobytes()
 
     def test_asymmetric_tensor_keeps_no_full_size_temporary(self):
-        # The averages run on the P x N^2 pair rows, two of them at once:
-        # about N^4 in all, where averaging the whole tensor held two N^4
-        # temporaries at once.
-        g = np.random.default_rng(24).standard_normal((16, 16, 16, 16))
-        two_body_block(g)
-        tracemalloc.start()
-        try:
+        # The averages run on a few pair rows at a time and then on the
+        # P x P block: about two blocks, near g.nbytes / 2, for a bitwise
+        # symmetric tensor as for an asymmetric one, where averaging the
+        # whole tensor held two N^4 temporaries at once. A pair block's read
+        # holds little beside the block it returns.
+        rng = np.random.default_rng(24)
+        ham = Hamiltonian(np.zeros((32, 32)), rng.standard_normal((528, 528)))
+        for g, bound in ((ham.g, 0.6), (rng.standard_normal((32, 32, 32, 32)), 0.6), (ham.g_pairs, 1.25)):
             two_body_block(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * g.nbytes
+            tracemalloc.start()
+            try:
+                two_body_block(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * g.nbytes
 
     @pytest.mark.parametrize("shape", [(5, 5), (4, 4), (6, 3), (2, 2, 2, 3), (2, 2, 2), (36,)])
     def test_format_helper_rejects_other_shapes(self, shape):

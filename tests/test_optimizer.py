@@ -221,6 +221,18 @@ class TestTotalCost:
         assert lam == pytest.approx(lam_ref, rel=1e-12)
         assert total == pytest.approx(5.0 * err_ref + lam_ref, rel=1e-12)
 
+    def test_huge_mirrored_xi_pair_is_averaged(self):
+        # 1.5e308 + 1.6e308 overflows, but xi's symmetric part holds 1.55e308:
+        # the cost reads as at that part, lambda finite (N = n_e, so xi does
+        # not enter h'), and Err, whose shifted block holds 7.75e307,
+        # overflows to inf rather than NaN.
+        ham = Hamiltonian(np.eye(2), np.zeros((2, 2, 2, 2)), n_electrons=2)
+        xi = np.array([[0.0, 1.5e308], [1.6e308, 0.0]])
+        with np.errstate(over="ignore"):
+            got = total_cost(ham, (0.0, xi, np.zeros((0, 2, 2))), 1.0)
+            want = total_cost(ham, (0.0, np.array([[0.0, 1.55e308], [1.55e308, 0.0]]), np.zeros((0, 2, 2))), 1.0)
+        assert got == want == (math.inf, math.inf, 2.0)
+
     def test_accepts_factor_set(self):
         rng = np.random.default_rng(23)
         ham = random_hamiltonian(2, rng)

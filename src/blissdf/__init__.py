@@ -16,8 +16,6 @@ from blissdf.hamiltonian import (
     ShiftParams,
     apply_symmetry_shift,
     effective_one_body,
-    frobenius_error,
-    reconstruct_two_body,
     symmetrize_one_body,
 )
 from blissdf.fcidump import FcidumpError, load_integrals, write_integrals
@@ -27,10 +25,12 @@ from blissdf.factorization import (
     LambdaBreakdown,
     Rank1Decomposition,
     eigen_rank1,
+    frobenius_error,
     initial_double_factorization,
     lambda_df,
     load_factor_set,
     nuclear_norm,
+    reconstruct_two_body,
     save_factor_set,
 )
 from blissdf.optimizer import (

@@ -48,12 +48,13 @@ from blissdf import __version__
 from blissdf.factorization import (
     IndefiniteTensorError,
     check_rank,
+    frobenius_error,
     initial_double_factorization,
     lambda_df,
     save_factor_set,
 )
 from blissdf.fcidump import INTEGRAL_CONVENTION, load_integrals
-from blissdf.hamiltonian import Hamiltonian, effective_one_body, frobenius_error
+from blissdf.hamiltonian import Hamiltonian, effective_one_body
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 

@@ -1,4 +1,4 @@
-"""Double factorization of the two-body tensor and lambda accounting.
+"""The factor format end to end: double factorization, lambda accounting and archives.
 
 The two-body tensor g is first decomposed as a sum of Kronecker squares,
 
@@ -34,8 +34,8 @@ import numpy as np
 from blissdf._parallel import one_blas_thread, run_blocks
 from blissdf.hamiltonian import (
     _as_int,
+    _average,
     _frozen_array,
-    _packed_factors,
     _pair_orbitals,
     pair_space,
     symmetrize_one_body,
@@ -63,23 +63,38 @@ class FactorSet:
             order) of the first M factors; the other R - M are exact zeros.
         rank: R, from 0 (an empty factorization) up to N^2.
 
-    ``FactorSet(factors)`` reads a FactorSet or a raw (R, N, N) stack (see
-    hamiltonian._packed_factors). ``factors`` unpacks the zero-padded stack
-    into a fresh read-only array on each access, N^4 at R = N^2: keep it
-    out of loops.
+    ``FactorSet(factors)``, the one reader of factors, takes a FactorSet's
+    fields or reads a finite raw (R, N, N) stack, R <= N^2, by packing both
+    orientations and averaging them (hamiltonian._average). Every FactorSet,
+    from a stack, an archive or a descent, is cut after its last nonzero
+    factor (M = 0 or row M - 1 is nonzero), so a zero-padded stack gives the
+    bits of its prefix. ``factors`` unpacks the zero-padded stack into a
+    fresh read-only array on each access, N^4 at R = N^2: keep it out of loops.
     """
 
     packed: np.ndarray
     rank: int
 
     def __init__(self, factors):
-        packed, rank = _packed_factors(factors)
-        object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "rank", rank)
+        if not isinstance(factors, FactorSet):  # a FactorSet was checked, packed and cut when made
+            factors = np.asarray(factors, dtype=np.float64)
+            if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
+                raise ValueError(f"factors must have shape (R, N, N), got {factors.shape}")
+            rank, n = factors.shape[:2]
+            if rank > n * n:
+                raise ValueError(f"R={rank} exceeds N^2={n * n}")
+            if not np.isfinite(factors).all():
+                raise ValueError("factors contain non-finite entries")
+            flat, space = factors.reshape(rank, n * n), pair_space(n)
+            factors = self._from_packed(_average(flat[:, space.upper], flat[:, space.lower]), rank)
+        object.__setattr__(self, "packed", factors.packed)
+        object.__setattr__(self, "rank", factors.rank)
 
     @classmethod
     def _from_packed(cls, packed: np.ndarray, rank: int) -> "FactorSet":
-        """R = ``rank`` factors whose first M are the (M, P) rows ``packed``, kept without a copy."""
+        """R = ``rank`` factors, the first ones the rows ``packed`` cut after their last nonzero one."""
+        stop = np.flatnonzero(packed.any(axis=1)).max(initial=-1) + 1  # the one prefix rule
+        packed = packed if stop == len(packed) else packed[:stop].copy()  # no zero rows stay allocated
         factor_set = cls.__new__(cls)
         object.__setattr__(factor_set, "packed", _frozen_array(packed))
         object.__setattr__(factor_set, "rank", rank)
@@ -107,6 +122,32 @@ class FactorSet:
 
     def __len__(self) -> int:
         return self.rank
+
+
+@one_blas_thread()
+def reconstruct_two_body(factors) -> np.ndarray:
+    """Assemble sum_r A_r (x) A_r from a FactorSet or a raw (R, N, N) stack (see FactorSet).
+
+    Returns the N^4 tensor with entries sum_r A[r,i,j] * A[r,k,l], unpacked
+    from the pair-space Gram matrix F^T F of the packed factors F; R may be zero.
+    """
+    factor_set = FactorSet(factors)
+    return pair_space(factor_set.n_orbitals).tensor(factor_set.packed.T @ factor_set.packed)
+
+
+@one_blas_thread()
+def frobenius_error(g_target: np.ndarray, factors) -> float:
+    """Squared Frobenius residual between a tensor and its factorization.
+
+    Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2, the squared norm, not
+    its square root, for an N^4 ``g_target`` or its pair block (two_body_block)
+    and a FactorSet or a raw stack (see FactorSet), in pair space.
+    """
+    g_pairs, factor_set = two_body_block(g_target), FactorSet(factors)
+    n = factor_set.n_orbitals
+    if n * (n + 1) // 2 != len(g_pairs):
+        raise ValueError(f"factor dimension {n} does not match tensor dimension {_pair_orbitals(len(g_pairs))}")
+    return pair_space(n).residual(g_pairs, factor_set.packed)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,12 +346,11 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     Raises:
         ValueError: If h_prime's dimension disagrees with the factors'.
     """
-    h_prime = np.asarray(h_prime, dtype=np.float64)
-    packed = _packed_factors(factor_set)[0]
-    n = _pair_orbitals(packed.shape[1])
+    h_prime, factor_set = np.asarray(h_prime, dtype=np.float64), FactorSet(factor_set)
+    n = factor_set.n_orbitals
     if h_prime.shape != (n, n):
         raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
-    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(packed)), nuclear_norm(h_prime))
+    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(factor_set.packed)), nuclear_norm(h_prime))
 
 
 def save_factor_set(

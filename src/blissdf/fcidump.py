@@ -31,14 +31,17 @@ the file once as bytes and decodes only the header. One pass of numpy's C
 text parser over the bytes, or over a copy with ``D`` exponents translated
 to ``E`` if the data have any, fills a value and four index columns, which
 are reduced to an orbit key and a value each. One sort of the keys groups
-the records, and each orbit's values are added in file order and divided
-by their count, then written at the two entries of g's P x P pair block
-(no N^4 tensor) that its key names. The traced peak is under 4 times the
-file size. If the C parser rejects the data (a non-ASCII byte or a bare
-``\r``, say) or a mask flags a record, each line is decoded and read by
-``_check_record``, the one definition of an error, which accepts what
-Python's ``float``/``int`` accept and raises on the first bad line. Orbit
-conflicts come last: one-body first, each kind by first appearance.
+the records. Each orbit's values, scaled by 2^-k with 2^k at least the
+largest count so that no sum overflows, are added in file order and divided
+by their count and by 2^-k: the bits of sum / count wherever the scaled
+values and means stay above 2^-1022 in magnitude. The mean is written at
+the two entries of g's P x P pair block (no N^4 tensor) that its key names.
+The traced peak is under 4 times the file size. If the C parser rejects the
+data (a non-ASCII byte or a bare ``\r``, say) or a mask flags a record,
+each line is decoded and read by ``_check_record``, the one definition of
+an error, which accepts what Python's ``float``/``int`` accept and raises
+on the first bad line. Orbit conflicts come last: one-body first, each kind
+by first appearance.
 """
 
 from __future__ import annotations
@@ -211,9 +214,11 @@ def _read(data: bytes) -> tuple[np.ndarray, np.ndarray, float, int]:
             f"conflicting {kind} entries for orbit {name}: values {min(found)!r} and "
             f"{max(found)!r} disagree beyond relative tolerance {ASYMMETRY_RTOL:g} "
             f"(lines {lines})", line=lines[-1])
-    # bincount adds in file order, so each mean is sum(values) / len(values).
-    means = np.bincount(inverse, weights=values) / np.bincount(inverse)
-    del values, inverse, bad  # the per-record arrays, before the pair block
+    # bincount adds in file order; scaled by 2^-k, with 2^k above every count, no sum overflows.
+    counts = np.bincount(inverse)
+    scale = 0.5 ** int(counts.max(initial=0)).bit_length()
+    means = np.bincount(inverse, weights=np.multiply(values, scale, out=values)) / counts / scale
+    del values, inverse, bad, counts  # the per-record arrays, before the pair block
     core = means[0] if high.size and high[0] == 0 else 0.0
     space, pair = pair_space(norb), np.zeros(base**2, np.intp)  # pair[code]: the pair index of a pair code
     pair.reshape(base, base)[1:, 1:] = space.unpack_index.reshape(norb, norb)
@@ -250,12 +255,16 @@ def write_integrals(path: str | Path, ham: Hamiltonian, ms2: int = 0) -> None:
 
     Only the canonical representative of each 8-fold orbit is emitted, and
     exact zeros are skipped. Values are printed with 17 significant digits so
-    they parse back to the same double.
+    they parse back to the same double. If (ij|kl) = 2g or t overflows
+    float64, it raises ValueError and writes nothing.
     """
     path = Path(path)
     n = ham.n_orbitals
-    v_pairs = 2.0 * ham.g_pairs
-    t_mat = ham.h + 0.5 * _exchange(v_pairs, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_pairs = 2.0 * ham.g_pairs
+        t_mat = ham.h + 0.5 * _exchange(v_pairs, n)
+    if not (np.isfinite(v_pairs).all() and np.isfinite(t_mat).all()):
+        raise ValueError("the FCIDUMP integrals (ij|kl) = 2g or t overflow float64")
     pairs = [(i, j) for i in range(n) for j in range(i + 1)]  # i >= j, in emission order
     order = pair_space(n).unpack_index[[i * n + j for i, j in pairs]]
     v_ordered = v_pairs[np.ix_(order, order)]  # rows and columns in emission order

@@ -1,4 +1,4 @@
-"""Electronic Hamiltonian data model and symmetry-shift algebra.
+"""Electronic Hamiltonian data model, symmetry-shift algebra and pair space.
 
 The Hamiltonian is stored in the "excitation-ordered" convention
 
@@ -9,10 +9,11 @@ excitation operators, h is real symmetric and g carries the standard 8-fold
 index symmetry. All energies are in Hartree.
 
 As g_ijkl is symmetric in i <-> j and in k <-> l, the kernels work in pair
-space (PairSpace): the P = N(N+1)/2 pairs i <= j, with multiplicity c = 1 if
-i = j, else 2. A symmetric matrix packs to its P upper entries, g to its P x P
-block, the one two-body array a Hamiltonian stores, and an 8-fold-symmetric
-D has squared norm sum_pq c_p c_q D_pq^2.
+space, whose one owner is PairSpace: the P = N(N+1)/2 pairs i <= j, with
+multiplicity c = 1 if i = j, else 2. A symmetric matrix packs to its P upper
+entries, g to its P x P block, the one two-body array a Hamiltonian stores,
+and an 8-fold-symmetric D has squared norm sum_pq c_p c_q D_pq^2. The
+factors of g are factorization's.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import functools
 import math
 
 import numpy as np
-
-from blissdf._parallel import one_blas_thread
 
 _CHUNK = 32  # rows per pass of a chunked average, whose temporaries stay small beside its output
 
@@ -74,10 +73,8 @@ def two_body_block(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim == 4 and len(set(g.shape)) == 1:
-        n, upper = g.shape[0], pair_space(g.shape[0]).upper
-        flat = g.reshape(n * n, n * n)
-        rows, cols = np.divmod(upper, n)
-        lower = cols * n + rows
+        space = pair_space(g.shape[0])
+        flat, upper, lower = g.reshape(space.n**2, space.n**2), space.upper, space.lower
         # The i <-> j average on a chunk of pair rows, then the k <-> l one on its pair
         # columns: the bits of averaging the whole tensor, with no temporary above a chunk.
         block = np.empty((len(upper), len(upper)))
@@ -153,8 +150,7 @@ class Hamiltonian:
     @property
     def g(self) -> np.ndarray:
         """The dense (N, N, N, N) two-body tensor, unpacked from g_pairs into a fresh frozen array."""
-        index = pair_space(self.n_orbitals).unpack_index
-        return _frozen_array(self.g_pairs[np.ix_(index, index)].reshape((self.n_orbitals,) * 4))
+        return _frozen_array(pair_space(self.n_orbitals).tensor(self.g_pairs))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -224,35 +220,22 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     return ham.h + 2.0 * space.unpack(np.einsum("pk->p", ham.g_pairs[:, space.diagonal]))
 
 
-@one_blas_thread()
-def reconstruct_two_body(factors) -> np.ndarray:
-    """Assemble sum_r A_r (x) A_r from a FactorSet or a raw (R, N, N) stack (see _packed_factors).
-
-    Returns the N^4 tensor with entries sum_r A[r,i,j] * A[r,k,l], unpacked
-    from the pair-space Gram matrix F^T F of the packed factors F; R may be zero.
-    """
-    packed, _ = _packed_factors(factors)
-    n = _pair_orbitals(packed.shape[1])
-    index = pair_space(n).unpack_index
-    return (packed.T @ packed)[np.ix_(index, index)].reshape(n, n, n, n)
-
-
 class PairSpace:
     """Index maps between symmetric N x N matrices and their pair space; see pair_space.
 
     The P = N(N+1)/2 pairs i <= j are numbered in np.triu_indices order.
-    ``upper`` holds each pair's flat position i * N + j, ``unpack_index``
-    the pair at every flat position, ``diagonal`` the pairs (k, k), and
-    ``mult`` the multiplicities c.
+    ``upper`` holds each pair's flat position i * N + j, ``lower`` its
+    transposed one j * N + i, ``unpack_index`` the pair at every flat
+    position, ``diagonal`` the pairs (k, k), and ``mult`` the multiplicities c.
     """
 
     def __init__(self, n: int):
         rows, cols = np.triu_indices(n)
         index = np.empty((n, n), dtype=np.intp)
         index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-        self.n, self.upper, self.unpack_index = n, rows * n + cols, index.ravel()
+        self.n, self.upper, self.lower, self.unpack_index = n, rows * n + cols, cols * n + rows, index.ravel()
         self.diagonal, self.mult = np.diagonal(index), np.where(rows == cols, 1.0, 2.0)
-        for shared in (self.upper, self.unpack_index, self.mult):  # one instance per N
+        for shared in (self.upper, self.lower, self.unpack_index, self.mult):  # one instance per N
             shared.setflags(write=False)
 
     def pack(self, mats: np.ndarray) -> np.ndarray:
@@ -263,6 +246,10 @@ class PairSpace:
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Symmetric matrices (..., N, N) from upper triangles (..., P), by one take into a fresh array."""
         return packed.take(self.unpack_index.reshape(self.n, self.n), axis=-1)
+
+    def tensor(self, block: np.ndarray) -> np.ndarray:
+        """The (N, N, N, N) tensor of a P x P pair block, as a fresh array."""
+        return block[np.ix_(self.unpack_index, self.unpack_index)].reshape((self.n,) * 4)
 
     def shifted(self, g_pairs: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """A copy of the pair block ``g_pairs`` plus (xi_ij delta_kl + delta_ij xi_kl) / 2, for xi packed (pack)."""
@@ -283,43 +270,3 @@ class PairSpace:
 
 pair_space = functools.lru_cache(maxsize=8)(PairSpace)
 
-
-def _packed_factors(factors) -> tuple[np.ndarray, int]:
-    """(packed, R): the read-only (M, P) packed factors and the factor count R.
-
-    The one reader of factors: a FactorSet gives its stored fields. A raw
-    (R, N, N) stack must be finite with R <= N^2; both of its orientations
-    are packed (PairSpace.pack) and averaged by _average's rule, and it is cut
-    after its last nonzero factor, so a zero-padded stack gives the bits of its prefix.
-    """
-    if hasattr(factors, "packed"):  # a FactorSet, checked and packed on construction
-        return factors.packed, factors.rank
-    factors = np.asarray(factors, dtype=np.float64)
-    if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
-        raise ValueError(f"factors must have shape (R, N, N), got {factors.shape}")
-    rank, n = factors.shape[:2]
-    if rank > n * n:
-        raise ValueError(f"R={rank} exceeds N^2={n * n}")
-    if not np.isfinite(factors).all():
-        raise ValueError("factors contain non-finite entries")
-    space = pair_space(n)
-    packed = _average(space.pack(factors), space.pack(factors.transpose(0, 2, 1)))
-    nonzero = np.flatnonzero(packed.any(axis=1))
-    # A copy of the prefix, so that no trailing zero rows stay allocated behind it.
-    return _frozen_array(packed[: nonzero[-1] + 1 if nonzero.size else 0].copy()), rank
-
-
-@one_blas_thread()
-def frobenius_error(g_target: np.ndarray, factors) -> float:
-    """Squared Frobenius residual between a tensor and its factorization.
-
-    Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2, the squared norm, not
-    its square root, for an N^4 ``g_target`` or its pair block (two_body_block)
-    and a FactorSet or a raw stack (_packed_factors), in pair space.
-    """
-    g_pairs = two_body_block(g_target)
-    packed, _ = _packed_factors(factors)
-    n = _pair_orbitals(len(g_pairs))
-    if packed.shape[1] != len(g_pairs):
-        raise ValueError(f"factor dimension {_pair_orbitals(packed.shape[1])} does not match tensor dimension {n}")
-    return pair_space(n).residual(g_pairs, packed)[0]

@@ -105,8 +105,6 @@ from blissdf.factorization import (
 from blissdf.hamiltonian import (
     Hamiltonian,
     _average,
-    _packed_factors,
-    _pair_orbitals,
     effective_one_body,
     pair_space,
     symmetrize_one_body,
@@ -254,18 +252,18 @@ class OptimizationReport:
 def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
     """Check and symmetrize (kappa, xi, factors); return (theta, kappa).
 
-    theta is (M + 1, P): the packed factors (hamiltonian._packed_factors),
-    then xi packed as a factor (PairSpace.pack).
+    theta is (M + 1, P): the packed factors (FactorSet), then xi packed as
+    a factor (PairSpace.pack).
     """
     kappa, xi, factors = params
     n = ham.n_orbitals
     xi = symmetrize_one_body(xi)
     if xi.shape != (n, n):
         raise ValueError(f"xi shape {xi.shape} does not match N={n}")
-    packed = _packed_factors(factors)[0]
-    if packed.shape[1] != n * (n + 1) // 2:
-        raise ValueError(f"factors are for N={_pair_orbitals(packed.shape[1])} orbitals, not N={n}")
-    return np.vstack((packed, pair_space(n).pack(xi))), float(kappa)
+    factor_set = FactorSet(factors)
+    if factor_set.n_orbitals != n:
+        raise ValueError(f"factors are for N={factor_set.n_orbitals} orbitals, not N={n}")
+    return np.vstack((factor_set.packed, pair_space(n).pack(xi))), float(kappa)
 
 
 def _sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray) -> None:

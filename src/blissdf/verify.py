@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from blissdf.factorization import eigen_rank1, initial_double_factorization
+from blissdf.factorization import eigen_rank1, frobenius_error, initial_double_factorization, reconstruct_two_body
 from blissdf.fcidump import _excitation_order
 from blissdf.fermi_oracle import (
     b_operator,
@@ -42,9 +42,7 @@ from blissdf.hamiltonian import (
     _average,
     apply_symmetry_shift,
     effective_one_body,
-    frobenius_error,
     pair_space,
-    reconstruct_two_body,
     symmetrize_one_body,
 )
 from blissdf.optimizer import OptimizationConfig, gradient, optimize, total_cost
@@ -119,7 +117,7 @@ def chain_hamiltonian(n: int, seed: int) -> Hamiltonian:
     def soft_coulomb(d):
         return 1.0 / np.sqrt(d**2 + 1.0)
 
-    rows, cols = np.triu_indices(n)
+    rows, cols = np.divmod(pair_space(n).upper, n)
     densities = orbitals[:, rows] * orbitals[:, cols] * dx  # the P pair densities
     eri = densities.T @ soft_coulomb(x[:, None] - x) @ densities
     eri_vals, eri_vecs = np.linalg.eigh(symmetrize_one_body(eri))

@@ -10,6 +10,7 @@ import pytest
 
 from blissdf import (
     FactorSet,
+    Hamiltonian,
     IndefiniteTensorError,
     eigen_rank1,
     frobenius_error,
@@ -19,6 +20,7 @@ from blissdf import (
     nuclear_norm,
     reconstruct_two_body,
     save_factor_set,
+    total_cost,
 )
 from blissdf.factorization import LambdaBreakdown, Rank1Decomposition, nuclear_norms
 from blissdf.hamiltonian import symmetrize_one_body, two_body_block
@@ -627,6 +629,27 @@ class TestSerialization:
         with np.load(path) as archive:
             assert str(archive["format"]) == "blissdf-factors-v2"
             assert archive["factors"].shape == (73, 528)
+
+    def test_trailing_zero_rows_are_cut_on_load(self, tmp_path):
+        # Every FactorSet is cut after its last nonzero factor: a hand-written
+        # archive whose factors member ends in a zero row reads as its raw stack.
+        rng = np.random.default_rng(19)
+        stack = np.zeros((3, 2, 2))
+        stack[0] = symmetrize_one_body(rng.standard_normal((2, 2)))
+        raw = FactorSet(factors=stack)
+        path = tmp_path / "padded.npz"
+        save_factor_set(path, raw)
+        with np.load(path) as archive:
+            kept = {name: archive[name] for name in archive.files}
+        kept["factors"] = np.vstack((raw.packed, np.zeros((1, 3))))
+        np.savez(path, **kept)
+        loaded = load_factor_set(path)[0]
+        assert (loaded.effective_rank, loaded.rank) == (raw.effective_rank, raw.rank) == (1, 3)
+        h_prime = symmetrize_one_body(rng.standard_normal((2, 2)))
+        assert lambda_df(loaded, h_prime).per_factor.tobytes() == lambda_df(raw, h_prime).per_factor.tobytes()
+        ham = Hamiltonian(h_prime, random_psd_two_body(2, rng), 0.0, 2)
+        costs = [total_cost(ham, (0.1, h_prime, fs), 3.0) for fs in (loaded, raw)]
+        assert np.array(costs[0]).tobytes() == np.array(costs[1]).tobytes()
 
     def test_rejects_foreign_archive(self, tmp_path):
         path = tmp_path / "other.npz"

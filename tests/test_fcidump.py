@@ -181,6 +181,16 @@ class TestRecordParsing:
         ham = load_integrals(path)
         assert ham.h[0, 1] == pytest.approx(value, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "indices, entry, want",
+        [(("1 2 0 0", "2 1 0 0"), "h", 1.5e308), (("1 2 1 1", "2 1 1 1"), "g_pairs", 7.5e307)],
+        ids=["one-body", "two-body"],
+    )
+    def test_mean_of_huge_duplicates_is_finite(self, tmp_path, indices, entry, want):
+        # Their sum, 3e308, overflows float64; their mean, 1.5e308, does not (g is half of it).
+        path = write_lines(tmp_path, ["&FCI NORB=2,NELEC=2, &END", *(f"1.5e308 {i}" for i in indices)])
+        assert getattr(load_integrals(path), entry)[1, 0] == want
+
 
 def orbit_members(i, j, k, l):
     """The index tuples of the symmetry orbit of a record (1-based)."""
@@ -553,6 +563,16 @@ class TestWriter:
                 continue
             i, j, k, l = key
             assert i >= j and k >= l and (i, j) >= (k, l)
+
+    def test_overflowing_integrals_are_refused(self, tmp_path):
+        # (ij|kl) = 2g overflows for g = 1e308: the writer raises before it
+        # opens the file, instead of writing an inf that the loader rejects.
+        g = np.zeros((1, 1, 1, 1))
+        g[0, 0, 0, 0] = 1e308
+        path = tmp_path / "huge.fcidump"
+        with pytest.raises(ValueError, match="overflow"):
+            write_integrals(path, Hamiltonian(np.zeros((1, 1)), g))
+        assert not path.exists()
 
     def test_peak_memory_is_below_two_file_sizes(self, tmp_path):
         # The lines go to the file as they are formatted: a list of them,

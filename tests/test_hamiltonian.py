@@ -215,6 +215,8 @@ class TestPairBlockStorage:
             for axes in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
                 want = 0.5 * (want + want.transpose(axes))
             upper = np.flatnonzero(np.triu(np.ones((n, n))))
+            assert pair_space(n).lower.tobytes() == np.arange(n * n).reshape(n, n).T.ravel()[upper].tobytes()
+            assert pair_space(n).tensor(two_body_block(g)).tobytes() == want.tobytes()
             want = want.reshape(n * n, n * n)[np.ix_(upper, upper)]
             assert two_body_block(g).tobytes() == want.tobytes()
 

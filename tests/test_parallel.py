@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from blissdf import _parallel, factorization, optimizer, write_integrals
-from blissdf.factorization import initial_double_factorization, lambda_df, nuclear_norms
-from blissdf.hamiltonian import effective_one_body, frobenius_error
+from blissdf.factorization import frobenius_error, initial_double_factorization, lambda_df, nuclear_norms
+from blissdf.hamiltonian import effective_one_body
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, _sign_subgradients, optimize
 
 from conftest import random_hamiltonian

@@ -34,7 +34,6 @@ import numpy as np
 from blissdf._parallel import one_blas_thread, run_blocks
 from blissdf.hamiltonian import (
     _as_int,
-    _average,
     _frozen_array,
     _pair_orbitals,
     pair_space,
@@ -56,49 +55,41 @@ class IndefiniteTensorError(ValueError):
 
 @dataclass(frozen=True, eq=False, init=False)
 class FactorSet:
-    """An ordered collection of R symmetric N x N factor matrices, stored packed.
+    """R symmetric N x N factor matrices A_r, stored as the packed upper triangles of the nonzero ones.
 
     Attributes:
-        packed: Read-only (M, P) upper triangles (P = N(N+1)/2, PairSpace.pack
-            order) of the first M factors; the other R - M are exact zeros.
+        packed: Read-only (M, P) rows, P = N(N+1)/2: row r is
+            A_r[np.triu_indices(N)] (PairSpace.pack order); the other R - M
+            factors are exact zeros.
         rank: R, from 0 (an empty factorization) up to N^2.
 
-    ``FactorSet(factors)``, the one reader of factors, takes a FactorSet's
-    fields or reads a finite raw (R, N, N) stack, R <= N^2, by packing both
-    orientations and averaging them (hamiltonian._average). Every FactorSet,
-    from a stack, an archive or a descent, is cut after its last nonzero
-    factor (M = 0 or row M - 1 is nonzero), so a zero-padded stack gives the
-    bits of its prefix. ``factors`` unpacks the zero-padded stack into a
-    fresh read-only array on each access, N^4 at R = N^2: keep it out of loops.
+    ``FactorSet(packed, rank)``, the one way in, takes finite (M, P) rows,
+    M <= R <= N^2 with R an integer (not a bool), and cuts them after the
+    last nonzero one (M = 0 or row M - 1 is nonzero), so zero padding gives
+    the bits of its prefix. It keeps a read-only view of the rows, or a copy
+    of the cut ones; the caller's array stays writable and must not change.
+    ``factors``, ``__iter__`` and ``__len__``, the dense views that stay for
+    the benchmark, unpack the zero-padded (R, N, N) stack afresh on each
+    access, N^4 at R = N^2: keep them out of loops.
     """
 
     packed: np.ndarray
     rank: int
 
-    def __init__(self, factors):
-        if not isinstance(factors, FactorSet):  # a FactorSet was checked, packed and cut when made
-            factors = np.asarray(factors, dtype=np.float64)
-            if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
-                raise ValueError(f"factors must have shape (R, N, N), got {factors.shape}")
-            rank, n = factors.shape[:2]
-            if rank > n * n:
-                raise ValueError(f"R={rank} exceeds N^2={n * n}")
-            if not np.isfinite(factors).all():
-                raise ValueError("factors contain non-finite entries")
-            flat, space = factors.reshape(rank, n * n), pair_space(n)
-            factors = self._from_packed(_average(flat[:, space.upper], flat[:, space.lower]), rank)
-        object.__setattr__(self, "packed", factors.packed)
-        object.__setattr__(self, "rank", factors.rank)
-
-    @classmethod
-    def _from_packed(cls, packed: np.ndarray, rank: int) -> "FactorSet":
-        """R = ``rank`` factors, the first ones the rows ``packed`` cut after their last nonzero one."""
+    def __init__(self, packed: np.ndarray, rank: int):
+        packed = np.asarray(packed, dtype=np.float64)
+        n = _pair_orbitals(packed.shape[1]) if packed.ndim == 2 else -1
+        if n < 0:
+            raise ValueError(f"packed must be (M, N(N+1)/2) rows A_r[np.triu_indices(N)], got shape {packed.shape}")
+        rank = _as_int("rank", rank)
+        if not len(packed) <= rank <= n * n:
+            raise ValueError(f"rank R={rank} is outside [M, N^2] = [{len(packed)}, {n * n}]")
+        if not np.isfinite(packed).all():
+            raise ValueError("packed factors contain non-finite entries")
         stop = np.flatnonzero(packed.any(axis=1)).max(initial=-1) + 1  # the one prefix rule
-        packed = packed if stop == len(packed) else packed[:stop].copy()  # no zero rows stay allocated
-        factor_set = cls.__new__(cls)
-        object.__setattr__(factor_set, "packed", _frozen_array(packed))
-        object.__setattr__(factor_set, "rank", rank)
-        return factor_set
+        packed = packed.view() if stop == len(packed) else packed[:stop].copy()  # no zero rows stay allocated
+        object.__setattr__(self, "packed", _frozen_array(packed))
+        object.__setattr__(self, "rank", rank)
 
     @property
     def factors(self) -> np.ndarray:
@@ -124,26 +115,36 @@ class FactorSet:
         return self.rank
 
 
-@one_blas_thread()
-def reconstruct_two_body(factors) -> np.ndarray:
-    """Assemble sum_r A_r (x) A_r from a FactorSet or a raw (R, N, N) stack (see FactorSet).
+def _checked(factor_set: FactorSet) -> FactorSet:
+    """``factor_set``, or TypeError for anything that is not a FactorSet."""
+    if isinstance(factor_set, FactorSet):
+        return factor_set
+    name = type(factor_set).__name__
+    raise TypeError(f"expected a FactorSet, got {name}: use FactorSet(packed, rank), rows A_r[np.triu_indices(N)]")
 
-    Returns the N^4 tensor with entries sum_r A[r,i,j] * A[r,k,l], unpacked
-    from the pair-space Gram matrix F^T F of the packed factors F; R may be zero.
+
+@one_blas_thread()
+def reconstruct_two_body(factor_set: FactorSet) -> np.ndarray:
+    """Assemble sum_r A_r (x) A_r of a FactorSet as a dense N^4 tensor.
+
+    Returns the tensor with entries sum_r A[r,i,j] * A[r,k,l], unpacked from
+    the pair-space Gram matrix F^T F of the packed factors F; R may be zero.
+    Anything but a FactorSet raises TypeError. A dense view, public for the
+    benchmark and the small-N oracle checks; the kernels never form it.
     """
-    factor_set = FactorSet(factors)
+    factor_set = _checked(factor_set)
     return pair_space(factor_set.n_orbitals).tensor(factor_set.packed.T @ factor_set.packed)
 
 
 @one_blas_thread()
-def frobenius_error(g_target: np.ndarray, factors) -> float:
+def frobenius_error(g_target: np.ndarray, factor_set: FactorSet) -> float:
     """Squared Frobenius residual between a tensor and its factorization.
 
     Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2, the squared norm, not
     its square root, for an N^4 ``g_target`` or its pair block (two_body_block)
-    and a FactorSet or a raw stack (see FactorSet), in pair space.
+    and a FactorSet, in pair space. Anything but a FactorSet raises TypeError.
     """
-    g_pairs, factor_set = two_body_block(g_target), FactorSet(factors)
+    g_pairs, factor_set = two_body_block(g_target), _checked(factor_set)
     n = factor_set.n_orbitals
     if n * (n + 1) // 2 != len(g_pairs):
         raise ValueError(f"factor dimension {n} does not match tensor dimension {_pair_orbitals(len(g_pairs))}")
@@ -327,14 +328,15 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     # Sign-fix each factor on its first nonzero entry, which is the same in
     # row-major order of the symmetric matrix as in pair order.
     packed *= (np.sqrt(eigvals[order]) * _leading_signs(packed))[:, None]
-    return FactorSet._from_packed(packed, rank)
+    return FactorSet(packed, rank)
 
 
 def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     """Assemble the block-encoding scaling constant from its two sources.
 
     Args:
-        factor_set: Factors of the (shifted) two-body tensor, or a raw stack.
+        factor_set: Factors of the (shifted) two-body tensor; anything but
+            a FactorSet raises TypeError.
         h_prime: Effective one-body matrix of the (shifted) Hamiltonian.
 
     Returns:
@@ -346,7 +348,7 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     Raises:
         ValueError: If h_prime's dimension disagrees with the factors'.
     """
-    h_prime, factor_set = np.asarray(h_prime, dtype=np.float64), FactorSet(factor_set)
+    h_prime, factor_set = np.asarray(h_prime, dtype=np.float64), _checked(factor_set)
     n = factor_set.n_orbitals
     if h_prime.shape != (n, n):
         raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
@@ -436,7 +438,7 @@ def load_factor_set(
         packed = _finite_member(archive, "factors", (None, n * (n + 1) // 2), path)
         if len(packed) > rank:
             raise ValueError(f"{path}: factors member has {len(packed)} rows, more than rank R={rank}")
-        factor_set = FactorSet._from_packed(np.asarray(packed, dtype=np.float64), rank)
+        factor_set = FactorSet(packed, rank)
         kappa = _finite_member(archive, "kappa", (), path)
         kappa = None if kappa is None else float(kappa)
         xi = _finite_member(archive, "xi", (n, n), path)

@@ -200,7 +200,8 @@ def _read(data: bytes) -> tuple[np.ndarray, np.ndarray, float, int]:
     np.minimum.at(lo, inverse, values)
     np.maximum.at(hi, inverse, values)
     scale = np.maximum(np.abs(lo), np.abs(hi))
-    bad = (high > 0) & (scale > 0.0) & (hi - lo > ASYMMETRY_RTOL * scale)
+    with np.errstate(over="ignore"):  # hi - lo overflows to inf only on opposite signs, still a conflict
+        bad = (high > 0) & (scale > 0.0) & (hi - lo > ASYMMETRY_RTOL * scale)
     del lo, hi, scale
     if bad.any():
         rows = np.flatnonzero(bad[inverse])  # report the first in file order, one-body orbits first

@@ -99,6 +99,7 @@ from blissdf._parallel import one_blas_thread, run_blocks
 from blissdf.factorization import (
     FactorSet,
     LambdaBreakdown,
+    _checked,
     initial_double_factorization,
     lambda_parts,
 )
@@ -250,18 +251,17 @@ class OptimizationReport:
 
 
 def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
-    """Check and symmetrize (kappa, xi, factors); return (theta, kappa).
+    """Check (kappa, xi, factor_set) and symmetrize xi; return (theta, kappa).
 
-    theta is (M + 1, P): the packed factors (FactorSet), then xi packed as
-    a factor (PairSpace.pack).
+    theta is (M + 1, P): the FactorSet's packed rows, then xi packed as a
+    factor (PairSpace.pack).
     """
-    kappa, xi, factors = params
+    kappa, xi, factor_set = params
     n = ham.n_orbitals
     xi = symmetrize_one_body(xi)
     if xi.shape != (n, n):
         raise ValueError(f"xi shape {xi.shape} does not match N={n}")
-    factor_set = FactorSet(factors)
-    if factor_set.n_orbitals != n:
+    if _checked(factor_set).n_orbitals != n:
         raise ValueError(f"factors are for N={factor_set.n_orbitals} orbitals, not N={n}")
     return np.vstack((factor_set.packed, pair_space(n).pack(xi))), float(kappa)
 
@@ -368,19 +368,18 @@ class _Objective:
 
 @one_blas_thread()
 def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float, float]:
-    """Evaluate the penalized objective at (kappa, xi, factors).
+    """Evaluate the penalized objective at (kappa, xi, factor_set).
 
     Args:
         ham: Unshifted Hamiltonian.
-        params: Triple (kappa, xi, factors); xi and the factor matrices are
-            symmetrized on entry, and the factors may be a FactorSet or a
-            raw (R, N, N) array.
+        params: Triple (kappa, xi, factor_set); xi is symmetrized on
+            entry, and anything but a FactorSet (see FactorSet(packed,
+            rank)) as factor_set raises TypeError.
         c_approx: Penalty weight on the factorization residual.
 
     Returns:
-        (total, err, lambda) with total = c_approx * err + lambda. Trailing
-        zero factors are skipped, so a zero-padded factor stack gives the
-        same bits as its unpadded prefix.
+        (total, err, lambda) with total = c_approx * err + lambda, over the
+        FactorSet's M packed rows.
     """
     err, lam = _Objective(ham, *_pack(ham, params)).evaluate()[:2]
     return float(c_approx) * err + lam, err, lam
@@ -391,14 +390,13 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     """Analytic gradient of total_cost in all three parameter blocks.
 
     Returns:
-        (d_kappa, d_xi, d_factors) with d_xi symmetric and d_factors the
-        (M, P) rows of the factors total_cost reads, in PairSpace.pack
-        order: trailing zero factors are skipped, as in total_cost, so M
-        counts the factors up to the last nonzero one. Entry
-        d_factors[r, pair_space(N).unpack_index[a * N + b]] is the
-        derivative by entry (a, b) of factor r, which the symmetrization
-        on entry shares with (b, a). At eigenvalue crossings of the nuclear
-        norms the sign(0) = 0 subgradient is returned.
+        (d_kappa, d_xi, d_factors) at total_cost's params, with d_xi
+        symmetric and d_factors the (M, P) rows of the FactorSet's packed
+        ones. d_factors[r, p] is the derivative by entry (a, b) of A_r
+        alone, p the pair (a, b); packed entry p sets (a, b) and (b, a), so
+        the derivative by it is c_p d_factors[r, p] (c_p = 1 if a = b, else
+        2). At eigenvalue crossings of the nuclear norms the sign(0) = 0
+        subgradient is returned.
     """
     objective = _Objective(ham, *_pack(ham, params))
     objective.weigh(float(c_approx))
@@ -547,7 +545,7 @@ class _Descent:
         # The factors keep their rows of best_theta; unpack gives xi its own array.
         best_xi = self.objective.space.unpack(best[-1])
         return OptimizationReport(
-            best_params=(self.best_kappa, best_xi, FactorSet._from_packed(best[:-1], self.rank)),
+            best_params=(self.best_kappa, best_xi, FactorSet(best[:-1], self.rank)),
             lambda_breakdown=LambdaBreakdown.from_norms(norms[:-1], norms[-1]),
             err_final=self.best_err,
             total_trace=np.array(self.trace),

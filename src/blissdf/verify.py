@@ -26,7 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from blissdf.factorization import eigen_rank1, frobenius_error, initial_double_factorization, reconstruct_two_body
+from blissdf.factorization import (
+    FactorSet, eigen_rank1, frobenius_error, initial_double_factorization, reconstruct_two_body
+)
 from blissdf.fcidump import _excitation_order
 from blissdf.fermi_oracle import (
     b_operator,
@@ -39,7 +41,6 @@ from blissdf.fermi_oracle import (
 from blissdf.hamiltonian import (
     Hamiltonian,
     ShiftParams,
-    _average,
     apply_symmetry_shift,
     effective_one_body,
     pair_space,
@@ -256,26 +257,24 @@ def _check_factorization_exactness(sizes) -> CheckResult:
 
 
 def _check_gradient() -> CheckResult:
-    """Analytic gradient against central finite differences."""
+    """Analytic gradient against central finite differences, over kappa, xi's entries and the packed factors."""
     rng = np.random.default_rng(16)
     worst = 0.0
     for n, rank in ((3, 2), (4, 3)):
-        ham = random_hamiltonian(n, rng)
+        ham, space = random_hamiltonian(n, rng), pair_space(n)
         kappa = float(rng.standard_normal())
         xi = symmetrize_one_body(0.3 * rng.standard_normal((n, n)))
-        factors = 0.5 * rng.standard_normal((rank, n, n))
-        factors = _average(factors, factors.transpose(0, 2, 1))
+        packed = space.pack(0.5 * rng.standard_normal((rank, n, n)))
         c_approx = 50.0
-        grad_kappa, grad_xi, grad_factors = gradient(ham, (kappa, xi, factors), c_approx)
-        # Raw entry (a, b) of factor r reads its pair's entry of the packed rows.
-        grad_factors = pair_space(n).unpack(grad_factors)
-        analytic = np.concatenate([[grad_kappa], grad_xi.ravel(), grad_factors.ravel()])
-        point = np.concatenate([[kappa], xi.ravel(), factors.ravel()])
+        grad_kappa, grad_xi, grad_factors = gradient(ham, (kappa, xi, FactorSet(packed, rank)), c_approx)
+        # Packed entry p sets both mirrored entries of its factor: c_p times the per-entry gradient.
+        analytic = np.concatenate([[grad_kappa], grad_xi.ravel(), (grad_factors * space.mult).ravel()])
+        point = np.concatenate([[kappa], xi.ravel(), packed.ravel()])
         step = 1e-5
 
         def cost_at(vec):
-            x, f = vec[1 : 1 + n * n].reshape(n, n), vec[1 + n * n :].reshape(rank, n, n)
-            return total_cost(ham, (vec[0], x, f), c_approx)[0]
+            x, f = vec[1 : 1 + n * n].reshape(n, n), vec[1 + n * n :].reshape(rank, -1)
+            return total_cost(ham, (vec[0], x, FactorSet(f, rank)), c_approx)[0]
 
         numeric = np.empty_like(point)
         for idx in range(point.size):

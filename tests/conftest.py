@@ -3,10 +3,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blissdf import FactorSet
 from blissdf.hamiltonian import effective_one_body
 from blissdf.verify import random_hamiltonian, random_psd_two_body  # noqa: F401 (shared by the tests)
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def packed_factors(stack) -> FactorSet:
+    """The FactorSet of an (R, N, N) stack's upper triangles: row r is stack[r][np.triu_indices(N)]."""
+    stack = np.asarray(stack, dtype=np.float64)
+    rows, cols = np.triu_indices(stack.shape[-1])
+    return FactorSet(stack[:, rows, cols], len(stack))
 
 
 def closed_form_shift(ham, xi) -> tuple[float, float]:

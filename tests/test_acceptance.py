@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from blissdf import (
+    FactorSet,
     Hamiltonian,
     OptimizationConfig,
     ShiftParams,
@@ -213,12 +214,13 @@ def test_gradient_against_finite_differences():
         kappa = float(rng.standard_normal())
         xi = symmetrize_one_body(0.5 * rng.standard_normal((n, n)))
         factors = rng.standard_normal((rank, n, n))
-        factors = 0.5 * (factors + factors.transpose(0, 2, 1))
+        space = pair_space(n)
+        packed = space.pack(0.5 * (factors + factors.transpose(0, 2, 1)))
+        factors = FactorSet(packed, rank)
 
         grad_kappa, grad_xi, grad_factors = gradient(
             ham, (kappa, xi, factors), c
         )
-        index = pair_space(n).unpack_index  # raw entry (a, b) -> its packed pair
 
         def value(k, x, f):
             return total_cost(ham, (k, x, f), c)[0]
@@ -246,16 +248,16 @@ def test_gradient_against_finite_differences():
                 ) / (2 * step)
                 compare(grad_xi[a, b], fd)
 
+        # Packed entry p sets both mirrored entries: c_p times the per-entry gradient.
         for r in range(rank):
-            for a in range(n):
-                for b in range(n):
-                    bump = np.zeros((rank, n, n))
-                    bump[r, a, b] = step
-                    fd = (
-                        value(kappa, xi, factors + bump)
-                        - value(kappa, xi, factors - bump)
-                    ) / (2 * step)
-                    compare(grad_factors[r, index[a * n + b]], fd)
+            for p in range(packed.shape[1]):
+                bump = np.zeros_like(packed)
+                bump[r, p] = step
+                fd = (
+                    value(kappa, xi, FactorSet(packed + bump, rank))
+                    - value(kappa, xi, FactorSet(packed - bump, rank))
+                ) / (2 * step)
+                compare(space.mult[p] * grad_factors[r, p], fd)
 
     assert checked > 500
     print(

@@ -619,7 +619,7 @@ class TestVerify:
         def perturbed(ham, rank, config):
             report = true_optimize(ham, rank, config)
             kappa, xi, factor_set = report.best_params
-            scaled = FactorSet(factors=1.01 * factor_set.factors)
+            scaled = FactorSet(1.01 * factor_set.packed, factor_set.rank)
             return dataclasses.replace(report, best_params=(kappa, xi, scaled))
 
         monkeypatch.setattr(verify_mod, "optimize", perturbed)
@@ -786,9 +786,10 @@ def test_shipped_schema_is_valid(name):
 
 
 def test_public_api_is_pinned_to_the_schema_version():
-    # blissdf.__all__ and the optimizer's entry points change only with a
-    # schema_version bump: change this pin and SCHEMA_VERSION together.
-    assert cli.SCHEMA_VERSION == 7
+    # blissdf.__all__, the optimizer's entry points and the FactorSet
+    # constructor change only with a schema_version bump: change this pin
+    # and SCHEMA_VERSION together.
+    assert cli.SCHEMA_VERSION == 8
     assert sorted(blissdf.__all__) == [
         "ConfigError",
         "FactorSet",
@@ -819,12 +820,13 @@ def test_public_api_is_pinned_to_the_schema_version():
         "total_cost",
         "write_integrals",
     ]
-    entry_points = ("optimize", "total_cost", "gradient")
+    entry_points = ("optimize", "total_cost", "gradient", "FactorSet")
     signatures = {name: str(inspect.signature(getattr(blissdf, name))) for name in entry_points}
     assert signatures == {
         "optimize": "(ham: 'Hamiltonian', rank: 'int', config: 'OptimizationConfig') -> 'OptimizationReport'",
         "total_cost": "(ham: 'Hamiltonian', params, c_approx: 'float') -> 'tuple[float, float, float]'",
         "gradient": "(ham: 'Hamiltonian', params, c_approx: 'float')",
+        "FactorSet": "(packed: 'np.ndarray', rank: 'int')",
     }
     # The config keys are the manifest's and report.json's config block.
     assert [field.name for field in dataclasses.fields(blissdf.OptimizationConfig)] == [

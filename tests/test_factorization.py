@@ -14,6 +14,7 @@ from blissdf import (
     IndefiniteTensorError,
     eigen_rank1,
     frobenius_error,
+    gradient,
     initial_double_factorization,
     lambda_df,
     load_factor_set,
@@ -27,7 +28,7 @@ from blissdf.hamiltonian import symmetrize_one_body, two_body_block
 from blissdf.optimizer import _sign_subgradients
 from blissdf.verify import chain_hamiltonian
 
-from conftest import random_psd_two_body
+from conftest import packed_factors, random_psd_two_body
 
 
 def random_orthogonal(n, rng):
@@ -37,49 +38,116 @@ def random_orthogonal(n, rng):
 
 class TestFactorSet:
     def test_symmetrizes_and_freezes(self):
+        # The packed rows are upper triangles, so every factor they unpack to
+        # is symmetric; the rows are a read-only view, and the caller's array
+        # stays writable.
         rng = np.random.default_rng(0)
-        fs = FactorSet(factors=rng.standard_normal((2, 3, 3)))
+        rows = rng.standard_normal((2, 6))
+        fs = FactorSet(rows, 2)
         assert np.array_equal(fs.factors, fs.factors.transpose(0, 2, 1))
+        assert fs.factors[:, 0, 1].tolist() == rows[:, 1].tolist()
         with pytest.raises(ValueError):
             fs.factors[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            fs.packed[0, 0] = 1.0
+        assert np.shares_memory(fs.packed, rows) and rows.flags.writeable
         assert fs.rank == 2
         assert fs.n_orbitals == 3
         assert len(fs) == 2
 
+    def test_packs_in_triu_indices_order(self):
+        rng = np.random.default_rng(1)
+        stack = symmetrize_one_body(rng.standard_normal((3, 3)))[None]
+        rows, cols = np.triu_indices(3)
+        fs = FactorSet(stack[:, rows, cols], 4)
+        assert fs.factors[:1].tobytes() == stack.tobytes()
+        assert not fs.factors[1:].any()
+
     def test_rejects_rank_beyond_n_squared(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            FactorSet(factors=np.zeros((5, 2, 2)))
+        with pytest.raises(ValueError, match=r"R=5 is outside \[M, N\^2\] = \[0, 4\]"):
+            FactorSet(np.zeros((0, 3)), 5)
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            FactorSet(factors=np.zeros((2, 3, 4)))
+        # An (R, N, N) stack is not read: the message names the packing.
+        with pytest.raises(ValueError, match=r"triu_indices.*shape \(2, 3, 3\)"):
+            FactorSet(np.zeros((2, 3, 3)), 2)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            FactorSet(np.zeros(6), 1)
+
+    def test_rejects_a_width_that_is_not_triangular(self):
+        with pytest.raises(ValueError, match=r"\(M, N\(N\+1\)/2\).*shape \(2, 5\)"):
+            FactorSet(np.zeros((2, 5)), 2)
+
+    def test_rejects_more_rows_than_rank(self):
+        with pytest.raises(ValueError, match=r"R=2 is outside \[M, N\^2\] = \[3, 9\]"):
+            FactorSet(np.ones((3, 6)), 2)
+
+    @pytest.mark.parametrize("rank", [True, 2.0, np.float64(2.0), "2"], ids=["bool", "float", "numpy-float", "str"])
+    def test_rejects_a_rank_that_is_not_an_integer(self, rank):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            FactorSet(np.ones((1, 3)), rank)
+
+    def test_accepts_a_numpy_integer_rank(self):
+        fs = FactorSet(np.ones((1, 3)), np.int64(3))
+        assert fs.rank == 3 and type(fs.rank) is int
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        rows = np.ones((2, 3))
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            FactorSet(rows, 2)
 
     def test_empty_factor_set_allowed(self):
-        fs = FactorSet(factors=np.zeros((0, 3, 3)))
-        assert fs.rank == 0
+        fs = FactorSet(np.zeros((0, 6)), 0)
+        assert (fs.rank, fs.effective_rank, fs.n_orbitals) == (0, 0, 3)
 
     def test_stores_the_packed_nonzero_factors(self):
         # Only the factors up to the last nonzero one are stored, as (M, P)
         # upper triangles; .factors unpacks a fresh zero-padded stack.
-        factors = np.zeros((5, 3, 3))
-        factors[1] = np.eye(3)
-        fs = FactorSet(factors=factors)
+        rows = np.zeros((2, 6))
+        rows[1, [0, 3, 5]] = 1.0
+        fs = FactorSet(rows, 5)
         assert fs.packed.shape == (2, 6)
         assert not fs.packed.flags.writeable
         assert (fs.rank, fs.effective_rank, fs.n_orbitals) == (5, 2, 3)
         first, second = fs.factors, fs.factors
-        assert first.tobytes() == factors.tobytes()
+        want = np.zeros((5, 3, 3))
+        want[1] = np.eye(3)
+        assert first.tobytes() == want.tobytes()
         assert not np.shares_memory(first, second)
         assert not first.flags.writeable
 
-    def test_symmetric_input_is_copied_not_aliased(self):
-        rng = np.random.default_rng(2)
-        factors = rng.standard_normal((3, 4, 4))
-        factors = factors + factors.transpose(0, 2, 1)
-        fs = FactorSet(factors=factors)
-        assert fs.factors.tobytes() == factors.tobytes()
-        assert not np.shares_memory(fs.factors, factors)
-        assert factors.flags.writeable
+    def test_trailing_zero_rows_are_cut(self):
+        # The one prefix rule: the rows after the last nonzero one go, into a
+        # copy of the prefix, and the result gives the prefix's bits.
+        rng = np.random.default_rng(3)
+        rows = np.zeros((4, 6))
+        rows[:2] = rng.standard_normal((2, 6))
+        rows[2, 0] = -0.0
+        fs, prefix = FactorSet(rows, 4), FactorSet(rows[:2].copy(), 4)
+        assert (fs.effective_rank, fs.rank) == (2, 4)
+        assert fs.packed.tobytes() == prefix.packed.tobytes()
+        assert not np.shares_memory(fs.packed, rows)
+        h_prime = symmetrize_one_body(rng.standard_normal((3, 3)))
+        assert lambda_df(fs, h_prime).per_factor.tobytes() == lambda_df(prefix, h_prime).per_factor.tobytes()
+        assert FactorSet(np.zeros((3, 6)), 3).effective_rank == 0
+
+    @pytest.mark.parametrize(
+        "kernel", ["reconstruct_two_body", "frobenius_error", "lambda_df", "total_cost", "gradient"]
+    )
+    @pytest.mark.parametrize("stack", [np.eye(3)[None], np.ones((1, 6))], ids=["stack", "packed-rows"])
+    def test_kernels_take_a_factor_set_only(self, kernel, stack):
+        ham, xi = Hamiltonian(np.zeros((3, 3)), np.zeros((6, 6))), np.zeros((3, 3))
+        call = {
+            "reconstruct_two_body": lambda: reconstruct_two_body(stack),
+            "frobenius_error": lambda: frobenius_error(ham.g_pairs, stack),
+            "lambda_df": lambda: lambda_df(stack, xi),
+            "total_cost": lambda: total_cost(ham, (0.0, xi, stack), 1.0),
+            "gradient": lambda: gradient(ham, (0.0, xi, stack), 1.0),
+        }[kernel]
+        with pytest.raises(TypeError, match=r"FactorSet\(packed, rank\)"):
+            call()
 
 
 class TestInitialDoubleFactorization:
@@ -105,7 +173,7 @@ class TestInitialDoubleFactorization:
     def test_rank_one_input_recovered_up_to_sign(self):
         rng = np.random.default_rng(1)
         a = symmetrize_one_body(rng.standard_normal((3, 3)))
-        g = reconstruct_two_body(a[None])
+        g = reconstruct_two_body(packed_factors(a[None]))
         fs = initial_double_factorization(g, 1)
         assert frobenius_error(g, fs) < 1e-10
         sign_free = min(
@@ -220,7 +288,7 @@ class TestVectorizedInitialFactorization:
         terms[0][np.diag_indices(n)] = np.concatenate(([0.0], rng.standard_normal(n - 1)))
         terms[1, 0, 1] = terms[1, 1, 0] = -1.0
         terms[2, 2, 3] = terms[2, 3, 2] = 1.0
-        g = reconstruct_two_body(terms) + reconstruct_two_body(terms[1:])
+        g = reconstruct_two_body(packed_factors(terms)) + reconstruct_two_body(packed_factors(terms[1:]))
         self.check(g, (1, 2, 3, n * n))
 
 
@@ -241,7 +309,7 @@ class TestNullSpace:
     def test_low_rank_tensor_gives_exactly_its_rank(self, n):
         rng = np.random.default_rng(19 + n)
         terms = rng.standard_normal((2, n, n))
-        g = reconstruct_two_body(0.5 * (terms + terms.transpose(0, 2, 1)))
+        g = reconstruct_two_body(packed_factors(terms))
         fs = initial_double_factorization(g, n * n)
         nonzero = np.any(fs.factors != 0.0, axis=(1, 2))
         assert nonzero.tolist() == [True, True] + [False] * (n * n - 2)
@@ -250,13 +318,13 @@ class TestNullSpace:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_zero_padding_keeps_the_bits(self, n):
-        # Sums over factors stop at the last nonzero one, so a padded set
-        # reports exactly what its unpadded prefix does.
+        # Sums over factors stop at the last nonzero one, so a set of rank
+        # N^2 reports exactly what the same rows at rank P do.
         rng = np.random.default_rng(21 + n)
         g = random_psd_two_body(n, rng)
         pairs = n * (n + 1) // 2
         full = initial_double_factorization(g, n * n)
-        prefix = FactorSet(factors=full.factors[:pairs])
+        prefix = FactorSet(full.packed, pairs)
         h_prime = symmetrize_one_body(rng.standard_normal((n, n)))
         b_full, b_prefix = lambda_df(full, h_prime), lambda_df(prefix, h_prime)
         assert b_full.lambda_total == b_prefix.lambda_total
@@ -266,11 +334,11 @@ class TestNullSpace:
         assert frobenius_error(g, full) == frobenius_error(g, prefix)
 
     def test_effective_rank_counts_up_to_last_nonzero(self):
-        factors = np.zeros((4, 2, 2))
-        assert FactorSet(factors=factors).effective_rank == 0
-        factors[1, 0, 1] = 1.0
-        assert FactorSet(factors=factors).effective_rank == 2
-        assert FactorSet(factors=np.zeros((0, 2, 2))).effective_rank == 0
+        rows = np.zeros((4, 3))
+        assert FactorSet(rows, 4).effective_rank == 0
+        rows[1, 1] = 1.0
+        assert FactorSet(rows, 4).effective_rank == 2
+        assert FactorSet(np.zeros((0, 3)), 4).effective_rank == 0
 
 
 class TestEigenRank1:
@@ -417,7 +485,7 @@ class TestNuclearNorm:
 
 class TestLambdaBreakdown:
     def test_identity_factor(self):
-        fs = FactorSet(factors=np.eye(2)[None])
+        fs = packed_factors(np.eye(2)[None])
         breakdown = lambda_df(fs, np.zeros((2, 2)))
         assert breakdown.lambda_total == pytest.approx(2.0, abs=1e-12)
         assert breakdown.two_body_part == pytest.approx(2.0, abs=1e-12)
@@ -425,15 +493,14 @@ class TestLambdaBreakdown:
         assert list(breakdown.per_factor) == pytest.approx([2.0], abs=1e-12)
 
     def test_empty_factors(self):
-        fs = FactorSet(factors=np.zeros((0, 2, 2)))
+        fs = FactorSet(np.zeros((0, 3)), 0)
         breakdown = lambda_df(fs, np.diag([1.0, -1.0]))
         assert breakdown.lambda_total == pytest.approx(2.0, abs=1e-12)
         assert breakdown.two_body_part == 0.0
 
     def test_parts_sum_to_total(self):
         rng = np.random.default_rng(14)
-        factors = rng.standard_normal((3, 4, 4))
-        fs = FactorSet(factors=factors)
+        fs = packed_factors(rng.standard_normal((3, 4, 4)))
         h_prime = symmetrize_one_body(rng.standard_normal((4, 4)))
         breakdown = lambda_df(fs, h_prime)
         total = breakdown.two_body_part + breakdown.one_body_part
@@ -442,7 +509,7 @@ class TestLambdaBreakdown:
         assert breakdown.per_factor.tolist() == [nuclear_norm(a) for a in fs]
 
     def test_dimension_mismatch(self):
-        fs = FactorSet(factors=np.zeros((1, 2, 2)))
+        fs = FactorSet(np.zeros((1, 3)), 1)
         with pytest.raises(ValueError, match="match"):
             lambda_df(fs, np.zeros((3, 3)))
 
@@ -464,7 +531,7 @@ class TestLambdaBreakdown:
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(15)
-        fs = FactorSet(factors=rng.standard_normal((3, 4, 4)))
+        fs = packed_factors(rng.standard_normal((3, 4, 4)))
         xi = symmetrize_one_body(rng.standard_normal((4, 4)))
         path = tmp_path / "factors.npz"
         save_factor_set(
@@ -481,7 +548,7 @@ class TestSerialization:
         # data goes out without a copy: write_array itself copies it through
         # tobytes() when writing into a zip member.
         rng = np.random.default_rng(17)
-        fs = FactorSet(factors=rng.standard_normal((256, 16, 16)))
+        fs = packed_factors(rng.standard_normal((256, 16, 16)))
         xi = np.asfortranarray(symmetrize_one_body(rng.standard_normal((16, 16))))
         path = tmp_path / "big.npz"
         save_factor_set(path, fs, manifest={"k": 1}, kappa=0.5, xi=xi)  # warm caches
@@ -498,15 +565,11 @@ class TestSerialization:
                 np.lib.format.write_array(expected, np.load(io.BytesIO(data)), allow_pickle=False)
                 assert data == expected.getvalue(), name
 
-    def test_huge_mirrored_pair_is_averaged(self, tmp_path):
-        # 1.5e308 + 1.6e308 overflows, but their average 1.55e308 is finite:
-        # a raw stack's FactorSet stores it, and its archive reads back bit
-        # for bit. Its nuclear norm, 3.1e308, overflows, so lambda reads inf
-        # as at the symmetric part, not NaN.
-        stack = np.zeros((2, 2, 2))
-        stack[0, 0, 1], stack[0, 1, 0], stack[1, 0, 0] = 1.5e308, 1.6e308, 1.0
-        fs = FactorSet(factors=stack)
-        assert fs.packed.tolist() == [[0.0, 1.55e308, 0.0], [1.0, 0.0, 0.0]]
+    def test_huge_entries_round_trip(self, tmp_path):
+        # A finite entry near the float64 maximum reads back from its archive
+        # bit for bit. Its factor's nuclear norm, 3.1e308, overflows, so
+        # lambda reads inf, not NaN.
+        fs = FactorSet([[0.0, 1.55e308, 0.0], [1.0, 0.0, 0.0]], 2)
         path = tmp_path / "huge.npz"
         save_factor_set(path, fs, kappa=0.0, xi=np.eye(2))
         loaded = load_factor_set(path)[0]
@@ -517,7 +580,7 @@ class TestSerialization:
         assert (breakdown.lambda_total, breakdown.one_body_part) == (np.inf, 2.0)
 
     def test_roundtrip_without_shift(self, tmp_path):
-        fs = FactorSet(factors=np.zeros((1, 2, 2)))
+        fs = FactorSet(np.zeros((1, 3)), 1)
         path = tmp_path / "plain.npz"
         save_factor_set(path, fs)
         loaded, kappa, xi, manifest = load_factor_set(path)
@@ -528,7 +591,7 @@ class TestSerialization:
 
     def test_identical_content_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(16)
-        fs = FactorSet(factors=rng.standard_normal((2, 3, 3)))
+        fs = packed_factors(rng.standard_normal((2, 3, 3)))
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         save_factor_set(p1, fs, manifest={"k": 1})
         save_factor_set(p2, fs, manifest={"k": 1})
@@ -536,7 +599,7 @@ class TestSerialization:
 
     def test_corrupt_archive_closes_its_file(self, tmp_path):
         path = tmp_path / "cut.npz"
-        save_factor_set(path, FactorSet(factors=np.ones((2, 3, 3))))
+        save_factor_set(path, FactorSet(np.ones((2, 6)), 2))
         path.write_bytes(path.read_bytes()[:200])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -552,7 +615,7 @@ class TestSerialization:
     @pytest.mark.parametrize("member", ["rank", "n_orbitals", "factors", "manifest"])
     def test_missing_member_is_a_value_error(self, tmp_path, member):
         path = tmp_path / "full.npz"
-        save_factor_set(path, FactorSet(factors=np.ones((2, 3, 3))))
+        save_factor_set(path, FactorSet(np.ones((2, 6)), 2))
         with np.load(path) as archive:
             kept = {name: archive[name] for name in archive.files if name != member}
         np.savez(tmp_path / "cut.npz", **kept)
@@ -587,7 +650,7 @@ class TestSerialization:
     )
     def test_malformed_shift_member_is_a_value_error(self, tmp_path, member, value):
         path = tmp_path / "full.npz"
-        save_factor_set(path, FactorSet(factors=np.ones((2, 3, 3))), kappa=0.5, xi=np.eye(3))
+        save_factor_set(path, FactorSet(np.ones((2, 6)), 2), kappa=0.5, xi=np.eye(3))
         with np.load(path) as archive:
             kept = {name: archive[name] for name in archive.files}
         kept[member] = value
@@ -632,11 +695,9 @@ class TestSerialization:
 
     def test_trailing_zero_rows_are_cut_on_load(self, tmp_path):
         # Every FactorSet is cut after its last nonzero factor: a hand-written
-        # archive whose factors member ends in a zero row reads as its raw stack.
+        # archive whose factors member ends in a zero row reads as its prefix.
         rng = np.random.default_rng(19)
-        stack = np.zeros((3, 2, 2))
-        stack[0] = symmetrize_one_body(rng.standard_normal((2, 2)))
-        raw = FactorSet(factors=stack)
+        raw = FactorSet(rng.standard_normal((1, 3)), 3)
         path = tmp_path / "padded.npz"
         save_factor_set(path, raw)
         with np.load(path) as archive:

@@ -191,6 +191,16 @@ class TestRecordParsing:
         path = write_lines(tmp_path, ["&FCI NORB=2,NELEC=2, &END", *(f"1.5e308 {i}" for i in indices)])
         assert getattr(load_integrals(path), entry)[1, 0] == want
 
+    def test_huge_opposite_duplicates_conflict(self, tmp_path):
+        # Their difference, 3e308, overflows float64 to inf, which still flags the conflict.
+        path = write_lines(tmp_path, ["&FCI NORB=2,NELEC=2, &END", "1.5e308 1 2 1 1", "-1.5e308 2 1 1 1"])
+        with pytest.raises(FcidumpError) as err:
+            load_integrals(path)
+        assert str(err.value) == (
+            "line 3: conflicting two-body entries for orbit (2, 1, 1, 1): values "
+            "-1.5e+308 and 1.5e+308 disagree beyond relative tolerance 1e-10 (lines [2, 3])"
+        )
+
 
 def orbit_members(i, j, k, l):
     """The index tuples of the symmetry orbit of a record (1-based)."""

@@ -14,7 +14,7 @@ from blissdf.fermi_oracle import (
 )
 from blissdf.hamiltonian import symmetrize_one_body
 
-from conftest import random_hamiltonian
+from conftest import packed_factors, random_hamiltonian
 
 
 def spin_orbitals(n):
@@ -197,7 +197,7 @@ class TestSpectra:
         h = symmetrize_one_body(rng.standard_normal((n, n)))
         core = 0.6
         ham = Hamiltonian(
-            h=h, g=reconstruct_two_body(factors), core_constant=core
+            h=h, g=reconstruct_two_body(packed_factors(factors)), core_constant=core
         )
 
         for n_e in range(2 * n + 1):

@@ -13,7 +13,6 @@ from blissdf import (
     frobenius_error,
     load_integrals,
     reconstruct_two_body,
-    total_cost,
     write_integrals,
 )
 from blissdf.factorization import initial_double_factorization
@@ -21,7 +20,7 @@ from blissdf.fermi_oracle import sector_eigenvalues
 from blissdf.hamiltonian import pair_space, symmetrize_one_body, two_body_block
 from blissdf.verify import chain_hamiltonian
 
-from conftest import random_hamiltonian, random_psd_two_body
+from conftest import packed_factors, random_hamiltonian, random_psd_two_body
 
 
 def check_two_body_symmetry(g: np.ndarray, tol: float = 0.0) -> float:
@@ -61,8 +60,6 @@ class TestSymmetrization:
         assert symmetrize_one_body(h).tobytes() == h.tobytes()
         assert ShiftParams(kappa=0.0, xi=h, n_e=1).xi.tobytes() == h.tobytes()
         assert two_body_block(block).tobytes() == two_body_block(g).tobytes() == block.tobytes()
-        stack = np.stack([h, -h])
-        assert FactorSet(factors=stack).packed.tobytes() == space.pack(stack).tobytes()
 
     def test_check_two_body_symmetry_raises(self):
         g = np.zeros((2, 2, 2, 2))
@@ -189,12 +186,13 @@ class TestPairBlockStorage:
         assert effective_one_body(packed).tobytes() == effective_one_body(dense).tobytes()
         factors = initial_double_factorization(g, 16)
         assert initial_double_factorization(packed.g_pairs, 16).factors.tobytes() == factors.factors.tobytes()
-        assert frobenius_error(packed.g_pairs, factors.factors[:5]) == frobenius_error(g, factors.factors[:5])
+        prefix = FactorSet(factors.packed[:5], 5)
+        assert frobenius_error(packed.g_pairs, prefix) == frobenius_error(g, prefix)
 
     def test_asymmetric_block_is_symmetrized(self):
         # Each reader gives the bits of the averages 0.5 * (x + y) on every
-        # finite input that does not overflow them: one-body matrices, raw
-        # factor stacks, pair blocks and N^4 tensors, the latter by the
+        # finite input that does not overflow them: one-body matrices, pair
+        # blocks and N^4 tensors, the latter by the
         # whole tensor's three averages, over i <-> j, then k <-> l, then
         # the pairs.
         rng = np.random.default_rng(23)
@@ -205,9 +203,6 @@ class TestPairBlockStorage:
         for n in (1, 2, 3, 8, 16):
             mat = rng.standard_normal((n, n))
             assert symmetrize_one_body(mat).tobytes() == (0.5 * (mat + mat.T)).tobytes()
-            stack = rng.standard_normal((n, n, n))
-            want = pair_space(n).pack(0.5 * (stack + stack.transpose(0, 2, 1)))
-            assert FactorSet(factors=stack).packed.tobytes() == want.tobytes()
             pairs = n * (n + 1) // 2
             block = rng.standard_normal((pairs, pairs))
             assert two_body_block(block).tobytes() == (0.5 * (block + block.T)).tobytes()
@@ -381,20 +376,20 @@ class TestEffectiveOneBody:
 class TestReconstruction:
     def test_empty_factor_set(self):
         assert np.array_equal(
-            reconstruct_two_body(np.zeros((0, 3, 3))), np.zeros((3, 3, 3, 3))
+            reconstruct_two_body(FactorSet(np.zeros((0, 6)), 0)), np.zeros((3, 3, 3, 3))
         )
 
     def test_single_factor(self):
         rng = np.random.default_rng(12)
         a = symmetrize_one_body(rng.standard_normal((3, 3)))
-        recon = reconstruct_two_body(a[None])
+        recon = reconstruct_two_body(packed_factors(a[None]))
         assert np.allclose(recon, np.einsum("ij,kl->ijkl", a, a), atol=1e-15)
 
     def test_matches_quadruple_loop(self):
         rng = np.random.default_rng(13)
         factors = rng.standard_normal((3, 4, 4))
         factors = 0.5 * (factors + factors.transpose(0, 2, 1))
-        recon = reconstruct_two_body(factors)
+        recon = reconstruct_two_body(packed_factors(factors))
         n = 4
         expected = np.zeros((n, n, n, n))
         for r in range(3):
@@ -412,11 +407,11 @@ class TestFrobeniusError:
     def test_exact_factorization_gives_zero(self):
         rng = np.random.default_rng(14)
         a = symmetrize_one_body(rng.standard_normal((3, 3)))
-        g = reconstruct_two_body(a[None])
-        assert frobenius_error(g, a[None]) == 0.0
+        fs = packed_factors(a[None])
+        assert frobenius_error(reconstruct_two_body(fs), fs) == 0.0
 
     def test_identity_factor_against_zero_target(self):
-        assert frobenius_error(np.zeros((2, 2, 2, 2)), np.eye(2)[None]) == 4.0
+        assert frobenius_error(np.zeros((2, 2, 2, 2)), packed_factors(np.eye(2)[None])) == 4.0
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(15)
@@ -424,27 +419,18 @@ class TestFrobeniusError:
         g = random_psd_two_body(n, rng)
         factors = rng.standard_normal((2, n, n))
         factors = 0.5 * (factors + factors.transpose(0, 2, 1))
-        recon = reconstruct_two_body(factors)
+        recon = reconstruct_two_body(packed_factors(factors))
         expected = 0.0
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     for l in range(n):
                         expected += (g[i, j, k, l] - recon[i, j, k, l]) ** 2
-        assert abs(frobenius_error(g, factors) - expected) < 1e-10
+        assert abs(frobenius_error(g, packed_factors(factors)) - expected) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            frobenius_error(np.zeros((3, 3, 3, 3)), np.zeros((1, 2, 2)))
-
-    def test_raw_stack_counts_its_symmetric_part(self):
-        # A non-symmetric raw stack is read as its symmetric part, as
-        # total_cost reads it, not as its upper triangles alone.
-        ham = random_hamiltonian(3, np.random.default_rng(3), 3)
-        factors = np.random.default_rng(4).standard_normal((2, 3, 3))
-        err = total_cost(ham, (0.0, np.zeros((3, 3)), factors), 1.0)[1]
-        assert frobenius_error(ham.g_pairs, factors) == err
-        assert err == pytest.approx(271.67, abs=0.01)
+            frobenius_error(np.zeros((3, 3, 3, 3)), FactorSet(np.zeros((1, 3)), 1))
 
 
 class TestChainHamiltonian:

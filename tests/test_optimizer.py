@@ -29,7 +29,7 @@ from blissdf.hamiltonian import pair_space, symmetrize_one_body
 from blissdf.optimizer import _REAL_FIELDS, _Objective, _pack
 from blissdf.verify import chain_hamiltonian
 
-from conftest import closed_form_shift, random_hamiltonian, random_psd_two_body
+from conftest import closed_form_shift, packed_factors, random_hamiltonian, random_psd_two_body
 
 
 def small_config(**overrides):
@@ -193,7 +193,7 @@ class TestTotalCost:
     def test_empty_factor_set_oracle(self):
         rng = np.random.default_rng(21)
         ham = random_hamiltonian(3, rng)
-        factors = np.zeros((0, 3, 3))
+        factors = FactorSet(np.zeros((0, 6)), 0)
         total, err, lam = total_cost(ham, (0.0, np.zeros((3, 3)), factors), 2.0)
         assert err == pytest.approx(float(np.sum(ham.g**2)), rel=1e-14)
         assert lam == pytest.approx(
@@ -208,13 +208,11 @@ class TestTotalCost:
         ham = random_hamiltonian(4, rng, n_electrons=3)
         kappa = 0.7
         xi = symmetrize_one_body(rng.standard_normal((4, 4)))
-        factors = rng.standard_normal((3, 4, 4))
-        factors = 0.5 * (factors + factors.transpose(0, 2, 1))
+        fs = packed_factors(rng.standard_normal((3, 4, 4)))
 
-        total, err, lam = total_cost(ham, (kappa, xi, factors), 5.0)
+        total, err, lam = total_cost(ham, (kappa, xi, fs), 5.0)
 
         shifted = apply_symmetry_shift(ham, ShiftParams(kappa, xi, ham.n_electrons))
-        fs = FactorSet(factors=factors)
         err_ref = frobenius_error(shifted.g, fs)
         lam_ref = lambda_df(fs, effective_one_body(shifted)).lambda_total
         assert err == pytest.approx(err_ref, rel=1e-12, abs=1e-12)
@@ -228,26 +226,28 @@ class TestTotalCost:
         # overflows to inf rather than NaN.
         ham = Hamiltonian(np.eye(2), np.zeros((2, 2, 2, 2)), n_electrons=2)
         xi = np.array([[0.0, 1.5e308], [1.6e308, 0.0]])
+        none = FactorSet(np.zeros((0, 3)), 0)
         with np.errstate(over="ignore"):
-            got = total_cost(ham, (0.0, xi, np.zeros((0, 2, 2))), 1.0)
-            want = total_cost(ham, (0.0, np.array([[0.0, 1.55e308], [1.55e308, 0.0]]), np.zeros((0, 2, 2))), 1.0)
+            got = total_cost(ham, (0.0, xi, none), 1.0)
+            want = total_cost(ham, (0.0, np.array([[0.0, 1.55e308], [1.55e308, 0.0]]), none), 1.0)
         assert got == want == (math.inf, math.inf, 2.0)
 
     def test_accepts_factor_set(self):
+        # The upper triangles of the dense view, packed again, give the same bits.
         rng = np.random.default_rng(23)
         ham = random_hamiltonian(2, rng)
         fs = initial_double_factorization(ham.g, 2)
         t1 = total_cost(ham, (0.0, np.zeros((2, 2)), fs), 1.0)
-        t2 = total_cost(ham, (0.0, np.zeros((2, 2)), fs.factors), 1.0)
+        t2 = total_cost(ham, (0.0, np.zeros((2, 2)), packed_factors(fs.factors)), 1.0)
         assert t1 == t2
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(24)
         ham = random_hamiltonian(2, rng)
         with pytest.raises(ValueError, match="xi"):
-            total_cost(ham, (0.0, np.zeros((3, 3)), np.zeros((1, 2, 2))), 1.0)
+            total_cost(ham, (0.0, np.zeros((3, 3)), FactorSet(np.zeros((1, 3)), 1)), 1.0)
         with pytest.raises(ValueError, match="factors"):
-            total_cost(ham, (0.0, np.zeros((2, 2)), np.zeros((1, 3, 3))), 1.0)
+            total_cost(ham, (0.0, np.zeros((2, 2)), FactorSet(np.zeros((1, 6)), 1)), 1.0)
 
 
 def c_approx_times(c, err):
@@ -276,7 +276,7 @@ class TestGradient:
             g=np.zeros((2, 2, 2, 2)),
             n_electrons=1,
         )
-        grads = gradient(ham, (0.0, np.zeros((2, 2)), np.zeros((1, 2, 2))), 3.0)
+        grads = gradient(ham, (0.0, np.zeros((2, 2)), FactorSet(np.zeros((1, 3)), 1)), 3.0)
         # No nonzero factor, so no packed row: M = 0 of P = 3.
         assert grads[2].shape == (0, 3)
 
@@ -286,14 +286,14 @@ class TestGradient:
         kappa = 0.4
         xi = symmetrize_one_body(0.3 * rng.standard_normal((4, 4)))
         factors = rng.standard_normal((3, 4, 4))
-        factors = 0.5 * (factors + factors.transpose(0, 2, 1))
+        packed = pair_space(4).pack(0.5 * (factors + factors.transpose(0, 2, 1)))
+        factors = FactorSet(packed, 3)
         c = 7.0
         step = 1e-6
 
         grad_kappa, grad_xi, grad_factors = gradient(
             ham, (kappa, xi, factors), c
         )
-        index = pair_space(4).unpack_index  # raw entry (a, b) -> its packed pair
 
         def value(k, x, f):
             return total_cost(ham, (k, x, f), c)[0]
@@ -314,24 +314,25 @@ class TestGradient:
                 if abs(grad_xi[a, b]) > 1e-6:
                     assert fd == pytest.approx(grad_xi[a, b], rel=1e-5)
 
+        # Packed entry p sets both mirrored entries: c_p times the per-entry gradient.
+        mult = pair_space(4).mult
         for r in range(3):
-            for a in range(4):
-                for b in range(4):
-                    bump = np.zeros((3, 4, 4))
-                    bump[r, a, b] = step
-                    fd = (
-                        value(kappa, xi, factors + bump)
-                        - value(kappa, xi, factors - bump)
-                    ) / (2 * step)
-                    want = grad_factors[r, index[a * 4 + b]]
-                    if abs(want) > 1e-6:
-                        assert fd == pytest.approx(want, rel=1e-5)
+            for p in range(packed.shape[1]):
+                bump = np.zeros_like(packed)
+                bump[r, p] = step
+                fd = (
+                    value(kappa, xi, FactorSet(packed + bump, 3))
+                    - value(kappa, xi, FactorSet(packed - bump, 3))
+                ) / (2 * step)
+                want = mult[p] * grad_factors[r, p]
+                if abs(want) > 1e-6:
+                    assert fd == pytest.approx(want, rel=1e-5)
 
     def test_gradient_symmetry(self):
         rng = np.random.default_rng(27)
         ham = random_hamiltonian(3, rng)
         xi = symmetrize_one_body(rng.standard_normal((3, 3)))
-        factors = rng.standard_normal((2, 3, 3))
+        factors = packed_factors(rng.standard_normal((2, 3, 3)))
         _, grad_xi, _ = gradient(ham, (0.1, xi, factors), 2.0)
         assert np.array_equal(grad_xi, grad_xi.T)
 
@@ -473,8 +474,9 @@ class TestOptimize:
         rng = np.random.default_rng(41)
         ham = random_hamiltonian(3, rng, n_electrons=3)
         init = initial_double_factorization(ham.g, 9)
-        factors = init.factors[: init.effective_rank].copy()
-        factors[1] = 0.0
+        packed = init.packed.copy()
+        packed[1] = 0.0
+        factors = FactorSet(packed, init.rank)
         xi = symmetrize_one_body(rng.standard_normal((3, 3)))
         _, _, grad_factors = gradient(ham, (0.3, xi, factors), 1e3)
         assert grad_factors.shape == (init.effective_rank, 6)
@@ -483,16 +485,17 @@ class TestOptimize:
 
     @pytest.mark.parametrize("n", [6, 10])
     def test_zero_padding_gives_prefix_bits(self, n):
-        # total_cost and gradient stop at the last nonzero factor, as
-        # optimize does, so padding R = N(N+1)/2 factors to N^2 changes no
+        # FactorSet cuts its rows after the last nonzero one, as optimize
+        # does, so padding R = N(N+1)/2 rows with zero rows to N^2 changes no
         # bit: both calls return the same (M, P) rows.
         rng = np.random.default_rng(43)
         m = n * (n + 1) // 2
         ham = random_hamiltonian(n, rng, n_electrons=n)
         factors = rng.standard_normal((m, n, n))
         factors += factors.transpose(0, 2, 1)
-        padded = np.concatenate([factors, np.zeros((n * n - m, n, n))])
-        params = (0.3, symmetrize_one_body(rng.standard_normal((n, n))), factors)
+        packed = pair_space(n).pack(factors)
+        padded = FactorSet(np.vstack((packed, np.zeros((n * n - m, m)))), n * n)
+        params = (0.3, symmetrize_one_body(rng.standard_normal((n, n))), FactorSet(packed, m))
         padded_params = params[:2] + (padded,)
         assert total_cost(ham, padded_params, 1e2) == total_cost(ham, params, 1e2)
         d_kappa, d_xi, d_factors = gradient(ham, params, 1e2)
@@ -518,7 +521,8 @@ class TestOptimize:
         ham = random_hamiltonian(4, rng, n_electrons=4)
         config = small_config(max_iters=30)
         first = optimize(ham, 16, config)
-        params = (0.2, symmetrize_one_body(rng.standard_normal((4, 4))), rng.standard_normal((3, 4, 4)))
+        xi = symmetrize_one_body(rng.standard_normal((4, 4)))
+        params = (0.2, xi, packed_factors(rng.standard_normal((3, 4, 4))))
         total_cost(ham, params, 5.0)
         gradient(ham, params, 5.0)
         second = optimize(ham, 16, config)
@@ -799,8 +803,8 @@ class TestPackedKernel:
             factors = symmetrize_one_body_stack(rng.standard_normal((n, n, n)))
         c = 13.0
 
-        cost = total_cost(ham, (kappa, xi, factors), c)
-        grads = gradient(ham, (kappa, xi, factors), c)
+        cost = total_cost(ham, (kappa, xi, packed_factors(factors)), c)
+        grads = gradient(ham, (kappa, xi, packed_factors(factors)), c)
         ref_cost, ref_grads = dense_cost_and_gradient(ham, kappa, xi, factors, c)
         for got, want in zip(cost, ref_cost):
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -899,20 +903,19 @@ class TestPackedKernel:
         # theta-sized gradient takes it past 3 g.nbytes, as do the initial
         # factors kept through the descent or a zero-padded output.
         constructions = []
-        from_packed = FactorSet._from_packed.__func__
+        construct = FactorSet.__init__
 
-        def traced_from_packed(cls, packed, rank):
+        def traced_construct(self, packed, rank):
             before = tracemalloc.get_traced_memory()[0]
-            factor_set = from_packed(cls, packed, rank)
+            construct(self, packed, rank)
             constructions.append((packed.shape, tracemalloc.get_traced_memory()[0] - before))
-            return factor_set
 
         n = 16
         pairs = n * (n + 1) // 2
         ham = random_hamiltonian(n, np.random.default_rng(55), n_electrons=n)
         cfg = OptimizationConfig(max_iters=3, rel_tol=0.0)
         optimize(ham, n * n, cfg)  # warm caches
-        monkeypatch.setattr(FactorSet, "_from_packed", classmethod(traced_from_packed))
+        monkeypatch.setattr(FactorSet, "__init__", traced_construct)
         tracemalloc.start()
         try:
             report = optimize(ham, n * n, cfg)
@@ -941,7 +944,7 @@ class TestPackedKernel:
         rng = np.random.default_rng(53)
         ham = random_hamiltonian(4, rng, n_electrons=4)
         xi = symmetrize_one_body(rng.standard_normal((4, 4)))
-        params = (0.2, xi, rng.standard_normal((3, 4, 4)))
+        params = (0.2, xi, packed_factors(rng.standard_normal((3, 4, 4))))
         monkeypatch.setattr(np.linalg, "eigh", counted)
         total_cost(ham, params, 2.0)
         gradient(ham, params, 2.0)
@@ -978,7 +981,7 @@ class TestClosedFormKappa:
         n = len(h)
         ham = Hamiltonian(h=np.diag(h), g=np.zeros((n, n, n, n)), n_electrons=n_e)
         rng = np.random.default_rng(70 + n)
-        factors = symmetrize_one_body_stack(rng.standard_normal((2, n, n)))
+        factors = packed_factors(rng.standard_normal((2, n, n)))
         xi = np.diag(xi_diagonal)
         objective = self.closed_form_objective(ham, xi, factors)
         _, _, norms, unshifted = objective.evaluate()
@@ -1003,7 +1006,7 @@ class TestClosedFormKappa:
         n, c, step = 4, 7.0, 1e-6
         ham = random_hamiltonian(n, rng, n_electrons=2)
         xi = symmetrize_one_body(0.3 * rng.standard_normal((n, n)))
-        factors = symmetrize_one_body_stack(rng.standard_normal((3, n, n)))
+        factors = packed_factors(rng.standard_normal((3, n, n)))
         mu = np.linalg.eigvalsh(effective_one_body(ham) + (n - 2) * xi)
         assert mu[2] - mu[1] > 1e-2  # the middle eigenvalues are distinct
 

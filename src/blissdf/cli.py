@@ -129,23 +129,33 @@ def _write_outputs(args, name: str, doc: dict, factor_set=None, **shift) -> None
     (args.out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _run_record(n_orbitals: int, rank: int, err: float, breakdown) -> dict:
+    """The keys summary.json and both runs rows of report.json share, from a LambdaBreakdown."""
+    return dict(
+        n_orbitals=n_orbitals, rank=rank, err=err,
+        lambda_one_body=breakdown.one_body_part, lambda_two_body=breakdown.two_body_part,
+    )
+
+
+def _phase_of(row: int, first_iterations) -> int:
+    """The phase of trace row ``row``: of those starting at ascending ``first_iterations``, the last at or before it."""
+    return sum(first <= row for first in first_iterations) - 1
+
+
 def _write_trace(path: Path, total_trace, first_iterations) -> None:
     """Write json.dumps(row, sort_keys=True) per (total, err, lambda) row: json prints floats by repr.
 
-    Each line also carries its phase, the index of the last entry of
-    ``first_iterations`` (each phase's first row, ascending from 0) at or
-    before it.
+    Each line also carries its phase (_phase_of) among ``first_iterations``,
+    each phase's first row.
     """
     rows = total_trace.tolist()
     line = '{"err": %r, "iter": %d, "lambda": %r, "phase": %d, "total": %r}\n'
     total, err, lam = rows[0]
     _validator("trace.schema.json").validate(json.loads(line % (err, 0, lam, 0, total)))
-    stops = (*first_iterations[1:], len(rows))
     with open(path, "w") as handle:
-        for phase, (first, stop) in enumerate(zip(first_iterations, stops)):
-            handle.writelines(
-                line % (err, i, lam, phase, total) for i, (total, err, lam) in enumerate(rows[first:stop], first)
-            )
+        handle.writelines(
+            line % (err, i, lam, _phase_of(i, first_iterations), total) for i, (total, err, lam) in enumerate(rows)
+        )
 
 
 def cmd_factorize(args) -> int:
@@ -155,12 +165,8 @@ def cmd_factorize(args) -> int:
     breakdown = lambda_df(factor_set, effective_one_body(ham))
     summary = {
         **header,
-        "n_orbitals": ham.n_orbitals,
-        "rank": factor_set.rank,
+        **_run_record(ham.n_orbitals, factor_set.rank, err, breakdown),
         "lambda_df": breakdown.lambda_total,
-        "err": err,
-        "lambda_one_body": breakdown.one_body_part,
-        "lambda_two_body": breakdown.two_body_part,
         "per_factor": breakdown.per_factor.tolist(),
     }
     _write_outputs(args, "summary.json", summary, factor_set)
@@ -182,11 +188,9 @@ def cmd_optimize(args) -> int:
 
     report = optimize(ham, args.rank, config)
     best_kappa, best_xi, best_factor_set = report.best_params
-    init_breakdown = report.initial_breakdown
 
     _write_trace(args.out / "trace.jsonl", report.total_trace, [first for _, _, first in report.phases])
 
-    n = ham.n_orbitals
     report_doc = {
         **header,
         "config": config.to_dict(),
@@ -197,21 +201,13 @@ def cmd_optimize(args) -> int:
         "runs": [
             {
                 "method": "XDF",
-                "n_orbitals": n,
-                "rank": args.rank,
-                "lambda": init_breakdown.lambda_total,
-                "err": report.initial_err,
-                "lambda_one_body": init_breakdown.one_body_part,
-                "lambda_two_body": init_breakdown.two_body_part,
+                **_run_record(ham.n_orbitals, args.rank, report.initial_err, report.initial_breakdown),
+                "lambda": report.initial_breakdown.lambda_total,
             },
             {
                 "method": "optimized",
-                "n_orbitals": n,
-                "rank": best_factor_set.rank,
+                **_run_record(ham.n_orbitals, best_factor_set.rank, report.err_final, report.lambda_breakdown),
                 "lambda": report.lambda_breakdown.lambda_total,
-                "err": report.err_final,
-                "lambda_one_body": report.lambda_breakdown.one_body_part,
-                "lambda_two_body": report.lambda_breakdown.two_body_part,
                 "iterations": report.iterations_run,
                 "stop_reason": report.stop_reason,
                 "best_iteration": report.best_iteration,
@@ -288,8 +284,7 @@ def cmd_report(args) -> int:
                 f"{run['method']}: {run['iterations']} iterations, stop_reason {run['stop_reason']}, "
                 f"best_iteration {run['best_iteration']}"
             )
-            # The phase holding best_iteration is the last one to start at or before it.
-            best = sum(phase["first_iteration"] <= run["best_iteration"] for phase in data["phases"]) - 1
+            best = _phase_of(run["best_iteration"], [phase["first_iteration"] for phase in data["phases"]])
             for index, phase in enumerate(data["phases"]):
                 print(
                     f"phase {index}: c_approx {phase['c_approx']:.6g}, learning_rate {phase['learning_rate']:.6g}, "

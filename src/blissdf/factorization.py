@@ -271,8 +271,8 @@ def nuclear_norm(a: np.ndarray) -> float:
 
 
 def check_rank(rank: int, n: int) -> None:
-    """Raise ValueError unless 1 <= rank <= N^2, the factor counts of an N-orbital factorization."""
-    if not 1 <= rank <= n * n:
+    """Raise ValueError unless rank is an integer (hamiltonian._as_int) in [1, N^2], the factor counts of N orbitals."""
+    if not 1 <= _as_int("rank", rank) <= n * n:
         raise ValueError(f"rank must be in [1, {n * n}], got {rank}")
 
 
@@ -295,7 +295,7 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
 
     Args:
         g: Two-body tensor (N, N, N, N) or its pair block (see two_body_block).
-        rank: Number of factors R to keep, 1 <= R <= N^2 (see check_rank).
+        rank: Number of factors R to keep, an integer 1 <= R <= N^2.
 
     Returns:
         FactorSet of R symmetric matrices ordered by descending eigenvalue.
@@ -303,7 +303,8 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     Raises:
         IndefiniteTensorError: If the reshape has an eigenvalue below
             -1e-8 * max(d); such a g has no real factorization of this form.
-        ValueError: If rank is out of range or g has the wrong shape.
+        ValueError: If g has the wrong shape, or on a non-integer or
+            out-of-range rank, before any eigh.
     """
     big = two_body_block(g)
     n = _pair_orbitals(big.shape[0])

@@ -95,10 +95,10 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_int(name: str, value) -> int:
-    """value as an int; ValueError unless it is a Python or numpy integer (a bool is not)."""
+def _as_int(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """value as an int, the one integer rule: ``error`` unless it is a Python or numpy integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 

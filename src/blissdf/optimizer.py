@@ -90,6 +90,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -105,6 +106,7 @@ from blissdf.factorization import (
 )
 from blissdf.hamiltonian import (
     Hamiltonian,
+    _as_int,
     _average,
     effective_one_body,
     pair_space,
@@ -117,17 +119,14 @@ _REAL_FIELDS = ("c_approx", "learning_rate", "rel_tol", "err_budget")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
-def _positive_integer(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, int) and x >= 1
-
-
-# Checked in this order, after every _REAL_FIELDS entry is a finite number.
+# Checked in this order, after every _REAL_FIELDS entry is a number finite as a float64
+# and max_iters and patience are integers (hamiltonian._as_int).
 _RULES = (
     ("c_approx", lambda x: x is None or x > 0, "be positive"),
-    ("max_iters", _positive_integer, "be a positive integer"),
+    ("max_iters", lambda x: x >= 1, "be a positive integer"),
     ("learning_rate", lambda x: x > 0, "be positive"),
     ("rel_tol", lambda x: x >= 0, "be nonnegative"),
-    ("patience", _positive_integer, "be a positive integer"),
+    ("patience", lambda x: x >= 1, "be a positive integer"),
     ("err_budget", lambda x: x >= 0, "be nonnegative"),
 )
 
@@ -162,9 +161,11 @@ class OptimizationConfig:
     as one phase. Every run stops at the latest after max_iters iterations.
     ``err_budget`` is not enforced during descent; it defines which iterates
     count as feasible, for the schedule's stop and for the best one selected
-    afterwards. Real-valued fields must be finite numbers; NaN and
-    infinities raise ConfigError. Adam's constants are fixed, not
-    configured: beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8.
+    afterwards. Real-valued fields must be numbers finite as a float64;
+    NaN, infinities and integers past 1.8e308 raise ConfigError. max_iters
+    and patience take Python or numpy integers (hamiltonian._as_int) and
+    store Python ints. Adam's constants are fixed: beta1 = 0.9, beta2 =
+    0.999 and epsilon = 1e-8.
     """
 
     c_approx: float | None = None
@@ -181,8 +182,10 @@ class OptimizationConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        for name in ("max_iters", "patience"):  # as Python ints, so that to_dict() stays JSON
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), ConfigError))
         for name, valid, rule in _RULES:
             value = getattr(self, name)
             if not valid(value):
@@ -467,7 +470,7 @@ class _Descent:
     def __init__(self, ham: Hamiltonian, rank: int, config: OptimizationConfig):
         n = ham.n_orbitals
         space = pair_space(n)
-        self.zero_err = float(space.mult @ np.square(ham.g_pairs) @ space.mult)  # ||G||^2, Err at F = 0
+        self.zero_err = space.residual(ham.g_pairs.copy(), np.empty((0, len(space.mult))))[0]  # ||G||^2, F = 0
         # theta starts at the M nonzero initial factors and xi = 0; the trailing
         # exact-zero factors never move and stay out of it.
         packed = initial_double_factorization(ham.g_pairs, rank).packed
@@ -587,8 +590,8 @@ def optimize(
 
     Args:
         ham: Hamiltonian to shift and factorize.
-        rank: Number of factors R, 1 <= R <= N^2; at most N(N+1)/2 of them
-            are nonzero, and the rest stay exact zeros.
+        rank: Number of factors R, an integer 1 <= R <= N^2; at most
+            N(N+1)/2 of them are nonzero, and the rest stay exact zeros.
         config: Hyperparameters. The descent is deterministic and uses no
             randomness.
 
@@ -602,7 +605,7 @@ def optimize(
         NonFiniteCostError: If the cost evaluates to NaN or infinity.
         IndefiniteTensorError: Propagated from the initialization when the
             two-body tensor is not factorizable.
-        ValueError: On an invalid rank.
+        ValueError: On a non-integer or out-of-range rank, before any eigh.
     """
     descent = _Descent(ham, rank, config)
     while not descent.record(*descent.objective.evaluate()):  # at the latest at row max_iters

@@ -454,27 +454,28 @@ class TestOptimize:
         assert not (tmp_path / "o").exists()
 
     def test_nan_config_value_exits_1(self, tmp_path, capsys):
-        # json.loads accepts the NaN token; no iterate could be feasible.
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"err_budget": NaN}')
-        code, _, stderr = run_cli(
-            [
-                "optimize",
-                "--input",
-                FIXTURE,
-                "--rank",
-                "2",
-                "--config",
-                str(bad),
-                "--out",
-                str(tmp_path / "o"),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert stderr.startswith("error: err_budget must be finite, got nan")
-        assert "Traceback" not in stderr
-        assert not (tmp_path / "o").exists()
+        # json.loads accepts the NaN token, and an integer past float64; no float64 holds either.
+        for value in ("NaN", "1" + "0" * 400):
+            bad = tmp_path / "bad.json"
+            bad.write_text('{"err_budget": %s}' % value)
+            code, _, stderr = run_cli(
+                [
+                    "optimize",
+                    "--input",
+                    FIXTURE,
+                    "--rank",
+                    "2",
+                    "--config",
+                    str(bad),
+                    "--out",
+                    str(tmp_path / "o"),
+                ],
+                capsys,
+            )
+            assert code == 1
+            assert stderr.startswith(f"error: err_budget must be finite, got {value.lower()}\n")
+            assert "Traceback" not in stderr
+            assert not (tmp_path / "o").exists()
 
     def test_divergent_descent_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, learning_rate=1e160, c_approx=1.0)

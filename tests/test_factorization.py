@@ -12,6 +12,7 @@ from blissdf import (
     FactorSet,
     Hamiltonian,
     IndefiniteTensorError,
+    OptimizationConfig,
     eigen_rank1,
     frobenius_error,
     gradient,
@@ -19,6 +20,7 @@ from blissdf import (
     lambda_df,
     load_factor_set,
     nuclear_norm,
+    optimize,
     reconstruct_two_body,
     save_factor_set,
     total_cost,
@@ -28,7 +30,7 @@ from blissdf.hamiltonian import symmetrize_one_body, two_body_block
 from blissdf.optimizer import _sign_subgradients
 from blissdf.verify import chain_hamiltonian
 
-from conftest import packed_factors, random_psd_two_body
+from conftest import packed_factors, random_hamiltonian, random_psd_two_body
 
 
 def random_orthogonal(n, rng):
@@ -226,6 +228,25 @@ class TestInitialDoubleFactorization:
             initial_double_factorization(g, 0)
         with pytest.raises(ValueError, match="rank"):
             initial_double_factorization(g, 5)
+
+    @pytest.mark.parametrize("rank", [2.0, np.float64(3.0), True, "4"], ids=repr)
+    def test_non_integer_rank_fails_before_any_eigh(self, rank, monkeypatch):
+        # Both entry points read the rank through check_rank before the P x P eigh.
+        ham = random_hamiltonian(3, np.random.default_rng(8))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        with pytest.raises(ValueError, match="^rank must be an integer, got "):
+            initial_double_factorization(ham.g_pairs, rank)
+        with pytest.raises(ValueError, match="^rank must be an integer, got "):
+            optimize(ham, rank, OptimizationConfig(max_iters=1))
+        assert calls == []
+
+    def test_numpy_integer_rank_is_an_integer(self):
+        g = random_psd_two_body(3, np.random.default_rng(9))
+        fs = initial_double_factorization(g, np.int64(4))
+        assert type(fs.rank) is int
+        assert fs.packed.tolist() == initial_double_factorization(g, 4).packed.tolist()
 
     def test_factors_ordered_by_eigenvalue(self):
         rng = np.random.default_rng(6)

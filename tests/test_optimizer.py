@@ -149,8 +149,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             OptimizationConfig.from_dict({name: value})
 
-    def test_huge_integer_is_a_finite_number(self):
-        assert OptimizationConfig(err_budget=10**400).err_budget == 10**400
+    def test_huge_integer_is_not_finite(self):
+        # 10**400 is a number, but no float64 holds it; 10**308 is one.
+        for name in _REAL_FIELDS:
+            with pytest.raises(ConfigError, match=f"^{name} must be finite, got 1000"):
+                OptimizationConfig.from_dict({name: 10**400})
+            assert getattr(OptimizationConfig.from_dict({name: 10**308}), name) == 10**308
+
+    @pytest.mark.parametrize("name", ["max_iters", "patience"])
+    def test_integer_fields_take_numpy_integers(self, name):
+        cfg = OptimizationConfig(**{name: np.int64(5)})
+        assert getattr(cfg, name) == 5 and type(getattr(cfg, name)) is int
+        assert json.loads(json.dumps(cfg.to_dict()))[name] == 5
+        assert OptimizationConfig(**{name: np.uint8(7)}) == OptimizationConfig(**{name: 7})
+        for bad in (5.0, np.float64(5.0), True, np.bool_(True), "5"):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+                OptimizationConfig(**{name: bad})
 
     def test_real_fields_accept_ints(self):
         cfg = OptimizationConfig.from_dict({"c_approx": 1000, "rel_tol": 0})

@@ -23,8 +23,6 @@ from blissdf.factorization import (
     FactorSet,
     IndefiniteTensorError,
     LambdaBreakdown,
-    Rank1Decomposition,
-    eigen_rank1,
     frobenius_error,
     initial_double_factorization,
     lambda_df,
@@ -59,8 +57,6 @@ __all__ = [
     "FactorSet",
     "IndefiniteTensorError",
     "LambdaBreakdown",
-    "Rank1Decomposition",
-    "eigen_rank1",
     "initial_double_factorization",
     "lambda_df",
     "load_factor_set",

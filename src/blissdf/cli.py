@@ -58,7 +58,7 @@ from blissdf.hamiltonian import Hamiltonian, effective_one_body
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 EXIT_OK = 0
 EXIT_INPUT = 1

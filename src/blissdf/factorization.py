@@ -18,8 +18,8 @@ constant assembled from these pieces is
     lambda = 1/2 * sum_r ||A_r||_*^2 + ||h'||_*,
 
 with h' the effective one-body matrix. The nuclear norm is the provable
-minimum of sum_t |lambda_t| over all rank-1 decompositions, which is why
-eigendecomposition is the only rank-2 -> rank-1 step offered.
+minimum of sum_t |lambda_t| over all rank-1 decompositions, so lambda needs
+each factor's eigenvalues only, never the rank-1 terms themselves.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def reconstruct_two_body(factor_set: FactorSet) -> np.ndarray:
     Returns the tensor with entries sum_r A[r,i,j] * A[r,k,l], unpacked from
     the pair-space Gram matrix F^T F of the packed factors F; R may be zero.
     Anything but a FactorSet raises TypeError. A dense view, public for the
-    benchmark and the small-N oracle checks; the kernels never form it.
+    benchmark; nothing in the package forms it.
     """
     factor_set = _checked(factor_set)
     return pair_space(factor_set.n_orbitals).tensor(factor_set.packed.T @ factor_set.packed)
@@ -149,31 +149,6 @@ def frobenius_error(g_target: np.ndarray, factor_set: FactorSet) -> float:
     if n * (n + 1) // 2 != len(g_pairs):
         raise ValueError(f"factor dimension {n} does not match tensor dimension {_pair_orbitals(len(g_pairs))}")
     return pair_space(n).residual(g_pairs, factor_set.packed)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Rank1Decomposition:
-    """Eigenpairs of a symmetric matrix, deterministically ordered.
-
-    Attributes:
-        eigenvalues: Shape (N,), sorted by descending absolute value; ties
-            broken by descending signed value, then by the lexicographically
-            smallest sign-fixed eigenvector.
-        vectors: Shape (N, N); ``vectors[t]`` is the unit eigenvector for
-            ``eigenvalues[t]``, sign-fixed so its first nonzero entry is
-            positive.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):  # read-only copies: the caller's arrays stay its own
-        object.__setattr__(self, "eigenvalues", _frozen_array(np.array(self.eigenvalues)))
-        object.__setattr__(self, "vectors", _frozen_array(np.array(self.vectors)))
-
-    def reconstruct(self) -> np.ndarray:
-        """Return sum_t lambda_t u_t u_t^T."""
-        return np.einsum("t,ti,tj->ij", self.eigenvalues, self.vectors, self.vectors)
 
 
 @dataclass(frozen=True)
@@ -216,28 +191,6 @@ def _leading_signs(rows: np.ndarray) -> np.ndarray:
         return np.ones(len(rows))
     lead = rows[np.arange(len(rows)), np.argmax(rows != 0.0, axis=1)]
     return np.where(lead < 0.0, -1.0, 1.0)
-
-
-def eigen_rank1(a: np.ndarray) -> Rank1Decomposition:
-    """Eigendecompose a symmetric matrix into ordered rank-1 terms.
-
-    The ordering (descending |lambda|, ties by descending signed value, then
-    lexicographically smallest sign-fixed vector) is deterministic so that
-    downstream serialized results are reproducible.
-
-    Args:
-        a: Symmetric N x N matrix.
-
-    Returns:
-        Rank1Decomposition with unit-norm, sign-fixed eigenvectors such that
-        sum_t lambda_t u_t u_t^T reconstructs the input.
-    """
-    a = symmetrize_one_body(a)
-    eigvals, eigvecs = np.linalg.eigh(a)
-    vectors = eigvecs.T * _leading_signs(eigvecs.T)[:, None]
-    # lexsort's last key is its primary one; the vectors compare entry by entry.
-    order = np.lexsort((*vectors.T[::-1], -eigvals, -np.abs(eigvals)))
-    return Rank1Decomposition(eigenvalues=eigvals[order], vectors=vectors[order])
 
 
 @one_blas_thread()
@@ -371,18 +324,23 @@ def save_factor_set(
     timestamps, so identical content produces identical bytes and the
     float64 payload round-trips exactly. ``manifest`` may carry provenance
     such as the source-file checksum.
+
+    Raises:
+        ValueError: If kappa is not a finite real scalar or xi not a finite
+            real (N, N) array, the archives load_factor_set refuses; no file
+            is written then.
     """
+    n = factor_set.n_orbitals
     payload = {
         "format": np.array(ARCHIVE_FORMAT),
-        "n_orbitals": np.array(factor_set.n_orbitals, dtype=np.int64),
+        "n_orbitals": np.array(n, dtype=np.int64),
         "rank": np.array(factor_set.rank, dtype=np.int64),
         "factors": factor_set.packed,
         "manifest": np.array(json.dumps(manifest or {}, sort_keys=True)),
     }
-    if kappa is not None:
-        payload["kappa"] = np.array(float(kappa))
-    if xi is not None:
-        payload["xi"] = np.asarray(xi, dtype=np.float64)
+    for name, value, shape in (("kappa", kappa, ()), ("xi", xi, (n, n))):
+        if value is not None:  # by the loader's rule, before the file is opened
+            payload[name] = _finite_real(value, shape, f"{path}: {name}").astype(np.float64)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, arr in payload.items():
             arr = np.asarray(arr, order="C")
@@ -394,18 +352,23 @@ def save_factor_set(
                 member.write(arr.reshape(-1).view(np.uint8))
 
 
-def _finite_member(archive, name: str, shape: tuple, path) -> np.ndarray | None:
-    """archive[name], checked to be a finite real array of ``shape`` (None: any length); None if there is none."""
-    if name not in archive:
-        return None
-    value = archive[name]
+def _finite_real(value, shape: tuple, label: str) -> np.ndarray:
+    """``value`` as an array, or ValueError unless it is a finite real array of ``shape`` (None: any length).
+
+    The one rule for the archive's numeric members, on save and on load.
+    """
+    value = np.asarray(value)
     fits = value.ndim == len(shape) and all(want in (None, got) for want, got in zip(shape, value.shape))
     if not fits or value.dtype.kind not in "fiu" or not np.isfinite(value).all():
         raise ValueError(
-            f"{path}: {name} member must be a finite real array of shape {shape}, "
-            f"got {value.dtype} of shape {value.shape}"
+            f"{label} must be a finite real array of shape {shape}, got {value.dtype} of shape {value.shape}"
         )
     return value
+
+
+def _finite_member(archive, name: str, shape: tuple, path) -> np.ndarray | None:
+    """archive[name], checked by _finite_real; None if there is none."""
+    return _finite_real(archive[name], shape, f"{path}: {name} member") if name in archive else None
 
 
 def load_factor_set(

@@ -251,8 +251,8 @@ def load_integrals(path: str | Path) -> Hamiltonian:
     return Hamiltonian(*_read(Path(path).read_bytes()))
 
 
-def write_integrals(path: str | Path, ham: Hamiltonian, ms2: int = 0) -> None:
-    """Write a Hamiltonian as an FCIDUMP file, inverting the load conversion.
+def write_integrals(path: str | Path, ham: Hamiltonian) -> None:
+    """Write a Hamiltonian as an FCIDUMP file with MS2=0, inverting the load conversion.
 
     Only the canonical representative of each 8-fold orbit is emitted, and
     exact zeros are skipped. Values are printed with 17 significant digits so
@@ -271,7 +271,7 @@ def write_integrals(path: str | Path, ham: Hamiltonian, ms2: int = 0) -> None:
     v_ordered = v_pairs[np.ix_(order, order)]  # rows and columns in emission order
 
     with path.open("w") as out:  # line by line: no list of the file's lines
-        out.write(f" &FCI NORB={n},NELEC={ham.n_electrons},MS2={ms2},\n &END\n")
+        out.write(f" &FCI NORB={n},NELEC={ham.n_electrons},MS2=0,\n &END\n")
         for a, (i, j) in enumerate(pairs):  # (k, l) <= (i, j)
             row = zip(pairs[: a + 1], v_ordered[a].tolist())
             out.writelines(f"{_FLOAT_FORMAT % v} {i + 1} {j + 1} {k + 1} {l + 1}\n" for (k, l), v in row if v != 0.0)

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from blissdf.factorization import eigen_rank1
-from blissdf.hamiltonian import Hamiltonian
+from blissdf.hamiltonian import Hamiltonian, pair_space, symmetrize_one_body
 
 MAX_ORBITALS = 6
 
@@ -106,14 +105,14 @@ def sector_hamiltonian(ham: Hamiltonian, n_e: int) -> np.ndarray:
     """Real symmetric block of c + sum_ij h_ij E_ij + sum_ijkl g_ijkl E_ij E_kl.
 
     The block acts on the C(2N, n_e) states of sector_states(N, n_e), in
-    that order.
+    that order. Each g_ij.. is a row of ham.g_pairs, unpacked by PairSpace.
     """
-    rows, signs = _excitation_maps(ham.n_orbitals, n_e)
+    n, space = ham.n_orbitals, pair_space(ham.n_orbitals)
+    rows, signs = _excitation_maps(n, n_e)
     mat = ham.core_constant * np.eye(rows.shape[-1]) + _one_body(ham.h, rows, signs)
-    g = ham.g  # unpacked once: each access builds a fresh N^4 array
-    for i in range(ham.n_orbitals):
-        for j in range(ham.n_orbitals):
-            inner = _one_body(g[i, j], rows, signs)
+    for i in range(n):
+        for j in range(n):
+            inner = _one_body(space.unpack(ham.g_pairs[space.unpack_index[i * n + j]]), rows, signs)
             # E_ij is the transpose of E_ji, so row r of E_ij @ inner is
             # row rows[j, i, sigma, r] of inner times its sign, per spin.
             for sign, row in zip(signs[j, i], rows[j, i]):
@@ -180,17 +179,18 @@ def b_operator(u: np.ndarray, sigma: int, n: int) -> np.ndarray:
 def verify_one_body_identity(a: np.ndarray) -> float:
     """Max deviation of One(A) from its rotated-basis form, over all sectors.
 
-    Eigendecomposes A = sum_t lambda_t u_t u_t^T and compares sector_one_body
-    against sum_t,sigma lambda_t B+_(u_t,sigma) B_(u_t,sigma), built from
-    ladder operators and restricted to each sector. The two agree identically
-    in exact arithmetic; the returned value is the max-norm of the numerical
-    difference (expected <= 1e-9).
+    Eigendecomposes the symmetric part A = sum_t lambda_t u_t u_t^T and
+    compares sector_one_body against sum_t,sigma lambda_t B+_(u_t,sigma)
+    B_(u_t,sigma), built from ladder operators and restricted to each sector;
+    the sum depends on neither the order nor the signs of the eigenpairs. The
+    two agree identically in exact arithmetic; the returned value is the
+    max-norm of the numerical difference (expected <= 1e-9).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    decomp = eigen_rank1(a)
+    eigvals, eigvecs = np.linalg.eigh(symmetrize_one_body(a))
     rhs = np.zeros((4**n, 4**n))
-    for lam, vec in zip(decomp.eigenvalues, decomp.vectors):
+    for lam, vec in zip(eigvals, eigvecs.T):
         for sigma in (0, 1):
             b_mat = b_operator(vec, sigma, n)
             rhs += lam * (b_mat.T @ b_mat)

@@ -161,11 +161,11 @@ class OptimizationConfig:
     as one phase. Every run stops at the latest after max_iters iterations.
     ``err_budget`` is not enforced during descent; it defines which iterates
     count as feasible, for the schedule's stop and for the best one selected
-    afterwards. Real-valued fields must be numbers finite as a float64;
-    NaN, infinities and integers past 1.8e308 raise ConfigError. max_iters
-    and patience take Python or numpy integers (hamiltonian._as_int) and
-    store Python ints. Adam's constants are fixed: beta1 = 0.9, beta2 =
-    0.999 and epsilon = 1e-8.
+    afterwards. Real-valued fields take Python or numpy numbers, not bools,
+    finite as a float64, and store Python ints or floats; NaN, infinities and
+    integers past 1.8e308 raise ConfigError. max_iters and patience take
+    Python or numpy integers (hamiltonian._as_int) and store Python ints.
+    Adam's constants are fixed: beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8.
     """
 
     c_approx: float | None = None
@@ -180,10 +180,13 @@ class OptimizationConfig:
             value = getattr(self, name)
             if name == "c_approx" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            # A Python number: to_dict() stays JSON, and abs() below cannot overflow in numpy.
+            value = int(value) if isinstance(value, (int, np.integer)) else float(value)
             if not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         for name in ("max_iters", "patience"):  # as Python ints, so that to_dict() stays JSON
             object.__setattr__(self, name, _as_int(name, getattr(self, name), ConfigError))
         for name, valid, rule in _RULES:

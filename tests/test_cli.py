@@ -23,6 +23,7 @@ from blissdf import (
     write_integrals,
 )
 from blissdf import cli
+from blissdf.verify import run_verification
 
 from conftest import DATA_DIR, random_hamiltonian
 
@@ -562,6 +563,20 @@ class TestVerify:
         assert stdout.count("PASS") >= 5
         assert "all" in stdout and "checks passed" in stdout
 
+    def test_shipped_checks_are_pinned(self):
+        # Adding or dropping a shipped self-check is a deliberate edit here.
+        fast = [
+            "canonical anticommutation",
+            "number operator diagonal",
+            "rotated-basis operator identities",
+            "one-body rotation identity",
+            "BLISS invariance",
+            "factorization exactness",
+        ]
+        full = fast + ["gradient finite-difference agreement", "closed-form kappa", "penalty schedule"]
+        for level, names in (("fast", fast), ("full", full)):
+            assert [result.name for result in run_verification(level)] == names
+
     def test_broken_invariant_detected(self, capsys, monkeypatch):
         # Corrupt the shift inside the check suite and make sure the dense
         # oracle catches it, names the failing check, and exits 4. The
@@ -787,10 +802,10 @@ def test_shipped_schema_is_valid(name):
 
 
 def test_public_api_is_pinned_to_the_schema_version():
-    # blissdf.__all__, the optimizer's entry points and the FactorSet
-    # constructor change only with a schema_version bump: change this pin
-    # and SCHEMA_VERSION together.
-    assert cli.SCHEMA_VERSION == 8
+    # blissdf.__all__, the optimizer's entry points, the FactorSet
+    # constructor and write_integrals change only with a schema_version bump:
+    # change this pin and SCHEMA_VERSION together.
+    assert cli.SCHEMA_VERSION == 9
     assert sorted(blissdf.__all__) == [
         "ConfigError",
         "FactorSet",
@@ -801,12 +816,10 @@ def test_public_api_is_pinned_to_the_schema_version():
         "NonFiniteCostError",
         "OptimizationConfig",
         "OptimizationReport",
-        "Rank1Decomposition",
         "ShiftParams",
         "__version__",
         "apply_symmetry_shift",
         "effective_one_body",
-        "eigen_rank1",
         "frobenius_error",
         "gradient",
         "initial_double_factorization",
@@ -821,13 +834,14 @@ def test_public_api_is_pinned_to_the_schema_version():
         "total_cost",
         "write_integrals",
     ]
-    entry_points = ("optimize", "total_cost", "gradient", "FactorSet")
+    entry_points = ("optimize", "total_cost", "gradient", "FactorSet", "write_integrals")
     signatures = {name: str(inspect.signature(getattr(blissdf, name))) for name in entry_points}
     assert signatures == {
         "optimize": "(ham: 'Hamiltonian', rank: 'int', config: 'OptimizationConfig') -> 'OptimizationReport'",
         "total_cost": "(ham: 'Hamiltonian', params, c_approx: 'float') -> 'tuple[float, float, float]'",
         "gradient": "(ham: 'Hamiltonian', params, c_approx: 'float')",
         "FactorSet": "(packed: 'np.ndarray', rank: 'int')",
+        "write_integrals": "(path: 'str | Path', ham: 'Hamiltonian') -> 'None'",
     }
     # The config keys are the manifest's and report.json's config block.
     assert [field.name for field in dataclasses.fields(blissdf.OptimizationConfig)] == [

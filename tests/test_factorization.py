@@ -13,7 +13,6 @@ from blissdf import (
     Hamiltonian,
     IndefiniteTensorError,
     OptimizationConfig,
-    eigen_rank1,
     frobenius_error,
     gradient,
     initial_double_factorization,
@@ -25,7 +24,7 @@ from blissdf import (
     save_factor_set,
     total_cost,
 )
-from blissdf.factorization import LambdaBreakdown, Rank1Decomposition, nuclear_norms
+from blissdf.factorization import LambdaBreakdown, nuclear_norms
 from blissdf.hamiltonian import symmetrize_one_body, two_body_block
 from blissdf.optimizer import _sign_subgradients
 from blissdf.verify import chain_hamiltonian
@@ -362,84 +361,6 @@ class TestNullSpace:
         assert FactorSet(np.zeros((0, 3)), 4).effective_rank == 0
 
 
-class TestEigenRank1:
-    def test_identity(self):
-        decomp = eigen_rank1(np.eye(3))
-        assert np.allclose(decomp.eigenvalues, [1.0, 1.0, 1.0])
-        assert np.max(np.abs(decomp.reconstruct() - np.eye(3))) < 1e-12
-
-    def test_ordering_by_absolute_value(self):
-        decomp = eigen_rank1(np.diag([3.0, -4.0]))
-        assert list(decomp.eigenvalues) == [-4.0, 3.0]
-
-    def test_tie_broken_by_signed_value(self):
-        decomp = eigen_rank1(np.diag([-2.0, 2.0]))
-        assert list(decomp.eigenvalues) == [2.0, -2.0]
-
-    def test_input_is_copied_not_aliased(self):
-        e, v = np.array([2.0, -1.0]), np.eye(2)
-        decomp = Rank1Decomposition(e, v)
-        assert decomp.eigenvalues.tobytes() == e.tobytes() and decomp.vectors.tobytes() == v.tobytes()
-        assert not np.shares_memory(decomp.eigenvalues, e) and not np.shares_memory(decomp.vectors, v)
-        assert e.flags.writeable and v.flags.writeable
-        e[0] = 7.0
-        assert decomp.eigenvalues[0] == 2.0
-
-    def test_sign_fixing(self):
-        rng = np.random.default_rng(7)
-        a = symmetrize_one_body(rng.standard_normal((4, 4)))
-        for vec in eigen_rank1(a).vectors:
-            first = vec[np.flatnonzero(vec)[0]]
-            assert first > 0
-
-    def test_reconstruction_and_trace(self):
-        rng = np.random.default_rng(8)
-        a = symmetrize_one_body(rng.standard_normal((5, 5)))
-        decomp = eigen_rank1(a)
-        assert np.max(np.abs(decomp.reconstruct() - a)) < 1e-10
-        assert abs(decomp.eigenvalues.sum() - np.trace(a)) < 1e-10
-        norms = np.linalg.norm(decomp.vectors, axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-12
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(9)
-        a = symmetrize_one_body(rng.standard_normal((4, 4)))
-        d1, d2 = eigen_rank1(a), eigen_rank1(np.array(a))
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.vectors, d2.vectors)
-
-    def test_matches_the_sorted_pair_loop(self):
-        # The vectorized sign flip and lexsort give the bits of the former
-        # per-vector sign fix and tuple sort, also on ties and degenerate,
-        # zero and sparse spectra.
-        def loop_eigen_rank1(a):
-            def fix_sign(vec):
-                for entry in vec:
-                    if entry != 0.0:
-                        return -vec if entry < 0.0 else vec
-                return vec
-
-            eigvals, eigvecs = np.linalg.eigh(symmetrize_one_body(a))
-            pairs = [(eigvals[t], fix_sign(eigvecs[:, t])) for t in range(len(eigvals))]
-            pairs.sort(key=lambda p: (-abs(p[0]), -p[0], tuple(p[1])))
-            return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-        rng = np.random.default_rng(10)
-        mats = [np.zeros((0, 0)), np.zeros((3, 3)), np.eye(4), -np.eye(2)]
-        mats.append(np.diag([-2.0, 2.0, 0.0, 2.0]))
-        for n in list(range(1, 8)) * 10:
-            mats.append(symmetrize_one_body(rng.standard_normal((n, n))))
-            mats.append(symmetrize_one_body(rng.integers(-2, 3, (n, n)).astype(float)))
-            mats.append(np.diag(rng.integers(-2, 3, n).astype(float)))
-            q = random_orthogonal(n, rng)
-            mats.append((q * rng.choice([-1.0, 0.0, 1.0], n)) @ q.T)
-        for a in mats:
-            values, vectors = loop_eigen_rank1(a)
-            decomp = eigen_rank1(a)
-            assert decomp.eigenvalues.tobytes() == values.tobytes()
-            assert decomp.vectors.tobytes() == vectors.tobytes()
-
-
 class TestNuclearNorm:
     def test_identity(self):
         assert nuclear_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-12)
@@ -678,6 +599,19 @@ class TestSerialization:
         np.savez(tmp_path / "bad.npz", **kept)
         with pytest.raises(ValueError, match=f"{member} member"):
             load_factor_set(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize(
+        "shift",
+        [{"kappa": np.nan}, {"xi": np.diag([1.0, np.inf, 0.0])}, {"xi": np.eye(2)}],
+        ids=["kappa-nan", "xi-inf", "xi-2x2"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, shift):
+        # The loader's finite scalar / finite (N, N) rule, checked before the
+        # file is opened: no archive that load_factor_set rejects is written.
+        path = tmp_path / "bad.npz"
+        with pytest.raises(ValueError, match="must be a finite real array"):
+            save_factor_set(path, FactorSet(np.ones((2, 6)), 2), **{"kappa": 0.5, "xi": np.eye(3), **shift})
+        assert not path.exists()
 
     @pytest.mark.parametrize("shift", [False, True], ids=["plain", "shifted"])
     def test_rejects_a_v1_archive(self, tmp_path, shift):

@@ -166,6 +166,18 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
                 OptimizationConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["c_approx", "learning_rate", "rel_tol", "err_budget"])
+    def test_real_fields_take_numpy_numbers(self, name):
+        # Stored as Python numbers of the same kind, so to_dict() stays JSON.
+        for value, kind in ((np.int64(5), int), (np.float32(5), float), (np.float16(2), float)):
+            cfg = OptimizationConfig(**{name: value})
+            assert getattr(cfg, name) == value and type(getattr(cfg, name)) is kind
+            assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got "):
+            OptimizationConfig(**{name: np.bool_(True)})
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
+            OptimizationConfig(**{name: np.float64("nan")})
+
     def test_real_fields_accept_ints(self):
         cfg = OptimizationConfig.from_dict({"c_approx": 1000, "rel_tol": 0})
         assert (cfg.c_approx, cfg.rel_tol) == (1000, 0)

@@ -34,6 +34,7 @@ import numpy as np
 from blissdf._parallel import one_blas_thread, run_blocks
 from blissdf.hamiltonian import (
     _as_int,
+    _as_real,
     _frozen_array,
     _pair_orbitals,
     pair_space,
@@ -63,11 +64,12 @@ class FactorSet:
             factors are exact zeros.
         rank: R, from 0 (an empty factorization) up to N^2.
 
-    ``FactorSet(packed, rank)``, the one way in, takes finite (M, P) rows,
-    M <= R <= N^2 with R an integer (not a bool), and cuts them after the
-    last nonzero one (M = 0 or row M - 1 is nonzero), so zero padding gives
-    the bits of its prefix. It keeps a read-only view of the rows, or a copy
-    of the cut ones; the caller's array stays writable and must not change.
+    ``FactorSet(packed, rank)``, the one way in, takes (M, P) rows that pass
+    hamiltonian._as_real, M <= R <= N^2 with R an integer (not a bool), else
+    ValueError. It cuts them after the last nonzero one (M = 0 or row M - 1
+    is nonzero), so zero padding gives the bits of its prefix. It keeps a
+    read-only view of the rows, or a copy of the cut ones; the caller's
+    array stays writable and must not change.
     ``factors``, ``__iter__`` and ``__len__``, the dense views that stay for
     the benchmark, unpack the zero-padded (R, N, N) stack afresh on each
     access, N^4 at R = N^2: keep them out of loops.
@@ -77,15 +79,13 @@ class FactorSet:
     rank: int
 
     def __init__(self, packed: np.ndarray, rank: int):
-        packed = np.asarray(packed, dtype=np.float64)
+        packed = _as_real("packed", packed, np.shape(packed))
         n = _pair_orbitals(packed.shape[1]) if packed.ndim == 2 else -1
         if n < 0:
             raise ValueError(f"packed must be (M, N(N+1)/2) rows A_r[np.triu_indices(N)], got shape {packed.shape}")
         rank = _as_int("rank", rank)
         if not len(packed) <= rank <= n * n:
             raise ValueError(f"rank R={rank} is outside [M, N^2] = [{len(packed)}, {n * n}]")
-        if not np.isfinite(packed).all():
-            raise ValueError("packed factors contain non-finite entries")
         stop = np.flatnonzero(packed.any(axis=1)).max(initial=-1) + 1  # the one prefix rule
         packed = packed.view() if stop == len(packed) else packed[:stop].copy()  # no zero rows stay allocated
         object.__setattr__(self, "packed", _frozen_array(packed))
@@ -115,12 +115,14 @@ class FactorSet:
         return self.rank
 
 
-def _checked(factor_set: FactorSet) -> FactorSet:
-    """``factor_set``, or TypeError for anything that is not a FactorSet."""
-    if isinstance(factor_set, FactorSet):
-        return factor_set
-    name = type(factor_set).__name__
-    raise TypeError(f"expected a FactorSet, got {name}: use FactorSet(packed, rank), rows A_r[np.triu_indices(N)]")
+def _checked(factor_set: FactorSet, n: int | None = None) -> FactorSet:
+    """``factor_set``; TypeError for anything but a FactorSet, ValueError for one not of N = ``n`` if given."""
+    if not isinstance(factor_set, FactorSet):
+        name = type(factor_set).__name__
+        raise TypeError(f"expected a FactorSet, got {name}: use FactorSet(packed, rank), rows A_r[np.triu_indices(N)]")
+    if n is not None and factor_set.n_orbitals != n:
+        raise ValueError(f"factors are of dimension N={factor_set.n_orbitals}, not N={n}")
+    return factor_set
 
 
 @one_blas_thread()
@@ -142,12 +144,11 @@ def frobenius_error(g_target: np.ndarray, factor_set: FactorSet) -> float:
 
     Returns sum_ijkl (g_target - sum_r A_r (x) A_r)^2, the squared norm, not
     its square root, for an N^4 ``g_target`` or its pair block (two_body_block)
-    and a FactorSet, in pair space. Anything but a FactorSet raises TypeError.
+    and a FactorSet, in pair space. Anything but a FactorSet raises TypeError,
+    and a g_target that hamiltonian._as_real refuses or of another N, ValueError.
     """
-    g_pairs, factor_set = two_body_block(g_target), _checked(factor_set)
-    n = factor_set.n_orbitals
-    if n * (n + 1) // 2 != len(g_pairs):
-        raise ValueError(f"factor dimension {n} does not match tensor dimension {_pair_orbitals(len(g_pairs))}")
+    g_pairs = two_body_block(g_target, "g_target")
+    n = _checked(factor_set, _pair_orbitals(len(g_pairs))).n_orbitals
     return pair_space(n).residual(g_pairs, factor_set.packed)[0]
 
 
@@ -218,9 +219,10 @@ def nuclear_norm(a: np.ndarray) -> float:
 
     For symmetric matrices this equals the singular-value sum, and it is the
     minimum of sum_t |lambda_t| over all decompositions into rank-1 terms
-    with unit vectors.
+    with unit vectors. ValueError unless hamiltonian._as_real accepts ``a``
+    as a square matrix.
     """
-    return float(nuclear_norms(symmetrize_one_body(a)))
+    return float(nuclear_norms(symmetrize_one_body(_as_real("a", a, (None, None)))))
 
 
 def check_rank(rank: int, n: int) -> None:
@@ -289,8 +291,7 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
     """Assemble the block-encoding scaling constant from its two sources.
 
     Args:
-        factor_set: Factors of the (shifted) two-body tensor; anything but
-            a FactorSet raises TypeError.
+        factor_set: Factors of the (shifted) two-body tensor.
         h_prime: Effective one-body matrix of the (shifted) Hamiltonian.
 
     Returns:
@@ -300,12 +301,11 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
         Lambda_r = 0 and stay out of it and of the sum.
 
     Raises:
-        ValueError: If h_prime's dimension disagrees with the factors'.
+        TypeError: If factor_set is not a FactorSet.
+        ValueError: Unless hamiltonian._as_real accepts h_prime as (N, N).
     """
-    h_prime, factor_set = np.asarray(h_prime, dtype=np.float64), _checked(factor_set)
-    n = factor_set.n_orbitals
-    if h_prime.shape != (n, n):
-        raise ValueError(f"h_prime shape {h_prime.shape} does not match N={n} factors")
+    n = _checked(factor_set).n_orbitals
+    h_prime = _as_real("h_prime", h_prime, (n, n))
     return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(factor_set.packed)), nuclear_norm(h_prime))
 
 
@@ -325,12 +325,12 @@ def save_factor_set(
     float64 payload round-trips exactly. ``manifest`` may carry provenance
     such as the source-file checksum.
 
-    Raises:
-        ValueError: If kappa is not a finite real scalar or xi not a finite
-            real (N, N) array, the archives load_factor_set refuses; no file
-            is written then.
+    Raises, before the file is opened:
+        TypeError: If factor_set is not a FactorSet.
+        ValueError: If hamiltonian._as_real refuses kappa as shape () or xi
+            as (N, N), as load_factor_set does.
     """
-    n = factor_set.n_orbitals
+    n = _checked(factor_set).n_orbitals
     payload = {
         "format": np.array(ARCHIVE_FORMAT),
         "n_orbitals": np.array(n, dtype=np.int64),
@@ -339,8 +339,8 @@ def save_factor_set(
         "manifest": np.array(json.dumps(manifest or {}, sort_keys=True)),
     }
     for name, value, shape in (("kappa", kappa, ()), ("xi", xi, (n, n))):
-        if value is not None:  # by the loader's rule, before the file is opened
-            payload[name] = _finite_real(value, shape, f"{path}: {name}").astype(np.float64)
+        if value is not None:
+            payload[name] = _as_real(f"{path}: {name}", value, shape)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, arr in payload.items():
             arr = np.asarray(arr, order="C")
@@ -350,25 +350,6 @@ def save_factor_set(
             with archive.open(info, "w", force_zip64=arr.nbytes * 1.05 > zipfile.ZIP64_LIMIT) as member:
                 np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(arr))
                 member.write(arr.reshape(-1).view(np.uint8))
-
-
-def _finite_real(value, shape: tuple, label: str) -> np.ndarray:
-    """``value`` as an array, or ValueError unless it is a finite real array of ``shape`` (None: any length).
-
-    The one rule for the archive's numeric members, on save and on load.
-    """
-    value = np.asarray(value)
-    fits = value.ndim == len(shape) and all(want in (None, got) for want, got in zip(shape, value.shape))
-    if not fits or value.dtype.kind not in "fiu" or not np.isfinite(value).all():
-        raise ValueError(
-            f"{label} must be a finite real array of shape {shape}, got {value.dtype} of shape {value.shape}"
-        )
-    return value
-
-
-def _finite_member(archive, name: str, shape: tuple, path) -> np.ndarray | None:
-    """archive[name], checked by _finite_real; None if there is none."""
-    return _finite_real(archive[name], shape, f"{path}: {name} member") if name in archive else None
 
 
 def load_factor_set(
@@ -384,9 +365,9 @@ def load_factor_set(
         ValueError: If the archive format tag is missing or is not
             blissdf-factors-v2 (the v1 archives of schema_version 4 and
             below included), a member other than kappa and xi is missing,
-            rank and n_orbitals are not integers with 0 <= R <= N^2, factors
-            is not finite with at most R rows of N(N+1)/2 entries, kappa is
-            not a finite scalar or xi not a finite (N, N) array.
+            rank and n_orbitals are not integers with 0 <= R <= N^2, or
+            hamiltonian._as_real refuses factors as at most R rows of
+            N(N+1)/2 entries, kappa of shape () or xi of shape (N, N).
     """
     # np.load leaves a file it opened itself open when the zip is corrupt.
     with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
@@ -399,12 +380,14 @@ def load_factor_set(
         rank, n = (_as_int(f"{path}: {name} member", archive[name][()]) for name in ("rank", "n_orbitals"))
         if n < 0 or not 0 <= rank <= n * n:
             raise ValueError(f"{path}: rank member {rank} is outside [0, N^2] for n_orbitals member N={n}")
-        packed = _finite_member(archive, "factors", (None, n * (n + 1) // 2), path)
+        packed = _as_real(f"{path}: factors member", archive["factors"], (None, n * (n + 1) // 2))
         if len(packed) > rank:
             raise ValueError(f"{path}: factors member has {len(packed)} rows, more than rank R={rank}")
         factor_set = FactorSet(packed, rank)
-        kappa = _finite_member(archive, "kappa", (), path)
+        kappa, xi = (
+            _as_real(f"{path}: {name} member", archive[name], shape) if name in archive else None
+            for name, shape in (("kappa", ()), ("xi", (n, n)))
+        )
         kappa = None if kappa is None else float(kappa)
-        xi = _finite_member(archive, "xi", (n, n), path)
         manifest = json.loads(str(archive["manifest"]))
     return factor_set, kappa, xi, manifest

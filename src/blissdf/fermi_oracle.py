@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from blissdf.hamiltonian import Hamiltonian, pair_space, symmetrize_one_body
+from blissdf.hamiltonian import Hamiltonian, _as_real, pair_space, symmetrize_one_body
 
 MAX_ORBITALS = 6
 
@@ -95,8 +95,8 @@ def sector_one_body(a: np.ndarray, n_e: int) -> np.ndarray:
 
     A is not symmetrized, so the unit matrix at (i, j) gives E_ij itself.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_real("a", a, (None, None))
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     return _one_body(a, *_excitation_maps(a.shape[0], n_e))
 
@@ -164,12 +164,11 @@ def b_operator(u: np.ndarray, sigma: int, n: int) -> np.ndarray:
     the identities the block-encoding construction leans on.
 
     Raises:
-        ValueError: If u is not unit norm within 1e-12, or indices are bad.
+        ValueError: If hamiltonian._as_real refuses u as (n,), u is not unit
+            norm within 1e-12, or indices are bad.
     """
-    u = np.asarray(u, dtype=float)
     _check_orbital_count(n)
-    if u.shape != (n,):
-        raise ValueError(f"u must have shape ({n},), got {u.shape}")
+    u = _as_real("u", u, (n,))
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"u must be unit norm, got |u| = {norm!r}")
@@ -186,7 +185,7 @@ def verify_one_body_identity(a: np.ndarray) -> float:
     two agree identically in exact arithmetic; the returned value is the
     max-norm of the numerical difference (expected <= 1e-9).
     """
-    a = np.asarray(a, dtype=float)
+    a = _as_real("a", a, (None, None))
     n = a.shape[0]
     eigvals, eigvecs = np.linalg.eigh(symmetrize_one_body(a))
     rhs = np.zeros((4**n, 4**n))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -44,10 +45,10 @@ def symmetrize_one_body(mat: np.ndarray) -> np.ndarray:
 
     Every finite input stays finite (see _average); an exactly symmetric one
     keeps its bits, except that an entry below 2^-1021 in magnitude may move
-    by one unit in the last place.
+    by one unit in the last place. ``mat`` is read by _as_real.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = _as_real("mat", mat, (None, None))
+    if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     out = np.empty(mat.shape)
     for start in range(0, len(mat), _CHUNK):
@@ -62,16 +63,17 @@ def _pair_orbitals(pairs: int) -> int:
     return n if n * (n + 1) // 2 == pairs else -1
 
 
-def two_body_block(g: np.ndarray) -> np.ndarray:
+def two_body_block(g: np.ndarray, name: str = "g") -> np.ndarray:
     """The P x P pair block g_(ij),(kl), i <= j and k <= l, as a fresh, exactly symmetric array.
 
     The one reader of both two-body forms: ``g`` is an (N, N, N, N) tensor,
     projected onto its 8-fold symmetric part by three averages (_average),
     over i <-> j, then k <-> l, then the pairs, or a (P, P) block with
     P = N(N+1)/2, averaged with its transpose (symmetrize_one_body); either
-    way with the bits rule of _average. Any other shape raises ValueError.
+    way with the bits rule of _average. It is read by _as_real as ``name``;
+    any other shape raises ValueError.
     """
-    g = np.asarray(g, dtype=np.float64)
+    g = _as_real(name, g, np.shape(g))
     if g.ndim == 4 and len(set(g.shape)) == 1:
         space = pair_space(g.shape[0])
         flat, upper, lower = g.reshape(space.n**2, space.n**2), space.upper, space.lower
@@ -86,7 +88,7 @@ def two_body_block(g: np.ndarray) -> np.ndarray:
         return symmetrize_one_body(block)
     if g.ndim == 2 and g.shape[0] == g.shape[1] and _pair_orbitals(g.shape[0]) >= 0:
         return symmetrize_one_body(g)
-    raise ValueError(f"expected an N^4 tensor or a P x P pair block, got shape {g.shape}")
+    raise ValueError(f"{name} must be an N^4 tensor or a P x P pair block, got shape {g.shape}")
 
 
 def _frozen_array(arr: np.ndarray) -> np.ndarray:
@@ -102,6 +104,32 @@ def _as_int(name: str, value, error: type[ValueError] = ValueError) -> int:
     return int(value)
 
 
+def _as_real(name: str, value, shape: tuple | None = None, error: type[ValueError] = ValueError):
+    """``value`` by the one rule for real arguments, else ``error`` naming ``name`` and what failed.
+
+    Without ``shape``, a Python or numpy int or float, not a bool, finite as
+    a float64, returned as a Python number. With it, an array of a float or
+    integer dtype and that shape (None: any length) with finite entries,
+    returned as float64, copied only to cast.
+    """
+    if shape is None:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise error(f"{name} must be a number, got {value!r}")
+        # A Python number: it stays JSON, and abs() below cannot overflow in numpy.
+        value = int(value) if isinstance(value, (int, np.integer)) else float(value)
+        if not abs(value) <= sys.float_info.max:
+            raise error(f"{name} must be finite, got {value!r}")
+        return value
+    value, rule = np.asarray(value), f"{name} must be a finite real array of shape {shape}, got"
+    fits = value.ndim == len(shape) and all(want in (None, got) for want, got in zip(shape, value.shape))
+    if not fits or value.dtype.kind not in "fiu":
+        raise error(f"{rule} {value.dtype} of shape {value.shape}")
+    value = value.astype(np.float64, copy=False)
+    if not np.isfinite(value).all():
+        raise error(f"{rule} a non-finite entry")
+    return value
+
+
 @dataclasses.dataclass(frozen=True, eq=False, init=False)
 class Hamiltonian:
     """Electronic Hamiltonian in the excitation-ordered convention.
@@ -114,11 +142,11 @@ class Hamiltonian:
         n_electrons: Electron count of the physical sector, 0 <= n_e <= 2N.
 
     The constructor takes ``g`` as an N^4 tensor or as its pair block (see
-    two_body_block). It projects ``h`` and ``g`` onto their symmetric parts by
-    one rule, the average 0.5 * x + 0.5 * y of mirrored entries: a finite input
-    stays finite, and an exactly symmetric one keeps its bits, except that an
-    entry below 2^-1021 in magnitude may move by one unit in the last place.
-    It freezes the arrays; instances are immutable and safe to share across threads.
+    two_body_block), projects ``h`` and ``g`` onto their symmetric parts by the
+    bits rule of symmetrize_one_body, and freezes the arrays; instances are
+    immutable and safe to share across threads. It raises ValueError if
+    _as_real refuses h as N x N, g or core_constant, or n_electrons is not
+    an integer (_as_int) in [0, 2N].
     """
 
     h: np.ndarray
@@ -127,20 +155,15 @@ class Hamiltonian:
     n_electrons: int = 0
 
     def __init__(self, h: np.ndarray, g: np.ndarray, core_constant: float = 0.0, n_electrons: int = 0):
-        h, g_pairs = symmetrize_one_body(h), two_body_block(g)
-        n, n_g = h.shape[0], _pair_orbitals(len(g_pairs))
-        if n != n_g:
-            raise ValueError(f"one-body matrix is {n} orbitals but two-body tensor is {n_g}")
-        if not (np.isfinite(h).all() and np.isfinite(g_pairs).all()):
-            raise ValueError("Hamiltonian coefficients must be finite")
-        if not np.isfinite(core_constant):
-            raise ValueError("core constant must be finite")
-        n_e = _as_int("n_electrons", n_electrons)
+        g_pairs = two_body_block(g)
+        n = _pair_orbitals(len(g_pairs))
+        h = symmetrize_one_body(_as_real("h", h, (n, n)))
+        core_constant, n_e = float(_as_real("core_constant", core_constant)), _as_int("n_electrons", n_electrons)
         if not 0 <= n_e <= 2 * n:
             raise ValueError(f"n_electrons={n_e} outside [0, {2 * n}]")
         object.__setattr__(self, "h", _frozen_array(h))
         object.__setattr__(self, "g_pairs", _frozen_array(g_pairs))
-        object.__setattr__(self, "core_constant", float(core_constant))
+        object.__setattr__(self, "core_constant", core_constant)
         object.__setattr__(self, "n_electrons", n_e)
 
     @property
@@ -159,7 +182,8 @@ class ShiftParams:
 
     The shift adds (sum_ij xi_ij E_ij + kappa)(N_e - n_e) to the Hamiltonian,
     which annihilates every state with exactly ``n_e`` electrons. ``xi`` is
-    symmetrized on construction.
+    symmetrized on construction; ValueError if _as_real refuses kappa or a
+    square xi, or n_e is not a nonnegative integer (_as_int).
     """
 
     kappa: float
@@ -167,13 +191,11 @@ class ShiftParams:
     n_e: int
 
     def __post_init__(self):
-        xi = symmetrize_one_body(self.xi)
-        if not np.isfinite(xi).all() or not np.isfinite(self.kappa):
-            raise ValueError("shift parameters must be finite")
+        xi, kappa = symmetrize_one_body(_as_real("xi", self.xi, (None, None))), _as_real("kappa", self.kappa)
         n_e = _as_int("n_e", self.n_e)
         if n_e < 0:
             raise ValueError("n_e must be nonnegative")
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "xi", _frozen_array(xi))
         object.__setattr__(self, "n_e", n_e)
 

@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -107,6 +106,7 @@ from blissdf.factorization import (
 from blissdf.hamiltonian import (
     Hamiltonian,
     _as_int,
+    _as_real,
     _average,
     effective_one_body,
     pair_space,
@@ -119,8 +119,7 @@ _REAL_FIELDS = ("c_approx", "learning_rate", "rel_tol", "err_budget")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
-# Checked in this order, after every _REAL_FIELDS entry is a number finite as a float64
-# and max_iters and patience are integers (hamiltonian._as_int).
+# Checked in this order, after __post_init__ has read every field.
 _RULES = (
     ("c_approx", lambda x: x is None or x > 0, "be positive"),
     ("max_iters", lambda x: x >= 1, "be a positive integer"),
@@ -161,10 +160,8 @@ class OptimizationConfig:
     as one phase. Every run stops at the latest after max_iters iterations.
     ``err_budget`` is not enforced during descent; it defines which iterates
     count as feasible, for the schedule's stop and for the best one selected
-    afterwards. Real-valued fields take Python or numpy numbers, not bools,
-    finite as a float64, and store Python ints or floats; NaN, infinities and
-    integers past 1.8e308 raise ConfigError. max_iters and patience take
-    Python or numpy integers (hamiltonian._as_int) and store Python ints.
+    afterwards. The real fields are read by hamiltonian._as_real, max_iters
+    and patience by _as_int; they store Python numbers or raise ConfigError.
     Adam's constants are fixed: beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8.
     """
 
@@ -176,18 +173,11 @@ class OptimizationConfig:
     err_budget: float = 1e-6
 
     def __post_init__(self):
-        for name in _REAL_FIELDS:
+        for name in _REAL_FIELDS:  # as Python numbers, so that to_dict() stays JSON
             value = getattr(self, name)
-            if name == "c_approx" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            # A Python number: to_dict() stays JSON, and abs() below cannot overflow in numpy.
-            value = int(value) if isinstance(value, (int, np.integer)) else float(value)
-            if not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        for name in ("max_iters", "patience"):  # as Python ints, so that to_dict() stays JSON
+            if value is not None or name != "c_approx":
+                object.__setattr__(self, name, _as_real(name, value, error=ConfigError))
+        for name in ("max_iters", "patience"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name), ConfigError))
         for name, valid, rule in _RULES:
             value = getattr(self, name)
@@ -264,12 +254,9 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
     """
     kappa, xi, factor_set = params
     n = ham.n_orbitals
-    xi = symmetrize_one_body(xi)
-    if xi.shape != (n, n):
-        raise ValueError(f"xi shape {xi.shape} does not match N={n}")
-    if _checked(factor_set).n_orbitals != n:
-        raise ValueError(f"factors are for N={factor_set.n_orbitals} orbitals, not N={n}")
-    return np.vstack((factor_set.packed, pair_space(n).pack(xi))), float(kappa)
+    xi = symmetrize_one_body(_as_real("xi", xi, (n, n)))
+    packed, kappa = _checked(factor_set, n).packed, float(_as_real("kappa", kappa))
+    return np.vstack((packed, pair_space(n).pack(xi))), kappa
 
 
 def _sign_subgradients(eigvals: np.ndarray, eigvecs: np.ndarray) -> None:
@@ -378,22 +365,26 @@ def total_cost(ham: Hamiltonian, params, c_approx: float) -> tuple[float, float,
 
     Args:
         ham: Unshifted Hamiltonian.
-        params: Triple (kappa, xi, factor_set); xi is symmetrized on
-            entry, and anything but a FactorSet (see FactorSet(packed,
-            rank)) as factor_set raises TypeError.
+        params: Triple (kappa, xi, factor_set); xi is symmetrized on entry.
         c_approx: Penalty weight on the factorization residual.
 
     Returns:
         (total, err, lambda) with total = c_approx * err + lambda, over the
         FactorSet's M packed rows.
+
+    Raises, before any eigh:
+        TypeError: If factor_set is not a FactorSet (see FactorSet(packed, rank)).
+        ValueError: If hamiltonian._as_real refuses kappa, c_approx or xi
+            as N x N, or the factors' N is not ham's.
     """
+    c_approx = float(_as_real("c_approx", c_approx))
     err, lam = _Objective(ham, *_pack(ham, params)).evaluate()[:2]
-    return float(c_approx) * err + lam, err, lam
+    return c_approx * err + lam, err, lam
 
 
 @one_blas_thread()
 def gradient(ham: Hamiltonian, params, c_approx: float):
-    """Analytic gradient of total_cost in all three parameter blocks.
+    """Analytic gradient of total_cost in all three parameter blocks; it raises as total_cost.
 
     Returns:
         (d_kappa, d_xi, d_factors) at total_cost's params, with d_xi
@@ -404,8 +395,9 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
         2). At eigenvalue crossings of the nuclear norms the sign(0) = 0
         subgradient is returned.
     """
+    c_approx = float(_as_real("c_approx", c_approx))
     objective = _Objective(ham, *_pack(ham, params))
-    objective.weigh(float(c_approx))
+    objective.weigh(c_approx)
     objective.evaluate()
     grad = np.empty_like(objective.theta)
     objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
@@ -608,8 +600,11 @@ def optimize(
         NonFiniteCostError: If the cost evaluates to NaN or infinity.
         IndefiniteTensorError: Propagated from the initialization when the
             two-body tensor is not factorizable.
+        TypeError: If config is not an OptimizationConfig, before any eigh.
         ValueError: On a non-integer or out-of-range rank, before any eigh.
     """
+    if not isinstance(config, OptimizationConfig):
+        raise TypeError(f"config must be an OptimizationConfig, got {type(config).__name__}")
     descent = _Descent(ham, rank, config)
     while not descent.record(*descent.objective.evaluate()):  # at the latest at row max_iters
         descent.objective.gradient(then=descent.step)

@@ -96,7 +96,7 @@ class TestFactorSet:
     def test_rejects_non_finite_entries(self, bad):
         rows = np.ones((2, 3))
         rows[1, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^packed must be .* of shape \(2, 3\), got a non-finite entry$"):
             FactorSet(rows, 2)
 
     def test_empty_factor_set_allowed(self):
@@ -135,20 +135,23 @@ class TestFactorSet:
         assert FactorSet(np.zeros((3, 6)), 3).effective_rank == 0
 
     @pytest.mark.parametrize(
-        "kernel", ["reconstruct_two_body", "frobenius_error", "lambda_df", "total_cost", "gradient"]
+        "kernel", ["reconstruct_two_body", "frobenius_error", "lambda_df", "total_cost", "gradient", "save_factor_set"]
     )
     @pytest.mark.parametrize("stack", [np.eye(3)[None], np.ones((1, 6))], ids=["stack", "packed-rows"])
-    def test_kernels_take_a_factor_set_only(self, kernel, stack):
+    def test_kernels_take_a_factor_set_only(self, kernel, stack, tmp_path):
         ham, xi = Hamiltonian(np.zeros((3, 3)), np.zeros((6, 6))), np.zeros((3, 3))
+        out = tmp_path / "factors.npz"
         call = {
             "reconstruct_two_body": lambda: reconstruct_two_body(stack),
             "frobenius_error": lambda: frobenius_error(ham.g_pairs, stack),
             "lambda_df": lambda: lambda_df(stack, xi),
             "total_cost": lambda: total_cost(ham, (0.0, xi, stack), 1.0),
             "gradient": lambda: gradient(ham, (0.0, xi, stack), 1.0),
+            "save_factor_set": lambda: save_factor_set(out, stack),
         }[kernel]
         with pytest.raises(TypeError, match=r"FactorSet\(packed, rank\)"):
             call()
+        assert not out.exists()  # save_factor_set checks before it opens the file
 
 
 class TestInitialDoubleFactorization:
@@ -239,6 +242,16 @@ class TestInitialDoubleFactorization:
             initial_double_factorization(ham.g_pairs, rank)
         with pytest.raises(ValueError, match="^rank must be an integer, got "):
             optimize(ham, rank, OptimizationConfig(max_iters=1))
+        assert calls == []
+
+    @pytest.mark.parametrize("config", [{"max_iters": 3}, None, "config.json"], ids=repr)
+    def test_config_of_another_type_fails_before_any_eigh(self, config, monkeypatch):
+        ham = random_hamiltonian(3, np.random.default_rng(8))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        with pytest.raises(TypeError, match=f"^config must be an OptimizationConfig, got {type(config).__name__}$"):
+            optimize(ham, 4, config)
         assert calls == []
 
     def test_numpy_integer_rank_is_an_integer(self):
@@ -452,7 +465,7 @@ class TestLambdaBreakdown:
 
     def test_dimension_mismatch(self):
         fs = FactorSet(np.zeros((1, 3)), 1)
-        with pytest.raises(ValueError, match="match"):
+        with pytest.raises(ValueError, match=r"^h_prime must be .* of shape \(2, 2\), got float64 of shape \(3, 3\)$"):
             lambda_df(fs, np.zeros((3, 3)))
 
     @pytest.mark.parametrize(

@@ -1,22 +1,31 @@
+import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from blissdf import (
+    ConfigError,
     FactorSet,
     Hamiltonian,
+    OptimizationConfig,
     ShiftParams,
     apply_symmetry_shift,
     effective_one_body,
     frobenius_error,
+    gradient,
+    lambda_df,
     load_integrals,
+    nuclear_norm,
     reconstruct_two_body,
+    save_factor_set,
+    total_cost,
     write_integrals,
 )
 from blissdf.factorization import initial_double_factorization
-from blissdf.fermi_oracle import sector_eigenvalues
+from blissdf.fermi_oracle import b_operator, sector_eigenvalues, sector_one_body, verify_one_body_identity
 from blissdf.hamiltonian import pair_space, symmetrize_one_body, two_body_block
 from blissdf.verify import chain_hamiltonian
 
@@ -87,7 +96,7 @@ class TestHamiltonian:
         assert ham.n_orbitals == 3
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="orbitals"):
+        with pytest.raises(ValueError, match=r"^h must be .* of shape \(3, 3\), got float64 of shape \(2, 2\)$"):
             Hamiltonian(h=np.zeros((2, 2)), g=np.zeros((3, 3, 3, 3)))
 
     def test_rejects_nonfinite(self):
@@ -157,6 +166,124 @@ class TestHamiltonian:
         block[0, 1], block[1, 0] = 1.5e308, 1.6e308
         assert Hamiltonian(h=np.zeros((2, 2)), g=block).g_pairs[:2, :2].tobytes() == want.tobytes()
         assert ShiftParams(kappa=0.0, xi=pair, n_e=1).xi.tobytes() == want.tobytes()
+
+
+def _ham() -> Hamiltonian:
+    return random_hamiltonian(2, np.random.default_rng(0))
+
+
+def _factors() -> FactorSet:
+    return FactorSet(np.ones((1, 3)), 1)
+
+
+# Entry point -> (argument name, a valid value, call with a value in its place and an
+# output path). Every array argument of a public entry point is read by _as_real.
+REAL_ARRAYS = {
+    "Hamiltonian-h": ("h", np.eye(2), lambda x, out: Hamiltonian(x, np.eye(3))),
+    "Hamiltonian-g": ("g", np.eye(3), lambda x, out: Hamiltonian(np.eye(2), x)),
+    "ShiftParams-xi": ("xi", np.eye(2), lambda x, out: ShiftParams(0.0, x, 1)),
+    "FactorSet-packed": ("packed", np.ones((1, 3)), lambda x, out: FactorSet(x, 1)),
+    "symmetrize_one_body-mat": ("mat", np.eye(2), lambda x, out: symmetrize_one_body(x)),
+    "nuclear_norm-a": ("a", np.eye(2), lambda x, out: nuclear_norm(x)),
+    "lambda_df-h_prime": ("h_prime", np.eye(2), lambda x, out: lambda_df(_factors(), x)),
+    "frobenius_error-g_target": ("g_target", np.eye(3), lambda x, out: frobenius_error(x, _factors())),
+    "initial_double_factorization-g": ("g", np.eye(3), lambda x, out: initial_double_factorization(x, 1)),
+    "total_cost-xi": ("xi", np.eye(2), lambda x, out: total_cost(_ham(), (0.0, x, _factors()), 1.0)),
+    "gradient-xi": ("xi", np.eye(2), lambda x, out: gradient(_ham(), (0.0, x, _factors()), 1.0)),
+    "save_factor_set-kappa": ("kappa", np.array(0.5), lambda x, out: save_factor_set(out, _factors(), kappa=x)),
+    "save_factor_set-xi": ("xi", np.eye(2), lambda x, out: save_factor_set(out, _factors(), xi=x)),
+    "sector_one_body-a": ("a", np.eye(2), lambda x, out: sector_one_body(x, 1)),
+    "b_operator-u": ("u", np.array([1.0, 0.0]), lambda x, out: b_operator(x, 0, 2)),
+    "verify_one_body_identity-a": ("a", np.eye(2), lambda x, out: verify_one_body_identity(x)),
+}
+
+# The same for the number arguments; the config raises ConfigError.
+REAL_NUMBERS = {
+    "Hamiltonian-core_constant": ("core_constant", lambda x: Hamiltonian(np.eye(2), np.eye(3), x)),
+    "ShiftParams-kappa": ("kappa", lambda x: ShiftParams(x, np.eye(2), 1)),
+    "total_cost-kappa": ("kappa", lambda x: total_cost(_ham(), (x, np.eye(2), _factors()), 1.0)),
+    "total_cost-c_approx": ("c_approx", lambda x: total_cost(_ham(), (0.0, np.eye(2), _factors()), x)),
+    "gradient-kappa": ("kappa", lambda x: gradient(_ham(), (x, np.eye(2), _factors()), 1.0)),
+    "gradient-c_approx": ("c_approx", lambda x: gradient(_ham(), (0.0, np.eye(2), _factors()), x)),
+    "OptimizationConfig-learning_rate": ("learning_rate", lambda x: OptimizationConfig(learning_rate=x)),
+}
+
+
+def _with_first_entry(value, x):
+    x = np.array(x, dtype=np.float64)
+    x.flat[0] = value
+    return x
+
+
+_BAD_ARRAYS = {
+    "complex": lambda x: x + 1j,
+    "nan": lambda x: _with_first_entry(np.nan, x),
+    "inf": lambda x: _with_first_entry(np.inf, x),
+    "-inf": lambda x: _with_first_entry(-np.inf, x),
+    "shape": lambda x: x[..., None],
+}
+_BAD_NUMBERS = {
+    "bool": True,
+    "str": "1.0",
+    "None": None,
+    "complex": 1j,
+    "10**400": 10**400,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+}
+REAL_ARGUMENT_ROWS = [
+    pytest.param(
+        name, lambda out, call=call, bad=bad, good=good: call(bad(good), out), ValueError, id=f"{entry}-{kind}"
+    )
+    for entry, (name, good, call) in REAL_ARRAYS.items()
+    for kind, bad in _BAD_ARRAYS.items()
+] + [
+    pytest.param(
+        name,
+        lambda out, call=call, value=value: call(value),
+        ConfigError if entry.startswith("OptimizationConfig") else ValueError,
+        id=f"{entry}-{kind}",
+    )
+    for entry, (name, call) in REAL_NUMBERS.items()
+    for kind, value in _BAD_NUMBERS.items()
+]
+
+
+class TestRealArguments:
+    """The one rule for real arguments (hamiltonian._as_real), at every public entry point."""
+
+    @pytest.mark.parametrize("name, call, error", REAL_ARGUMENT_ROWS)
+    def test_refused_by_name_before_any_eigh_and_without_warnings(self, name, call, error, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        out = tmp_path / "factors.npz"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=rf"(^|: ){name} must be "):
+                call(out)
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", REAL_ARRAYS)
+    def test_valid_values_pass(self, entry, tmp_path):
+        _, good, call = REAL_ARRAYS[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(good, tmp_path / "factors.npz")
+
+    def test_takes_numpy_numbers_and_integer_arrays(self):
+        # What callers pass today: the FCIDUMP reader's numpy-float core constant
+        # and integer arrays, as an archive may hold them.
+        ham = Hamiltonian(np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int32), np.float64(1.5))
+        assert type(ham.core_constant) is float and ham.h.dtype == ham.g_pairs.dtype == np.float64
+        assert ham.g_pairs.tolist() == Hamiltonian(np.eye(2), np.eye(3), 1.5).g_pairs.tolist()
+        shift = ShiftParams(np.int64(2), np.eye(2, dtype=np.uint8), 1)
+        assert type(shift.kappa) is float and shift.kappa == 2.0
+        rows = np.ones((1, 3))
+        assert FactorSet(rows.astype(np.int16), 1).packed.tolist() == rows.tolist()
+        assert np.shares_memory(FactorSet(rows, 1).packed, rows)  # float64 is not copied
 
 
 class TestPairBlockStorage:

@@ -47,14 +47,13 @@ import jsonschema
 from blissdf import __version__
 from blissdf.factorization import (
     IndefiniteTensorError,
-    check_rank,
     frobenius_error,
     initial_double_factorization,
     lambda_df,
     save_factor_set,
 )
 from blissdf.fcidump import INTEGRAL_CONVENTION, load_integrals
-from blissdf.hamiltonian import Hamiltonian, effective_one_body
+from blissdf.hamiltonian import Hamiltonian, _as_int, effective_one_body
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, optimize
 from blissdf.verify import LEVELS, run_verification
 
@@ -93,7 +92,7 @@ def _start_run(args, config: OptimizationConfig | None = None) -> tuple[Hamilton
     summary.json and report.json share.
     """
     ham = load_integrals(args.input)
-    check_rank(args.rank, ham.n_orbitals)
+    _as_int("rank", args.rank, 1, ham.n_orbitals**2)
     checksum = file_checksum(args.input)
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = {

@@ -25,6 +25,7 @@ each factor's eigenvalues only, never the rank-1 terms themselves.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,8 +38,8 @@ from blissdf.hamiltonian import (
     _as_real,
     _frozen_array,
     _pair_orbitals,
+    _symmetric_part,
     pair_space,
-    symmetrize_one_body,
     two_body_block,
 )
 
@@ -65,9 +66,9 @@ class FactorSet:
         rank: R, from 0 (an empty factorization) up to N^2.
 
     ``FactorSet(packed, rank)``, the one way in, takes (M, P) rows that pass
-    hamiltonian._as_real, M <= R <= N^2 with R an integer (not a bool), else
-    ValueError. It cuts them after the last nonzero one (M = 0 or row M - 1
-    is nonzero), so zero padding gives the bits of its prefix. It keeps a
+    hamiltonian._as_real and an R that passes _as_int in [M, N^2], else
+    ValueError. It cuts the rows after the last nonzero one (M = 0 or row
+    M - 1 is nonzero), so zero padding gives the bits of its prefix. It keeps a
     read-only view of the rows, or a copy of the cut ones; the caller's
     array stays writable and must not change.
     ``factors``, ``__iter__`` and ``__len__``, the dense views that stay for
@@ -83,9 +84,7 @@ class FactorSet:
         n = _pair_orbitals(packed.shape[1]) if packed.ndim == 2 else -1
         if n < 0:
             raise ValueError(f"packed must be (M, N(N+1)/2) rows A_r[np.triu_indices(N)], got shape {packed.shape}")
-        rank = _as_int("rank", rank)
-        if not len(packed) <= rank <= n * n:
-            raise ValueError(f"rank R={rank} is outside [M, N^2] = [{len(packed)}, {n * n}]")
+        rank = _as_int("rank", rank, len(packed), n * n)
         stop = np.flatnonzero(packed.any(axis=1)).max(initial=-1) + 1  # the one prefix rule
         packed = packed.view() if stop == len(packed) else packed[:stop].copy()  # no zero rows stay allocated
         object.__setattr__(self, "packed", _frozen_array(packed))
@@ -203,9 +202,9 @@ def nuclear_norms(mats: np.ndarray) -> np.ndarray:
     runs. eigh rather than eigvalsh: a matrix's eigenpairs do not depend on
     its block, so these norms match the optimizer's eigh stack bit for bit.
     """
-    n = mats.shape[-1]
+    n, count = mats.shape[-1], math.prod(mats.shape[:-2])  # reshape cannot infer a count at N = 0
     eigvals = np.empty(mats.shape[:-1])
-    flat, vals = mats.reshape(-1, n, n), eigvals.reshape(-1, n)
+    flat, vals = mats.reshape(count, n, n), eigvals.reshape(count, n)
 
     def block(part):
         vals[part] = np.linalg.eigh(flat[part])[0]
@@ -219,16 +218,10 @@ def nuclear_norm(a: np.ndarray) -> float:
 
     For symmetric matrices this equals the singular-value sum, and it is the
     minimum of sum_t |lambda_t| over all decompositions into rank-1 terms
-    with unit vectors. ValueError unless hamiltonian._as_real accepts ``a``
-    as a square matrix.
+    with unit vectors; 0.0 for a 0 x 0 matrix. ValueError unless
+    hamiltonian._as_real accepts ``a`` as a square matrix.
     """
-    return float(nuclear_norms(symmetrize_one_body(_as_real("a", a, (None, None)))))
-
-
-def check_rank(rank: int, n: int) -> None:
-    """Raise ValueError unless rank is an integer (hamiltonian._as_int) in [1, N^2], the factor counts of N orbitals."""
-    if not 1 <= _as_int("rank", rank) <= n * n:
-        raise ValueError(f"rank must be in [1, {n * n}], got {rank}")
+    return float(nuclear_norms(_symmetric_part(_as_real("a", a, (None, None)))))
 
 
 @one_blas_thread()
@@ -258,12 +251,12 @@ def initial_double_factorization(g: np.ndarray, rank: int) -> FactorSet:
     Raises:
         IndefiniteTensorError: If the reshape has an eigenvalue below
             -1e-8 * max(d); such a g has no real factorization of this form.
-        ValueError: If g has the wrong shape, or on a non-integer or
-            out-of-range rank, before any eigh.
+        ValueError: Before any eigh, if hamiltonian._as_real refuses g or
+            _as_int refuses rank in [1, N^2].
     """
     big = two_body_block(g)
     n = _pair_orbitals(big.shape[0])
-    check_rank(rank, n)
+    rank = _as_int("rank", rank, 1, n * n)
 
     weights = np.sqrt(pair_space(n).mult)
     big *= np.outer(weights, weights)  # stays exactly symmetric
@@ -305,8 +298,8 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
         ValueError: Unless hamiltonian._as_real accepts h_prime as (N, N).
     """
     n = _checked(factor_set).n_orbitals
-    h_prime = _as_real("h_prime", h_prime, (n, n))
-    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(factor_set.packed)), nuclear_norm(h_prime))
+    h_prime = _symmetric_part(_as_real("h_prime", h_prime, (n, n)))
+    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(factor_set.packed)), nuclear_norms(h_prime))
 
 
 def save_factor_set(
@@ -365,9 +358,10 @@ def load_factor_set(
         ValueError: If the archive format tag is missing or is not
             blissdf-factors-v2 (the v1 archives of schema_version 4 and
             below included), a member other than kappa and xi is missing,
-            rank and n_orbitals are not integers with 0 <= R <= N^2, or
-            hamiltonian._as_real refuses factors as at most R rows of
-            N(N+1)/2 entries, kappa of shape () or xi of shape (N, N).
+            hamiltonian._as_int refuses n_orbitals in [0, inf) or rank in
+            [M, N^2], or hamiltonian._as_real refuses factors as M rows of
+            N(N+1)/2 entries, kappa of shape () or xi of shape (N, N). Each
+            message names the file and the member.
     """
     # np.load leaves a file it opened itself open when the zip is corrupt.
     with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
@@ -377,12 +371,10 @@ def load_factor_set(
         missing = [name for name in ("n_orbitals", "rank", "factors", "manifest") if name not in archive]
         if missing:
             raise ValueError(f"{path}: archive has no {', '.join(missing)} member")
-        rank, n = (_as_int(f"{path}: {name} member", archive[name][()]) for name in ("rank", "n_orbitals"))
-        if n < 0 or not 0 <= rank <= n * n:
-            raise ValueError(f"{path}: rank member {rank} is outside [0, N^2] for n_orbitals member N={n}")
+        n = _as_int(f"{path}: n_orbitals member", archive["n_orbitals"][()], 0)
         packed = _as_real(f"{path}: factors member", archive["factors"], (None, n * (n + 1) // 2))
-        if len(packed) > rank:
-            raise ValueError(f"{path}: factors member has {len(packed)} rows, more than rank R={rank}")
+        m = len(packed)
+        rank = _as_int(f"{path}: rank member, for a factors member of {m} rows,", archive["rank"][()], m, n * n)
         factor_set = FactorSet(packed, rank)
         kappa, xi = (
             _as_real(f"{path}: {name} member", archive[name], shape) if name in archive else None

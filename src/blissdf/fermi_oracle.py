@@ -27,14 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from blissdf.hamiltonian import Hamiltonian, _as_real, pair_space, symmetrize_one_body
+from blissdf.hamiltonian import Hamiltonian, _as_int, _as_real, _symmetric_part, pair_space
 
 MAX_ORBITALS = 6
-
-
-def _check_orbital_count(n: int):
-    if not 1 <= n <= MAX_ORBITALS:
-        raise ValueError(f"orbital count N={n} outside [1, {MAX_ORBITALS}]")
 
 
 def _popcount(labels: np.ndarray) -> np.ndarray:
@@ -56,11 +51,11 @@ def sector_states(n: int, n_e: int) -> np.ndarray:
     M restricts to the sector as M[np.ix_(states, states)].
 
     Raises:
-        ValueError: If n or n_e is out of range.
+        ValueError: If hamiltonian._as_int refuses n in [1, MAX_ORBITALS]
+            or n_e in [0, 2n].
     """
-    _check_orbital_count(n)
-    if not 0 <= n_e <= 2 * n:
-        raise ValueError(f"n_e={n_e} outside [0, {2 * n}]")
+    n = _as_int("n", n, 1, MAX_ORBITALS)
+    n_e = _as_int("n_e", n_e, 0, 2 * n)
     labels = np.arange(4**n)
     return labels[_popcount(labels) == n_e]
 
@@ -94,10 +89,10 @@ def sector_one_body(a: np.ndarray, n_e: int) -> np.ndarray:
     """One(A) = sum_ij A_ij E_ij on the n_e sector, for any real N x N A.
 
     A is not symmetrized, so the unit matrix at (i, j) gives E_ij itself.
+    ValueError if hamiltonian._as_real refuses a as a square matrix, or
+    sector_states its N or n_e.
     """
     a = _as_real("a", a, (None, None))
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     return _one_body(a, *_excitation_maps(a.shape[0], n_e))
 
 
@@ -125,7 +120,7 @@ def sector_eigenvalues(ham: Hamiltonian, n_e: int) -> np.ndarray:
     """Ascending eigenvalues of the Hamiltonian on the n_e-electron sector.
 
     Raises:
-        ValueError: If n_e is outside [0, 2N].
+        ValueError: If hamiltonian._as_int refuses n_e in [0, 2N].
     """
     return np.linalg.eigvalsh(sector_hamiltonian(ham, n_e))
 
@@ -143,13 +138,11 @@ def ladder_operator(j: int, sigma: int, dagger: bool, n: int) -> np.ndarray:
         Real 4^n x 4^n matrix with entries 0 and +-1.
 
     Raises:
-        ValueError: Index or orbital count out of range.
+        ValueError: If hamiltonian._as_int refuses n in [1, MAX_ORBITALS],
+            j in [0, n - 1] or sigma in [0, 1].
     """
-    _check_orbital_count(n)
-    if not 0 <= j < n:
-        raise ValueError(f"orbital index {j} outside [0, {n})")
-    if sigma not in (0, 1):
-        raise ValueError(f"spin must be 0 or 1, got {sigma}")
+    n = _as_int("n", n, 1, MAX_ORBITALS)
+    j, sigma = _as_int("j", j, 0, n - 1), _as_int("sigma", sigma, 0, 1)
     labels = np.arange(4**n)
     targets, signs = _ladder(labels, j + n * sigma, dagger)
     mat = np.zeros((4**n, 4**n))
@@ -164,10 +157,11 @@ def b_operator(u: np.ndarray, sigma: int, n: int) -> np.ndarray:
     the identities the block-encoding construction leans on.
 
     Raises:
-        ValueError: If hamiltonian._as_real refuses u as (n,), u is not unit
-            norm within 1e-12, or indices are bad.
+        ValueError: If hamiltonian._as_int refuses n in [1, MAX_ORBITALS] or
+            sigma in [0, 1], or _as_real refuses u as (n,), or u is not unit
+            norm within 1e-12.
     """
-    _check_orbital_count(n)
+    n, sigma = _as_int("n", n, 1, MAX_ORBITALS), _as_int("sigma", sigma, 0, 1)
     u = _as_real("u", u, (n,))
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-12:
@@ -183,11 +177,12 @@ def verify_one_body_identity(a: np.ndarray) -> float:
     B_(u_t,sigma), built from ladder operators and restricted to each sector;
     the sum depends on neither the order nor the signs of the eigenpairs. The
     two agree identically in exact arithmetic; the returned value is the
-    max-norm of the numerical difference (expected <= 1e-9).
+    max-norm of the numerical difference (expected <= 1e-9). ValueError if
+    hamiltonian._as_real refuses a as a square matrix, or its N as n (ladder_operator).
     """
     a = _as_real("a", a, (None, None))
     n = a.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(symmetrize_one_body(a))
+    eigvals, eigvecs = np.linalg.eigh(_symmetric_part(a))
     rhs = np.zeros((4**n, 4**n))
     for lam, vec in zip(eigvals, eigvecs.T):
         for sigma in (0, 1):
@@ -196,6 +191,6 @@ def verify_one_body_identity(a: np.ndarray) -> float:
     worst = 0.0
     for n_e in range(2 * n + 1):
         states = sector_states(n, n_e)
-        lhs = sector_one_body(a, n_e)
+        lhs = _one_body(a, *_excitation_maps(n, n_e))
         worst = max(worst, float(np.max(np.abs(lhs - rhs[np.ix_(states, states)]))))
     return worst

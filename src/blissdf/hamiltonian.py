@@ -41,15 +41,17 @@ def _average(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
 
 
 def symmetrize_one_body(mat: np.ndarray) -> np.ndarray:
-    """Return the symmetric part 0.5 * mat + 0.5 * mat.T as a fresh float64 array, by chunks of rows.
+    """Return the symmetric part 0.5 * mat + 0.5 * mat.T of a square ``mat`` (_as_real) as a fresh float64 array.
 
     Every finite input stays finite (see _average); an exactly symmetric one
     keeps its bits, except that an entry below 2^-1021 in magnitude may move
-    by one unit in the last place. ``mat`` is read by _as_real.
+    by one unit in the last place.
     """
-    mat = _as_real("mat", mat, (None, None))
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return _symmetric_part(_as_real("mat", mat, (None, None)))
+
+
+def _symmetric_part(mat: np.ndarray) -> np.ndarray:
+    """symmetrize_one_body of a square float64 ``mat`` already read, by chunks of rows."""
     out = np.empty(mat.shape)
     for start in range(0, len(mat), _CHUNK):
         rows = slice(start, start + _CHUNK)
@@ -85,9 +87,9 @@ def two_body_block(g: np.ndarray, name: str = "g") -> np.ndarray:
             half = flat[upper[pairs]]
             _average(half, flat[lower[pairs]], half)
             _average(half[:, upper], half[:, lower], block[pairs])
-        return symmetrize_one_body(block)
+        return _symmetric_part(block)
     if g.ndim == 2 and g.shape[0] == g.shape[1] and _pair_orbitals(g.shape[0]) >= 0:
-        return symmetrize_one_body(g)
+        return _symmetric_part(g)
     raise ValueError(f"{name} must be an N^4 tensor or a P x P pair block, got shape {g.shape}")
 
 
@@ -97,11 +99,18 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_int(name: str, value, error: type[ValueError] = ValueError) -> int:
-    """value as an int, the one integer rule: ``error`` unless it is a Python or numpy integer, not a bool."""
+def _as_int(name: str, value, lo: int, hi: int | None = None, error: type[ValueError] = ValueError) -> int:
+    """``value`` by the one integer rule, else ``error`` naming ``name``.
+
+    A Python or numpy integer, not a bool, in [lo, hi] (hi None: no upper
+    end), returned as an int; out of range, "rank must be in [1, 4], got 0".
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if value < lo or (hi is not None and value > hi):
+        raise error(f"{name} must be in [{lo}, {'inf)' if hi is None else f'{hi}]'}, got {value}")
+    return value
 
 
 def _as_real(name: str, value, shape: tuple | None = None, error: type[ValueError] = ValueError):
@@ -109,8 +118,9 @@ def _as_real(name: str, value, shape: tuple | None = None, error: type[ValueErro
 
     Without ``shape``, a Python or numpy int or float, not a bool, finite as
     a float64, returned as a Python number. With it, an array of a float or
-    integer dtype and that shape (None: any length) with finite entries,
-    returned as float64, copied only to cast.
+    integer dtype and that shape, where every None stands for one shared
+    length n ((None, None): a square matrix), with finite entries, returned
+    as float64, copied only to cast.
     """
     if shape is None:
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -120,8 +130,10 @@ def _as_real(name: str, value, shape: tuple | None = None, error: type[ValueErro
         if not abs(value) <= sys.float_info.max:
             raise error(f"{name} must be finite, got {value!r}")
         return value
-    value, rule = np.asarray(value), f"{name} must be a finite real array of shape {shape}, got"
-    fits = value.ndim == len(shape) and all(want in (None, got) for want, got in zip(shape, value.shape))
+    wanted = str(shape).replace("None", "n")
+    value, rule = np.asarray(value), f"{name} must be a finite real array of shape {wanted}, got"
+    n = next((got for want, got in zip(shape, value.shape) if want is None), None)  # the one shared length
+    fits = value.ndim == len(shape) and value.shape == tuple(n if want is None else want for want in shape)
     if not fits or value.dtype.kind not in "fiu":
         raise error(f"{rule} {value.dtype} of shape {value.shape}")
     value = value.astype(np.float64, copy=False)
@@ -144,9 +156,9 @@ class Hamiltonian:
     The constructor takes ``g`` as an N^4 tensor or as its pair block (see
     two_body_block), projects ``h`` and ``g`` onto their symmetric parts by the
     bits rule of symmetrize_one_body, and freezes the arrays; instances are
-    immutable and safe to share across threads. It raises ValueError if
-    _as_real refuses h as N x N, g or core_constant, or n_electrons is not
-    an integer (_as_int) in [0, 2N].
+    immutable and safe to share across threads. It reads each argument once
+    and raises ValueError naming it if _as_real refuses h as N x N, g or
+    core_constant, or _as_int refuses n_electrons in [0, 2N].
     """
 
     h: np.ndarray
@@ -157,10 +169,9 @@ class Hamiltonian:
     def __init__(self, h: np.ndarray, g: np.ndarray, core_constant: float = 0.0, n_electrons: int = 0):
         g_pairs = two_body_block(g)
         n = _pair_orbitals(len(g_pairs))
-        h = symmetrize_one_body(_as_real("h", h, (n, n)))
-        core_constant, n_e = float(_as_real("core_constant", core_constant)), _as_int("n_electrons", n_electrons)
-        if not 0 <= n_e <= 2 * n:
-            raise ValueError(f"n_electrons={n_e} outside [0, {2 * n}]")
+        h = _symmetric_part(_as_real("h", h, (n, n)))
+        core_constant = float(_as_real("core_constant", core_constant))
+        n_e = _as_int("n_electrons", n_electrons, 0, 2 * n)
         object.__setattr__(self, "h", _frozen_array(h))
         object.__setattr__(self, "g_pairs", _frozen_array(g_pairs))
         object.__setattr__(self, "core_constant", core_constant)
@@ -182,8 +193,9 @@ class ShiftParams:
 
     The shift adds (sum_ij xi_ij E_ij + kappa)(N_e - n_e) to the Hamiltonian,
     which annihilates every state with exactly ``n_e`` electrons. ``xi`` is
-    symmetrized on construction; ValueError if _as_real refuses kappa or a
-    square xi, or n_e is not a nonnegative integer (_as_int).
+    symmetrized on construction. Raises ValueError naming the argument if
+    _as_real refuses kappa or xi as a square matrix, or _as_int refuses n_e
+    in [0, inf).
     """
 
     kappa: float
@@ -191,10 +203,8 @@ class ShiftParams:
     n_e: int
 
     def __post_init__(self):
-        xi, kappa = symmetrize_one_body(_as_real("xi", self.xi, (None, None))), _as_real("kappa", self.kappa)
-        n_e = _as_int("n_e", self.n_e)
-        if n_e < 0:
-            raise ValueError("n_e must be nonnegative")
+        xi, kappa = _symmetric_part(_as_real("xi", self.xi, (None, None))), _as_real("kappa", self.kappa)
+        n_e = _as_int("n_e", self.n_e, 0)
         object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "xi", _frozen_array(xi))
         object.__setattr__(self, "n_e", n_e)
@@ -218,18 +228,22 @@ def apply_symmetry_shift(ham: Hamiltonian, shift: ShiftParams) -> Hamiltonian:
     the original.
 
     Raises:
-        ValueError: If the shift dimension does not match the Hamiltonian.
+        ValueError: If the shift dimension does not match the Hamiltonian,
+            or the shifted h, pair block or core constant leaves the float64
+            range; no overflow warning is raised.
     """
     n = ham.n_orbitals
     if shift.xi.shape[0] != n:
         raise ValueError(f"shift is {shift.xi.shape[0]} orbitals but Hamiltonian is {n}")
     space = pair_space(n)
-    return Hamiltonian(
-        h=ham.h - shift.n_e * shift.xi + shift.kappa * np.eye(n),
-        g=space.shifted(ham.g_pairs, space.pack(shift.xi)),
-        core_constant=ham.core_constant - shift.kappa * shift.n_e,
-        n_electrons=ham.n_electrons,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as the shift's
+        h = ham.h - shift.n_e * shift.xi + shift.kappa * np.eye(n)
+        g = space.shifted(ham.g_pairs, space.pack(shift.xi))
+    core_constant = ham.core_constant - shift.kappa * shift.n_e
+    try:  # every argument is valid but for finiteness, which Hamiltonian checks in its one read
+        return Hamiltonian(h=h, g=g, core_constant=core_constant, n_electrons=ham.n_electrons)
+    except ValueError as exc:
+        raise ValueError(f"shift (kappa={shift.kappa!r}, n_e={shift.n_e}) overflows h, g or the core constant") from exc
 
 
 def effective_one_body(ham: Hamiltonian) -> np.ndarray:

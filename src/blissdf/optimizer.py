@@ -108,26 +108,23 @@ from blissdf.hamiltonian import (
     _as_int,
     _as_real,
     _average,
+    _symmetric_part,
     effective_one_body,
     pair_space,
-    symmetrize_one_body,
 )
-
-_REAL_FIELDS = ("c_approx", "learning_rate", "rel_tol", "err_budget")
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
-# Checked in this order, after __post_init__ has read every field.
+# The real fields' rules, checked in this order after __post_init__ has read every field.
 _RULES = (
     ("c_approx", lambda x: x is None or x > 0, "be positive"),
-    ("max_iters", lambda x: x >= 1, "be a positive integer"),
     ("learning_rate", lambda x: x > 0, "be positive"),
     ("rel_tol", lambda x: x >= 0, "be nonnegative"),
-    ("patience", lambda x: x >= 1, "be a positive integer"),
     ("err_budget", lambda x: x >= 0, "be nonnegative"),
 )
+_REAL_FIELDS = tuple(name for name, _, _ in _RULES)
 
 
 class ConfigError(ValueError):
@@ -160,8 +157,9 @@ class OptimizationConfig:
     as one phase. Every run stops at the latest after max_iters iterations.
     ``err_budget`` is not enforced during descent; it defines which iterates
     count as feasible, for the schedule's stop and for the best one selected
-    afterwards. The real fields are read by hamiltonian._as_real, max_iters
-    and patience by _as_int; they store Python numbers or raise ConfigError.
+    afterwards. hamiltonian._as_real reads the real fields, _as_int reads
+    max_iters and patience in [1, inf); each is stored as a Python number,
+    or ConfigError names it: "max_iters must be in [1, inf), got 0".
     Adam's constants are fixed: beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8.
     """
 
@@ -178,7 +176,7 @@ class OptimizationConfig:
             if value is not None or name != "c_approx":
                 object.__setattr__(self, name, _as_real(name, value, error=ConfigError))
         for name in ("max_iters", "patience"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name), ConfigError))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), 1, error=ConfigError))
         for name, valid, rule in _RULES:
             value = getattr(self, name)
             if not valid(value):
@@ -254,7 +252,7 @@ def _pack(ham: Hamiltonian, params) -> tuple[np.ndarray, float]:
     """
     kappa, xi, factor_set = params
     n = ham.n_orbitals
-    xi = symmetrize_one_body(_as_real("xi", xi, (n, n)))
+    xi = _symmetric_part(_as_real("xi", xi, (n, n)))
     packed, kappa = _checked(factor_set, n).packed, float(_as_real("kappa", kappa))
     return np.vstack((packed, pair_space(n).pack(xi))), kappa
 
@@ -352,7 +350,7 @@ class _Objective:
                 xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
                 xi_part += self.n_shift * stack[rank]
                 xi_part.reshape(-1)[:: n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
-                # The packed symmetric part, symmetrize_one_body's 0.5 x_ab + 0.5 x_ba for a <= b.
+                # The packed symmetric part, hamiltonian._average's 0.5 x_ab + 0.5 x_ba for a <= b.
                 _average(space.pack(xi_part), space.pack(xi_part.T), grad[-1])
             then(part, grad)
 

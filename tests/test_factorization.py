@@ -65,7 +65,7 @@ class TestFactorSet:
         assert not fs.factors[1:].any()
 
     def test_rejects_rank_beyond_n_squared(self):
-        with pytest.raises(ValueError, match=r"R=5 is outside \[M, N\^2\] = \[0, 4\]"):
+        with pytest.raises(ValueError, match=r"^rank must be in \[0, 4\], got 5$"):
             FactorSet(np.zeros((0, 3)), 5)
 
     def test_rejects_bad_shape(self):
@@ -80,7 +80,7 @@ class TestFactorSet:
             FactorSet(np.zeros((2, 5)), 2)
 
     def test_rejects_more_rows_than_rank(self):
-        with pytest.raises(ValueError, match=r"R=2 is outside \[M, N\^2\] = \[3, 9\]"):
+        with pytest.raises(ValueError, match=r"^rank must be in \[3, 9\], got 2$"):
             FactorSet(np.ones((3, 6)), 2)
 
     @pytest.mark.parametrize("rank", [True, 2.0, np.float64(2.0), "2"], ids=["bool", "float", "numpy-float", "str"])
@@ -452,6 +452,10 @@ class TestLambdaBreakdown:
         breakdown = lambda_df(fs, np.diag([1.0, -1.0]))
         assert breakdown.lambda_total == pytest.approx(2.0, abs=1e-12)
         assert breakdown.two_body_part == 0.0
+        # N = 0, which Hamiltonian and FactorSet accept: no eigenvalues, norm 0.0.
+        assert nuclear_norm(np.zeros((0, 0))) == 0.0
+        breakdown = lambda_df(FactorSet(np.zeros((0, 0)), 0), np.zeros((0, 0)))
+        assert (breakdown.lambda_total, breakdown.per_factor.shape) == (0.0, (0,))
 
     def test_parts_sum_to_total(self):
         rng = np.random.default_rng(14)

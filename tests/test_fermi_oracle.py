@@ -75,17 +75,17 @@ class TestLadderAlgebra:
         assert np.array_equal(c, a.T)
 
     def test_index_validation(self):
-        with pytest.raises(ValueError, match="orbital index"):
+        with pytest.raises(ValueError, match=r"^j must be in \[0, 1\], got 2$"):
             ladder_operator(2, 0, dagger=False, n=2)
-        with pytest.raises(ValueError, match="orbital index"):
+        with pytest.raises(ValueError, match=r"^j must be in \[0, 1\], got -1$"):
             ladder_operator(-1, 0, dagger=False, n=2)
-        with pytest.raises(ValueError, match="spin"):
+        with pytest.raises(ValueError, match=r"^sigma must be in \[0, 1\], got 2$"):
             ladder_operator(0, 2, dagger=False, n=2)
-        with pytest.raises(ValueError, match="orbital count"):
+        with pytest.raises(ValueError, match=r"^n must be in \[1, 6\], got 7$"):
             ladder_operator(0, 0, dagger=False, n=MAX_ORBITALS + 1)
-        with pytest.raises(ValueError, match="orbital count"):
+        with pytest.raises(ValueError, match=r"^n must be in \[1, 6\], got 0$"):
             sector_states(0, 0)
-        with pytest.raises(ValueError, match="orbital count"):
+        with pytest.raises(ValueError, match=r"^n must be in \[1, 6\], got 7$"):
             sector_states(MAX_ORBITALS + 1, 1)
 
     def test_mode_order_and_sign_rule(self):

@@ -2,6 +2,8 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from blissdf import (
     frobenius_error,
     gradient,
     lambda_df,
+    load_factor_set,
     load_integrals,
     nuclear_norm,
     reconstruct_two_body,
@@ -24,9 +27,18 @@ from blissdf import (
     total_cost,
     write_integrals,
 )
+from blissdf import factorization, fermi_oracle, hamiltonian, optimizer
 from blissdf.factorization import initial_double_factorization
-from blissdf.fermi_oracle import b_operator, sector_eigenvalues, sector_one_body, verify_one_body_identity
+from blissdf.fermi_oracle import (
+    b_operator,
+    ladder_operator,
+    sector_eigenvalues,
+    sector_one_body,
+    sector_states,
+    verify_one_body_identity,
+)
 from blissdf.hamiltonian import pair_space, symmetrize_one_body, two_body_block
+from blissdf.optimizer import _pack
 from blissdf.verify import chain_hamiltonian
 
 from conftest import packed_factors, random_hamiltonian, random_psd_two_body
@@ -77,7 +89,7 @@ class TestSymmetrization:
             check_two_body_symmetry(g)
 
     def test_one_body_rejects_rectangular(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match=r"^mat must be .* of shape \(n, n\), got float64 of shape \(2, 3\)$"):
             symmetrize_one_body(np.zeros((2, 3)))
 
 
@@ -286,6 +298,124 @@ class TestRealArguments:
         assert np.shares_memory(FactorSet(rows, 1).packed, rows)  # float64 is not copied
 
 
+def _archive_with(member, value, out):
+    """An archive of two factors at N=3 whose ``member`` is replaced by ``value``, loaded back."""
+    save_factor_set(out, FactorSet(np.ones((2, 6)), 2))
+    with np.load(out) as archive:
+        kept = {name: archive[name] for name in archive.files}
+    np.savez(out, **{**kept, member: value})
+    return load_factor_set(out)
+
+
+# Entry point -> (argument name, call with a value in its place and a scratch path,
+# [lo, hi] with None for no upper end). Every integer argument is read by _as_int.
+INTEGER_ARGUMENTS = {
+    "FactorSet-rank": ("rank", lambda x, out: FactorSet(np.ones((1, 3)), x), 1, 4),
+    "initial_double_factorization-rank": ("rank", lambda x, out: initial_double_factorization(np.eye(3), x), 1, 4),
+    "Hamiltonian-n_electrons": ("n_electrons", lambda x, out: Hamiltonian(np.eye(2), np.eye(3), 0.0, x), 0, 4),
+    "ShiftParams-n_e": ("n_e", lambda x, out: ShiftParams(0.0, np.eye(2), x), 0, None),
+    "OptimizationConfig-max_iters": ("max_iters", lambda x, out: OptimizationConfig(max_iters=x), 1, None),
+    "OptimizationConfig-patience": ("patience", lambda x, out: OptimizationConfig(patience=x), 1, None),
+    "load_factor_set-rank": ("rank member, for a factors member of 2 rows,", partial(_archive_with, "rank"), 2, 9),
+    "load_factor_set-n_orbitals": ("n_orbitals member", partial(_archive_with, "n_orbitals"), 0, None),
+    "sector_states-n": ("n", lambda x, out: sector_states(x, 1), 1, 6),
+    "sector_states-n_e": ("n_e", lambda x, out: sector_states(2, x), 0, 4),
+    "sector_one_body-n_e": ("n_e", lambda x, out: sector_one_body(np.eye(2), x), 0, 4),
+    "ladder_operator-j": ("j", lambda x, out: ladder_operator(x, 0, False, 2), 0, 1),
+    "ladder_operator-sigma": ("sigma", lambda x, out: ladder_operator(0, x, False, 2), 0, 1),
+    "ladder_operator-n": ("n", lambda x, out: ladder_operator(0, 0, False, x), 1, 6),
+    "b_operator-sigma": ("sigma", lambda x, out: b_operator(np.array([1.0, 0.0]), x, 2), 0, 1),
+    "b_operator-n": ("n", lambda x, out: b_operator(np.array([1.0, 0.0]), 0, x), 1, 6),
+}
+
+
+def _integer_rows():
+    for entry, (name, call, lo, hi) in INTEGER_ARGUMENTS.items():
+        error = ConfigError if entry.startswith("OptimizationConfig") else ValueError
+        span = f"[{lo}, {'inf)' if hi is None else f'{hi}]'}"
+        rows = {"bool": (True, "an integer, got "), "float": (2.0, "an integer, got ")}
+        rows["below"] = (lo - 1, f"in {span}, got {lo - 1}")
+        rows.update({"above": (hi + 1, f"in {span}, got {hi + 1}")} if hi is not None else {})
+        for kind, (value, rule) in rows.items():
+            match = rf"(^|: ){re.escape(f'{name} must be {rule}')}"
+            yield pytest.param(call, value, error, match, id=f"{entry}-{kind}")
+
+
+class TestIntegerArguments:
+    """The one integer rule (hamiltonian._as_int), with its range, at every public entry point."""
+
+    @pytest.mark.parametrize("call, value, error, match", list(_integer_rows()))
+    def test_refused_by_name_before_any_eigh_and_without_warnings(
+        self, call, value, error, match, tmp_path, monkeypatch
+    ):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                call(value, tmp_path / "factors.npz")
+        assert calls == []
+
+
+class TestOneReadPerArgument:
+    """Each public call reads each argument through _as_real once, at chain N=8 (oracle calls: N=3)."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        ham = chain_hamiltonian(8, 1)
+        xi = symmetrize_one_body(np.random.default_rng(3).standard_normal((8, 8)))
+        return ham, xi, initial_double_factorization(ham.g_pairs, 16)
+
+    @pytest.mark.parametrize(
+        "call, reads",
+        [
+            (lambda ham, xi, fs: Hamiltonian(ham.h, ham.g_pairs, ham.core_constant, 8), {"g", "h", "core_constant"}),
+            (lambda ham, xi, fs: two_body_block(ham.g_pairs), {"g"}),
+            (lambda ham, xi, fs: two_body_block(ham.g), {"g"}),
+            (lambda ham, xi, fs: symmetrize_one_body(xi), {"mat"}),
+            (lambda ham, xi, fs: ShiftParams(0.5, xi, 8), {"kappa", "xi"}),
+            (lambda ham, xi, fs: nuclear_norm(xi), {"a"}),
+            (lambda ham, xi, fs: lambda_df(fs, xi), {"h_prime"}),
+            # packed is the result's own rows, read once by FactorSet.
+            (lambda ham, xi, fs: initial_double_factorization(ham.g_pairs, 16), {"g", "packed"}),
+            (lambda ham, xi, fs: frobenius_error(ham.g_pairs, fs), {"g_target"}),
+            (lambda ham, xi, fs: _pack(ham, (0.5, xi, fs)), {"kappa", "xi"}),
+            (lambda ham, xi, fs: total_cost(ham, (0.5, xi, fs), 1.0), {"kappa", "xi", "c_approx"}),
+            (lambda ham, xi, fs: gradient(ham, (0.5, xi, fs), 1.0), {"kappa", "xi", "c_approx"}),
+            (lambda ham, xi, fs: sector_one_body(xi[:3, :3], 2), {"a"}),
+            # b_operator reads each of the 3 eigenvectors once per spin.
+            (lambda ham, xi, fs: verify_one_body_identity(xi[:3, :3]), {"a": 1, "u": 6}),
+        ],
+        ids=[
+            "Hamiltonian", "two_body_block-pairs", "two_body_block-tensor", "symmetrize_one_body", "ShiftParams",
+            "nuclear_norm", "lambda_df", "initial_double_factorization", "frobenius_error", "_pack", "total_cost",
+            "gradient", "sector_one_body", "verify_one_body_identity",
+        ],
+    )
+    def test_each_argument_is_read_once(self, call, reads, inputs, monkeypatch):
+        names = []
+        read = hamiltonian._as_real
+        for module in (hamiltonian, factorization, optimizer, fermi_oracle):
+            monkeypatch.setattr(module, "_as_real", lambda name, *a, **k: names.append(name) or read(name, *a, **k))
+        call(*inputs)
+        assert Counter(names) == Counter(reads)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("xi", lambda x: ShiftParams(0.0, x, 1)),
+            ("a", nuclear_norm),
+            ("a", lambda x: sector_one_body(x, 1)),
+            ("a", verify_one_body_identity),
+        ],
+        ids=["ShiftParams", "nuclear_norm", "sector_one_body", "verify_one_body_identity"],
+    )
+    def test_a_rectangular_matrix_is_named(self, name, call):
+        with pytest.raises(ValueError, match=rf"^{name} must be .* of shape \(n, n\), got float64 of shape \(2, 3\)$"):
+            call(np.zeros((2, 3)))
+
+
 class TestPairBlockStorage:
     """The P x P pair block is the one two-body array a Hamiltonian holds."""
 
@@ -439,6 +569,23 @@ class TestSymmetryShift:
         ham = random_hamiltonian(2, rng)
         with pytest.raises(ValueError, match="orbitals"):
             apply_symmetry_shift(ham, ShiftParams.zero(3, 2))
+
+    @pytest.mark.parametrize(
+        "ham, shift",
+        [
+            (Hamiltonian(1e308 * np.eye(2), np.eye(3), 0.0, 2), ShiftParams(1e308, np.zeros((2, 2)), 2)),
+            (Hamiltonian(np.eye(2), np.eye(3), 1e308, 2), ShiftParams(-1e308, np.zeros((2, 2)), 2)),
+            (Hamiltonian(np.zeros((2, 2)), 1e308 * np.eye(3), 0.0, 0), ShiftParams(0.0, 1.7e308 * np.eye(2), 0)),
+        ],
+        ids=["h", "core_constant", "g"],
+    )
+    def test_overflowing_shift_is_one_value_error(self, ham, shift):
+        # Finite inputs whose shifted sum leaves float64: one ValueError that
+        # names the shift, not numpy's overflow warning or a message about h.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^shift \(kappa=.*, n_e=\d\) overflows "):
+                apply_symmetry_shift(ham, shift)
 
     def test_sector_spectrum_invariant_dense(self):
         # The defining property: on the n_e-electron sector the shifted

@@ -9,7 +9,8 @@ more than the calling thread only while numpy's bundled OpenBLAS reports
 one thread, as inside one_blas_thread(). Without a known OpenBLAS symbol it
 never does. The extra threads belong to one ThreadPoolExecutor per worker
 count, made on the first split call and kept for the life of the process,
-so a later call starts no thread.
+so a later call starts no thread. Jobs take the caller's np.errstate
+(numpy's is per thread), so no warning depends on the core count.
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ def run_blocks(fn, length: int, first=None):
     The slices hold _BLOCK items each, the last one possibly fewer. first
     runs on the calling thread, which then takes blocks from the same
     iterator as up to workers - 1 jobs on an executor that persists across
-    calls. With one block or one worker no job is submitted, so everything
-    runs on the calling thread. Blocks must be independent; each writes its
-    own part of outputs its caller allocated. If first or a block raises, no
-    further block starts, and the first error is raised once every started
-    block has finished, so no block writes after this returns or raises.
+    calls, under the caller's np.errstate. With one block or one worker
+    everything runs on the calling thread. Blocks must be independent; each
+    writes its own part of outputs its caller allocated. If first or a block
+    raises, no further block starts, and the first error is raised once every
+    started block has finished, so no block writes after this returns or raises.
     """
     parts = [slice(start, min(start + _BLOCK, length)) for start in range(0, length, _BLOCK)]
     workers = 1 if len(parts) <= 1 else min(_workers(), len(parts))
@@ -123,7 +124,11 @@ def run_blocks(fn, length: int, first=None):
                     errors.append(exc)
                 return
 
-    jobs = [_executor(workers - 1).submit(drain) for _ in range(workers - 1)]
+    def job(state: dict) -> None:  # numpy's error state is per thread: a job takes its caller's
+        with np.errstate(**state):
+            drain()
+
+    jobs = [_executor(workers - 1).submit(job, np.geterr()) for _ in range(workers - 1)]
     result = None
     try:
         if first is not None:
@@ -134,9 +139,9 @@ def run_blocks(fn, length: int, first=None):
     drain()
     # No block is left to start: cancel each job no thread has taken up, so
     # the caller never waits on a busy pool, and wait for each running one.
-    for job in jobs:
-        if not job.cancel():
-            job.result()
+    for future in jobs:
+        if not future.cancel():
+            future.result()
     # A cancelled job stays queued behind a busy thread and holds drain: it
     # must not keep fn, and with it the blocks' arrays, alive after this returns.
     fn = None

@@ -18,9 +18,10 @@ before they create --out, so a bad input, config or rank (exit 1) leaves no
 --out. A run that fails later (exit 2 or 3) leaves only manifest.json.
 
 Exit codes: 0 success, 1 input problem (parse or config errors, missing
-files, schema mismatch, an unusable --out, an input too large to allocate),
-2 data problem (two-body tensor not factorizable), 3 numeric failure
-(non-finite cost), 4 verification failure.
+files, input that is not UTF-8 or not JSON, schema mismatch, an unusable
+--out, an input too large to allocate), 2 data problem (two-body tensor not
+factorizable), 3 numeric failure (non-finite cost), 4 verification failure.
+Past argument parsing, every exit 1, 2 or 3 prints one stderr line, "error: ...".
 
 All JSON outputs and factors.npz are deterministic for a fixed input and
 config, whatever the core count or BLAS environment: each kernel they call
@@ -85,7 +86,7 @@ def file_checksum(path: str | Path) -> str:
 
 
 def _start_run(args, config: OptimizationConfig | None = None) -> tuple[Hamiltonian, dict]:
-    """Load --input, check --rank, create --out and write manifest.json there.
+    """Load --input, check --rank, create --out, clear it of earlier outputs and write manifest.json there.
 
     Runs before any compute, so an unreadable input, a bad rank or an
     unusable --out fails in seconds. Returns the Hamiltonian and the fields
@@ -95,6 +96,8 @@ def _start_run(args, config: OptimizationConfig | None = None) -> tuple[Hamilton
     _as_int("rank", args.rank, 1, ham.n_orbitals**2)
     checksum = file_checksum(args.input)
     args.out.mkdir(parents=True, exist_ok=True)
+    for name in ("summary.json", "report.json", "trace.jsonl", "factors.npz"):  # an earlier run's outputs
+        (args.out / name).unlink(missing_ok=True)
     manifest = {
         "kind": args.command,
         "input_checksum": checksum,
@@ -248,26 +251,21 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        data = json.loads(Path(args.input).read_text())
-    except json.JSONDecodeError as exc:
-        print(f"{args.input}: not valid JSON ({exc})", file=sys.stderr)
-        return EXIT_INPUT
+        data = json.loads(Path(args.input).read_bytes())
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{args.input}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        print(f"{args.input}: expected a JSON object, got {type(data).__name__}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"{args.input}: expected a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
-        print(
+        raise ValueError(
             f"{args.input}: report schema version {version!r} is not "
-            f"supported (this tool reads version {SCHEMA_VERSION})",
-            file=sys.stderr,
+            f"supported (this tool reads version {SCHEMA_VERSION})"
         )
-        return EXIT_INPUT
     # The error jsonschema.validate would raise, of the several a document can have.
     error = jsonschema.exceptions.best_match(_validator("report.schema.json").iter_errors(data))
     if error is not None:
-        print(f"{args.input}: schema mismatch: {error.message}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"{args.input}: schema mismatch: {error.message}")
 
     header = f"{'method':<12} {'N':>4} {'R':>5} {'lambda':>18} {'error':>12}"
     print(header)

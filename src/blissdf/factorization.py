@@ -356,11 +356,11 @@ def load_factor_set(
 
     Raises:
         ValueError: If the archive format tag is missing or is not
-            blissdf-factors-v2 (the v1 archives of schema_version 4 and
-            below included), a member other than kappa and xi is missing,
-            hamiltonian._as_int refuses n_orbitals in [0, inf) or rank in
-            [M, N^2], or hamiltonian._as_real refuses factors as M rows of
-            N(N+1)/2 entries, kappa of shape () or xi of shape (N, N). Each
+            blissdf-factors-v2 (the v1 archives of schema_version 4 and below
+            included), a member other than kappa and xi is missing, _as_int
+            refuses n_orbitals in [0, inf) or rank in [M, N^2], _as_real
+            refuses factors as M rows of N(N+1)/2 entries, kappa of shape ()
+            or xi of shape (N, N), or json.loads refuses the manifest. Each
             message names the file and the member.
     """
     # np.load leaves a file it opened itself open when the zip is corrupt.
@@ -381,5 +381,8 @@ def load_factor_set(
             for name, shape in (("kappa", ()), ("xi", (n, n)))
         )
         kappa = None if kappa is None else float(kappa)
-        manifest = json.loads(str(archive["manifest"]))
+        try:
+            manifest = json.loads(str(archive["manifest"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: manifest member is not valid JSON ({exc})") from exc
     return factor_set, kappa, xi, manifest

@@ -18,8 +18,8 @@ all run reports, since upstream integral files do not declare theirs.
 
 Format accepted: a namelist header ``&FCI NORB=...,NELEC=...,MS2=...,``
 that ends at the first ``&END`` or ``/`` (possibly spanning several lines;
-extra keys such as ORBSYM are tolerated; the rest of its last line is
-ignored), followed by whitespace-separated records ``value i j k l`` with
+NORB and NELEC set once each, other keys ignored, as is the rest of its last
+line), followed by whitespace-separated records ``value i j k l`` with
 1-based indices. ``i j 0 0`` is a one-body entry, ``0 0 0 0`` the core
 constant, anything else a two-body entry. A line ends at ``\r\n``, ``\r``
 or ``\n``, as in numpy's parser; the other breaks of str.splitlines(), such
@@ -40,8 +40,8 @@ The traced peak is under 4 times the file size. If the C parser rejects the
 data (a non-ASCII byte or a bare ``\r``, say) or a mask flags a record,
 each line is decoded and read by ``_check_record``, the one definition of
 an error, which accepts what Python's ``float``/``int`` accept and raises
-on the first bad line. Orbit conflicts come last: one-body first, each kind
-by first appearance.
+on the first bad line (_decode does on a byte that is not UTF-8). Orbit
+conflicts come last: one-body first, each kind by first appearance.
 """
 
 from __future__ import annotations
@@ -80,31 +80,42 @@ class FcidumpError(ValueError):
         super().__init__(message)
 
 
-def _parse_header(lines: list[str]) -> tuple[int, int]:
-    """(norb, nelec) of the &FCI namelist ``lines``, whose last line holds its first terminator."""
-    if not lines:
+def _decode(raw: bytes, line: int) -> str:
+    """``raw``, whose first line is ``line``, as UTF-8; an invalid byte raises FcidumpError at its line."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line += len(_LINE_BREAK.findall(raw, 0, exc.start))
+        raise FcidumpError(f"not UTF-8: {exc.reason} at byte {raw[exc.start]:#04x}", line=line) from None
+
+
+def _parse_header(head: bytes, term: re.Match | None) -> tuple[int, int, int]:
+    """(norb, nelec, lines) of the &FCI namelist: the lines ``head`` up to ``term``, the first terminator or None."""
+    if not head:
         raise FcidumpError("empty file", line=1)
-    if not lines[0].strip().upper().startswith("&FCI"):
+    start = re.match(rb"[^\S\r\n]*&FCI", head, flags=re.IGNORECASE)
+    if start is None:
         raise FcidumpError("header must start with &FCI", line=1)
-    last = _TERMINATOR.split(lines[-1].encode(), maxsplit=1)
-    if len(last) == 1:
-        raise FcidumpError("header not terminated by &END or /", line=len(lines))
-    header = " ".join([*lines[:-1], last[0].decode()])
-    header = re.sub(r"^\s*&FCI", "", header, flags=re.IGNORECASE)
+    lines = len(head.splitlines())
+    if term is None:
+        raise FcidumpError("header not terminated by &END or /", line=lines)
+    header = _decode(head[start.end() : term.start()], 1)
+    _decode(head[term.start() :], lines)  # the rest of the terminator's line is ignored, but must be UTF-8 too
 
     def read_int(key: str) -> int:
-        match = re.search(rf"{key}\s*=\s*([+-]?\d+)", header, flags=re.IGNORECASE)
-        if match is None:
-            raise FcidumpError(f"header is missing {key}", line=len(lines))
-        return int(match.group(1))
+        found = re.findall(rf"(?<!\w){key}\s*=\s*([+-]?\d+)", header, flags=re.IGNORECASE)
+        if len(found) != 1:
+            problem = f"sets {key} {len(found)} times" if found else f"is missing {key}"
+            raise FcidumpError(f"header {problem}", line=lines)
+        return int(found[0])
 
     norb = read_int("NORB")
     nelec = read_int("NELEC")
     if norb < 1:
-        raise FcidumpError(f"NORB={norb} must be positive", line=len(lines))
+        raise FcidumpError(f"NORB={norb} must be positive", line=lines)
     if not 0 <= nelec <= 2 * norb:
-        raise FcidumpError(f"NELEC={nelec} outside [0, {2 * norb}]", line=len(lines))
-    return norb, nelec
+        raise FcidumpError(f"NELEC={nelec} outside [0, {2 * norb}]", line=lines)
+    return norb, nelec, lines
 
 
 def _check_record(raw: str, n: int, norb: int) -> tuple[float, int, int, int, int]:
@@ -132,9 +143,9 @@ def _check_record(raw: str, n: int, norb: int) -> tuple[float, int, int, int, in
 def _data_lines(data: bytes, start: int, first: int):
     """(number, line) of the data section data[start:], whose first line is ``first``.
 
-    Each line is decoded as it is read, so invalid UTF-8 raises at its line.
+    Each line is decoded (_decode) as it is read, so invalid UTF-8 raises at its line.
     """
-    return enumerate((line.decode() for line in data[start:].splitlines()), first)
+    return ((n, _decode(line, n)) for n, line in enumerate(data[start:].splitlines(), first))
 
 
 def _parse_data(data: bytes, start: int, first: int, norb: int) -> np.ndarray:
@@ -183,9 +194,7 @@ def _read(data: bytes) -> tuple[np.ndarray, np.ndarray, float, int]:
     term = _TERMINATOR.search(data)
     brk = _LINE_BREAK.search(data, term.end()) if term else None
     head, start = (data[: brk.start()], brk.end()) if brk else (data, len(data))
-    lines = [line.decode() for line in head.splitlines()]
-    norb, nelec = _parse_header(lines)
-    first_data = len(lines)
+    norb, nelec, first_data = _parse_header(head, term)
     rec = _parse_data(data, start, first_data + 1, norb)
     # Orbit key: the larger and smaller of the pair codes max(i, j) * base + min(i, j) of {i, j}, {k, l}.
     base = norb + 1
@@ -242,10 +251,10 @@ def load_integrals(path: str | Path) -> Hamiltonian:
         ``core_constant``, and ``n_electrons`` from the header NELEC.
 
     Raises:
-        FcidumpError: On malformed header, non-numeric or non-finite values,
-            indices outside the declared NORB range, or orbit entries that
-            disagree beyond the asymmetry tolerance. The error message names
-            the offending line.
+        FcidumpError: On a malformed header (NORB or NELEC missing or set
+            twice), a byte that is not UTF-8, non-numeric or non-finite values,
+            indices outside 1..NORB, or orbit entries that disagree beyond
+            the asymmetry tolerance. The message names the offending line.
         FileNotFoundError: If the file does not exist.
     """
     return Hamiltonian(*_read(Path(path).read_bytes()))

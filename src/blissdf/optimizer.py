@@ -197,8 +197,8 @@ class OptimizationConfig:
     def from_json(cls, path: str | Path) -> "OptimizationConfig":
         """Load a config from a JSON file."""
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            data = json.loads(Path(path).read_bytes())
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(data, f"{path}: ")
 
@@ -595,7 +595,7 @@ def optimize(
         double factorization, from row 0's eigenvalues before the shift.
 
     Raises:
-        NonFiniteCostError: If the cost evaluates to NaN or infinity.
+        NonFiniteCostError: If the cost turns NaN or infinite, with no warning first.
         IndefiniteTensorError: Propagated from the initialization when the
             two-body tensor is not factorizable.
         TypeError: If config is not an OptimizationConfig, before any eigh.
@@ -604,6 +604,7 @@ def optimize(
     if not isinstance(config, OptimizationConfig):
         raise TypeError(f"config must be an OptimizationConfig, got {type(config).__name__}")
     descent = _Descent(ham, rank, config)
-    while not descent.record(*descent.objective.evaluate()):  # at the latest at row max_iters
-        descent.objective.gradient(then=descent.step)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging descent shows as NonFiniteCostError
+        while not descent.record(*descent.objective.evaluate()):  # at the latest at row max_iters
+            descent.objective.gradient(then=descent.step)
     return descent.report()

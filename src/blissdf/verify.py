@@ -137,6 +137,11 @@ def chain_hamiltonian(n: int, seed: int) -> Hamiltonian:
     )
 
 
+def _factorized(ham: Hamiltonian, factor_set: FactorSet) -> Hamiltonian:
+    """ham with the two-body part of ``factor_set``: the pair block F^T F of sum_r A_r (x) A_r."""
+    return Hamiltonian(ham.h, factor_set.packed.T @ factor_set.packed, ham.core_constant, ham.n_electrons)
+
+
 def _check_anticommutators(sizes) -> CheckResult:
     """{a_p, a+_q} = delta_pq and {a_p, a_q} = 0 over all spin-orbital pairs."""
     worst = 0.0
@@ -228,12 +233,7 @@ def _check_factorization_exactness(sizes) -> CheckResult:
         ham = random_hamiltonian(n, rng)
         factor_set = initial_double_factorization(ham.g_pairs, n * n)
         worst = max(worst, frobenius_error(ham.g_pairs, factor_set))
-        rebuilt = Hamiltonian(
-            h=ham.h,
-            g=factor_set.packed.T @ factor_set.packed,  # the pair block of sum_r A_r (x) A_r
-            core_constant=ham.core_constant,
-            n_electrons=ham.n_electrons,
-        )
+        rebuilt = _factorized(ham, factor_set)
         for n_e in range(2 * n + 1):
             dev = np.max(np.abs(sector_hamiltonian(ham, n_e) - sector_hamiltonian(rebuilt, n_e)))
             worst = max(worst, float(dev))
@@ -318,14 +318,8 @@ def _check_penalty_schedule() -> CheckResult:
     kappa, xi, factor_set = report.best_params
     shifted = apply_symmetry_shift(ham, ShiftParams(kappa=kappa, xi=xi, n_e=ham.n_electrons))
     budget = report.initial_err + config.err_budget
-    rebuilt = Hamiltonian(
-        h=shifted.h,
-        g=factor_set.packed.T @ factor_set.packed,
-        core_constant=shifted.core_constant,
-        n_electrons=ham.n_electrons,
-    )
     reference = sector_eigenvalues(ham, ham.n_electrons)
-    worst = float(np.max(np.abs(sector_eigenvalues(rebuilt, ham.n_electrons) - reference)))
+    worst = float(np.max(np.abs(sector_eigenvalues(_factorized(shifted, factor_set), ham.n_electrons) - reference)))
     feasible = frobenius_error(shifted.g_pairs, factor_set) <= budget
     if not (feasible and report.lambda_breakdown.lambda_total <= single.lambda_breakdown.lambda_total):
         worst = float("inf")

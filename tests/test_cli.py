@@ -124,6 +124,15 @@ class TestFactorize:
         assert code == 1
         assert "absent.fcidump" in stderr
 
+    def test_input_not_utf8_exits_1_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.fcidump"
+        bad.write_bytes(b"&FCI NORB=1,NELEC=1 /\n1.0 1 1 0 0 \xff\n")
+        argv = ["factorize", "--input", str(bad), "--rank", "1", "--out", str(tmp_path / "o")]
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == 1
+        assert stderr == "error: line 2: not UTF-8: invalid start byte at byte 0xff\n"
+        assert not (tmp_path / "o").exists()
+
     def test_indefinite_tensor_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "indefinite.fcidump"
         bad.write_text(
@@ -480,25 +489,49 @@ class TestOptimize:
 
     def test_divergent_descent_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, learning_rate=1e160, c_approx=1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, stderr = run_cli(
-                [
-                    "optimize",
-                    "--input",
-                    FIXTURE,
-                    "--rank",
-                    "4",
-                    "--config",
-                    cfg,
-                    "--out",
-                    str(tmp_path / "o"),
-                ],
-                capsys,
-            )
+        code, _, stderr = run_cli(
+            [
+                "optimize",
+                "--input",
+                FIXTURE,
+                "--rank",
+                "4",
+                "--config",
+                cfg,
+                "--out",
+                str(tmp_path / "o"),
+            ],
+            capsys,
+        )
         assert code == 3
         assert "iteration" in stderr
         # The manifest is written before the descent runs.
         assert [p.name for p in (tmp_path / "o").iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
+    def test_divergent_descent_prints_one_error_line(self, tmp_path, flags):
+        # As a process, where a warning is a printed line: the overflows on
+        # the way to the non-finite cost print nothing, and a RuntimeWarning
+        # made an error does not turn exit 3 into a traceback.
+        cfg = write_config(tmp_path, learning_rate=1e160, c_approx=1.0)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        argv = ["optimize", "--input", FIXTURE, "--rank", "4", "--config", cfg, "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "blissdf.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: cost is non-finite at iteration ")
+
+    def test_config_not_utf8_exits_1_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"max_iters": 3, "é": 1}'.encode("latin-1"))
+        argv = ["optimize", "--input", FIXTURE, "--rank", "2", "--config", str(bad), "--out", str(tmp_path / "o")]
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == 1
+        assert stderr.startswith(f"error: {bad}: not valid JSON (")
+        assert len(stderr.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 def _refuse(*args, **kwargs):
@@ -507,6 +540,24 @@ def _refuse(*args, **kwargs):
 
 class TestRunSequence:
     """Config, input and --out are checked before any compute."""
+
+    def test_failed_rerun_leaves_only_its_manifest(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["optimize", "--input", FIXTURE, "--rank", "4", "--out", str(out), "--config"]
+        assert run_cli([*argv, write_config(tmp_path)], capsys)[0] == 0
+        assert run_cli([*argv, write_config(tmp_path, learning_rate=1e160, c_approx=1.0)], capsys)[0] == 3
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["config"]["learning_rate"] == 1e160
+
+    def test_rerun_removes_only_the_outputs_of_earlier_runs(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert run_cli(["factorize", "--input", FIXTURE, "--rank", "4", "--out", str(out)], capsys)[0] == 0
+        argv = ["optimize", "--input", FIXTURE, "--rank", "4", "--config", write_config(tmp_path), "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["factors.npz", "manifest.json", "notes.txt", "report.json", "trace.jsonl"]
 
     @pytest.fixture()
     def no_compute(self, monkeypatch):
@@ -778,7 +829,7 @@ class TestReport:
         # among the document's several schema errors.
         with pytest.raises(jsonschema.ValidationError) as picked:
             jsonschema.validate(doc, cli.load_schema("report.schema.json"))
-        assert stderr == f"{bad}: schema mismatch: {picked.value.message}\n"
+        assert stderr == f"error: {bad}: schema mismatch: {picked.value.message}\n"
 
     @pytest.mark.parametrize("payload", ["[]", '"x"'])
     def test_non_object_json_rejected(self, tmp_path, capsys, payload):
@@ -786,8 +837,27 @@ class TestReport:
         odd.write_text(payload)
         code, _, stderr = run_cli(["report", "--input", str(odd)], capsys)
         assert code == 1
-        assert stderr.startswith(f"{odd}: ")
+        assert stderr.startswith(f"error: {odd}: ")
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{][", "not valid JSON ("),
+            ('{"title": "é"}'.encode("latin-1"), "not valid JSON ('utf-8' codec can't decode byte 0xe9"),
+            (b"[]", "expected a JSON object, got list"),
+            (b'{"schema_version": 1}', "report schema version 1 is not supported"),
+            (json.dumps({"schema_version": cli.SCHEMA_VERSION}).encode(), "schema mismatch: "),
+        ],
+        ids=["json", "utf-8", "object", "version", "schema"],
+    )
+    def test_each_error_is_one_error_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        code, stdout, stderr = run_cli(["report", "--input", str(path)], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: {path}: {message}")
+        assert len(stderr.splitlines()) == 1
 
 
 SCHEMA_NAMES = sorted(path.name for path in (Path(cli.__file__).parent / "schemas").glob("*.json"))

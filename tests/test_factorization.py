@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import tracemalloc
 import warnings
 import zipfile
@@ -616,6 +617,21 @@ class TestSerialization:
         np.savez(tmp_path / "bad.npz", **kept)
         with pytest.raises(ValueError, match=f"{member} member"):
             load_factor_set(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array("{not json"), np.array(b"\xff"), np.array({"k": 1}, dtype=object)],
+        ids=["text", "bytes", "object"],
+    )
+    def test_corrupt_manifest_member_names_file_and_member(self, tmp_path, value):
+        save_factor_set(tmp_path / "full.npz", FactorSet(np.ones((2, 6)), 2), manifest={"k": 1})
+        with np.load(tmp_path / "full.npz") as archive:
+            kept = {name: archive[name] for name in archive.files}
+        kept["manifest"] = value
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **kept)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: manifest member is not valid JSON "):
+            load_factor_set(bad)
 
     @pytest.mark.parametrize(
         "shift",

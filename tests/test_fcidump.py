@@ -93,6 +93,47 @@ class TestHeaderParsing:
         with pytest.raises(FileNotFoundError):
             load_integrals(tmp_path / "absent.fcidump")
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.fcidump"
+        path.write_bytes(b"")
+        with pytest.raises(FcidumpError, match="^line 1: empty file$"):
+            load_integrals(path)
+
+    def test_norb_zero(self, tmp_path):
+        path = write_lines(tmp_path, ["&FCI NORB=0,NELEC=0 /"])
+        with pytest.raises(FcidumpError, match="^line 1: NORB=0 must be positive$"):
+            load_integrals(path)
+
+    @pytest.mark.parametrize("header", ["MYNORB=7,NORB=2,NELEC=2", "NORB=2,XNELEC=4,NELEC=2"])
+    def test_keys_are_whole_names(self, tmp_path, header):
+        # A key inside a longer name, such as MYNORB, is another key.
+        ham = load_integrals(write_lines(tmp_path, [f"&FCI {header} /", "1.0 1 1 0 0"]))
+        assert (ham.n_orbitals, ham.n_electrons) == (2, 2)
+
+    @pytest.mark.parametrize("key, header", [("NORB", "NORB=2, NORB=3,NELEC=2"), ("NELEC", "NORB=2,NELEC=2,nelec = 2")])
+    def test_key_set_twice_is_refused(self, tmp_path, key, header):
+        # Reported at the header's last line, as every header error after the first line.
+        path = write_lines(tmp_path, [f"&FCI {header}", "  MS2=0", " &END", "1.0 1 1 0 0"])
+        with pytest.raises(FcidumpError, match=f"^line 3: header sets {key} 2 times$"):
+            load_integrals(path)
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            (b"&FCI NORB=1,NELEC=1,\n TITLE=\xff\n/\n1.0 1 1 0 0\n", 2),  # in the namelist
+            (b"&FCI NORB=1,NELEC=1 / \xe9t\xe9\n1.0 1 1 0 0\n", 1),  # after the terminator, Latin-1
+            (b"&FCI \xe9 NORB=1,NELEC=1 /\n1.0 1 1 0 0\n", 1),  # on the first line, Latin-1
+            (b"&FCI NORB=1,NELEC=1 /\n1.0 1 1 0 0\n\n2.0 1 1 0 0 \xff\n", 4),  # a data line
+            (b"&FCI NORB=1,NELEC=1 /\r1.0 1 1 0 0\r\xc3\r", 3),  # a cut sequence on a bare-CR line
+        ],
+        ids=["namelist", "after-terminator", "first-line", "data", "cut-sequence"],
+    )
+    def test_invalid_utf8_is_refused_at_its_line(self, tmp_path, content, line):
+        path = tmp_path / "bytes.fcidump"
+        path.write_bytes(content)
+        with pytest.raises(FcidumpError, match=f"^line {line}: not UTF-8: "):
+            load_integrals(path)
+
 
 class TestRecordParsing:
     def test_single_one_body_entry(self, tmp_path):

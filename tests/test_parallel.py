@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -129,6 +130,16 @@ class TestRunBlocks:
 
         with _parallel.one_blas_thread(), pytest.raises(ZeroDivisionError):
             _parallel.run_blocks(block, 150)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_blocks_run_under_the_callers_error_state(self, monkeypatch, cpus):
+        # numpy's error state is per thread; a pool job must not run under its thread's own.
+        set_cpus(monkeypatch, cpus)
+        states = []
+        with _parallel.one_blas_thread(), np.errstate(over="raise", divide="ignore", invalid="warn", under="ignore"):
+            want = np.geterr()
+            _parallel.run_blocks(lambda part: states.append(np.geterr()), 150)
+        assert states == [want] * 3
 
     def test_one_cpu_first_error_starts_no_block(self, monkeypatch):
         set_cpus(monkeypatch, 1)
@@ -326,6 +337,21 @@ class TestPartitionedStep:
         assert report.best_iteration > 0
         assert runs[0] == runs[1] == runs[2]
 
+    def test_overflow_warnings_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # A descent that overflows in the Adam step of both of its blocks
+        # (79 rows), with warnings as errors: the step on a pool thread runs
+        # under optimize's np.errstate, as on the calling thread, so the run
+        # returns at either CPU count, with the same bits.
+        ham = random_hamiltonian(12, np.random.default_rng(5), n_electrons=12)
+        config = OptimizationConfig(max_iters=50, learning_rate=1e60, c_approx=1.0)
+        traces = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traces.append(optimize(ham, 144, config).total_trace.tobytes())
+        assert traces[0] == traces[1]
+
     def test_row_norms_match_lambda_df_across_blocks(self, monkeypatch, ham):
         # The optimizer's eigh blocks hold 64 and 15 matrices, h' last;
         # nuclear_norms cuts the 78 factors into 64 and 14. A matrix's
@@ -425,9 +451,8 @@ class TestBlasPin:
         try:
             ham = random_hamiltonian(2, np.random.default_rng(32))
             cfg = OptimizationConfig(max_iters=300, learning_rate=1e160, c_approx=1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NonFiniteCostError):
-                    optimize(ham, 4, cfg)
+            with pytest.raises(NonFiniteCostError):
+                optimize(ham, 4, cfg)
             assert self.blas_threads() == 2
         finally:
             CONTROLS[0](before)

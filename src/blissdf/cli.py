@@ -80,11 +80,6 @@ def _validator(name: str):
     return jsonschema.validators.validator_for(schema)(schema)
 
 
-def file_checksum(path: str | Path) -> str:
-    """Hex sha256 of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _start_run(args, config: OptimizationConfig | None = None) -> tuple[Hamiltonian, dict]:
     """Load --input, check --rank, create --out, clear it of earlier outputs and write manifest.json there.
 
@@ -94,7 +89,7 @@ def _start_run(args, config: OptimizationConfig | None = None) -> tuple[Hamilton
     """
     ham = load_integrals(args.input)
     _as_int("rank", args.rank, 1, ham.n_orbitals**2)
-    checksum = file_checksum(args.input)
+    checksum = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     args.out.mkdir(parents=True, exist_ok=True)
     for name in ("summary.json", "report.json", "trace.jsonl", "factors.npz"):  # an earlier run's outputs
         (args.out / name).unlink(missing_ok=True)
@@ -183,9 +178,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = OptimizationConfig()
-    if args.config is not None:
-        config = OptimizationConfig.from_json(args.config)
+    config = OptimizationConfig() if args.config is None else OptimizationConfig.from_json(args.config)
     ham, header = _start_run(args, config)
 
     report = optimize(ham, args.rank, config)
@@ -217,7 +210,7 @@ def cmd_optimize(args) -> int:
         ],
         "best": {
             "kappa": best_kappa,
-            "xi": [[float(x) for x in row] for row in best_xi],
+            "xi": best_xi.tolist(),
         },
     }
     _write_outputs(args, "report.json", report_doc, best_factor_set, kappa=best_kappa, xi=best_xi)

@@ -185,6 +185,11 @@ def lambda_parts(factor_norms: np.ndarray, one_body: float) -> tuple[float, floa
     return two_body + one_body, two_body, one_body
 
 
+def eigenvalue_norms(eigvals: np.ndarray) -> np.ndarray:
+    """Nuclear norms sum_t |d_t| of symmetric matrices from their eigenvalues (..., N)."""
+    return np.add.reduce(np.abs(eigvals), axis=-1)
+
+
 def _leading_signs(rows: np.ndarray) -> np.ndarray:
     """Per row of a (K, L) array, the +-1 that makes its first nonzero entry positive."""
     if not rows.size:  # argmax has no answer over empty rows
@@ -210,7 +215,7 @@ def nuclear_norms(mats: np.ndarray) -> np.ndarray:
         vals[part] = np.linalg.eigh(flat[part])[0]
 
     run_blocks(block, len(flat))
-    return np.add.reduce(np.abs(eigvals), axis=-1)
+    return eigenvalue_norms(eigvals)
 
 
 def nuclear_norm(a: np.ndarray) -> float:

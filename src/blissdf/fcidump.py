@@ -18,10 +18,11 @@ all run reports, since upstream integral files do not declare theirs.
 
 Format accepted: a namelist header ``&FCI NORB=...,NELEC=...,MS2=...,``
 that ends at the first ``&END`` or ``/`` (possibly spanning several lines;
-NORB and NELEC set once each, other keys ignored, as is the rest of its last
-line), followed by whitespace-separated records ``value i j k l`` with
-1-based indices. ``i j 0 0`` is a one-body entry, ``0 0 0 0`` the core
-constant, anything else a two-body entry. A line ends at ``\r\n``, ``\r``
+NORB and NELEC set once each to whole integers, read by ``int`` as record
+indices are; other keys are ignored, as is the rest of its last line),
+followed by whitespace-separated records ``value i j k l`` with 1-based
+indices. ``i j 0 0`` is a one-body entry, ``0 0 0 0`` the core constant,
+anything else a two-body entry. A line ends at ``\r\n``, ``\r``
 or ``\n``, as in numpy's parser; the other breaks of str.splitlines(), such
 as ``\x0c`` or U+2028, are whitespace. The writer emits only the canonical
 representative of each 8-fold orbit.
@@ -102,12 +103,15 @@ def _parse_header(head: bytes, term: re.Match | None) -> tuple[int, int, int]:
     header = _decode(head[start.end() : term.start()], 1)
     _decode(head[term.start() :], lines)  # the rest of the terminator's line is ignored, but must be UTF-8 too
 
-    def read_int(key: str) -> int:
-        found = re.findall(rf"(?<!\w){key}\s*=\s*([+-]?\d+)", header, flags=re.IGNORECASE)
+    def read_int(key: str) -> int:  # the whole value, read by int as a record's indices are
+        found = re.findall(rf"(?<!\w){key}\s*=\s*([^,\s/&]*)", header, flags=re.IGNORECASE)
         if len(found) != 1:
             problem = f"sets {key} {len(found)} times" if found else f"is missing {key}"
             raise FcidumpError(f"header {problem}", line=lines)
-        return int(found[0])
+        try:
+            return int(found[0])
+        except ValueError:
+            raise FcidumpError(f"header {key}={found[0]!r} is not an integer", line=lines) from None
 
     norb = read_int("NORB")
     nelec = read_int("NELEC")
@@ -251,10 +255,11 @@ def load_integrals(path: str | Path) -> Hamiltonian:
         ``core_constant``, and ``n_electrons`` from the header NELEC.
 
     Raises:
-        FcidumpError: On a malformed header (NORB or NELEC missing or set
-            twice), a byte that is not UTF-8, non-numeric or non-finite values,
-            indices outside 1..NORB, or orbit entries that disagree beyond
-            the asymmetry tolerance. The message names the offending line.
+        FcidumpError: On a malformed header (NORB or NELEC missing, set
+            twice or not an integer), a byte that is not UTF-8, non-numeric
+            or non-finite values, indices outside 1..NORB, or orbit entries
+            that disagree beyond the asymmetry tolerance. The message names
+            the offending line.
         FileNotFoundError: If the file does not exist.
     """
     return Hamiltonian(*_read(Path(path).read_bytes()))

@@ -100,6 +100,7 @@ from blissdf.factorization import (
     FactorSet,
     LambdaBreakdown,
     _checked,
+    eigenvalue_norms,
     initial_double_factorization,
     lambda_parts,
 )
@@ -305,7 +306,7 @@ class _Objective:
             return space.residual(space.shifted(self.g_pairs, xi), self.factors)
 
         err, diff = run_blocks(block, rank + 1, residual)
-        norms = np.add.reduce(np.abs(eigvals), axis=-1)
+        norms = eigenvalue_norms(eigvals)
         unshifted, one_body = norms.item(rank), eigvals[rank]
         trace_xi = float(np.add.reduce(xi[space.diagonal]))
         if self.closed_form:  # t = -m, from the ascending eigenvalues of h'_xi
@@ -315,7 +316,7 @@ class _Objective:
         else:
             t = self.kappa + trace_xi
         one_body += t  # the eigenvalues of h'_xi + t I
-        norms[rank] = np.add.reduce(np.abs(one_body))
+        norms[rank] = eigenvalue_norms(one_body)
         self.batch = diff, norms, eigvals
         return err, lambda_parts(norms[:rank], norms[rank])[0], norms, unshifted
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from blissdf import (
     write_integrals,
 )
 from blissdf import cli
-from blissdf.verify import run_verification
+from blissdf.verify import LEVELS, run_verification
 
 from conftest import DATA_DIR, random_hamiltonian
 
@@ -627,6 +628,10 @@ class TestVerify:
         full = fast + ["gradient finite-difference agreement", "closed-form kappa", "penalty schedule"]
         for level, names in (("fast", fast), ("full", full)):
             assert [result.name for result in run_verification(level)] == names
+
+    def test_unknown_level_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape(f"level must be one of {LEVELS}, got 'medium'")):
+            run_verification("medium")
 
     def test_broken_invariant_detected(self, capsys, monkeypatch):
         # Corrupt the shift inside the check suite and make sure the dense

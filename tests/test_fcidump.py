@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,29 @@ class TestHeaderParsing:
         # Reported at the header's last line, as every header error after the first line.
         path = write_lines(tmp_path, [f"&FCI {header}", "  MS2=0", " &END", "1.0 1 1 0 0"])
         with pytest.raises(FcidumpError, match=f"^line 3: header sets {key} 2 times$"):
+            load_integrals(path)
+
+    @pytest.mark.parametrize(
+        "header, bad",
+        [
+            ("NORB=2.5,NELEC=2", ("NORB", "2.5")),
+            ("NORB=2x,NELEC=2", ("NORB", "2x")),
+            ("NORB=2,NELEC=1e0", ("NELEC", "1e0")),
+            ("NORB=2,NELEC=", ("NELEC", "")),
+            ("NORB=+2,NELEC=2", None),
+            ("NORB=02,NELEC=2", None),
+            ("NORB = 2,NELEC=2", None),
+        ],
+    )
+    def test_counts_are_whole_integers(self, tmp_path, header, bad):
+        # NORB and NELEC are read whole by int, as a record's indices are, not by their digit prefix.
+        path = write_lines(tmp_path, [f"&FCI {header} /", "1.0 1 1 0 0"])
+        if bad is None:
+            ham = load_integrals(path)
+            assert (ham.n_orbitals, ham.n_electrons) == (2, 2)
+            return
+        key, value = bad
+        with pytest.raises(FcidumpError, match=f"^{re.escape(f'line 1: header {key}={value!r} is not an integer')}$"):
             load_integrals(path)
 
     @pytest.mark.parametrize(

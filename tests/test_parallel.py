@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -470,6 +471,27 @@ def test_without_openblas_symbol_runs_inline(monkeypatch):
     assert optimizer_blocks(calls) == [2] * (2 * report.iterations_run + 1)
     assert np.all(np.isfinite(report.total_trace))
     assert report.lambda_breakdown.lambda_total <= report.initial_lambda
+
+
+def test_unloadable_numpy_library_runs_inline(monkeypatch):
+    # ctypes cannot open numpy's extension: no BLAS controls, no pin, and one worker.
+    def refuse(*args, **kwargs):
+        raise OSError("cannot open shared object")
+
+    _parallel._numpy_library.cache_clear()
+    try:
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert _parallel._numpy_library() is None
+        assert _parallel._blas_thread_controls() is None
+        before = CONTROLS[1]() if CONTROLS else None
+        set_cpus(monkeypatch, 2)
+        threads = []
+        with _parallel.one_blas_thread():
+            assert (CONTROLS[1]() if CONTROLS else None) == before
+            _parallel.run_blocks(lambda part: threads.append(threading.get_ident()), 5 * 64)
+        assert threads == [threading.get_ident()] * 5
+    finally:
+        _parallel._numpy_library.cache_clear()
 
 
 # Runs the CLI's main in-process, then prints its exit code, whether

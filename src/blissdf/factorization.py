@@ -25,7 +25,6 @@ each factor's eigenvalues only, never the rank-1 terms themselves.
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -199,22 +198,22 @@ def _leading_signs(rows: np.ndarray) -> np.ndarray:
 
 
 @one_blas_thread()
-def nuclear_norms(mats: np.ndarray) -> np.ndarray:
-    """Nuclear norms of symmetric matrices (..., N, N) from eigh over fixed blocks.
+def nuclear_norms(packed: np.ndarray) -> np.ndarray:
+    """Nuclear norms of K symmetric matrices from their (K, P) packed rows (PairSpace.pack), by eigh.
 
-    BLAS runs at one thread, and run_blocks spreads one batched eigh per
-    block over the CPUs; each block holds its eigenvectors only while it
-    runs. eigh rather than eigvalsh: a matrix's eigenpairs do not depend on
-    its block, so these norms match the optimizer's eigh stack bit for bit.
+    BLAS runs at one thread, and run_blocks spreads the fixed blocks over the
+    CPUs; each unpacks its rows (PairSpace.unpack) for one batched eigh and
+    holds the matrices only while it runs. eigh rather than eigvalsh: a
+    matrix's eigenpairs do not depend on its block, so these norms match the
+    optimizer's eigh stack, unpacked the same way, bit for bit.
     """
-    n, count = mats.shape[-1], math.prod(mats.shape[:-2])  # reshape cannot infer a count at N = 0
-    eigvals = np.empty(mats.shape[:-1])
-    flat, vals = mats.reshape(count, n, n), eigvals.reshape(count, n)
+    space = pair_space(_pair_orbitals(packed.shape[1]))
+    eigvals = np.empty((len(packed), space.n))
 
     def block(part):
-        vals[part] = np.linalg.eigh(flat[part])[0]
+        eigvals[part] = np.linalg.eigh(space.unpack(packed[part]))[0]
 
-    run_blocks(block, len(flat))
+    run_blocks(block, len(packed))
     return eigenvalue_norms(eigvals)
 
 
@@ -226,7 +225,8 @@ def nuclear_norm(a: np.ndarray) -> float:
     with unit vectors; 0.0 for a 0 x 0 matrix. ValueError unless
     hamiltonian._as_real accepts ``a`` as a square matrix.
     """
-    return float(nuclear_norms(_symmetric_part(_as_real("a", a, (None, None)))))
+    a = _symmetric_part(_as_real("a", a, (None, None)))
+    return nuclear_norms(pair_space(len(a)).pack(a)[None]).item()
 
 
 @one_blas_thread()
@@ -296,15 +296,16 @@ def lambda_df(factor_set: FactorSet, h_prime: np.ndarray) -> LambdaBreakdown:
         LambdaBreakdown with lambda_total = 1/2 * sum_r Lambda_r^2 +
         ||h_prime||_*, where Lambda_r = ||A_r||_*. per_factor lists the M
         factors up to the last nonzero one; the R - M zero factors have
-        Lambda_r = 0 and stay out of it and of the sum.
+        Lambda_r = 0 and stay out of it and of the sum. nuclear_norms reads
+        the packed rows block by block: no (M, N, N) stack is formed.
 
     Raises:
         TypeError: If factor_set is not a FactorSet.
         ValueError: Unless hamiltonian._as_real accepts h_prime as (N, N).
     """
     n = _checked(factor_set).n_orbitals
-    h_prime = _symmetric_part(_as_real("h_prime", h_prime, (n, n)))
-    return LambdaBreakdown.from_norms(nuclear_norms(pair_space(n).unpack(factor_set.packed)), nuclear_norms(h_prime))
+    h_prime = pair_space(n).pack(_symmetric_part(_as_real("h_prime", h_prime, (n, n))))
+    return LambdaBreakdown.from_norms(nuclear_norms(factor_set.packed), nuclear_norms(h_prime[None])[0])
 
 
 def save_factor_set(

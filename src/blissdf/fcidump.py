@@ -177,7 +177,7 @@ def _parse_data(data: bytes, start: int, first: int, norb: int) -> np.ndarray:
 
 def _exchange(v_pairs: np.ndarray, n: int) -> np.ndarray:
     """sum_k v_ikkj, in einsum("ikkj->ij")'s order, from the P x P pair block of an N-orbital v."""
-    index = pair_space(n).unpack_index.reshape(n, n)
+    index = pair_space(n).pair_index
     return np.einsum("ikj->ij", v_pairs[index[:, :, None], index[None, :, :]])
 
 
@@ -235,7 +235,7 @@ def _read(data: bytes) -> tuple[np.ndarray, np.ndarray, float, int]:
     del values, inverse, bad, counts  # the per-record arrays, before the pair block
     core = means[0] if high.size and high[0] == 0 else 0.0
     space, pair = pair_space(norb), np.zeros(base**2, np.intp)  # pair[code]: the pair index of a pair code
-    pair.reshape(base, base)[1:, 1:] = space.unpack_index.reshape(norb, norb)
+    pair.reshape(base, base)[1:, 1:] = space.pair_index
     one, two = (low == 0) & (high > 0), low > 0
     t_pairs, v_pairs = np.zeros(space.mult.size), np.zeros((space.mult.size,) * 2)
     t_pairs[pair[high[one]]] = means[one]
@@ -281,7 +281,7 @@ def write_integrals(path: str | Path, ham: Hamiltonian) -> None:
     if not (np.isfinite(v_pairs).all() and np.isfinite(t_mat).all()):
         raise ValueError("the FCIDUMP integrals (ij|kl) = 2g or t overflow float64")
     pairs = [(i, j) for i in range(n) for j in range(i + 1)]  # i >= j, in emission order
-    order = pair_space(n).unpack_index[[i * n + j for i, j in pairs]]
+    order = pair_space(n).pair_index[np.tril_indices(n)]  # the same pairs
     v_ordered = v_pairs[np.ix_(order, order)]  # rows and columns in emission order
 
     with path.open("w") as out:  # line by line: no list of the file's lines

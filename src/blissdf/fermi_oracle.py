@@ -107,7 +107,7 @@ def sector_hamiltonian(ham: Hamiltonian, n_e: int) -> np.ndarray:
     mat = ham.core_constant * np.eye(rows.shape[-1]) + _one_body(ham.h, rows, signs)
     for i in range(n):
         for j in range(n):
-            inner = _one_body(space.unpack(ham.g_pairs[space.unpack_index[i * n + j]]), rows, signs)
+            inner = _one_body(space.unpack(ham.g_pairs[space.pair_index[i, j]]), rows, signs)
             # E_ij is the transpose of E_ji, so row r of E_ij @ inner is
             # row rows[j, i, sigma, r] of inner times its sign, per spin.
             for sign, row in zip(signs[j, i], rows[j, i]):

@@ -257,35 +257,35 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
 
 
 class PairSpace:
-    """Index maps between symmetric N x N matrices and their pair space; see pair_space.
+    """The pair layout's index maps, and the one pack and unpack through them; see pair_space.
 
     The P = N(N+1)/2 pairs i <= j are numbered in np.triu_indices order.
     ``upper`` holds each pair's flat position i * N + j, ``lower`` its
-    transposed one j * N + i, ``unpack_index`` the pair at every flat
-    position, ``diagonal`` the pairs (k, k), and ``mult`` the multiplicities c.
+    transposed one j * N + i, ``pair_index`` the (N, N) pair numbers of all
+    entries, ``diagonal`` the pairs (k, k), and ``mult`` the multiplicities c.
     """
 
     def __init__(self, n: int):
         rows, cols = np.triu_indices(n)
         index = np.empty((n, n), dtype=np.intp)
         index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-        self.n, self.upper, self.lower, self.unpack_index = n, rows * n + cols, cols * n + rows, index.ravel()
+        self.n, self.upper, self.lower, self.pair_index = n, rows * n + cols, cols * n + rows, index
         self.diagonal, self.mult = np.diagonal(index), np.where(rows == cols, 1.0, 2.0)
-        for shared in (self.upper, self.lower, self.unpack_index, self.mult):  # one instance per N
+        for shared in (self.upper, self.lower, self.pair_index, self.mult):  # one instance per N
             shared.setflags(write=False)
 
-    def pack(self, mats: np.ndarray) -> np.ndarray:
-        """Upper triangles (..., P) of symmetric matrices (..., N, N)."""
+    def pack(self, mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Upper triangles (..., P) of symmetric matrices (..., N, N), into ``out`` if given."""
         flat = mats.reshape(mats.shape[:-2] + (self.n**2,))
-        return flat.take(self.upper, axis=-1)
+        return flat.take(self.upper, axis=-1, out=out, mode="clip")  # clip: no buffered copy of out
 
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """Symmetric matrices (..., N, N) from upper triangles (..., P), by one take into a fresh array."""
-        return packed.take(self.unpack_index.reshape(self.n, self.n), axis=-1)
+    def unpack(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Symmetric matrices (..., N, N) from upper triangles (..., P), into ``out`` if given."""
+        return packed.take(self.pair_index, axis=-1, out=out, mode="clip")
 
     def tensor(self, block: np.ndarray) -> np.ndarray:
         """The (N, N, N, N) tensor of a P x P pair block, as a fresh array."""
-        return block[np.ix_(self.unpack_index, self.unpack_index)].reshape((self.n,) * 4)
+        return block[self.pair_index[:, :, None, None], self.pair_index]
 
     def shifted(self, g_pairs: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """A copy of the pair block ``g_pairs`` plus (xi_ij delta_kl + delta_ij xi_kl) / 2, for xi packed (pack)."""

@@ -280,7 +280,6 @@ class _Objective:
         self.theta, self.factors, self.xi = theta, theta[:-1], theta[-1]
         self.rank, self.closed_form, self.kappa = len(self.factors), kappa is None, kappa
         self.stack, self.batch = np.empty((self.rank + 1, n, n)), None
-        self.flat_stack = self.stack.reshape(self.rank + 1, n * n)
 
     def weigh(self, c_approx: float) -> None:
         """Fix the penalty weight of gradient(): c_approx and the residual's -4 c_approx c_p."""
@@ -296,7 +295,7 @@ class _Objective:
         eigvals = np.empty(stack.shape[:-1])
 
         def block(part: slice) -> None:  # the eigenvectors overwrite the unpacked rows of theta
-            self.theta[part].take(space.unpack_index, axis=1, out=self.flat_stack[part], mode="clip")
+            space.unpack(self.theta[part], out=stack[part])
             if part.stop > rank:  # h'_xi = h' + (N - n_e) xi
                 stack[rank] *= self.n_shift
                 stack[rank] += self.h_eff
@@ -340,7 +339,7 @@ class _Objective:
             out = grad[: rows.stop - rows.start]
             work = np.multiply(factors[rows], self.err_scale)
             np.matmul(work, diff, out)
-            self.flat_stack[rows].take(space.upper, axis=1, out=work, mode="clip")
+            space.pack(stack[rows], out=work)
             work *= norms[rows, None]
             out += work
             del work  # before then(), which may take its own scratch

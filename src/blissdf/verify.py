@@ -116,7 +116,7 @@ def chain_hamiltonian(n: int, seed: int) -> Hamiltonian:
     def soft_coulomb(d):
         return 1.0 / np.sqrt(d**2 + 1.0)
 
-    rows, cols = np.divmod(pair_space(n).upper, n)
+    rows, cols = np.triu_indices(n)
     densities = orbitals[:, rows] * orbitals[:, cols] * dx  # the P pair densities
     eri = densities.T @ soft_coulomb(x[:, None] - x) @ densities
     eri_vals, eri_vecs = np.linalg.eigh(symmetrize_one_body(eri))

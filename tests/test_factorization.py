@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import os
 import re
 import tracemalloc
 import warnings
@@ -26,7 +27,7 @@ from blissdf import (
     total_cost,
 )
 from blissdf.factorization import LambdaBreakdown, nuclear_norms
-from blissdf.hamiltonian import symmetrize_one_body, two_body_block
+from blissdf.hamiltonian import effective_one_body, pair_space, symmetrize_one_body, two_body_block
 from blissdf.optimizer import _sign_subgradients
 from blissdf.verify import chain_hamiltonian
 
@@ -404,14 +405,14 @@ class TestNuclearNorm:
         mats = rng.standard_normal((rank, n, n))
         mats = 0.5 * (mats + mats.transpose(0, 2, 1))
         mats[0] = np.diag(np.arange(n) - 1.0)  # a zero eigenvalue: sign(0) = 0
-        norms = nuclear_norms(mats)
+        norms = nuclear_norms(pair_space(n).pack(mats))
         eigvals, subs = np.linalg.eigh(mats)
         _sign_subgradients(eigvals, subs)
         for a, norm, sub in zip(mats, norms, subs):
             eigvals, eigvecs = np.linalg.eigh(a)
             assert norm == float(np.abs(eigvals).sum())
             assert np.array_equal(sub, (eigvecs * np.sign(eigvals)) @ eigvecs.T)
-        assert np.array_equal(nuclear_norms(mats), norms)
+        assert np.array_equal(nuclear_norms(pair_space(n).pack(mats)), norms)
 
     def test_bounds_trace(self):
         rng = np.random.default_rng(12)
@@ -467,6 +468,24 @@ class TestLambdaBreakdown:
         assert abs(breakdown.lambda_total - total) <= 1e-12 * abs(total)
         # The batched norms must match the single-matrix ones bit for bit.
         assert breakdown.per_factor.tolist() == [nuclear_norm(a) for a in fs]
+
+    def test_holds_no_unpacked_stack(self, monkeypatch):
+        # nuclear_norms unpacks the packed rows one block of 64 at a time, so
+        # at one worker the peak is a block's matrices and eigenvectors beside
+        # the eigenvalues: about 1.2 MB here, where the (M, N, N) stack is 4.3 MB.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        n = 32
+        ham = random_hamiltonian(n, np.random.default_rng(1), n_electrons=n)
+        fs, h_prime = initial_double_factorization(ham.g_pairs, n * n), effective_one_body(ham)
+        assert fs.effective_rank == 528
+        lambda_df(fs, h_prime)  # warm caches
+        tracemalloc.start()
+        try:
+            lambda_df(fs, h_prime)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * fs.effective_rank * n * n * 8
 
     def test_dimension_mismatch(self):
         fs = FactorSet(np.zeros((1, 3)), 1)

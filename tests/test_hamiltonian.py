@@ -77,7 +77,7 @@ class TestSymmetrization:
         h[0, 0], h[0, 1], h[1, 0], h[1, 2], h[2, 1] = 1e308, 1e-300, 1e-300, -0.0, -0.0
         block = symmetrize_one_body(rng.standard_normal((6, 6)))
         block[0, 0], block[1, 4], block[4, 1], block[2, 3], block[3, 2] = 1e308, 1e-300, 1e-300, -0.0, -0.0
-        g = block[np.ix_(space.unpack_index, space.unpack_index)].reshape(3, 3, 3, 3)
+        g = block[np.ix_(space.pair_index.ravel(), space.pair_index.ravel())].reshape(3, 3, 3, 3)
         assert symmetrize_one_body(h).tobytes() == h.tobytes()
         assert ShiftParams(kappa=0.0, xi=h, n_e=1).xi.tobytes() == h.tobytes()
         assert two_body_block(block).tobytes() == two_body_block(g).tobytes() == block.tobytes()
@@ -414,6 +414,21 @@ class TestOneReadPerArgument:
     def test_a_rectangular_matrix_is_named(self, name, call):
         with pytest.raises(ValueError, match=rf"^{name} must be .* of shape \(n, n\), got float64 of shape \(2, 3\)$"):
             call(np.zeros((2, 3)))
+
+
+class TestPairLayout:
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_pack_and_unpack_into_a_buffer(self, n, count):
+        # Each returns the buffer it was given, holding the fresh call's bits,
+        # and unpack(pack(x)) gives back the bits of a symmetric x.
+        space, mats = pair_space(n), np.random.default_rng(25).standard_normal((count, n, n))
+        mats = mats + mats.transpose(0, 2, 1)  # exactly symmetric
+        rows, buf, buf2 = space.pack(mats), np.empty((count, n, n)), np.empty((count, n * (n + 1) // 2))
+        assert space.unpack(rows, out=buf) is buf
+        assert space.pack(mats, out=buf2) is buf2
+        assert buf.tobytes() == space.unpack(rows).tobytes() == mats.tobytes()
+        assert buf2.tobytes() == rows.tobytes()
 
 
 class TestPairBlockStorage:

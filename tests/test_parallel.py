@@ -13,7 +13,7 @@ import pytest
 
 from blissdf import _parallel, factorization, optimizer, write_integrals
 from blissdf.factorization import frobenius_error, initial_double_factorization, lambda_df, nuclear_norms
-from blissdf.hamiltonian import effective_one_body
+from blissdf.hamiltonian import effective_one_body, pair_space
 from blissdf.optimizer import NonFiniteCostError, OptimizationConfig, _sign_subgradients, optimize
 
 from conftest import random_hamiltonian
@@ -270,7 +270,7 @@ class TestPartitionedEigh:
         set_cpus(monkeypatch, cpus)
         calls = record_block_threads(monkeypatch)
         with _parallel.one_blas_thread():
-            assert nuclear_norms(mats).tobytes() == np.abs(want_vals).sum(axis=-1).tobytes()
+            assert nuclear_norms(pair_space(7).pack(mats)).tobytes() == np.abs(want_vals).sum(axis=-1).tobytes()
             eigvals, subs = np.linalg.eigh(mats)
             _sign_subgradients(eigvals, subs)
         assert subs.tobytes() == want_subs.tobytes()

@@ -253,11 +253,11 @@ def effective_one_body(ham: Hamiltonian) -> np.ndarray:
     scaling constant after the two-body trace terms are folded in.
     """
     space = pair_space(ham.n_orbitals)
-    return ham.h + 2.0 * space.unpack(np.einsum("pk->p", ham.g_pairs[:, space.diagonal]))
+    return ham.h + 2.0 * space.unpack(space.diagonal_sum(ham.g_pairs))
 
 
 class PairSpace:
-    """The pair layout's index maps, and the one pack and unpack through them; see pair_space.
+    """The pair layout's index maps, its one pack and unpack, and the shift's adjoint diagonal_sum; see pair_space.
 
     The P = N(N+1)/2 pairs i <= j are numbered in np.triu_indices order.
     ``upper`` holds each pair's flat position i * N + j, ``lower`` its
@@ -293,6 +293,10 @@ class PairSpace:
         shifted[:, self.diagonal] += half[:, None]
         shifted[self.diagonal, :] += half
         return shifted
+
+    def diagonal_sum(self, block: np.ndarray) -> np.ndarray:
+        """The packed sum_k block[:, (k, k)] of a P x P pair block: the adjoint of shifted's term."""
+        return block[:, self.diagonal].sum(axis=1)
 
     def residual(self, target: np.ndarray, packed_factors: np.ndarray) -> tuple[float, np.ndarray]:
         """Err = sum_pq c_p c_q D_pq^2 and D = target - F^T F, written over ``target``.

@@ -79,11 +79,12 @@ term (F_b * c) D and the scaled subgradients in its own array, and calls
 then(part, grad) with it and its eigh block's rows of theta: in optimize,
 the Adam step on those rows of theta, m and v, so no theta-sized gradient
 exists; in the public gradient, a copy into the theta-sized array whose
-rows it returns. The last block holds h'_xi, so it also does xi's row and
-keeps kappa's gradient on the workspace. Adam is elementwise and the blocks
-do not depend on the core count, so no bit does. A row block of (F * c) D
-need not be bit equal to the same rows of one whole gemm, so the block size
-is part of what fixes the bits.
+rows it returns. The last block holds h'_xi, so it keeps kappa's gradient
+d_t on the workspace and forms xi's row packed:
+2 c_approx sum_k D_(ij),(kk) + (N - n_e) sym(S_M) + d_t I. Adam is
+elementwise and the blocks do not depend on the core count, so no bit does.
+A row block of (F * c) D need not be bit equal to the same rows of one
+whole gemm, so the block size is part of what fixes the bits.
 """
 
 from __future__ import annotations
@@ -329,7 +330,6 @@ class _Objective:
         diff, norms, eigvals = self.batch
         self.batch = None  # the evaluation's arrays go with this call
         space, rank, factors, stack = self.space, self.rank, self.factors, self.stack
-        n = space.n
 
         def block(part: slice) -> None:
             _sign_subgradients(eigvals[part], stack[part])
@@ -346,12 +346,10 @@ class _Objective:
             if part.stop > rank:  # the last block holds h'_xi; xi's row is its last
                 # d lambda / d t = tr U sign(D + t) U^T = sum_i sign(e_i + t), exactly; 0 at t = -m.
                 d_t = self.d_kappa = float(np.add.reduce(np.sign(eigvals[rank])))
-                # d Err / d xi_ab = 2 sum_k D_(ab),(kk), in the order of the fancy index's copy.
-                xi_part = 2.0 * self.c_approx * space.unpack(diff[:, space.diagonal].sum(axis=1))
-                xi_part += self.n_shift * stack[rank]
-                xi_part.reshape(-1)[:: n + 1] += d_t  # d t / d xi = I, for t = kappa + tr xi
-                # The packed symmetric part, hamiltonian._average's 0.5 x_ab + 0.5 x_ba for a <= b.
-                _average(space.pack(xi_part), space.pack(xi_part.T), grad[-1])
+                # d Err / d xi is 2 sum_k D_(ij),(kk); of the three terms only S_M may be asymmetric, by rounding.
+                xi_row = np.multiply(space.diagonal_sum(diff), 2.0 * self.c_approx, out=grad[-1])
+                xi_row += self.n_shift * _average(space.pack(stack[rank]), space.pack(stack[rank].T))
+                xi_row[space.diagonal] += d_t  # d t / d xi = I, for t = kappa + tr xi
             then(part, grad)
 
         run_blocks(block, rank + 1)

@@ -430,6 +430,20 @@ class TestPairLayout:
         assert buf.tobytes() == space.unpack(rows).tobytes() == mats.tobytes()
         assert buf2.tobytes() == rows.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_diagonal_sum_is_the_adjoint_of_the_shift(self, n):
+        # Under the c-weighted pair products, <D, shifted(0, x)> = <diagonal_sum(D), x>,
+        # and on a Hamiltonian's pair block it is sum_k g_ijkk.
+        rng = np.random.default_rng(26)
+        space, pairs = pair_space(n), n * (n + 1) // 2
+        block, x = rng.standard_normal((pairs, pairs)), rng.standard_normal(pairs)
+        block = block + block.T
+        c = space.mult
+        shift_side = c @ (block * space.shifted(np.zeros((pairs, pairs)), x)) @ c
+        assert shift_side == pytest.approx(np.sum(c * x * space.diagonal_sum(block)), rel=1e-12)
+        ham = random_hamiltonian(n, rng)
+        assert space.unpack(space.diagonal_sum(ham.g_pairs)).tobytes() == np.einsum("ijkk->ij", ham.g).tobytes()
+
 
 class TestPairBlockStorage:
     """The P x P pair block is the one two-body array a Hamiltonian holds."""

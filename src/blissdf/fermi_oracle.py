@@ -173,7 +173,8 @@ def verify_one_body_identity(a: np.ndarray) -> float:
     """Max deviation of One(A) from its rotated-basis form, over all sectors.
 
     Eigendecomposes the symmetric part A = sum_t lambda_t u_t u_t^T and
-    compares sector_one_body against sum_t,sigma lambda_t B+_(u_t,sigma)
+    compares One(A) on each sector, built by _one_body from _excitation_maps
+    so that a is read once, against sum_t,sigma lambda_t B+_(u_t,sigma)
     B_(u_t,sigma), built from ladder operators and restricted to each sector;
     the sum depends on neither the order nor the signs of the eigenpairs. The
     two agree identically in exact arithmetic; the returned value is the

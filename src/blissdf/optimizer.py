@@ -61,8 +61,8 @@ across all phases.
 optimize, total_cost and gradient each build one workspace (_Objective)
 and drop it when they return. It holds what every evaluation reuses: the
 views of theta, kappa and its gradient, the (M + 1, N, N) eigh stack, the
-pair index maps, h' and the current phase's penalty weight, so an
-iteration runs only its arithmetic. The stack is the one array of its
+pair index maps and h', so an iteration runs only its arithmetic. Each
+gradient() call takes the weight. The stack is the one array of its
 size: the M unpacked factors and h'_xi, then their eigenvectors, then the
 subgradients. What a row keeps, its Err and its batch's nuclear norms, is
 fresh per evaluation, so later iterations cannot overwrite it.
@@ -282,10 +282,6 @@ class _Objective:
         self.rank, self.closed_form, self.kappa = len(self.factors), kappa is None, kappa
         self.stack, self.batch = np.empty((self.rank + 1, n, n)), None
 
-    def weigh(self, c_approx: float) -> None:
-        """Fix the penalty weight of gradient(): c_approx and the residual's -4 c_approx c_p."""
-        self.c_approx, self.err_scale = c_approx, -4.0 * c_approx * self.space.mult
-
     def evaluate(self) -> tuple[float, float, np.ndarray, float]:
         """(err, lambda, norms, unshifted) at theta; keeps the batch for gradient().
 
@@ -320,16 +316,17 @@ class _Objective:
         self.batch = diff, norms, eigvals
         return err, lambda_parts(norms[:rank], norms[rank])[0], norms, unshifted
 
-    def gradient(self, then=lambda part, grad: None) -> None:
+    def gradient(self, c_approx: float, then) -> None:
         """Form the gradient at the last evaluate()'s theta once, block by block, from its batch.
 
         Each block calls ``then(part, grad)`` on its thread with its own
         array ``grad``, the gradient of the rows ``part`` of theta, which
-        are the rows of its eigh block.
+        are the rows of its eigh block. Each call brings its weight.
         """
         diff, norms, eigvals = self.batch
         self.batch = None  # the evaluation's arrays go with this call
         space, rank, factors, stack = self.space, self.rank, self.factors, self.stack
+        err_scale = -4.0 * c_approx * space.mult  # the residual's -4 c_approx c_p
 
         def block(part: slice) -> None:
             _sign_subgradients(eigvals[part], stack[part])
@@ -337,7 +334,7 @@ class _Objective:
             rows = slice(part.start, min(part.stop, rank))
             grad = np.empty((part.stop - part.start, factors.shape[1]))
             out = grad[: rows.stop - rows.start]
-            work = np.multiply(factors[rows], self.err_scale)
+            work = np.multiply(factors[rows], err_scale)
             np.matmul(work, diff, out)
             space.pack(stack[rows], out=work)
             work *= norms[rows, None]
@@ -347,7 +344,7 @@ class _Objective:
                 # d lambda / d t = tr U sign(D + t) U^T = sum_i sign(e_i + t), exactly; 0 at t = -m.
                 d_t = self.d_kappa = float(np.add.reduce(np.sign(eigvals[rank])))
                 # d Err / d xi is 2 sum_k D_(ij),(kk); of the three terms only S_M may be asymmetric, by rounding.
-                xi_row = np.multiply(space.diagonal_sum(diff), 2.0 * self.c_approx, out=grad[-1])
+                xi_row = np.multiply(space.diagonal_sum(diff), 2.0 * c_approx, out=grad[-1])
                 xi_row += self.n_shift * _average(space.pack(stack[rank]), space.pack(stack[rank].T))
                 xi_row[space.diagonal] += d_t  # d t / d xi = I, for t = kappa + tr xi
             then(part, grad)
@@ -393,10 +390,9 @@ def gradient(ham: Hamiltonian, params, c_approx: float):
     """
     c_approx = float(_as_real("c_approx", c_approx))
     objective = _Objective(ham, *_pack(ham, params))
-    objective.weigh(c_approx)
     objective.evaluate()
     grad = np.empty_like(objective.theta)
-    objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
+    objective.gradient(c_approx, lambda part, block: grad.__setitem__(part, block))
     return objective.d_kappa, objective.space.unpack(grad[-1]), grad[:-1]
 
 
@@ -480,14 +476,13 @@ class _Descent:
         """Step from this row with ``phase``: zero Adam moments, step count 1 and a fresh window."""
         self.phases.append((phase.c_approx, phase.learning_rate, row + 1 if self.phases else 0))
         self.phase, self.start = phase, row
-        self.objective.weigh(phase.c_approx)
         self.m.fill(0.0)
         self.v.fill(0.0)
         self._restart_window(row)
 
     def _restart_window(self, row: int) -> None:
         # A new weight's Totals are unknown until its first row; the best feasible lambda is known now.
-        self.low = self.anchor = self.best_lambda if self.watch_lambda else math.inf
+        self.anchor = self.best_lambda if self.watch_lambda else math.inf
         self.anchor_row = row
 
     def record(self, err: float, lam: float, norms: np.ndarray, unshifted: float) -> bool:
@@ -505,18 +500,16 @@ class _Descent:
 
         feasible = err <= self.init_err + config.err_budget
         if feasible and lam < self.best_lambda:
-            self.best_lambda, self.best_err, self.best_norms = lam, err, norms
+            self.best_lambda, self.best_norms = lam, norms
             self.best_kappa, self.best_iteration = self.objective.kappa, row
             self.best_theta[...] = self.theta
         if feasible and len(self.phases) > 1 and not self.watch_lambda:
             self.watch_lambda = True
             self._restart_window(row)
 
-        self.low = min(self.low, self.best_lambda if self.watch_lambda else total)
-        if not math.isfinite(self.anchor) or (
-            self.anchor - self.low >= config.rel_tol * max(abs(self.anchor), 1.0)
-        ):
-            self.anchor, self.anchor_row = self.low, row
+        low = min(self.anchor, self.best_lambda if self.watch_lambda else total)
+        if not math.isfinite(self.anchor) or self.anchor - low >= config.rel_tol * max(abs(self.anchor), 1.0):
+            self.anchor, self.anchor_row = low, row
         stalled = row - self.anchor_row >= config.patience
         ended = stalled or row == self.phase.last_row
         if ended and len(self.phases) == len(self.schedule):
@@ -541,7 +534,7 @@ class _Descent:
         return OptimizationReport(
             best_params=(self.best_kappa, best_xi, FactorSet(best[:-1], self.rank)),
             lambda_breakdown=LambdaBreakdown.from_norms(norms[:-1], norms[-1]),
-            err_final=self.best_err,
+            err_final=self.trace[self.best_iteration][1],
             total_trace=np.array(self.trace),
             iterations_run=len(self.trace) - 1,
             stop_reason=self.stop_reason,
@@ -604,5 +597,5 @@ def optimize(
     descent = _Descent(ham, rank, config)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging descent shows as NonFiniteCostError
         while not descent.record(*descent.objective.evaluate()):  # at the latest at row max_iters
-            descent.objective.gradient(then=descent.step)
+            descent.objective.gradient(descent.phase.c_approx, descent.step)
     return descent.report()

@@ -235,7 +235,7 @@ class TestInitialDoubleFactorization:
 
     @pytest.mark.parametrize("rank", [2.0, np.float64(3.0), True, "4"], ids=repr)
     def test_non_integer_rank_fails_before_any_eigh(self, rank, monkeypatch):
-        # Both entry points read the rank through check_rank before the P x P eigh.
+        # Both entry points read the rank through hamiltonian._as_int before the P x P eigh.
         ham = random_hamiltonian(3, np.random.default_rng(8))
         calls = []
         eigh = np.linalg.eigh

@@ -679,6 +679,41 @@ def record_adam_steps(monkeypatch) -> list:
     return steps
 
 
+def replay_stall_rule(report, config: OptimizationConfig, n_phases: int):
+    """(phase first rows, iterations run, stop reason, best row) of the rule README states, replayed on the trace.
+
+    The window keeps a running minimum of the watched value and an anchor;
+    it watches Total until a row after phase 0 is feasible, then the best
+    feasible lambda. A phase ends when the anchor has not moved for
+    patience rows, or, with the three-phase schedule, at the soft phase's
+    last row max_iters // 2.
+    """
+    firsts, phase, watch = [0], 0, False
+    low = anchor = best_lambda = math.inf
+    anchor_row = best_row = 0
+    for row, (total, err, lam) in enumerate(report.total_trace):
+        feasible = err <= report.initial_err + config.err_budget
+        if feasible and lam < best_lambda:
+            best_lambda, best_row = lam, row
+        if feasible and phase > 0 and not watch:
+            watch, low, anchor, anchor_row = True, best_lambda, best_lambda, row
+        low = min(low, best_lambda if watch else total)
+        if not math.isfinite(anchor) or anchor - low >= config.rel_tol * max(abs(anchor), 1.0):
+            anchor, anchor_row = low, row
+        soft_cap = phase == 0 and n_phases == 3 and row == config.max_iters // 2
+        ended = row - anchor_row >= config.patience or soft_cap
+        if ended and phase == n_phases - 1:
+            return firsts, row, "converged", best_row
+        if row == config.max_iters:
+            return firsts, row, "max_iters", best_row
+        if ended:
+            phase += 1
+            firsts.append(row + 1)
+            low = anchor = best_lambda if watch else math.inf
+            anchor_row = row
+    raise AssertionError(f"the trace's {len(report.total_trace)} rows end before the replayed run stops")
+
+
 class TestPenaltySchedule:
     """c_approx None: the soft weight, then the automatic weight at the learning rate and, after its stall, a tenth of it."""
 
@@ -809,6 +844,29 @@ class TestPenaltySchedule:
         assert report.lambda_breakdown.lambda_total < 0.95 * report.initial_lambda
         assert report.err_final <= report.initial_err + 1e-6
 
+    @pytest.mark.parametrize("c_approx", [None, 50.0])
+    @pytest.mark.parametrize("patience", [1, 3, 40])
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-3, 3e-2])
+    @pytest.mark.parametrize(
+        "n,rank,seed",
+        # N=3 at R=4: Total rises and falls, and the first feasible row after
+        # the soft phase comes a few rows into the next one. N=4 at R=9:
+        # only part of the soft phase is feasible, every later row is.
+        [(3, 4, 1), (4, 9, 2)],
+        ids=["n3", "n4"],
+    )
+    def test_phases_and_stop_replay_the_stall_rule(self, n, rank, seed, rel_tol, patience, c_approx):
+        ham = random_hamiltonian(n, np.random.default_rng(seed), n_electrons=n - 1)
+        config = OptimizationConfig(
+            c_approx=c_approx, max_iters=150, learning_rate=1e-2, rel_tol=rel_tol, patience=patience
+        )
+        report = optimize(ham, rank, config)
+        n_phases = 1 if c_approx is not None or not np.any(ham.g_pairs) else 3
+        firsts, iterations_run, stop_reason, best_iteration = replay_stall_rule(report, config, n_phases)
+        assert [first for _, _, first in report.phases] == firsts
+        assert (report.iterations_run, report.stop_reason) == (iterations_run, stop_reason)
+        assert report.best_iteration == best_iteration
+
 
 class TestPackedKernel:
     @pytest.mark.parametrize("n", [3, 5])
@@ -867,9 +925,8 @@ class TestPackedKernel:
 
         def evaluate_with_gradient():
             objective = optimizer._Objective(ham, theta, kappa)
-            objective.weigh(7.0)
             objective.evaluate()
-            objective.gradient()
+            objective.gradient(7.0, lambda part, grad: None)
 
         evaluate_with_gradient()  # warm caches
         tracemalloc.start()
@@ -980,16 +1037,14 @@ class TestClosedFormKappa:
     """optimize's kappa: t = -m from the eigenvalues of h'_xi at every evaluation, kappa = t - tr xi."""
 
     @staticmethod
-    def closed_form_objective(ham, xi, factors, c_approx=3.0):
-        objective = _Objective(ham, _pack(ham, (0.0, xi, factors))[0])
-        objective.weigh(c_approx)
-        return objective
+    def closed_form_objective(ham, xi, factors):
+        return _Objective(ham, _pack(ham, (0.0, xi, factors))[0])
 
     @staticmethod
-    def gathered_gradient(objective):
+    def gathered_gradient(objective, c_approx=3.0):
         """(factor rows, xi) of the gradient that objective.gradient() hands to then(), block by block."""
         grad = np.empty_like(objective.theta)
-        objective.gradient(then=lambda part, block: grad.__setitem__(part, block))
+        objective.gradient(c_approx, lambda part, block: grad.__setitem__(part, block))
         return grad[:-1], objective.space.unpack(grad[-1])
 
     @pytest.mark.parametrize(
@@ -1036,12 +1091,12 @@ class TestClosedFormKappa:
         assert mu[2] - mu[1] > 1e-2  # the middle eigenvalues are distinct
 
         def total(x):
-            err, lam = self.closed_form_objective(ham, x, factors, c).evaluate()[:2]
+            err, lam = self.closed_form_objective(ham, x, factors).evaluate()[:2]
             return c * err + lam
 
-        objective = self.closed_form_objective(ham, xi, factors, c)
+        objective = self.closed_form_objective(ham, xi, factors)
         objective.evaluate()
-        grad_xi = self.gathered_gradient(objective)[1]
+        grad_xi = self.gathered_gradient(objective, c)[1]
         assert objective.d_kappa == 0.0  # sum_i sign(e_i + t), not the round-off of tr U sign(D + t) U^T
         checked = 0
         for a in range(n):
